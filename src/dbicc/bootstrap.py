@@ -26,11 +26,13 @@ import numpy as np
 
 from .core import DistanceMatrix
 from .errors import (
+    DegenerateDistancesError,
     InsufficientDataError,
     InsufficientGroupsError,
+    InsufficientReplicatesError,
     ParameterError,
 )
-from .estimator import dbicc_point
+from .estimator import n_within_pairs
 
 __all__ = [
     "BootstrapResult",
@@ -89,6 +91,11 @@ def percentile_ci(replicate_estimates, level: float):
     return float(low), float(high)
 
 
+# Bytes of squared rows _block_sums holds at a time (a chunk is at least
+# one whole block); chunks that stay in cache sum fastest.
+_BLOCK_SUM_BYTES = 1 << 21
+
+
 def _block_sums(dm: DistanceMatrix):
     """Per-individual squared-distance block sums of a distance matrix.
 
@@ -97,11 +104,25 @@ def _block_sums(dm: DistanceMatrix):
     ``cross[g, h]`` over all ordered pairs between blocks ``g`` and ``h``
     (so ``cross[g, g]`` is twice ``within[g]``, the duplicated-block sum
     including its zero diagonal).
+
+    Rows are squared and summed in chunks of whole blocks.  Every sum
+    adds the same values in the same order as ``reduceat`` over the
+    whole squared matrix would, so the bits are the same without an
+    n-by-n squared copy.
     """
     sizes = dm.group_sizes
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    squared = dm.values * dm.values
-    cross = np.add.reduceat(np.add.reduceat(squared, starts, axis=0), starts, axis=1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = bounds[:-1]
+    cross = np.empty((sizes.size, sizes.size))
+    chunk_rows = _BLOCK_SUM_BYTES // (8 * dm.n_total)
+    g0 = 0
+    while g0 < sizes.size:
+        limit = bounds[g0] + chunk_rows
+        g1 = max(g0 + 1, int(np.searchsorted(bounds, limit, side="right")) - 1)
+        rows = dm.values[bounds[g0] : bounds[g1]]
+        row_sums = np.add.reduceat(rows * rows, starts[g0:g1] - bounds[g0])
+        cross[g0:g1] = np.add.reduceat(row_sums, starts, axis=1)
+        g0 = g1
     within = np.diag(cross) / 2.0
     return sizes, within, cross
 
@@ -114,9 +135,9 @@ def _replicate_components(sizes, within, cross, indices):
     naive and corrected between-mean numerators/denominators.
     """
     n_groups = sizes.shape[0]
-    n_rep, n_slots = indices.shape
-    counts = np.zeros((n_rep, n_groups), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(n_rep), n_slots), indices.ravel()), 1)
+    n_rep = indices.shape[0]
+    flat = (np.arange(n_rep)[:, None] * n_groups + indices).ravel()
+    counts = np.bincount(flat, minlength=n_rep * n_groups).reshape(n_rep, n_groups)
     counts_f = counts.astype(float)
 
     pairs_within = sizes * (sizes - 1) // 2
@@ -143,13 +164,13 @@ def _replicate_components(sizes, within, cross, indices):
     }
 
 
-def _estimates_for_indices(dm: DistanceMatrix, indices):
+def _estimates_for_indices(sizes, within, cross, indices):
     """Naive and corrected replicate estimates for given resample rows.
 
-    Returns (naive, corrected, naive_valid, corrected_valid); estimates
-    are NaN where the corresponding validity flag is False.
+    Takes the block sums of :func:`_block_sums`.  Returns (naive,
+    corrected, naive_valid, corrected_valid); estimates are NaN where the
+    corresponding validity flag is False.
     """
-    sizes, within, cross = _block_sums(dm)
     comp = _replicate_components(sizes, within, cross, indices)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -175,7 +196,8 @@ def _draw_indices(n_individuals, n_boot, seed):
     return rng.integers(0, n_individuals, size=(n_boot, n_individuals))
 
 
-def _check_args(dm, n_boot):
+def _checked_block_sums(dm, n_boot):
+    """Validate the arguments, then return the block sums of ``dm``."""
     if n_boot < 1:
         raise ParameterError(f"n_boot must be positive, got {n_boot}")
     if n_boot < 100:
@@ -185,7 +207,21 @@ def _check_args(dm, n_boot):
             UserWarning,
             stacklevel=3,
         )
-    dbicc_point(dm)  # surfaces precondition violations before any drawing
+    # the point estimate's preconditions, in its order
+    if dm.n_individuals < 2:
+        raise InsufficientGroupsError(
+            f"between-individual spread needs 2+ individuals, got {dm.n_individuals}"
+        )
+    if n_within_pairs(dm.group_sizes) == 0:
+        raise InsufficientReplicatesError(
+            "no individual has 2+ replicates; within-individual spread undefined"
+        )
+    sizes, within, cross = _block_sums(dm)
+    if np.count_nonzero(cross) == np.count_nonzero(np.diagonal(cross)):
+        raise DegenerateDistancesError(
+            "all between-individual distances are zero; dbICC is undefined"
+        )
+    return sizes, within, cross
 
 
 def _resolve_seed(seed):
@@ -231,10 +267,10 @@ def bootstrap_dbicc(
         64-bit seed; drawn from the OS entropy pool when omitted and
         recorded in the result either way.
     """
-    _check_args(dm, n_boot)
+    sums = _checked_block_sums(dm, n_boot)
     seed = _resolve_seed(seed)
     indices = _draw_indices(dm.n_individuals, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(dm, indices)
+    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*sums, indices)
     if corrected:
         return _result(corr, corr_valid, True, level, seed, n_boot)
     return _result(naive, naive_valid, False, level, seed, n_boot)
@@ -248,10 +284,10 @@ def bootstrap_dbicc_pair(
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
     seed, at half the cost.  Returns ``(naive, corrected)``.
     """
-    _check_args(dm, n_boot)
+    sums = _checked_block_sums(dm, n_boot)
     seed = _resolve_seed(seed)
     indices = _draw_indices(dm.n_individuals, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(dm, indices)
+    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*sums, indices)
     return (
         _result(naive, naive_valid, False, level, seed, n_boot),
         _result(corr, corr_valid, True, level, seed, n_boot),

@@ -92,6 +92,17 @@ class _ConfigFailure(Exception):
     """Flags or flag combinations are invalid."""
 
 
+def _seed(text):
+    """``--seed`` values: nonnegative integers, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -236,16 +247,18 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
-    values = np.array(
-        [
-            [
-                _parse_float(path, lineno, col + 1, cell)
-                for col, cell in enumerate(row)
-            ]
-            for lineno, row in enumerate(rows, start=1)
-            if row
-        ]
-    )
+    parsed = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if parsed and len(row) != len(parsed[0]):
+            raise _ParseFailure(
+                path, f"expected {len(parsed[0])} fields, got {len(row)}", line=lineno
+            )
+        parsed.append(
+            [_parse_float(path, lineno, col + 1, cell) for col, cell in enumerate(row)]
+        )
+    values = np.array(parsed)
     n = values.shape[0]
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
@@ -600,7 +613,7 @@ def _build_parser() -> _Parser:
         "--naive", dest="corrected", action="store_false", help="no bias correction"
     )
     boot.set_defaults(corrected=True)
-    boot.add_argument("--seed", type=int, help="64-bit RNG seed")
+    boot.add_argument("--seed", type=_seed, help="64-bit RNG seed")
     boot.add_argument(
         "--emit-replicates",
         action="store_true",
@@ -641,7 +654,7 @@ def _build_parser() -> _Parser:
         help="abscissa is log(m - offset)",
     )
     sim.add_argument("--wishart-df", type=int, help="population heterogeneity control")
-    sim.add_argument("--seed", type=int, help="64-bit RNG seed")
+    sim.add_argument("--seed", type=_seed, help="64-bit RNG seed")
     sim.add_argument("--threads", type=int, help="parallel workers for runs")
     sim.add_argument("--out", help="JSON output path (default: stdout)")
     sim.add_argument("--csv", help="also write plot-ready CSV here")

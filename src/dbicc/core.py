@@ -183,6 +183,44 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
     return GroupedSample(individuals=tuple(individuals), payload_kind=payload_kind)
 
 
+# Rows per block of the validation pass; its temporaries are O(rows * n).
+_VALIDATE_ROWS = 256
+
+
+def _check_values(vals):
+    """Reject a square matrix that is not a valid dissimilarity matrix.
+
+    Decides and raises exactly as the whole-matrix checks, in order:
+    ``np.isfinite(v).all()``, ``(v >= 0).all()``,
+    ``np.allclose(v, v.T, atol=tol, rtol=0)`` and
+    ``np.allclose(np.diag(v), 0, atol=tol)`` with
+    ``tol = 1e-8 * max(abs(v).max(), 1)``, but in one pass over row
+    blocks.  Block ``[r0, r1)`` is compared with its mirror in rows
+    ``< r1``, which are already known to be finite.
+    """
+    n = vals.shape[0]
+    negative = False
+    scale = asym = diag = 0.0
+    for r0 in range(0, n, _VALIDATE_ROWS):
+        r1 = min(r0 + _VALIDATE_ROWS, n)
+        blk = vals[r0:r1]
+        lo, hi = blk.min(), blk.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise NonFiniteError("distance matrix contains NaN or Inf")
+        negative |= bool(lo < 0.0)
+        scale = max(scale, float(hi))
+        diff = blk[:, :r1] - vals[:r1, r0:r1].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+        diag = max(diag, float(np.abs(np.diagonal(blk[:, r0:r1])).max()))
+    if negative:
+        raise InputShapeError("distances must be nonnegative")
+    tol = 1e-8 * max(scale, 1.0)
+    if asym > tol:
+        raise InputShapeError("distance matrix is not symmetric")
+    if diag > tol:
+        raise InputShapeError("distance matrix diagonal must be zero")
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A symmetric dissimilarity matrix whose rows are grouped by individual.
@@ -210,16 +248,7 @@ class DistanceMatrix:
             raise InputShapeError(
                 f"group indices must have length {n}, got {ind.shape} and {rep.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("distance matrix contains NaN or Inf")
-        if np.any(vals < 0.0):
-            raise InputShapeError("distances must be nonnegative")
-        scale = np.abs(vals).max() if n else 0.0
-        tol = 1e-8 * max(scale, 1.0)
-        if not np.allclose(vals, vals.T, atol=tol, rtol=0.0):
-            raise InputShapeError("distance matrix is not symmetric")
-        if not np.allclose(np.diag(vals), 0.0, atol=tol):
-            raise InputShapeError("distance matrix diagonal must be zero")
+        _check_values(vals)
         # canonical (individual, replicate) layout
         boundaries = np.flatnonzero(np.diff(ind)) + 1
         blocks = np.split(np.arange(n), boundaries)

@@ -49,10 +49,22 @@ class DbiccEstimate:
     n_between_pairs: int
 
 
-def _pair_masks(dm: DistanceMatrix):
-    same = dm.individual_index[:, None] == dm.individual_index[None, :]
-    upper = np.triu(np.ones((dm.n_total, dm.n_total), dtype=bool), k=1)
-    return same, upper
+def _squared_upper(dm: DistanceMatrix, between: bool) -> np.ndarray:
+    """Squared upper-triangle distances of one pair kind, in row-major order.
+
+    Blocks are contiguous, so row ``a``'s between pairs are the columns
+    from the end of its block on, and its within pairs the columns after
+    ``a`` inside its block.
+    """
+    sizes = dm.group_sizes
+    ends = np.repeat(np.cumsum(sizes), sizes)[:, None]
+    cols = np.arange(dm.n_total)
+    if between:
+        mask = cols >= ends
+    else:
+        mask = (cols > cols[:, None]) & (cols < ends)
+    vals = dm.values[mask]
+    return np.multiply(vals, vals, out=vals)
 
 
 def n_between_pairs(group_sizes) -> int:
@@ -72,9 +84,8 @@ def msd_between(dm: DistanceMatrix) -> float:
         raise InsufficientGroupsError(
             f"between-individual spread needs 2+ individuals, got {dm.n_individuals}"
         )
-    same, upper = _pair_masks(dm)
-    vals = dm.values[upper & ~same]  # row-major upper-triangle order
-    return float(np.sum(vals * vals) / n_between_pairs(dm.group_sizes))
+    total = np.sum(_squared_upper(dm, between=True))
+    return float(total / n_between_pairs(dm.group_sizes))
 
 
 def msd_within(dm: DistanceMatrix) -> float:
@@ -87,9 +98,7 @@ def msd_within(dm: DistanceMatrix) -> float:
         raise InsufficientReplicatesError(
             "no individual has 2+ replicates; within-individual spread undefined"
         )
-    same, upper = _pair_masks(dm)
-    vals = dm.values[upper & same]
-    return float(np.sum(vals * vals) / denom)
+    return float(np.sum(_squared_upper(dm, between=False)) / denom)
 
 
 def dbicc_point(dm: DistanceMatrix) -> DbiccEstimate:

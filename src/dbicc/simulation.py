@@ -17,13 +17,12 @@ index), so results are reproducible and independent of the worker
 count used to fan the runs out.
 """
 
-import secrets
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import bootstrap_dbicc_pair
+from .bootstrap import _resolve_seed, bootstrap_dbicc_pair
 from .core import GroupedSample, IndividualRecord, PayloadKind, compute_distance_matrix
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
@@ -364,10 +363,6 @@ def default_m_grid(low: int = 25, high: int = 197, count: int = 8) -> list:
     """Integer grid approximately equally spaced on the log scale."""
     grid = np.unique(np.rint(np.geomspace(low, high, count)).astype(int))
     return [int(m) for m in grid]
-
-
-def _resolve_seed(seed):
-    return secrets.randbits(63) if seed is None else int(seed)
 
 
 def _run_tasks(worker, tasks, workers):

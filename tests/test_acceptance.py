@@ -107,8 +107,8 @@ def test_c3_bias_correction_per_run_win_rate():
     # naive median in >= 80% of 100 outer replicates.  The correction shifts
     # every run's median up by ~0.03 regardless of where it sits, so runs
     # whose estimate already exceeds the truth move away from it; the win
-    # rate is structurally ~55%, and this test fails.  The companion test
-    # below verifies the real effect.  Analysis: /root/notes/decisions.md.
+    # rate is structurally ~60%, and this test fails.  The companion test
+    # below verifies the real effect.  Analysis: README.md, "Known red test".
     naive, corrected = _median_comparison()
     wins = int(np.sum(np.abs(corrected - 0.5) < np.abs(naive - 0.5)))
     ok = wins >= 80

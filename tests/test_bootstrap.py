@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import dbicc.bootstrap
 from dbicc import (
+    DegenerateDistancesError,
+    DistanceMatrix,
     InsufficientDataError,
     InsufficientGroupsError,
+    InsufficientReplicatesError,
     Metric,
     ParameterError,
     TrueScorePopulation,
@@ -11,6 +15,7 @@ from dbicc import (
     bootstrap_dbicc_pair,
     build_grouped_sample,
     compute_distance_matrix,
+    dbicc_point,
     gen_gaussian_sample,
     percentile_ci,
     resample_individuals,
@@ -106,7 +111,7 @@ class TestReplicateMechanics:
     def test_distinct_picks_make_correction_a_noop(self):
         dm = three_individual_matrix()
         picks = np.array([[2, 0, 1]])
-        naive, corrected, nv, cv = _estimates_for_indices(dm, picks)
+        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
         assert nv[0] and cv[0]
         assert naive[0] == corrected[0]  # bitwise: same sums, no excluded pairs
 
@@ -114,7 +119,8 @@ class TestReplicateMechanics:
         # picks (A, A, C): naive keeps the duplicated A-block pair, whose
         # cross entries {0,4,4,0} drag the between mean down
         dm = three_individual_matrix()
-        naive, corrected, nv, cv = _estimates_for_indices(dm, np.array([[0, 0, 2]]))
+        picks = np.array([[0, 0, 2]])
+        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
         assert nv[0] and cv[0]
         assert naive[0] == pytest.approx(97.0 / 103.0, rel=1e-12)
         assert corrected[0] == pytest.approx(49.0 / 51.0, rel=1e-12)
@@ -125,7 +131,7 @@ class TestReplicateMechanics:
     def test_matches_definitional_oracle_on_random_instances(self, rng):
         dm = compute_distance_matrix(vector_sample(rng, [2, 3, 1, 2], 3), Metric.L2_VEC)
         picks = rng.integers(0, 4, size=(40, 4))
-        naive, corrected, nv, cv = _estimates_for_indices(dm, picks)
+        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
         for r in range(40):
             oracle = oracle_replicate(dm, picks[r].tolist())
             for vals, valid, key in ((naive, nv, False), (corrected, cv, True)):
@@ -137,7 +143,8 @@ class TestReplicateMechanics:
 
     def test_all_identical_picks_degenerate_for_corrected_only(self):
         dm = three_individual_matrix()
-        naive, corrected, nv, cv = _estimates_for_indices(dm, np.array([[1, 1, 1]]))
+        picks = np.array([[1, 1, 1]])
+        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
         assert nv[0] and not cv[0]
         assert np.isnan(corrected[0])
 
@@ -154,7 +161,58 @@ class TestReplicateMechanics:
                 assert cross[g1, g2] == pytest.approx(sq[r1, r2].sum(), rel=1e-12)
 
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    def test_chunked_block_sums_match_whole_matrix_reduceat(
+        self, rng, monkeypatch, chunk_rows
+    ):
+        # blocks of 1..19 rows, so chunks hold several blocks or one block
+        # larger than the chunk
+        sizes = np.concatenate(([1], rng.integers(1, 20, size=60), [1]))
+        dm = compute_distance_matrix(vector_sample(rng, sizes, 3), Metric.L2_VEC)
+        if chunk_rows is not None:
+            monkeypatch.setattr(
+                dbicc.bootstrap, "_BLOCK_SUM_BYTES", 8 * dm.n_total * chunk_rows
+            )
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        squared = dm.values * dm.values
+        cross = np.add.reduceat(np.add.reduceat(squared, starts, axis=0), starts, axis=1)
+        got_sizes, got_within, got_cross = _block_sums(dm)
+        assert np.array_equal(got_sizes, sizes)
+        assert np.array_equal(got_cross, cross)
+        assert np.array_equal(got_within, np.diag(cross) / 2.0)
+
+
+def _matrix(values, individual_index):
+    ind = np.asarray(individual_index)
+    rep = np.concatenate([np.arange(k) for k in np.bincount(ind)])
+    return DistanceMatrix(np.asarray(values, dtype=float), ind, rep)
+
+
 class TestBootstrapDbicc:
+    @pytest.mark.parametrize(
+        "dm, error",
+        [
+            (_matrix([[0.0, 1.0], [1.0, 0.0]], [0, 0]), InsufficientGroupsError),
+            (_matrix([[0.0]], [0]), InsufficientGroupsError),
+            (_matrix([[0.0, 1.0], [1.0, 0.0]], [0, 1]), InsufficientReplicatesError),
+            (_matrix(np.zeros((4, 4)), [0, 0, 1, 1]), DegenerateDistancesError),
+            (
+                _matrix(
+                    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                    [0, 0, 1, 1],
+                ),
+                DegenerateDistancesError,
+            ),
+        ],
+    )
+    def test_preconditions_raise_as_point_estimate(self, dm, error):
+        with pytest.raises(error):
+            dbicc_point(dm)
+        with pytest.raises(error):
+            bootstrap_dbicc(dm, 200, seed=1)
+        with pytest.raises(error):
+            bootstrap_dbicc_pair(dm, 200, seed=1)
+
     def test_deterministic_given_seed(self):
         dm = three_individual_matrix()
         r1 = bootstrap_dbicc(dm, 300, corrected=True, seed=123)

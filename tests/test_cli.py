@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from dbicc import (
     Metric,
@@ -179,6 +180,34 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_ragged_distance_csv_is_parse_error_with_location(self, tmp_path, capsys):
+        src = tmp_path / "rag.csv"
+        src.write_text("0,1,2\n1,0\n2,1,0\n")
+        groups = tmp_path / "g.csv"
+        groups.write_text("row,individual,replicate\n0,A,0\n1,A,1\n2,B,0\n")
+        rc = main(["estimate", str(src), "--groups", str(groups)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rag.csv:2: expected 3 fields, got 2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bootstrap", "HAND", "--boot", "200"],
+            ["simulate", "--experiment", "point", "--runs", "2"],
+            ["simulate", "--experiment", "coverage", "--runs", "2"],
+            ["simulate", "--experiment", "sb", "--runs", "2"],
+        ],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        argv = [str(src) if arg == "HAND" else arg for arg in command]
+        assert main([*argv, "--seed", "-1"]) == 4
+        err = capsys.readouterr().err
+        assert "configuration error: argument --seed" in err
 
 
 class TestBootstrapCommand:

@@ -1,6 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
+from dbicc import core
 from dbicc import (
     DistanceMatrix,
     DistanceSpec,
@@ -220,3 +227,75 @@ class TestDistanceMatrixValidation:
         vals = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(NonFiniteError):
             DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+
+
+def allclose_verdict(vals):
+    """The whole-matrix validation formulas the blocked pass must agree with."""
+    if not np.all(np.isfinite(vals)):
+        return NonFiniteError, "distance matrix contains NaN or Inf"
+    if np.any(vals < 0.0):
+        return InputShapeError, "distances must be nonnegative"
+    tol = 1e-8 * max(np.abs(vals).max(), 1.0)
+    if not np.allclose(vals, vals.T, atol=tol, rtol=0.0):
+        return InputShapeError, "distance matrix is not symmetric"
+    if not np.allclose(np.diag(vals), 0.0, atol=tol):
+        return InputShapeError, "distance matrix diagonal must be zero"
+    return None
+
+
+class TestBlockedValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 11),
+        block_rows=st.sampled_from([1, 3, 4, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e7]),
+        defect=st.sampled_from(
+            ["none", "asym", "nan", "inf", "-inf", "negative", "diag", "two"]
+        ),
+        factor=st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 1e3]),
+        pos=st.lists(st.integers(0, 10), min_size=4, max_size=4),
+    )
+    def test_same_verdict_as_whole_matrix_checks(
+        self, n, block_rows, seed, scale, defect, factor, pos
+    ):
+        rng = np.random.default_rng(seed)
+        vals = squareform(pdist(scale * rng.standard_normal((n, 2))))
+        i, j, k, m = (p % n for p in pos)
+        tol = 1e-8 * max(vals.max(), 1.0)
+        bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+        if defect == "asym":
+            vals[i, j] += factor * tol
+        elif defect in bad:
+            vals[i, j] = bad[defect]
+        elif defect == "negative":
+            vals[i, j] = vals[j, i] = -factor * tol
+        elif defect == "diag":
+            vals[i, i] = factor * tol
+        elif defect == "two":  # a later defect must not mask an earlier check
+            vals[i, j] = -factor * tol
+            vals[k, m] = np.nan if factor > 1.0 else vals[k, m] + factor * tol
+        with mock.patch.object(core, "_VALIDATE_ROWS", block_rows):
+            try:
+                DistanceMatrix(
+                    values=vals,
+                    individual_index=np.arange(n),
+                    replicate_index=np.zeros(n, dtype=np.int64),
+                )
+                verdict = None
+            except (NonFiniteError, InputShapeError) as exc:
+                verdict = (type(exc), str(exc))
+        assert verdict == allclose_verdict(vals)
+
+    def test_peak_memory_below_one_matrix(self):
+        n = 2000
+        vals = squareform(pdist(np.random.default_rng(3).standard_normal((n, 3))))
+        ind = np.arange(n) // 2
+        rep = np.arange(n) % 2
+        tracemalloc.start()
+        try:
+            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes

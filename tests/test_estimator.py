@@ -62,6 +62,21 @@ class TestMsd:
             assert msd_between(dm) == b
             assert msd_within(dm) == w
 
+    def test_matches_three_mask_gather_bitwise(self, rng):
+        # uneven blocks with singletons; the sums must keep the bits of the
+        # gather through same-individual and triu(ones) masks
+        sizes = np.concatenate(([1], rng.integers(1, 12, size=90), [1]))
+        dm = compute_distance_matrix(vector_sample(rng, sizes, 4), Metric.L2_VEC)
+        same = dm.individual_index[:, None] == dm.individual_index[None, :]
+        upper = np.triu(np.ones((dm.n_total, dm.n_total), dtype=bool), k=1)
+        between = dm.values[upper & ~same]
+        within = dm.values[upper & same]
+        est = dbicc_point(dm)
+        assert est.msd_between == float(
+            np.sum(between * between) / est.n_between_pairs
+        )
+        assert est.msd_within == float(np.sum(within * within) / est.n_within_pairs)
+
     def test_single_individual(self):
         dm = DistanceMatrix(
             values=np.array([[0.0, 1.0], [1.0, 0.0]]),
