@@ -13,7 +13,6 @@ from .bootstrap import (
     bootstrap_dbicc,
     bootstrap_dbicc_pair,
     percentile_ci,
-    resample_individuals,
 )
 from .core import (
     DistanceMatrix,

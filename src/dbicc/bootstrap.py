@@ -36,7 +36,6 @@ from .estimator import n_within_pairs
 
 __all__ = [
     "BootstrapResult",
-    "resample_individuals",
     "percentile_ci",
     "bootstrap_dbicc",
     "bootstrap_dbicc_pair",
@@ -61,16 +60,6 @@ class BootstrapResult:
     seed: int
     n_boot: int
     n_degenerate: int
-
-
-def resample_individuals(n_individuals: int, rng) -> np.ndarray:
-    """One bootstrap draw: indices sampled with replacement from 0..I-1."""
-    if n_individuals < 2:
-        raise InsufficientGroupsError(
-            f"resampling needs 2+ individuals, got {n_individuals}"
-        )
-    rng = np.random.default_rng(rng)
-    return rng.integers(0, n_individuals, size=n_individuals)
 
 
 def percentile_ci(replicate_estimates, level: float):
@@ -192,6 +181,7 @@ def _estimates_for_indices(sizes, within, cross, indices):
 
 
 def _draw_indices(n_individuals, n_boot, seed):
+    """``n_boot`` rows of individual indices drawn with replacement."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, n_individuals, size=(n_boot, n_individuals))
 

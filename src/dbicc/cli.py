@@ -22,9 +22,10 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   each path a headerless CSV of one series (rows are time points),
   resolved relative to the manifest.
 
-JSON output serializes numbers with 17 significant digits so values
-round-trip exactly; all randomized commands record their seed, and
-re-running with that seed reproduces the output byte for byte.
+JSON and CSV output write each float as Python's shortest repr, which
+parses back to exactly the same value; all randomized commands record
+their seed, and re-running with that seed reproduces the output byte for
+byte.
 
 Exit codes: 0 success, 2 input parse error, 3 computation error
 (message names the error class), 4 configuration error.
@@ -45,15 +46,12 @@ from .core import (
     DistanceMatrix,
     GroupedSample,
     PayloadKind,
+    _pairwise,
+    _payloads_for_metric,
     build_grouped_sample,
     compute_distance_matrix,
 )
-from .distances import (
-    DistanceSpec,
-    Metric,
-    correlation_from_timeseries,
-    soft_threshold,
-)
+from .distances import DistanceSpec, Metric, soft_threshold
 from .errors import (
     DbiccError,
     DegenerateDistancesError,
@@ -92,15 +90,24 @@ class _ConfigFailure(Exception):
     """Flags or flag combinations are invalid."""
 
 
-def _seed(text):
-    """``--seed`` values: nonnegative integers, as numpy's seeding requires."""
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+def _int_at_least(low, what):
+    """An argparse type for integers ``>= low``; ``what`` names that range."""
+
+    def parse(text):
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+
+    return parse
+
+
+# --seed: nonnegative, as numpy's seeding requires; counts: at least one
+_seed = _int_at_least(0, "nonnegative")
+_count = _int_at_least(1, "positive")
 
 
 # ---------------------------------------------------------------------------
@@ -108,45 +115,9 @@ def _seed(text):
 # ---------------------------------------------------------------------------
 
 
-def _format_number(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("cannot serialize non-finite number")
-    return format(value, ".17g")
-
-
-def _emit_json(obj, level=0) -> str:
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_emit_json(v, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{inner}{_emit_json(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        return _format_number(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_json(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _emit_json(obj) + "\n"
+    """Indented JSON; floats as their shortest exact repr, NaN/Inf rejected."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, out_path):
@@ -156,20 +127,11 @@ def _write_output(text: str, out_path):
         Path(out_path).write_text(text, encoding="utf-8")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return _format_number(value)
-
-
 def _write_csv(header, rows, out_path):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(rows)
     _write_output(buf.getvalue(), out_path)
 
 
@@ -204,6 +166,33 @@ def _replicate_sort_key(label: str):
         return (1, 0, label)
 
 
+def _labelled_rows(path, rows, width, label_col):
+    """Data rows after the header, as ``(line number, fields)``.
+
+    Blank rows are skipped; every other row must have ``width`` fields,
+    and the (individual, replicate) label pair in columns ``label_col``
+    and ``label_col + 1`` must not repeat.
+    """
+    seen = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise _ParseFailure(
+                path, f"expected {width} fields, got {len(row)}", line=lineno
+            )
+        ind, rep = row[label_col], row[label_col + 1]
+        first = seen.setdefault((ind, _replicate_sort_key(rep)), lineno)
+        if first != lineno:
+            raise _ParseFailure(
+                path,
+                f"duplicate individual {ind!r}, replicate {rep!r} "
+                f"(first on line {first})",
+                line=lineno,
+            )
+        yield lineno, row
+
+
 def _parse_float(path, line, column, text):
     try:
         return float(text)
@@ -222,17 +211,8 @@ def _load_vector_csv(path) -> GroupedSample:
             "expected header 'individual,replicate,f1,...,fp'",
             line=1,
         )
-    width = len(header)
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise _ParseFailure(
-                path,
-                f"expected {width} fields, got {len(row)}",
-                line=lineno,
-            )
+    for lineno, row in _labelled_rows(path, rows, len(header), 0):
         values = [
             _parse_float(path, lineno, col + 3, cell)
             for col, cell in enumerate(row[2:])
@@ -267,13 +247,7 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
             groups_path, "expected header 'row,individual,replicate'", line=1
         )
     entries = []
-    for lineno, row in enumerate(grows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise _ParseFailure(
-                groups_path, f"expected 3 fields, got {len(row)}", line=lineno
-            )
+    for lineno, row in _labelled_rows(groups_path, grows, 3, 1):
         try:
             row_idx = int(row[0])
         except ValueError:
@@ -324,11 +298,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         raise _ParseFailure(path, "expected header 'individual,replicate,path'", line=1)
     base = Path(path).parent
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise _ParseFailure(path, f"expected 3 fields, got {len(row)}", line=lineno)
+    for _, row in _labelled_rows(path, rows, 3, 0):
         series_path = Path(row[2])
         if not series_path.is_absolute():
             series_path = base / series_path
@@ -445,30 +415,17 @@ def _cmd_sweep_threshold(args) -> int:
         raise MetricMismatchError(
             "threshold sweep applies to matrix payloads, not vectors"
         )
-    payloads = data.payloads()
-    if data.payload_kind is PayloadKind.TIMESERIES:
-        payloads = [correlation_from_timeseries(x) for x in payloads]
     grid = [args.threshold] if args.threshold is not None else _parse_grid(
         args.threshold_grid
     )
     distance_name = args.distance or "l2"
     kind = _METRIC_BY_FLAG[distance_name]
-    groups = data.groups()
+    payloads = _payloads_for_metric(data, DistanceSpec(kind=kind))
     rows = []
     for level in grid:
-        shrunk = []
-        fractions = []
-        for mat in payloads:
-            out, frac = soft_threshold(mat, level)
-            shrunk.append(out)
-            fractions.append(frac)
-        records = [
-            (f"i{gi:05d}", rj, mat) for (gi, rj), mat in zip(groups, shrunk)
-        ]
-        sample = build_grouped_sample(records, payload_kind=PayloadKind.MATRIX)
+        shrunk, fractions = zip(*(soft_threshold(mat, level) for mat in payloads))
         try:
-            dm = compute_distance_matrix(sample, DistanceSpec(kind=kind))
-            rho = dbicc_point(dm).rho_hat
+            rho = dbicc_point(_pairwise(shrunk, kind, data)).rho_hat
         except (DegenerateInputError, DegenerateDistancesError) as exc:
             print(
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr
@@ -490,7 +447,7 @@ def _parse_m_grid(text):
 
 
 def _cmd_simulate(args) -> int:
-    workers = args.threads or 1
+    # absent counts are None and _count rejects 0, so `or` only fills defaults
     if args.experiment == "point":
         report = run_point_experiment(
             n_individuals=args.individuals or 40,
@@ -499,9 +456,9 @@ def _cmd_simulate(args) -> int:
             n_runs=args.runs or 500,
             seed=args.seed,
             dim=args.dim or 2,
-            workers=workers,
+            workers=args.threads,
         )
-        csv_rows = [(i, v) for i, v in enumerate(report["estimates"])]
+        csv_rows = list(enumerate(report["estimates"]))
         csv_header = ["run", "rho_hat"]
     elif args.experiment == "coverage":
         report = run_coverage_experiment(
@@ -513,17 +470,10 @@ def _cmd_simulate(args) -> int:
             level=args.level,
             seed=args.seed,
             dim=args.dim or 2,
-            workers=workers,
+            workers=args.threads,
         )
         csv_rows = [
-            (
-                i,
-                r["point"],
-                r["naive"][0],
-                r["naive"][1],
-                r["corrected"][0],
-                r["corrected"][1],
-            )
+            (i, r["point"], *r["naive"], *r["corrected"])
             for i, r in enumerate(report["runs"])
         ]
         csv_header = [
@@ -542,7 +492,7 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
             wishart_df=args.wishart_df,
             offset=args.sb_offset,
-            workers=workers,
+            workers=args.threads,
         )
         csv_rows = [
             (kind, p["run"], p["m"], p["rho_hat"], p["x"], p["y"])
@@ -589,9 +539,6 @@ def _build_parser() -> _Parser:
         help="soft-threshold level applied to matrix payloads before distancing",
     )
     io_parent.add_argument("--out", help="output path (default: stdout)")
-    io_parent.add_argument(
-        "--threads", type=int, help="cap on worker count; never changes results"
-    )
 
     sub.add_parser(
         "estimate", parents=[io_parent], help="dbICC point estimate of one data set"
@@ -635,16 +582,19 @@ def _build_parser() -> _Parser:
     sim.add_argument(
         "--experiment", choices=["point", "coverage", "sb"], required=True
     )
-    sim.add_argument("--individuals", type=int, help="number of individuals")
-    sim.add_argument("--replicates", type=int, help="replicates per individual")
-    sim.add_argument("--dim", type=int, help="payload dimension")
+    sim.add_argument("--individuals", type=_count, help="number of individuals")
+    sim.add_argument("--replicates", type=_count, help="replicates per individual")
+    sim.add_argument("--dim", type=_count, help="payload dimension")
     sim.add_argument("--rho", type=float, default=0.5, help="population dbICC")
     sim.add_argument(
-        "--phi", type=float, default=0.0, help="AR(1) coefficient for sb series"
+        "--phi",
+        type=float,
+        default=0.0,
+        help="AR(1) coefficient for sb series, in [0, 1)",
     )
     sim.add_argument("--boot", type=int, default=1200, help="bootstrap replicates")
     sim.add_argument("--level", type=float, default=0.95, help="confidence level")
-    sim.add_argument("--runs", type=int, help="number of simulation runs")
+    sim.add_argument("--runs", type=_count, help="number of simulation runs")
     sim.add_argument("--m-grid", help="comma-separated series lengths for sb")
     sim.add_argument(
         "--sb-offset",
@@ -655,7 +605,9 @@ def _build_parser() -> _Parser:
     )
     sim.add_argument("--wishart-df", type=int, help="population heterogeneity control")
     sim.add_argument("--seed", type=_seed, help="64-bit RNG seed")
-    sim.add_argument("--threads", type=int, help="parallel workers for runs")
+    sim.add_argument(
+        "--threads", type=_count, default=1, help="parallel workers for runs"
+    )
     sim.add_argument("--out", help="JSON output path (default: stdout)")
     sim.add_argument("--csv", help="also write plot-ready CSV here")
     return parser

@@ -306,7 +306,7 @@ def _payloads_for_metric(sample: GroupedSample, spec: DistanceSpec):
             "correlation-of-correlations requires square matrix payloads, "
             f"got {sample.payload_kind.value} payloads"
         )
-    return payloads, kind
+    return payloads
 
 
 def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
@@ -325,11 +325,14 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
         Plain kinds are promoted to a threshold-free spec.
     """
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
-    payloads, kind = _payloads_for_metric(sample, spec)
+    return _pairwise(_payloads_for_metric(sample, spec), spec.kind, sample)
 
-    if spec.kind in (Metric.L2_VEC, Metric.L1_VEC):
+
+def _pairwise(payloads, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
+    """Distance matrix of ``payloads``, one per row of ``sample``'s grouping."""
+    if metric in (Metric.L2_VEC, Metric.L1_VEC):
         flat = np.vstack([np.asarray(p, dtype=float).ravel() for p in payloads])
-        scipy_name = "euclidean" if spec.kind is Metric.L2_VEC else "cityblock"
+        scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
         vals = squareform(pdist(flat, scipy_name))
     else:
         p = payloads[0].shape[0]
@@ -347,8 +350,6 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
                 "correlation of correlations is undefined"
             )
         vals = np.sqrt(np.maximum(squareform(pdist(tri, "correlation")), 0.0))
-
-    np.fill_diagonal(vals, 0.0)
     groups = sample.groups()
     return DistanceMatrix(
         values=vals,

@@ -495,24 +495,19 @@ def _sb_worker(task):
     (seed, run, n_individuals, n_replicates, dim, m_grid, ar_coeff, df) = task
     rng = np.random.default_rng([seed, run])
     sigmas = gen_spd_population(n_individuals, dim, rng, wishart_df=df)
-    chols = [_cholesky(s, "individual covariance") for s in sigmas]
     rows = []
     for m in m_grid:
-        records = {"covariance": [], "correlation": []}
-        for chol in chols:
-            series = _var1_batch(chol, n_replicates, m, ar_coeff, rng)
-            covs = _sample_cov_batch(series)
-            records["covariance"].append(covs)
-            records["correlation"].append(_corr_scale_batch(covs))
+        pop = ConnectivityPopulation(sigmas, m, ar_coeff)
+        covs = gen_connectivity_sample(pop, n_replicates, rng)
+        corrs = GroupedSample(
+            individuals=tuple(
+                IndividualRecord(r.id, tuple(_corr_scale_batch(np.stack(r.replicates))))
+                for r in covs.individuals
+            ),
+            payload_kind=PayloadKind.MATRIX,
+        )
         row = {"m": int(m)}
-        for kind, mats in records.items():
-            individuals = tuple(
-                IndividualRecord(id=f"sim{i:04d}", replicates=tuple(mats[i]))
-                for i in range(n_individuals)
-            )
-            sample = GroupedSample(
-                individuals=individuals, payload_kind=PayloadKind.MATRIX
-            )
+        for kind, sample in (("covariance", covs), ("correlation", corrs)):
             dm = compute_distance_matrix(sample, Metric.L2_VEC)
             row[kind] = dbicc_point(dm).rho_hat
         rows.append(row)
@@ -539,7 +534,8 @@ def run_sb_experiment(
     sample covariance matrices and sample correlation matrices under
     Frobenius distance, and fits a line to
     ``[log(m - offset), log snr]``.  Reports per-run slopes plus the
-    across-run mean curve, for both matrix kinds.
+    across-run mean curve, for both matrix kinds.  ``ar_coeff`` must lie
+    in [0, 1); the runs raise :class:`ParameterError` otherwise.
     """
     if m_grid is None:
         m_grid = default_m_grid()

@@ -18,10 +18,10 @@ from dbicc import (
     dbicc_point,
     gen_gaussian_sample,
     percentile_ci,
-    resample_individuals,
 )
 from dbicc.bootstrap import (
     _block_sums,
+    _draw_indices,
     _estimates_for_indices,
     _replicate_components,
 )
@@ -70,16 +70,11 @@ def oracle_replicate(dm, picks):
 
 
 class TestResampleIndividuals:
-    def test_too_few(self):
-        with pytest.raises(InsufficientGroupsError):
-            resample_individuals(1, np.random.default_rng(0))
-
     def test_pinned_sequence(self):
-        assert resample_individuals(6, 20240717).tolist() == [5, 0, 0, 4, 5, 0]
+        assert _draw_indices(6, 1, 20240717)[0].tolist() == [5, 0, 0, 4, 5, 0]
 
     def test_frequencies_uniform(self):
-        rng = np.random.default_rng(99)
-        draws = np.concatenate([resample_individuals(4, rng) for _ in range(25000)])
+        draws = _draw_indices(4, 25000, 99).ravel()
         freq = np.bincount(draws, minlength=4) / draws.size
         assert np.all(np.abs(freq - 0.25) < 0.005)  # 2% of 0.25
 

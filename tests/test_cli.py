@@ -10,7 +10,7 @@ from dbicc import (
     compute_distance_matrix,
     gen_spd_population,
 )
-from dbicc.cli import main
+from dbicc.cli import dumps_json, main
 
 
 def write_hand_csv(path):
@@ -209,6 +209,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: argument --seed" in err
 
+    @pytest.mark.parametrize("experiment", ["point", "coverage", "sb"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flag", ["--runs", "--individuals", "--replicates", "--dim", "--threads"]
+    )
+    def test_nonpositive_count_is_config_error(self, capsys, experiment, value, flag):
+        argv = ["simulate", "--experiment", experiment, "--seed", "1", flag, value]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"configuration error: argument {flag}: expected a positive" in err
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap", "sweep-threshold"])
+    def test_threads_belongs_to_simulate_only(self, tmp_path, capsys, command):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        assert main([command, str(src), "--threads", "2"]) == 4
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["1.0", "2", "-0.5"])
+    def test_sb_phi_outside_unit_interval_is_parameter_error(self, capsys, phi):
+        argv = [
+            "simulate", "--experiment", "sb", "--individuals", "4", "--dim", "3",
+            "--m-grid", "10,20,40", "--runs", "1", "--seed", "1", "--phi", phi,
+        ]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "ParameterError: AR(1) coefficient must lie in [0, 1)" in err
+
+    def test_duplicate_vector_label_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        src.write_text("individual,replicate,f1\na,1,0\na,1,2\nb,1,0\nb,2,2\n")
+        assert main(["estimate", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "dup.csv:3: duplicate individual 'a', replicate '1'" in err
+
+    def test_duplicate_groups_label_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "d.csv"
+        np.savetxt(src, 1.0 - np.eye(4), delimiter=",", fmt="%.17g")
+        groups = tmp_path / "g.csv"
+        groups.write_text("row,individual,replicate\n0,a,1\n1,a,1\n2,b,1\n3,b,2\n")
+        assert main(["estimate", str(src), "--groups", str(groups)]) == 2
+        err = capsys.readouterr().err
+        assert "g.csv:3: duplicate individual 'a', replicate '1'" in err
+
+    def test_duplicate_manifest_label_is_parse_error(self, tmp_path, capsys):
+        for name in ("s0", "s1", "s2"):
+            np.savetxt(tmp_path / f"{name}.csv", np.eye(3), delimiter=",")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "individual,replicate,path\na,0,s0.csv\nb,0,s1.csv\nb,00,s2.csv\n"
+        )
+        assert main(["estimate", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "m.csv:4: duplicate individual 'b', replicate '00' (first on line 3)" in err
+
 
 class TestBootstrapCommand:
     def test_byte_identical_reruns(self, tmp_path, rng):
@@ -315,6 +370,26 @@ class TestSweepCommand:
         assert float(rows[0]["rho_hat"]) == est["rho_hat"]
         assert float(rows[0]["threshold"]) == 0.0
 
+    @pytest.mark.parametrize("distance", ["l2", "corr"])
+    def test_every_level_matches_estimate(self, tmp_path, rng, distance):
+        manifest = self._manifest(tmp_path, rng)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-threshold", str(manifest), "--distance", distance,
+                "--threshold-grid", "0:0.3:0.05", "--out", str(out)]
+        assert main(argv) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 7
+        for row in rows:
+            est_out = tmp_path / "est.json"
+            rc = main(["estimate", str(manifest), "--distance", distance,
+                       "--threshold", row["threshold"], "--out", str(est_out)])
+            if row["rho_hat"] == "":
+                assert rc == 3
+                continue
+            assert rc == 0
+            assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
+
     def test_sweep_rejects_vector_input(self, tmp_path, capsys):
         src = tmp_path / "hand.csv"
         write_hand_csv(src)
@@ -372,3 +447,20 @@ class TestSimulateCommand:
             ["simulate", "--experiment", "sb", "--m-grid", "10,twenty,40", "--seed", "1"]
         )
         assert rc == 4
+
+
+class TestDumpsJson:
+    def test_shortest_repr(self):
+        assert dumps_json({"level": 0.1, "n": 3, "x": None}) == (
+            '{\n  "level": 0.1,\n  "n": 3,\n  "x": null\n}\n'
+        )
+
+    def test_floats_round_trip_exactly(self, rng):
+        scales = 10.0 ** rng.integers(-300, 300, 200)
+        values = [float(v) for v in rng.standard_normal(200) * scales]
+        assert json.loads(dumps_json(values)) == values
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_is_rejected(self, value):
+        with pytest.raises(ValueError):
+            dumps_json({"rho_hat": value})

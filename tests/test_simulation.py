@@ -266,6 +266,14 @@ class TestExperimentRunners:
         with pytest.raises(ParameterError):
             run_sb_experiment(m_grid=[10, 20], n_runs=1, seed=0)
 
+    @pytest.mark.parametrize("phi", [-0.1, 1.0, 2.0])
+    def test_sb_experiment_ar_coeff_domain(self, phi):
+        with pytest.raises(ParameterError, match=r"\[0, 1\)"):
+            run_sb_experiment(
+                n_individuals=4, dim=3, m_grid=[10, 20, 40], ar_coeff=phi,
+                n_runs=1, seed=0,
+            )
+
     def test_point_experiment_icc_domain(self):
         with pytest.raises(ParameterError):
             run_point_experiment(10, 4, 1.5, 4, seed=0)
