@@ -15,10 +15,12 @@ from .bootstrap import (
     percentile_ci,
 )
 from .core import (
+    BlockStats,
     DistanceMatrix,
     GroupedSample,
     IndividualRecord,
     PayloadKind,
+    block_stats,
     build_grouped_sample,
     compute_distance_matrix,
 )

@@ -1,8 +1,17 @@
-"""Individual-level bootstrap for the dbICC with bias-corrected intervals.
+"""Per-individual block sums and the individual-level bootstrap for the dbICC.
+
+Everything the dbICC needs from a sample is in its :class:`BlockStats`:
+per individual, the sum of squared distances over its within pairs,
+and per pair of individuals, the sum over the pairs between them.  For
+``l1`` and for a precomputed matrix the sums are read off the
+:class:`~dbicc.core.DistanceMatrix`; for ``l2`` and correlation of
+correlations they come straight from the payloads, in O(n*p + I^2*p)
+time and O(n*p + I^2) memory, with no n-by-n matrix (see
+:func:`~dbicc.core.block_stats`).
 
 Each bootstrap replicate resamples individuals with replacement and
-re-evaluates the dbICC on the corresponding blocks of the original
-distance matrix; payload distances are never recomputed, so a replicate
+re-evaluates the dbICC from the block sums of the resampled
+individuals; payload distances are never recomputed, so a replicate
 costs O(I^2) regardless of payload size.
 
 When an individual is drawn twice, the blocks between its copies are
@@ -14,8 +23,8 @@ and denominator of the between-individual mean.
 
 Confidence intervals are percentile intervals using linearly
 interpolated order statistics (the common "type 7" quantile scheme).
-Results are a deterministic function of (matrix, n_boot, corrected,
-level, seed).
+Results are a deterministic function of (block sums, n_boot,
+corrected, level, seed).
 """
 
 import secrets
@@ -24,15 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix
-from .errors import (
-    DegenerateDistancesError,
-    InsufficientDataError,
-    InsufficientGroupsError,
-    InsufficientReplicatesError,
-    ParameterError,
-)
-from .estimator import n_within_pairs
+from .core import BlockStats, DistanceMatrix
+from .errors import DegenerateDistancesError, InsufficientDataError, ParameterError
+from .estimator import _between_pair_count, _within_pair_count
 
 __all__ = [
     "BootstrapResult",
@@ -85,14 +88,8 @@ def percentile_ci(replicate_estimates, level: float):
 _BLOCK_SUM_BYTES = 1 << 21
 
 
-def _block_sums(dm: DistanceMatrix):
-    """Per-individual squared-distance block sums of a distance matrix.
-
-    Returns (sizes, within, cross) where ``within[g]`` sums squared
-    distances over the unordered pairs inside block ``g`` and
-    ``cross[g, h]`` over all ordered pairs between blocks ``g`` and ``h``
-    (so ``cross[g, g]`` is twice ``within[g]``, the duplicated-block sum
-    including its zero diagonal).
+def _block_sums(dm: DistanceMatrix) -> BlockStats:
+    """Block sums of a distance matrix, exactly.
 
     Rows are squared and summed in chunks of whole blocks.  Every sum
     adds the same values in the same order as ``reduceat`` over the
@@ -113,7 +110,7 @@ def _block_sums(dm: DistanceMatrix):
         cross[g0:g1] = np.add.reduceat(row_sums, starts, axis=1)
         g0 = g1
     within = np.diag(cross) / 2.0
-    return sizes, within, cross
+    return BlockStats(sizes, within, cross)
 
 
 def _replicate_components(sizes, within, cross, indices):
@@ -156,7 +153,7 @@ def _replicate_components(sizes, within, cross, indices):
 def _estimates_for_indices(sizes, within, cross, indices):
     """Naive and corrected replicate estimates for given resample rows.
 
-    Takes the block sums of :func:`_block_sums`.  Returns (naive,
+    Takes the fields of a :class:`BlockStats`.  Returns (naive,
     corrected, naive_valid, corrected_valid); estimates are NaN where the
     corresponding validity flag is False.
     """
@@ -186,8 +183,8 @@ def _draw_indices(n_individuals, n_boot, seed):
     return rng.integers(0, n_individuals, size=(n_boot, n_individuals))
 
 
-def _checked_block_sums(dm, n_boot):
-    """Validate the arguments, then return the block sums of ``dm``."""
+def _checked_block_sums(source, n_boot) -> BlockStats:
+    """Validate the arguments, then return the block sums of ``source``."""
     if n_boot < 1:
         raise ParameterError(f"n_boot must be positive, got {n_boot}")
     if n_boot < 100:
@@ -198,20 +195,16 @@ def _checked_block_sums(dm, n_boot):
             stacklevel=3,
         )
     # the point estimate's preconditions, in its order
-    if dm.n_individuals < 2:
-        raise InsufficientGroupsError(
-            f"between-individual spread needs 2+ individuals, got {dm.n_individuals}"
-        )
-    if n_within_pairs(dm.group_sizes) == 0:
-        raise InsufficientReplicatesError(
-            "no individual has 2+ replicates; within-individual spread undefined"
-        )
-    sizes, within, cross = _block_sums(dm)
-    if np.count_nonzero(cross) == np.count_nonzero(np.diagonal(cross)):
+    is_stats = isinstance(source, BlockStats)
+    sizes = source.sizes if is_stats else source.group_sizes
+    _between_pair_count(sizes)
+    _within_pair_count(sizes)
+    stats = source if is_stats else _block_sums(source)
+    if np.count_nonzero(stats.cross) == np.count_nonzero(np.diagonal(stats.cross)):
         raise DegenerateDistancesError(
             "all between-individual distances are zero; dbICC is undefined"
         )
-    return sizes, within, cross
+    return stats
 
 
 def _resolve_seed(seed):
@@ -234,17 +227,18 @@ def _result(estimates, valid, corrected, level, seed, n_boot):
 
 
 def bootstrap_dbicc(
-    dm: DistanceMatrix,
+    source,
     n_boot: int,
     corrected: bool = True,
     level: float = 0.95,
     seed=None,
 ) -> BootstrapResult:
-    """Bootstrap percentile interval for the dbICC of a distance matrix.
+    """Bootstrap percentile interval for the dbICC of a grouped sample.
 
     Parameters
     ----------
-    dm : DistanceMatrix
+    source : DistanceMatrix or BlockStats
+        A matrix is reduced to its block sums once per call.
     n_boot : int
         Number of bootstrap replicates.  Fewer than 100 triggers a
         warning.
@@ -257,27 +251,25 @@ def bootstrap_dbicc(
         64-bit seed; drawn from the OS entropy pool when omitted and
         recorded in the result either way.
     """
-    sums = _checked_block_sums(dm, n_boot)
+    stats = _checked_block_sums(source, n_boot)
     seed = _resolve_seed(seed)
-    indices = _draw_indices(dm.n_individuals, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*sums, indices)
+    indices = _draw_indices(stats.sizes.size, n_boot, seed)
+    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
     if corrected:
         return _result(corr, corr_valid, True, level, seed, n_boot)
     return _result(naive, naive_valid, False, level, seed, n_boot)
 
 
-def bootstrap_dbicc_pair(
-    dm: DistanceMatrix, n_boot: int, level: float = 0.95, seed=None
-):
+def bootstrap_dbicc_pair(source, n_boot: int, level: float = 0.95, seed=None):
     """Naive and corrected bootstrap results from one set of resamples.
 
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
     seed, at half the cost.  Returns ``(naive, corrected)``.
     """
-    sums = _checked_block_sums(dm, n_boot)
+    stats = _checked_block_sums(source, n_boot)
     seed = _resolve_seed(seed)
-    indices = _draw_indices(dm.n_individuals, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*sums, indices)
+    indices = _draw_indices(stats.sizes.size, n_boot, seed)
+    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
     return (
         _result(naive, naive_valid, False, level, seed, n_boot),
         _result(corr, corr_valid, True, level, seed, n_boot),

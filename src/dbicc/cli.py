@@ -28,7 +28,8 @@ their seed, and re-running with that seed reproduces the output byte for
 byte.
 
 Exit codes: 0 success, 2 input parse error, 3 computation error
-(message names the error class), 4 configuration error.
+(message names the error class; any unexpected error exits 3 the same
+way, without a traceback), 4 configuration error.
 """
 
 import argparse
@@ -47,9 +48,9 @@ from .core import (
     GroupedSample,
     PayloadKind,
     _pairwise,
+    _payload_block_stats,
     _payloads_for_metric,
     build_grouped_sample,
-    compute_distance_matrix,
 )
 from .distances import DistanceSpec, Metric, soft_threshold
 from .errors import (
@@ -146,6 +147,8 @@ def _read_csv_rows(path):
             return list(csv.reader(fh))
     except OSError as exc:
         raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
 
 
 def _sniff_format(path) -> str:
@@ -339,6 +342,13 @@ def _distance_spec(args):
     return DistanceSpec(kind=kind, threshold=args.threshold)
 
 
+def _source(payloads, kind, sample):
+    """What the dbICC is computed from: the l1 distance matrix, else block sums."""
+    if kind is Metric.L1_VEC:
+        return _pairwise(payloads, kind, sample)
+    return _payload_block_stats(payloads, kind, sample)
+
+
 def _estimate_doc(args, data):
     if isinstance(data, DistanceMatrix):
         if args.threshold is not None:
@@ -346,13 +356,14 @@ def _estimate_doc(args, data):
                 "--threshold needs payload input; a precomputed distance "
                 "matrix cannot be re-thresholded"
             )
-        dm = data
+        source = data
         distance_name = args.distance or "precomputed"
     else:
-        dm = compute_distance_matrix(data, _distance_spec(args))
+        spec = _distance_spec(args)
+        source = _source(_payloads_for_metric(data, spec), spec.kind, data)
         distance_name = args.distance or "l2"
-    est = dbicc_point(dm)
-    return dm, {
+    est = dbicc_point(source)
+    return source, {
         "rho_hat": est.rho_hat,
         "msd_within": est.msd_within,
         "msd_between": est.msd_between,
@@ -370,9 +381,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    dm, doc = _estimate_doc(args, _load_input(args))
+    source, doc = _estimate_doc(args, _load_input(args))
     result = bootstrap_dbicc(
-        dm, args.boot, corrected=args.corrected, level=args.level, seed=args.seed
+        source, args.boot, corrected=args.corrected, level=args.level, seed=args.seed
     )
     doc.update(
         {
@@ -405,6 +416,14 @@ def _parse_grid(text):
     return [start + k * step for k in range(count)]
 
 
+def _thresholded(payloads, level, fractions):
+    """Soft-threshold each payload in turn, appending its zeroed fraction."""
+    for mat in payloads:
+        shrunk, fraction = soft_threshold(mat, level)
+        fractions.append(fraction)
+        yield shrunk
+
+
 def _cmd_sweep_threshold(args) -> int:
     data = _load_input(args)
     if isinstance(data, DistanceMatrix):
@@ -423,9 +442,11 @@ def _cmd_sweep_threshold(args) -> int:
     payloads = _payloads_for_metric(data, DistanceSpec(kind=kind))
     rows = []
     for level in grid:
-        shrunk, fractions = zip(*(soft_threshold(mat, level) for mat in payloads))
+        # one thresholded payload at a time is alive; _source consumes them all
+        fractions = []
+        shrunk = _thresholded(payloads, level, fractions)
         try:
-            rho = dbicc_point(_pairwise(shrunk, kind, data)).rho_hat
+            rho = dbicc_point(_source(shrunk, kind, data)).rho_hat
         except (DegenerateInputError, DegenerateDistancesError) as exc:
             print(
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr
@@ -637,6 +658,9 @@ def main(argv=None) -> int:
     except _ConfigFailure as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a defect: name it, as for computation errors
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main_entry():

@@ -4,8 +4,10 @@ A :class:`GroupedSample` holds the observations of several individuals,
 each measured one or more times; payloads may be vectors, square
 matrices, or multivariate time series, but all payloads in a sample must
 share one shape.  :func:`compute_distance_matrix` turns a sample into a
-:class:`DistanceMatrix`, the object every estimator in this package
-consumes.
+:class:`DistanceMatrix`.  Estimators consume it, or the
+:class:`BlockStats` (per-individual squared-distance sums) read off it;
+for ``l2`` and correlation of correlations :func:`block_stats` takes
+them straight from the payloads instead.
 
 Rows of a distance matrix follow (individual, replicate) order:
 individuals in order of first appearance, replicates in their stated
@@ -15,8 +17,10 @@ construction and safe to share across workers.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 from scipy.spatial.distance import pdist, squareform
 
 from .distances import (
@@ -39,8 +43,10 @@ __all__ = [
     "IndividualRecord",
     "GroupedSample",
     "DistanceMatrix",
+    "BlockStats",
     "build_grouped_sample",
     "compute_distance_matrix",
+    "block_stats",
 ]
 
 
@@ -328,28 +334,48 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
     return _pairwise(_payloads_for_metric(sample, spec), spec.kind, sample)
 
 
-def _pairwise(payloads, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
-    """Distance matrix of ``payloads``, one per row of ``sample``'s grouping."""
-    if metric in (Metric.L2_VEC, Metric.L1_VEC):
-        flat = np.vstack([np.asarray(p, dtype=float).ravel() for p in payloads])
-        scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
-        vals = squareform(pdist(flat, scipy_name))
-    else:
-        p = payloads[0].shape[0]
-        if p < 3:
+def _stacked(payloads, metric: Metric, n: int) -> np.ndarray:
+    """The ``n`` payloads as the rows a metric compares, in one new array.
+
+    Rows are the flattened payloads for ``l2``/``l1`` and the strict lower
+    triangles for correlation-of-correlations.  ``payloads`` may be any
+    iterable; each payload is copied into its row as it arrives, so a
+    generator never has more than one of them alive.  Every payload is
+    consumed before a degenerate one is reported.
+    """
+    corr = metric is Metric.CORR_OF_CORR
+    rows = tril = None
+    for k, payload in enumerate(payloads):
+        arr = np.asarray(payload, dtype=float)
+        if corr and tril is None:
+            tril = np.tril_indices(arr.shape[0], k=-1)
+        row = arr[tril] if corr else arr.ravel()
+        if rows is None:
+            rows = np.empty((n, row.size))
+        rows[k] = row
+    if corr:
+        if arr.shape[0] < 3:
             raise DegenerateInputError(
                 "correlation-of-correlations needs matrices of size 3x3 or larger"
             )
-        rows, cols = np.tril_indices(p, k=-1)
-        tri = np.vstack([np.asarray(m, dtype=float)[rows, cols] for m in payloads])
-        flat_ptp = tri.max(axis=1) - tri.min(axis=1)
+        flat_ptp = rows.max(axis=1) - rows.min(axis=1)
         if np.any(flat_ptp == 0.0):
             bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
             raise DegenerateInputError(
                 f"payload {bad} has a constant lower triangle; "
                 "correlation of correlations is undefined"
             )
-        vals = np.sqrt(np.maximum(squareform(pdist(tri, "correlation")), 0.0))
+    return rows
+
+
+def _pairwise(payloads, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
+    """Distance matrix of ``payloads``, one per row of ``sample``'s grouping."""
+    rows = _stacked(payloads, metric, sample.n_total)
+    if metric is Metric.CORR_OF_CORR:
+        vals = np.sqrt(np.maximum(squareform(pdist(rows, "correlation")), 0.0))
+    else:
+        scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
+        vals = squareform(pdist(rows, scipy_name))
     groups = sample.groups()
     return DistanceMatrix(
         values=vals,
@@ -357,3 +383,125 @@ def _pairwise(payloads, metric: Metric, sample: GroupedSample) -> DistanceMatrix
         replicate_index=np.array([g[1] for g in groups], dtype=np.int64),
         labels=sample.labels,
     )
+
+
+class BlockStats(NamedTuple):
+    """Squared-distance sums per individual and per pair of individuals.
+
+    ``sizes[g]`` is individual ``g``'s replicate count, ``within[g]`` the
+    sum of squared distances over the unordered pairs of its replicates,
+    and ``cross[g, h]`` the sum over all ordered pairs between the
+    replicates of ``g`` and ``h``; so ``cross[g, g]`` is twice
+    ``within[g]``, the duplicated-block sum including its zero diagonal.
+    Built from a :class:`DistanceMatrix` by ``bootstrap._block_sums``, or
+    from payloads by :func:`_payload_block_stats`.
+    """
+
+    sizes: np.ndarray
+    within: np.ndarray
+    cross: np.ndarray
+
+
+# Bytes of rows the payload block-sum kernel holds in a temporary at a
+# time; chunks that stay in cache are fastest.
+_ROW_CHUNK_BYTES = 1 << 16
+
+
+def _chunks(n_rows, width):
+    """Slices of rows, each ``_ROW_CHUNK_BYTES`` of ``width`` floats or one row."""
+    step = max(1, _ROW_CHUNK_BYTES // (8 * max(width, 1)))
+    return (slice(a, a + step) for a in range(0, n_rows, step))
+
+
+def _rows_block_sums(rows, sizes, scale) -> BlockStats:
+    """Block sums of ``scale`` times the squared Euclidean row distances.
+
+    ``rows`` holds one row per payload in group order and is overwritten.
+    For group ``g`` with ``J`` rows, mean ``m`` and spread
+    ``W = sum ||x - m||^2``, the within sum is ``J * W`` and the cross sum
+    with group ``h`` is ``J J_h ||m - m_h||^2 + J_h W + J W_h`` (the
+    sums-of-squares decomposition behind PERMANOVA).  Each later row is
+    first taken relative to its group's first row, which stays as it is,
+    and the means relative to the very first row, so a common offset
+    cancels exactly and identical payloads give exact zeros.  Besides
+    ``rows`` the temporaries are one I-by-p array, the I-by-I result and
+    row chunks.
+    """
+    n, width = rows.shape
+    n_groups = sizes.size
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    group = np.repeat(np.arange(n_groups), sizes)
+    later = np.ones(n, dtype=bool)
+    later[starts] = False
+    first = starts[group]
+    for c in _chunks(n, width):
+        np.subtract(rows[c], rows[first[c]], out=rows[c], where=later[c, None])
+    # group means of the offsets (a first row's is 0), from one sparse
+    # indicator product over the later rows
+    indicator = scipy.sparse.csr_array(
+        (np.ones(n - n_groups), np.flatnonzero(later),
+         np.concatenate(([0], np.cumsum(sizes - 1)))),
+        shape=(n_groups, n),
+    )
+    means = indicator @ rows
+    means /= sizes[:, None]
+    for c in _chunks(n, width):
+        np.subtract(rows[c], means[group[c]], out=rows[c], where=later[c, None])
+    squares = np.einsum("ij,ij->i", rows, rows)
+    squares[starts] = np.einsum("ij,ij->i", means, means)  # first rows: -mean
+    spread = np.bincount(group, weights=squares)
+    for c in _chunks(n_groups, width):
+        means[c] += rows[starts[c]] - rows[0]
+    cross = squareform(pdist(means, "sqeuclidean"))
+    per_replicate = spread / sizes
+    cross += per_replicate[:, None]
+    cross += per_replicate[None, :]
+    cross *= scale * sizes[:, None]
+    cross *= sizes[None, :]
+    within = scale * sizes * spread
+    np.fill_diagonal(cross, 2.0 * within)
+    return BlockStats(sizes, within, cross)
+
+
+def _payload_block_stats(payloads, metric: Metric, sample: GroupedSample) -> BlockStats:
+    """Block sums of ``l2`` or correlation-of-correlations payloads.
+
+    For rows ``z`` standardized to mean 0 and norm 1, ``1 - r`` is
+    ``||z_a - z_b||^2 / 2``, so correlation of correlations is ``l2`` on
+    ``z`` at half scale.  Raises :class:`NonFiniteError` where the
+    distance matrix would hold NaN or Inf, or its squares overflow.
+    """
+    if metric is Metric.L1_VEC:
+        raise MetricMismatchError(
+            "l1 block sums need the distance matrix; use compute_distance_matrix"
+        )
+    rows = _stacked(payloads, metric, sample.n_total)
+    scale = 1.0
+    # overflow and underflow show up as a non-finite total, checked below
+    with np.errstate(all="ignore"):
+        if metric is Metric.CORR_OF_CORR:
+            rows -= rows.mean(axis=1, keepdims=True)
+            rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+            scale = 0.5
+        stats = _rows_block_sums(rows, sample.group_sizes, scale)
+    if not np.isfinite(stats.cross.sum()):
+        raise NonFiniteError("squared distances overflow float64 or are undefined")
+    return stats
+
+
+def block_stats(sample: GroupedSample, metric) -> BlockStats:
+    """Block sums of the squared ``l2`` or correlation-of-correlations distances.
+
+    The payload pipeline is that of :func:`compute_distance_matrix`, and
+    the sums equal those of its distance matrix up to rounding, but no
+    n-by-n matrix is built: for n payloads of p values and I individuals
+    this takes O(n*p + I^2*p) time and O(n*p + I^2) memory.  ``l1`` raises
+    :class:`MetricMismatchError`.
+
+    Parameters
+    ----------
+    sample : GroupedSample
+    metric : DistanceSpec, Metric, or str
+    """
+    spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
+    return _payload_block_stats(_payloads_for_metric(sample, spec), spec.kind, sample)

@@ -9,8 +9,11 @@ within-individual pairs and MSD_b the mean squared distance over all
 unordered between-individual pairs.  Values can be negative (within
 spread exceeding between spread) but never exceed 1.
 
-Squared distances are accumulated in fixed row-major order over the
-upper triangle, so repeated runs on the same matrix are bit-identical.
+:func:`dbicc_point` takes a distance matrix, whose squared distances it
+accumulates in fixed row-major order over the upper triangle (so
+repeated runs on the same matrix are bit-identical), or the block sums
+of :class:`dbicc.core.BlockStats`, which give the same estimate up
+to rounding without an n-by-n matrix.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ from .errors import (
     DegenerateDistancesError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
+    NonFiniteError,
     ParameterError,
 )
 
@@ -78,14 +82,29 @@ def n_within_pairs(group_sizes) -> int:
     return int((sizes * (sizes - 1) // 2).sum())
 
 
+def _between_pair_count(group_sizes) -> int:
+    """Between-individual pair count; raises unless there are 2+ individuals."""
+    if len(group_sizes) < 2:
+        raise InsufficientGroupsError(
+            f"between-individual spread needs 2+ individuals, got {len(group_sizes)}"
+        )
+    return n_between_pairs(group_sizes)
+
+
+def _within_pair_count(group_sizes) -> int:
+    """Within-individual pair count; raises if it is zero."""
+    count = n_within_pairs(group_sizes)
+    if count == 0:
+        raise InsufficientReplicatesError(
+            "no individual has 2+ replicates; within-individual spread undefined"
+        )
+    return count
+
+
 def msd_between(dm: DistanceMatrix) -> float:
     """Mean squared distance over unordered between-individual pairs."""
-    if dm.n_individuals < 2:
-        raise InsufficientGroupsError(
-            f"between-individual spread needs 2+ individuals, got {dm.n_individuals}"
-        )
-    total = np.sum(_squared_upper(dm, between=True))
-    return float(total / n_between_pairs(dm.group_sizes))
+    count = _between_pair_count(dm.group_sizes)
+    return float(np.sum(_squared_upper(dm, between=True)) / count)
 
 
 def msd_within(dm: DistanceMatrix) -> float:
@@ -93,25 +112,41 @@ def msd_within(dm: DistanceMatrix) -> float:
 
     Individuals with a single replicate contribute nothing.
     """
-    denom = n_within_pairs(dm.group_sizes)
-    if denom == 0:
-        raise InsufficientReplicatesError(
-            "no individual has 2+ replicates; within-individual spread undefined"
-        )
-    return float(np.sum(_squared_upper(dm, between=False)) / denom)
+    count = _within_pair_count(dm.group_sizes)
+    return float(np.sum(_squared_upper(dm, between=False)) / count)
 
 
-def dbicc_point(dm: DistanceMatrix) -> DbiccEstimate:
-    """dbICC point estimate of a grouped distance matrix.
+def dbicc_point(source) -> DbiccEstimate:
+    """dbICC point estimate of a grouped distance matrix or its block sums.
+
+    Parameters
+    ----------
+    source : DistanceMatrix or BlockStats
+        A matrix gives the exact reference estimate.  Block sums (of a
+        matrix, or straight from ``l2``/``corr`` payloads) give the same
+        estimate up to rounding.
 
     Raises
     ------
+    NonFiniteError
+        If the squared distances overflow.
     DegenerateDistancesError
         If all between-individual distances are zero, leaving the ratio
         undefined.
     """
-    between = msd_between(dm)
-    within = msd_within(dm)
+    if isinstance(source, DistanceMatrix):
+        sizes = source.group_sizes
+        between = msd_between(source)
+        within = msd_within(source)
+    else:
+        sizes = source.sizes
+        n_between = _between_pair_count(sizes)
+        n_within = _within_pair_count(sizes)
+        off_diagonal = ~np.eye(sizes.size, dtype=bool)
+        between = float(np.sum(source.cross, where=off_diagonal) / 2.0 / n_between)
+        within = float(np.sum(source.within) / n_within)
+    if not (np.isfinite(between) and np.isfinite(within)):
+        raise NonFiniteError("squared distances overflow float64")
     if between == 0.0:
         raise DegenerateDistancesError(
             "all between-individual distances are zero; dbICC is undefined"
@@ -120,8 +155,8 @@ def dbicc_point(dm: DistanceMatrix) -> DbiccEstimate:
         rho_hat=float(1.0 - within / between),
         msd_within=within,
         msd_between=between,
-        n_within_pairs=n_within_pairs(dm.group_sizes),
-        n_between_pairs=n_between_pairs(dm.group_sizes),
+        n_within_pairs=n_within_pairs(sizes),
+        n_between_pairs=n_between_pairs(sizes),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import _resolve_seed, bootstrap_dbicc_pair
-from .core import GroupedSample, IndividualRecord, PayloadKind, compute_distance_matrix
+from .core import GroupedSample, IndividualRecord, PayloadKind, block_stats
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
@@ -389,8 +389,7 @@ def _point_worker(task):
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     rng = np.random.default_rng([seed, run])
     sample = gen_gaussian_sample(pop, rng)
-    dm = compute_distance_matrix(sample, Metric.L2_VEC)
-    return dbicc_point(dm).rho_hat
+    return dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
 
 
 def run_point_experiment(
@@ -433,10 +432,10 @@ def _coverage_worker(task):
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     rng = np.random.default_rng([seed, run])
     sample = gen_gaussian_sample(pop, rng)
-    dm = compute_distance_matrix(sample, Metric.L2_VEC)
-    point = dbicc_point(dm).rho_hat
+    stats = block_stats(sample, Metric.L2_VEC)
+    point = dbicc_point(stats).rho_hat
     boot_seed = int(rng.integers(0, 2**62))
-    naive, corrected = bootstrap_dbicc_pair(dm, n_boot, level=level, seed=boot_seed)
+    naive, corrected = bootstrap_dbicc_pair(stats, n_boot, level=level, seed=boot_seed)
     return {
         "point": float(point),
         "naive": [naive.ci_low, naive.ci_high],
@@ -508,8 +507,7 @@ def _sb_worker(task):
         )
         row = {"m": int(m)}
         for kind, sample in (("covariance", covs), ("correlation", corrs)):
-            dm = compute_distance_matrix(sample, Metric.L2_VEC)
-            row[kind] = dbicc_point(dm).rho_hat
+            row[kind] = dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
         rows.append(row)
     return rows
 
@@ -534,14 +532,25 @@ def run_sb_experiment(
     sample covariance matrices and sample correlation matrices under
     Frobenius distance, and fits a line to
     ``[log(m - offset), log snr]``.  Reports per-run slopes plus the
-    across-run mean curve, for both matrix kinds.  ``ar_coeff`` must lie
-    in [0, 1); the runs raise :class:`ParameterError` otherwise.
+    across-run mean curve, for both matrix kinds.  ``m_grid`` needs 3 or
+    more distinct lengths above ``offset``, which is 0 or 1; a grid that
+    breaks this raises :class:`ParameterError` before any run.
+    ``ar_coeff`` must lie in [0, 1); the runs raise
+    :class:`ParameterError` otherwise.
     """
     if m_grid is None:
         m_grid = default_m_grid()
     m_grid = [int(m) for m in m_grid]
     if len(m_grid) < 3:
         raise ParameterError("m_grid needs at least 3 lengths to fit a curve")
+    if len(set(m_grid)) != len(m_grid):
+        raise ParameterError(f"m_grid repeats a length: {m_grid}")
+    if offset not in (0, 1):
+        raise ParameterError(f"offset must be 0 or 1, got {offset}")
+    if min(m_grid) <= offset:
+        raise ParameterError(
+            f"every length in m_grid must exceed the offset {offset}, got {min(m_grid)}"
+        )
     seed = _resolve_seed(seed)
     tasks = [
         (seed, run, n_individuals, n_replicates, dim, tuple(m_grid), ar_coeff, wishart_df)

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbicc import (
     Metric,
@@ -10,6 +16,7 @@ from dbicc import (
     compute_distance_matrix,
     gen_spd_population,
 )
+import dbicc.cli
 from dbicc.cli import dumps_json, main
 
 
@@ -69,7 +76,17 @@ class TestEstimate:
             )
             == 0
         )
-        assert vec_out.read_bytes() == dist_out.read_bytes()
+        # vector input takes the payload block sums, matrix input the
+        # distance matrix: the same document up to rounding in the floats
+        vec_doc = json.loads(vec_out.read_text())
+        dist_doc = json.loads(dist_out.read_text())
+        assert vec_doc.keys() == dist_doc.keys()
+        for key, value in vec_doc.items():
+            if isinstance(value, float):
+                assert value == pytest.approx(dist_doc[key], rel=1e-12, abs=0.0)
+            else:
+                assert type(value) is type(dist_doc[key])
+                assert value == dist_doc[key]
 
     def test_format_override(self, tmp_path):
         src = tmp_path / "hand.csv"
@@ -236,6 +253,43 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "ParameterError: AR(1) coefficient must lie in [0, 1)" in err
+
+    @pytest.mark.parametrize("grid", ["25,25,60,197", "5,5,5"])
+    def test_sb_repeated_m_grid_fails_before_any_run(self, capsys, grid):
+        argv = ["simulate", "--experiment", "sb", "--m-grid", grid, "--seed", "1"]
+        assert main(argv) == 3
+        listed = grid.replace(",", ", ")
+        assert capsys.readouterr().err == (
+            f"ParameterError: m_grid repeats a length: [{listed}]\n"
+        )
+
+    def test_unexpected_error_exits_3_without_traceback(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(dbicc.cli._COMMANDS, "estimate", broken)
+        assert main(["estimate", "any.csv"]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("distance", ["l2", "l1"])
+    def test_overflowing_squares_are_non_finite_error(
+        self, tmp_path, capsys, distance
+    ):
+        src = tmp_path / "big.csv"
+        src.write_text(
+            "individual,replicate,f1,f2\na,0,1e200,0\na,1,-1e200,0\nb,0,0,0\nb,1,1,1\n"
+        )
+        assert main(["estimate", str(src), "--distance", distance]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteError: squared distances")
+        assert "Traceback" not in err
+
+    def test_non_utf8_csv_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(b"individual,replicate,f1\nA,1,0\n\xe9,2,1\n")
+        assert main(["estimate", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {src}: not a UTF-8 CSV file")
 
     def test_duplicate_vector_label_is_parse_error(self, tmp_path, capsys):
         src = tmp_path / "dup.csv"
@@ -464,3 +518,108 @@ class TestDumpsJson:
     def test_non_finite_is_rejected(self, value):
         with pytest.raises(ValueError):
             dumps_json({"rho_hat": value})
+
+
+# Malformed input bytes and out-of-range flags for the fuzz test below.
+_CELLS = st.sampled_from(
+    ["0", "1", "-2.5", "7", "1e308", "1e-320", "nan", "inf", "-inf", "", " ", "x",
+     '"', "\x00", "é", "individual", "replicate", "path", ".", "a.csv"]
+)
+_HEADERS = st.sampled_from(
+    [b"", b"individual,replicate,f1,f2\n", b"individual,replicate,path\n",
+     b"row,individual,replicate\n"]
+)
+_BODIES = st.one_of(
+    st.binary(max_size=120),
+    st.lists(st.lists(_CELLS, max_size=5), max_size=8).map(
+        lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8")
+    ),
+)
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-2.5", "1e308", "1e-320", "nan", "inf", "", "x"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# vector CSV rows, so that parsing succeeds often enough to reach the estimator
+_VECTOR_ROWS = st.lists(
+    st.tuples(st.sampled_from("abc"), st.sampled_from(["0", "1", "2", "01"]),
+              _NUMBERS, _NUMBERS),
+    max_size=8,
+).map(lambda rows: "".join(f"{i},{r},{x},{y}\n" for i, r, x, y in rows).encode())
+_INPUTS = st.one_of(
+    st.tuples(_HEADERS, _BODIES).map(lambda parts: parts[0] + parts[1]),
+    _VECTOR_ROWS.map(lambda body: b"individual,replicate,f1,f2\n" + body),
+)
+_INPUT_FLAGS = {
+    "--distance": ["l1", "l2", "corr", "cosine"],
+    "--threshold": ["-0.5", "0.3", "2", "nan", "x"],
+    "--format": ["vectors", "distances", "timeseries"],
+}
+_COMMAND_FLAGS = {
+    "estimate": {},
+    "bootstrap": {
+        "--boot": ["-1", "0", "5", "150", "x"],
+        "--level": ["0", "0.95", "1.5", "nan"],
+        "--seed": ["-1", "3", "x"],
+    },
+    "sweep-threshold": {
+        "--threshold-grid": ["0:1:0.5", "1:0:0.1", "0:0.5:0", "a:b:c", "0:0.2"],
+    },
+}
+# simulate always gets small counts, so that a valid draw runs quickly
+_SIMULATE_FLAGS = {
+    "--experiment": ["point", "coverage", "sb", "other"],
+    "--runs": ["-1", "0", "1", "2"],
+    "--individuals": ["0", "1", "3"],
+    "--replicates": ["0", "1", "2"],
+    "--dim": ["0", "1", "3"],
+}
+_SIMULATE_OPTIONAL = {
+    "--rho": ["0", "0.5", "1", "nan", "-1"],
+    "--phi": ["0", "0.5", "1", "nan"],
+    "--boot": ["-1", "0", "20", "150"],
+    "--level": ["0", "0.9", "1.5"],
+    "--m-grid": ["5,5,5", "10,20,40", "1,2,3", "1,2", "x"],
+    "--sb-offset": ["0", "1", "2"],
+    "--wishart-df": ["-1", "0", "3", "50"],
+    "--seed": ["-1", "2"],
+}
+
+
+def _flags(draw, choices, always=False):
+    argv = []
+    for flag, values in choices.items():
+        if always or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@st.composite
+def _fuzz_argv(draw, path):
+    command = draw(
+        st.sampled_from(["estimate", "bootstrap", "sweep-threshold", "simulate"])
+    )
+    if command == "simulate":
+        return [command, *_flags(draw, _SIMULATE_FLAGS, always=True),
+                *_flags(draw, _SIMULATE_OPTIONAL)]
+    argv = [command, path, *_flags(draw, _INPUT_FLAGS),
+            *_flags(draw, _COMMAND_FLAGS[command])]
+    if draw(st.booleans()):
+        argv += ["--groups", path]
+    return argv
+
+
+class TestFuzzMain:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), content=_INPUTS)
+    def test_exit_code_and_no_traceback(self, data, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(content)
+            argv = data.draw(_fuzz_argv(str(path)))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+                io.StringIO()
+            ):
+                code = main([*argv, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

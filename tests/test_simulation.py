@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dbicc.simulation
+
 from dbicc import (
     ConnectivityPopulation,
     FactorizationError,
@@ -265,6 +267,26 @@ class TestExperimentRunners:
     def test_sb_experiment_needs_enough_lengths(self):
         with pytest.raises(ParameterError):
             run_sb_experiment(m_grid=[10, 20], n_runs=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "m_grid, offset, match",
+        [
+            ([25, 25, 60, 197], 1, "repeats a length"),
+            ([5, 5, 5], 1, "repeats a length"),
+            ([1, 5, 9], 1, "exceed the offset 1"),
+            ([0, 5, 9], 0, "exceed the offset 0"),
+            ([5, 10, 20], 2, "offset must be 0 or 1"),
+        ],
+    )
+    def test_sb_experiment_checks_grid_before_any_run(
+        self, monkeypatch, m_grid, offset, match
+    ):
+        def no_runs(worker, tasks, workers):
+            raise AssertionError("a Monte Carlo run started")
+
+        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        with pytest.raises(ParameterError, match=match):
+            run_sb_experiment(m_grid=m_grid, offset=offset, n_runs=20, seed=1)
 
     @pytest.mark.parametrize("phi", [-0.1, 1.0, 2.0])
     def test_sb_experiment_ar_coeff_domain(self, phi):
