@@ -18,7 +18,6 @@ from .core import (
     BlockStats,
     DistanceMatrix,
     GroupedSample,
-    IndividualRecord,
     PayloadKind,
     block_stats,
     build_grouped_sample,
@@ -60,7 +59,6 @@ from .simulation import (
     TrueScorePopulation,
     cov_error_spread,
     default_m_grid,
-    error_spread_same_vs_different,
     gen_connectivity_sample,
     gen_gaussian_sample,
     gen_mvn_timeseries,
@@ -69,7 +67,6 @@ from .simulation import (
     run_coverage_experiment,
     run_point_experiment,
     run_sb_experiment,
-    score_error_cross_term,
 )
 from .spearman_brown import (
     LineFit,

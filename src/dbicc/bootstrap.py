@@ -106,7 +106,8 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
         limit = bounds[g0] + chunk_rows
         g1 = max(g0 + 1, int(np.searchsorted(bounds, limit, side="right")) - 1)
         rows = dm.values[bounds[g0] : bounds[g1]]
-        row_sums = np.add.reduceat(rows * rows, starts[g0:g1] - bounds[g0])
+        with np.errstate(over="ignore"):  # overflows are infinite sums
+            row_sums = np.add.reduceat(rows * rows, starts[g0:g1] - bounds[g0])
         cross[g0:g1] = np.add.reduceat(row_sums, starts, axis=1)
         g0 = g1
     within = np.diag(cross) / 2.0

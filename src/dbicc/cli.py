@@ -47,9 +47,11 @@ from .core import (
     DistanceMatrix,
     GroupedSample,
     PayloadKind,
+    _matrices,
+    _metric_rows,
     _pairwise,
     _payload_block_stats,
-    _payloads_for_metric,
+    _payload_rows,
     build_grouped_sample,
 )
 from .distances import DistanceSpec, Metric, soft_threshold
@@ -342,11 +344,11 @@ def _distance_spec(args):
     return DistanceSpec(kind=kind, threshold=args.threshold)
 
 
-def _source(payloads, kind, sample):
+def _source(rows, kind, sample):
     """What the dbICC is computed from: the l1 distance matrix, else block sums."""
     if kind is Metric.L1_VEC:
-        return _pairwise(payloads, kind, sample)
-    return _payload_block_stats(payloads, kind, sample)
+        return _pairwise(rows, kind, sample)
+    return _payload_block_stats(rows, kind, sample)
 
 
 def _estimate_doc(args, data):
@@ -360,7 +362,7 @@ def _estimate_doc(args, data):
         distance_name = args.distance or "precomputed"
     else:
         spec = _distance_spec(args)
-        source = _source(_payloads_for_metric(data, spec), spec.kind, data)
+        source = _source(_payload_rows(data, spec), spec.kind, data)
         distance_name = args.distance or "l2"
     est = dbicc_point(source)
     return source, {
@@ -410,18 +412,17 @@ def _parse_grid(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _ConfigFailure(f"--threshold-grid values must be numbers, got {text!r}")
-    if step <= 0 or stop < start:
+    if not (0.0 < step < math.inf and stop >= start):  # NaN fails too
         raise _ConfigFailure("--threshold-grid needs step > 0 and stop >= start")
+    outside = f"--threshold-grid levels must lie in [0, 1], got {text!r}"
+    # the last level is within one step of stop
+    if start < 0.0 or stop > 1.0 + step:
+        raise _ConfigFailure(outside)
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
-
-
-def _thresholded(payloads, level, fractions):
-    """Soft-threshold each payload in turn, appending its zeroed fraction."""
-    for mat in payloads:
-        shrunk, fraction = soft_threshold(mat, level)
-        fractions.append(fraction)
-        yield shrunk
+    grid = [start + k * step for k in range(count)]
+    if grid[-1] > 1.0:
+        raise _ConfigFailure(outside)
+    return grid
 
 
 def _cmd_sweep_threshold(args) -> int:
@@ -439,14 +440,14 @@ def _cmd_sweep_threshold(args) -> int:
     )
     distance_name = args.distance or "l2"
     kind = _METRIC_BY_FLAG[distance_name]
-    payloads = _payloads_for_metric(data, DistanceSpec(kind=kind))
+    mats = _matrices(data)
+    shrunk = np.empty_like(mats)
     rows = []
     for level in grid:
-        # one thresholded payload at a time is alive; _source consumes them all
-        fractions = []
-        shrunk = _thresholded(payloads, level, fractions)
+        # the block-sum kernel overwrites shrunk; each level refills it
+        _, fractions = soft_threshold(mats, level, out=shrunk)
         try:
-            rho = dbicc_point(_source(shrunk, kind, data)).rho_hat
+            rho = dbicc_point(_source(_metric_rows(shrunk, kind), kind, data)).rho_hat
         except (DegenerateInputError, DegenerateDistancesError) as exc:
             print(
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr

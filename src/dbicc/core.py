@@ -1,21 +1,25 @@
 """Grouped repeated-measures data and grouped distance matrices.
 
 A :class:`GroupedSample` holds the observations of several individuals,
-each measured one or more times; payloads may be vectors, square
-matrices, or multivariate time series, but all payloads in a sample must
-share one shape.  :func:`compute_distance_matrix` turns a sample into a
+each measured one or more times, as one read-only stacked array:
+payloads may be vectors, square matrices, or multivariate time series,
+but all payloads in a sample share one shape.  The payload pipeline
+works on whole stacks: time series become correlation matrices, an
+optional soft threshold shrinks them (:func:`~dbicc.distances.soft_threshold`
+takes a whole stack), and each payload becomes the row its metric
+compares.  :func:`compute_distance_matrix` turns a sample into a
 :class:`DistanceMatrix`.  Estimators consume it, or the
 :class:`BlockStats` (per-individual squared-distance sums) read off it;
 for ``l2`` and correlation of correlations :func:`block_stats` takes
-them straight from the payloads instead.
+them straight from the payload rows instead.
 
-Rows of a distance matrix follow (individual, replicate) order:
-individuals in order of first appearance, replicates in their stated
-order within each individual.  All types are immutable after
+Rows of a sample and of a distance matrix follow (individual, replicate)
+order: individuals in order of first appearance, replicates in their
+stated order within each individual.  All types are immutable after
 construction and safe to share across workers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -40,7 +44,6 @@ from .errors import (
 
 __all__ = [
     "PayloadKind",
-    "IndividualRecord",
     "GroupedSample",
     "DistanceMatrix",
     "BlockStats",
@@ -57,51 +60,51 @@ class PayloadKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class IndividualRecord:
-    """One individual's label and its ordered replicate payloads."""
-
-    id: str
-    replicates: tuple
-
-    @property
-    def n_replicates(self) -> int:
-        return len(self.replicates)
-
-
-@dataclass(frozen=True)
 class GroupedSample:
     """Repeated observations of several individuals with a common payload shape.
 
-    Invariants enforced at construction: at least two individuals, every
-    individual has at least one replicate and at least one individual has
-    two or more (otherwise within-individual spread is undefined), all
-    payloads share one shape, and all payload values are finite.
+    ``values`` stacks every payload in group order, shape
+    ``(n, *payload_shape)``: the ``group_sizes[0]`` replicates of the
+    first individual, then those of the second, and so on.  ``labels``
+    names the individuals.  The sample keeps ``values`` as a read-only,
+    C-contiguous float64 array, a view when the given array already is
+    one, so consumers that write must copy.
+
+    Invariants enforced at construction: at least two individuals, one
+    label per individual, every individual has at least one replicate
+    and at least one has two or more (otherwise within-individual spread
+    is undefined), one payload per replicate with the dimension its kind
+    needs (square for matrices), and all values finite.
     """
 
-    individuals: tuple
+    values: np.ndarray
+    group_sizes: np.ndarray
+    labels: tuple
     payload_kind: PayloadKind
-    feature_dim: int = field(init=False)
 
     def __post_init__(self):
         kind = PayloadKind(self.payload_kind)
-        object.__setattr__(self, "payload_kind", kind)
-        if len(self.individuals) < 2:
-            raise InsufficientGroupsError(
-                f"need at least 2 individuals, got {len(self.individuals)}"
+        sizes = np.array(self.group_sizes, dtype=np.int64)
+        labels = tuple(self.labels)
+        values = np.ascontiguousarray(self.values, dtype=float).view()
+        if sizes.ndim != 1 or sizes.size != len(labels):
+            raise InputShapeError(
+                f"need one label per individual, got {len(labels)} labels "
+                f"for group sizes of shape {sizes.shape}"
             )
-        shapes = set()
-        for rec in self.individuals:
-            if rec.n_replicates < 1:
-                raise InputShapeError(f"individual {rec.id!r} has no replicates")
-            for arr in rec.replicates:
-                shapes.add(arr.shape)
-                if not np.all(np.isfinite(arr)):
-                    raise NonFiniteError(
-                        f"payload of individual {rec.id!r} contains NaN or Inf"
-                    )
-        if len(shapes) != 1:
-            raise InputShapeError(f"payloads have mixed shapes: {sorted(shapes)}")
-        (shape,) = shapes
+        if sizes.size < 2:
+            raise InsufficientGroupsError(
+                f"need at least 2 individuals, got {sizes.size}"
+            )
+        if np.any(sizes < 1):
+            empty = labels[int(np.argmax(sizes < 1))]
+            raise InputShapeError(f"individual {empty!r} has no replicates")
+        total = int(sizes.sum())
+        if values.ndim == 0 or values.shape[0] != total:
+            raise InputShapeError(
+                f"values must stack {total} payloads, got shape {values.shape}"
+            )
+        shape = values.shape[1:]
         expected_ndim = 1 if kind is PayloadKind.VECTOR else 2
         if len(shape) != expected_ndim:
             raise InputShapeError(
@@ -109,41 +112,36 @@ class GroupedSample:
             )
         if kind is PayloadKind.MATRIX and shape[0] != shape[1]:
             raise InputShapeError(f"matrix payloads must be square, got shape {shape}")
-        if not any(rec.n_replicates >= 2 for rec in self.individuals):
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        if not finite.all():
+            row = int(np.argmin(finite))
+            owner = int(np.searchsorted(np.cumsum(sizes), row, side="right"))
+            raise NonFiniteError(
+                f"payload of individual {labels[owner]!r} contains NaN or Inf"
+            )
+        if not np.any(sizes >= 2):
             raise InsufficientReplicatesError(
                 "at least one individual needs 2+ replicates; "
                 "within-individual spread is undefined otherwise"
             )
-        object.__setattr__(self, "feature_dim", int(shape[-1]))
+        values.flags.writeable = False
+        sizes.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "payload_kind", kind)
 
     @property
     def n_individuals(self) -> int:
-        return len(self.individuals)
-
-    @property
-    def group_sizes(self) -> np.ndarray:
-        """Replicate count per individual, in group order."""
-        return np.array([rec.n_replicates for rec in self.individuals], dtype=np.int64)
+        return self.group_sizes.size
 
     @property
     def n_total(self) -> int:
-        return int(self.group_sizes.sum())
+        return self.values.shape[0]
 
     @property
-    def labels(self) -> tuple:
-        return tuple(rec.id for rec in self.individuals)
-
-    def groups(self):
-        """(individual_index, replicate_index) per row, in group order."""
-        return [
-            (i, j)
-            for i, rec in enumerate(self.individuals)
-            for j in range(rec.n_replicates)
-        ]
-
-    def payloads(self):
-        """All payloads as a flat list, in group order."""
-        return [arr for rec in self.individuals for arr in rec.replicates]
+    def feature_dim(self) -> int:
+        return self.values.shape[-1]
 
 
 def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
@@ -160,33 +158,33 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
         pass ``timeseries`` explicitly for non-square series payloads.
     """
     by_individual: dict = {}
-    order: list = []
     for ind_id, rep_id, payload in records:
-        key = str(ind_id)
-        arr = np.asarray(payload, dtype=float)
-        if key not in by_individual:
-            by_individual[key] = []
-            order.append(key)
-        by_individual[key].append((rep_id, arr))
-    if len(order) < 2:
+        by_individual.setdefault(str(ind_id), []).append((rep_id, payload))
+    if len(by_individual) < 2:
         raise InsufficientGroupsError(
-            f"need at least 2 distinct individuals, got {len(order)}"
+            f"need at least 2 distinct individuals, got {len(by_individual)}"
         )
-    first = by_individual[order[0]][0][1]
+    payloads = []
+    for reps in by_individual.values():
+        reps.sort(key=lambda item: item[0])
+        payloads.extend(np.asarray(arr, dtype=float) for _, arr in reps)
+    shapes = {arr.shape for arr in payloads}
+    if len(shapes) != 1:
+        raise InputShapeError(f"payloads have mixed shapes: {sorted(shapes)}")
     if payload_kind is None:
+        first = payloads[0]
         if first.ndim == 1:
             payload_kind = PayloadKind.VECTOR
         elif first.ndim == 2:
             payload_kind = PayloadKind.MATRIX
         else:
             raise InputShapeError(f"cannot infer payload kind from shape {first.shape}")
-    individuals = []
-    for key in order:
-        reps = sorted(by_individual[key], key=lambda item: item[0])
-        individuals.append(
-            IndividualRecord(id=key, replicates=tuple(arr for _, arr in reps))
-        )
-    return GroupedSample(individuals=tuple(individuals), payload_kind=payload_kind)
+    return GroupedSample(
+        values=np.stack(payloads),
+        group_sizes=[len(reps) for reps in by_individual.values()],
+        labels=tuple(by_individual),
+        payload_kind=payload_kind,
+    )
 
 
 # Rows per block of the validation pass; its temporaries are O(rows * n).
@@ -293,26 +291,71 @@ class DistanceMatrix:
         return list(zip(self.individual_index.tolist(), self.replicate_index.tolist()))
 
 
-def _payloads_for_metric(sample: GroupedSample, spec: DistanceSpec):
-    """Apply the payload pipeline (series -> correlation -> threshold)."""
-    payloads = sample.payloads()
-    kind = sample.payload_kind
-    if kind is PayloadKind.TIMESERIES:
-        payloads = [correlation_from_timeseries(x) for x in payloads]
-        kind = PayloadKind.MATRIX
+def _matrices(sample: GroupedSample) -> np.ndarray:
+    """The sample's payloads, each time series as its correlation matrix.
+
+    Time series give a new stack; other kinds give the sample's own
+    read-only ``values``.
+    """
+    if sample.payload_kind is not PayloadKind.TIMESERIES:
+        return sample.values
+    p = sample.feature_dim
+    out = np.empty((sample.n_total, p, p))
+    for k, series in enumerate(sample.values):
+        out[k] = correlation_from_timeseries(series)
+    return out
+
+
+def _metric_rows(mats, metric: Metric) -> np.ndarray:
+    """The rows ``metric`` compares, one per payload of the stack ``mats``.
+
+    Rows are the flattened payloads for ``l2``/``l1``, a view of
+    ``mats``, and a new array of the strict lower triangles for
+    correlation of correlations.
+    """
+    flat = mats.reshape(len(mats), -1)
+    if metric is not Metric.CORR_OF_CORR:
+        return flat
+    p = mats.shape[1]
+    if p < 3:
+        raise DegenerateInputError(
+            "correlation-of-correlations needs matrices of size 3x3 or larger"
+        )
+    i, j = np.tril_indices(p, k=-1)
+    # take keeps the rows C-contiguous, so row reductions sum as before
+    rows = np.take(flat, i * p + j, axis=1)
+    flat_ptp = rows.max(axis=1) - rows.min(axis=1)
+    if np.any(flat_ptp == 0.0):
+        bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
+        raise DegenerateInputError(
+            f"payload {bad} has a constant lower triangle; "
+            "correlation of correlations is undefined"
+        )
+    return rows
+
+
+def _payload_rows(sample: GroupedSample, spec: DistanceSpec) -> np.ndarray:
+    """The payload pipeline: series -> correlation -> threshold -> metric rows.
+
+    Returns a new array, which the caller may overwrite.
+    """
+    mats = _matrices(sample)
+    matrices = sample.payload_kind is not PayloadKind.VECTOR
     if spec.threshold is not None:
-        if kind is not PayloadKind.MATRIX:
+        if not matrices:
             raise MetricMismatchError(
                 "soft-thresholding applies to matrix payloads, not "
                 f"{sample.payload_kind.value} payloads"
             )
-        payloads = [soft_threshold(r, spec.threshold)[0] for r in payloads]
-    if spec.kind is Metric.CORR_OF_CORR and kind is not PayloadKind.MATRIX:
+        mats = soft_threshold(mats, spec.threshold)[0]
+    if spec.kind is Metric.CORR_OF_CORR and not matrices:
         raise MetricMismatchError(
             "correlation-of-correlations requires square matrix payloads, "
             f"got {sample.payload_kind.value} payloads"
         )
-    return payloads
+    rows = _metric_rows(mats, spec.kind)
+    # only rows that view the sample's own values are read-only
+    return rows if rows.flags.writeable else rows.copy()
 
 
 def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
@@ -331,56 +374,23 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
         Plain kinds are promoted to a threshold-free spec.
     """
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
-    return _pairwise(_payloads_for_metric(sample, spec), spec.kind, sample)
+    return _pairwise(_payload_rows(sample, spec), spec.kind, sample)
 
 
-def _stacked(payloads, metric: Metric, n: int) -> np.ndarray:
-    """The ``n`` payloads as the rows a metric compares, in one new array.
-
-    Rows are the flattened payloads for ``l2``/``l1`` and the strict lower
-    triangles for correlation-of-correlations.  ``payloads`` may be any
-    iterable; each payload is copied into its row as it arrives, so a
-    generator never has more than one of them alive.  Every payload is
-    consumed before a degenerate one is reported.
-    """
-    corr = metric is Metric.CORR_OF_CORR
-    rows = tril = None
-    for k, payload in enumerate(payloads):
-        arr = np.asarray(payload, dtype=float)
-        if corr and tril is None:
-            tril = np.tril_indices(arr.shape[0], k=-1)
-        row = arr[tril] if corr else arr.ravel()
-        if rows is None:
-            rows = np.empty((n, row.size))
-        rows[k] = row
-    if corr:
-        if arr.shape[0] < 3:
-            raise DegenerateInputError(
-                "correlation-of-correlations needs matrices of size 3x3 or larger"
-            )
-        flat_ptp = rows.max(axis=1) - rows.min(axis=1)
-        if np.any(flat_ptp == 0.0):
-            bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
-            raise DegenerateInputError(
-                f"payload {bad} has a constant lower triangle; "
-                "correlation of correlations is undefined"
-            )
-    return rows
-
-
-def _pairwise(payloads, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
-    """Distance matrix of ``payloads``, one per row of ``sample``'s grouping."""
-    rows = _stacked(payloads, metric, sample.n_total)
+def _pairwise(rows, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
+    """Distance matrix of ``rows``, one per row of ``sample``'s grouping."""
     if metric is Metric.CORR_OF_CORR:
         vals = np.sqrt(np.maximum(squareform(pdist(rows, "correlation")), 0.0))
     else:
         scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
         vals = squareform(pdist(rows, scipy_name))
-    groups = sample.groups()
+    sizes = sample.group_sizes
+    individual = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
     return DistanceMatrix(
         values=vals,
-        individual_index=np.array([g[0] for g in groups], dtype=np.int64),
-        replicate_index=np.array([g[1] for g in groups], dtype=np.int64),
+        individual_index=individual,
+        replicate_index=np.arange(individual.size) - starts[individual],
         labels=sample.labels,
     )
 
@@ -394,7 +404,7 @@ class BlockStats(NamedTuple):
     replicates of ``g`` and ``h``; so ``cross[g, g]`` is twice
     ``within[g]``, the duplicated-block sum including its zero diagonal.
     Built from a :class:`DistanceMatrix` by ``bootstrap._block_sums``, or
-    from payloads by :func:`_payload_block_stats`.
+    from payload rows by :func:`_payload_block_stats`.
     """
 
     sizes: np.ndarray
@@ -463,10 +473,10 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     return BlockStats(sizes, within, cross)
 
 
-def _payload_block_stats(payloads, metric: Metric, sample: GroupedSample) -> BlockStats:
-    """Block sums of ``l2`` or correlation-of-correlations payloads.
+def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockStats:
+    """Block sums of ``l2`` or correlation-of-correlations metric rows.
 
-    For rows ``z`` standardized to mean 0 and norm 1, ``1 - r`` is
+    ``rows`` (from :func:`_metric_rows`) are overwritten.  For rows ``z`` standardized to mean 0 and norm 1, ``1 - r`` is
     ``||z_a - z_b||^2 / 2``, so correlation of correlations is ``l2`` on
     ``z`` at half scale.  Raises :class:`NonFiniteError` where the
     distance matrix would hold NaN or Inf, or its squares overflow.
@@ -475,7 +485,6 @@ def _payload_block_stats(payloads, metric: Metric, sample: GroupedSample) -> Blo
         raise MetricMismatchError(
             "l1 block sums need the distance matrix; use compute_distance_matrix"
         )
-    rows = _stacked(payloads, metric, sample.n_total)
     scale = 1.0
     # overflow and underflow show up as a non-finite total, checked below
     with np.errstate(all="ignore"):
@@ -504,4 +513,4 @@ def block_stats(sample: GroupedSample, metric) -> BlockStats:
     metric : DistanceSpec, Metric, or str
     """
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
-    return _payload_block_stats(_payloads_for_metric(sample, spec), spec.kind, sample)
+    return _payload_block_stats(_payload_rows(sample, spec), spec.kind, sample)

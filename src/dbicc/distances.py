@@ -10,10 +10,11 @@ Three dissimilarities are supported for repeated-measures payloads:
 
 The module also provides the helpers needed to turn multivariate time
 series into connectivity matrices: Pearson correlation across columns,
-soft-thresholding of off-diagonal correlations, and a log-determinant
-connectivity score.
+soft-thresholding of off-diagonal correlations (one matrix or a whole
+stack at a time), and a log-determinant connectivity score.
 
-All functions are pure and safe for concurrent use.  The scalar distance
+All functions are pure, apart from writing a given ``out`` array, and
+safe for concurrent use.  The scalar distance
 functions evaluate the same compiled kernels as the pairwise path in
 :func:`dbicc.core.compute_distance_matrix`, so a single pair and the
 corresponding matrix entry agree bit for bit.
@@ -180,32 +181,51 @@ def correlation_from_timeseries(x) -> np.ndarray:
     return r
 
 
-def soft_threshold(r, level):
-    """Shrink off-diagonal entries of a correlation matrix toward zero.
+def soft_threshold(r, level, out=None):
+    """Shrink off-diagonal entries of correlation matrices toward zero.
 
+    ``r`` is one square matrix or a stack of them, shape ``(n, p, p)``.
     Each off-diagonal entry ``v`` becomes ``sign(v) * max(|v| - level, 0)``;
-    the diagonal is left untouched.
+    the diagonal is left untouched.  The result is written to ``out``
+    when given, an array of ``r``'s shape that must not overlap ``r``;
+    a stack needs no temporary larger than one matrix.
 
     Returns
     -------
-    (ndarray, float)
-        The thresholded matrix and the fraction of off-diagonal entries
-        that are exactly zero afterwards (pre-existing zeros included).
+    (ndarray, float or ndarray)
+        The thresholded matrix or stack and, per matrix, the fraction of
+        off-diagonal entries that are exactly zero afterwards
+        (pre-existing zeros included): a float for one matrix, an array
+        of ``n`` for a stack.
     """
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise InputShapeError(f"expected a square matrix, got shape {r.shape}")
-    if r.shape[0] < 2:
+    if r.ndim not in (2, 3) or r.shape[-1] != r.shape[-2]:
+        raise InputShapeError(
+            f"expected a square matrix or a stack of them, got shape {r.shape}"
+        )
+    p = r.shape[-1]
+    if p < 2:
         raise DegenerateInputError("a 1x1 matrix has no off-diagonal entries")
     level = float(level)
     if not (0.0 <= level <= 1.0):
         raise ParameterError(f"threshold level must lie in [0, 1], got {level}")
-    out = np.sign(r) * np.maximum(np.abs(r) - level, 0.0)
-    diag = np.diag_indices_from(r)
-    out[diag] = r[diag]
-    off = ~np.eye(r.shape[0], dtype=bool)
-    fraction_zeroed = float(np.count_nonzero(out[off] == 0.0) / off.sum())
-    return out, fraction_zeroed
+    if out is None:
+        out = np.empty_like(r)
+    elif out.shape != r.shape:
+        raise InputShapeError(f"out has shape {out.shape}, expected {r.shape}")
+    src, dst = r.reshape(-1, p, p), out.reshape(-1, p, p)
+    zeros = np.empty(len(src), dtype=np.int64)
+    # one matrix at a time, so it stays in cache through every pass
+    for k, (v, m) in enumerate(zip(src, dst)):
+        np.abs(v, out=m)
+        np.subtract(m, level, out=m)
+        np.maximum(m, 0.0, out=m)
+        np.multiply(np.sign(v), m, out=m)
+        np.fill_diagonal(m, np.diagonal(v))
+        diagonal_zeros = np.count_nonzero(np.diagonal(m) == 0.0)
+        zeros[k] = np.count_nonzero(m == 0.0) - diagonal_zeros
+    fractions = zeros / (p * (p - 1))
+    return out, fractions if r.ndim == 3 else float(fractions[0])
 
 
 def connectivity_score(r) -> float:

@@ -68,7 +68,9 @@ def _squared_upper(dm: DistanceMatrix, between: bool) -> np.ndarray:
     else:
         mask = (cols > cols[:, None]) & (cols < ends)
     vals = dm.values[mask]
-    return np.multiply(vals, vals, out=vals)
+    # an overflow shows up as a non-finite mean, which dbicc_point reports
+    with np.errstate(over="ignore"):
+        return np.multiply(vals, vals, out=vals)
 
 
 def n_between_pairs(group_sizes) -> int:

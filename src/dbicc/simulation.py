@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import _resolve_seed, bootstrap_dbicc_pair
-from .core import GroupedSample, IndividualRecord, PayloadKind, block_stats
+from .core import GroupedSample, PayloadKind, block_stats
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
@@ -38,8 +38,6 @@ __all__ = [
     "gen_spd_population",
     "gen_connectivity_sample",
     "cov_error_spread",
-    "error_spread_same_vs_different",
-    "score_error_cross_term",
     "default_m_grid",
     "run_point_experiment",
     "run_coverage_experiment",
@@ -130,6 +128,10 @@ class ConnectivityPopulation:
         return self.sigmas[0].shape[0]
 
 
+def _sim_labels(n):
+    return tuple(f"sim{i:04d}" for i in range(n))
+
+
 def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     """Draw a grouped vector sample from a score-plus-noise population."""
     rng = np.random.default_rng(rng)
@@ -137,11 +139,13 @@ def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     scores = rng.standard_normal((n, p)) @ pop._score_chol.T
     noise = rng.standard_normal((n, k, p)) @ pop._noise_chol.T
     obs = scores[:, None, :] + noise
-    individuals = tuple(
-        IndividualRecord(id=f"sim{i:04d}", replicates=tuple(obs[i]))
-        for i in range(n)
+    return GroupedSample(
+        values=obs.reshape(n * k, p),
+        group_sizes=np.full(n, k),
+        labels=_sim_labels(n),
+        payload_kind=PayloadKind.VECTOR,
     )
-    return GroupedSample(individuals=individuals, payload_kind=PayloadKind.VECTOR)
+
 
 
 def _var1_batch(chol, n_series, n_timepoints, ar_coeff, rng):
@@ -240,16 +244,19 @@ def gen_connectivity_sample(
     if n_replicates < 1:
         raise ParameterError("need at least 1 replicate per individual")
     rng = np.random.default_rng(rng)
-    individuals = []
+    n, p = pop.n_individuals, pop.dim
+    mats = np.empty((n * n_replicates, p, p))
     for i, chol in enumerate(pop._chols):
         series = _var1_batch(chol, n_replicates, pop.n_timepoints, pop.ar_coeff, rng)
-        mats = _sample_cov_batch(series)
-        if matrix_kind == "correlation":
-            mats = _corr_scale_batch(mats)
-        individuals.append(
-            IndividualRecord(id=f"sim{i:04d}", replicates=tuple(mats))
-        )
-    return GroupedSample(individuals=tuple(individuals), payload_kind=PayloadKind.MATRIX)
+        mats[i * n_replicates : (i + 1) * n_replicates] = _sample_cov_batch(series)
+    if matrix_kind == "correlation":
+        mats = _corr_scale_batch(mats)
+    return GroupedSample(
+        values=mats,
+        group_sizes=np.full(n, n_replicates),
+        labels=_sim_labels(n),
+        payload_kind=PayloadKind.MATRIX,
+    )
 
 
 def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
@@ -289,74 +296,6 @@ def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
     trace_sq = float(np.trace(sigma @ sigma))
     analytic = 2.0 * (trace * trace + trace_sq) / (n_obs - 1)
     return total / n_rep, analytic
-
-
-def _cov_errors(chols, picks, n_obs, rng):
-    """Sample-covariance errors S - Sigma for given per-draw individuals."""
-    p = chols[0].shape[0]
-    errors = np.empty((len(picks), p, p))
-    for k, i in enumerate(picks):
-        draws = rng.standard_normal((n_obs, p)) @ chols[i].T
-        errors[k] = gen_sample_cov(draws) - chols[i] @ chols[i].T
-    return errors
-
-
-def error_spread_same_vs_different(sigmas, n_obs: int, n_rep: int, rng):
-    """Mean squared error-pair distance, same individual versus different.
-
-    For sample-covariance errors the two settings should agree; the
-    Monte Carlo means and their standard errors let callers check that.
-
-    Returns
-    -------
-    dict with keys ``same``, ``same_se``, ``different``, ``different_se``.
-    """
-    rng = np.random.default_rng(rng)
-    sigmas = [np.asarray(s, dtype=float) for s in sigmas]
-    chols = [_cholesky(s, "individual covariance") for s in sigmas]
-    n = len(sigmas)
-    if n < 2:
-        raise ParameterError("need at least 2 individuals")
-    same_ids = rng.integers(0, n, size=n_rep)
-    e1 = _cov_errors(chols, same_ids, n_obs, rng)
-    e2 = _cov_errors(chols, same_ids, n_obs, rng)
-    same_vals = np.sum((e1 - e2) ** 2, axis=(1, 2))
-    id1 = rng.integers(0, n, size=n_rep)
-    shift = rng.integers(1, n, size=n_rep)
-    id2 = (id1 + shift) % n  # guaranteed distinct from id1
-    d1 = _cov_errors(chols, id1, n_obs, rng)
-    d2 = _cov_errors(chols, id2, n_obs, rng)
-    diff_vals = np.sum((d1 - d2) ** 2, axis=(1, 2))
-    return {
-        "same": float(same_vals.mean()),
-        "same_se": float(same_vals.std(ddof=1) / np.sqrt(n_rep)),
-        "different": float(diff_vals.mean()),
-        "different_se": float(diff_vals.std(ddof=1) / np.sqrt(n_rep)),
-    }
-
-
-def score_error_cross_term(sigmas, n_obs: int, n_rep: int, rng):
-    """Monte Carlo mean of <score difference, error difference>.
-
-    The inner product is the trace inner product on symmetric matrices.
-    Under the score-plus-error decomposition of sample covariances this
-    expectation is zero; the returned (mean, se) pair lets callers check
-    the estimate against its Monte Carlo error.
-    """
-    rng = np.random.default_rng(rng)
-    sigmas = [np.asarray(s, dtype=float) for s in sigmas]
-    chols = [_cholesky(s, "individual covariance") for s in sigmas]
-    n = len(sigmas)
-    if n < 2:
-        raise ParameterError("need at least 2 individuals")
-    id1 = rng.integers(0, n, size=n_rep)
-    shift = rng.integers(1, n, size=n_rep)
-    id2 = (id1 + shift) % n
-    e1 = _cov_errors(chols, id1, n_obs, rng)
-    e2 = _cov_errors(chols, id2, n_obs, rng)
-    score_diff = np.stack([sigmas[a] - sigmas[b] for a, b in zip(id1, id2)])
-    vals = np.sum(score_diff * (e1 - e2), axis=(1, 2))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_rep))
 
 
 def default_m_grid(low: int = 25, high: int = 197, count: int = 8) -> list:
@@ -499,10 +438,9 @@ def _sb_worker(task):
         pop = ConnectivityPopulation(sigmas, m, ar_coeff)
         covs = gen_connectivity_sample(pop, n_replicates, rng)
         corrs = GroupedSample(
-            individuals=tuple(
-                IndividualRecord(r.id, tuple(_corr_scale_batch(np.stack(r.replicates))))
-                for r in covs.individuals
-            ),
+            values=_corr_scale_batch(covs.values),
+            group_sizes=covs.group_sizes,
+            labels=covs.labels,
             payload_kind=PayloadKind.MATRIX,
         )
         row = {"m": int(m)}

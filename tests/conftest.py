@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbicc import GroupedSample, IndividualRecord, PayloadKind
+from dbicc import GroupedSample, PayloadKind
 
 
 def rand_corr(rng, p, df=None):
@@ -17,13 +17,13 @@ def rand_corr(rng, p, df=None):
 
 def vector_sample(rng, sizes, dim):
     """Random vector-payload sample with the given replicate counts."""
-    individuals = tuple(
-        IndividualRecord(
-            id=f"x{i}", replicates=tuple(rng.standard_normal(dim) for _ in range(k))
-        )
-        for i, k in enumerate(sizes)
+    values = np.array([rng.standard_normal(dim) for k in sizes for _ in range(k)])
+    return GroupedSample(
+        values=values,
+        group_sizes=sizes,
+        labels=tuple(f"x{i}" for i in range(len(sizes))),
+        payload_kind=PayloadKind.VECTOR,
     )
-    return GroupedSample(individuals=individuals, payload_kind=PayloadKind.VECTOR)
 
 
 @pytest.fixture

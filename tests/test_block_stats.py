@@ -14,7 +14,6 @@ from dbicc import (
     DegenerateInputError,
     DistanceMatrix,
     GroupedSample,
-    IndividualRecord,
     Metric,
     MetricMismatchError,
     PayloadKind,
@@ -30,11 +29,12 @@ RTOL = 1e-10
 
 
 def grouped(payloads_by_individual, kind):
-    individuals = tuple(
-        IndividualRecord(id=f"x{i}", replicates=tuple(reps))
-        for i, reps in enumerate(payloads_by_individual)
+    return GroupedSample(
+        values=np.array([p for reps in payloads_by_individual for p in reps]),
+        group_sizes=[len(reps) for reps in payloads_by_individual],
+        labels=tuple(f"x{i}" for i in range(len(payloads_by_individual))),
+        payload_kind=kind,
     )
-    return GroupedSample(individuals=individuals, payload_kind=kind)
 
 
 def draw_payloads(rng, sizes, shape, offset, spread, noise):

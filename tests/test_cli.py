@@ -271,7 +271,8 @@ class TestExitCodes:
         assert main(["estimate", "any.csv"]) == 3
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
-    @pytest.mark.parametrize("distance", ["l2", "l1"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("distance", ["l2", "l1", "precomputed"])
     def test_overflowing_squares_are_non_finite_error(
         self, tmp_path, capsys, distance
     ):
@@ -279,7 +280,13 @@ class TestExitCodes:
         src.write_text(
             "individual,replicate,f1,f2\na,0,1e200,0\na,1,-1e200,0\nb,0,0,0\nb,1,1,1\n"
         )
-        assert main(["estimate", str(src), "--distance", distance]) == 3
+        argv = ["estimate", str(src), "--distance", distance]
+        if distance == "precomputed":
+            np.savetxt(src, 1e200 * (1.0 - np.eye(4)), delimiter=",", fmt="%.17g")
+            groups = tmp_path / "g.csv"
+            groups.write_text("row,individual,replicate\n0,a,0\n1,a,1\n2,b,0\n3,b,1\n")
+            argv = ["estimate", str(src), "--groups", str(groups)]
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("NonFiniteError: squared distances")
         assert "Traceback" not in err
@@ -306,6 +313,17 @@ class TestExitCodes:
         assert main(["estimate", str(src), "--groups", str(groups)]) == 2
         err = capsys.readouterr().err
         assert "g.csv:3: duplicate individual 'a', replicate '1'" in err
+
+    def test_series_of_mixed_shapes_are_input_shape_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for name, rows in (("s0", 20), ("s1", 20), ("s2", 25)):
+            np.savetxt(tmp_path / f"{name}.csv", rng.standard_normal((rows, 3)),
+                       delimiter=",")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("individual,replicate,path\na,0,s0.csv\na,1,s1.csv\nb,0,s2.csv\n")
+        assert main(["estimate", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("InputShapeError: payloads have mixed shapes")
 
     def test_duplicate_manifest_label_is_parse_error(self, tmp_path, capsys):
         for name in ("s0", "s1", "s2"):
@@ -443,6 +461,32 @@ class TestSweepCommand:
                 continue
             assert rc == 0
             assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
+
+    @pytest.mark.parametrize("grid", ["0.5:1.3:0.4", "-0.1:0.2:0.1", "0:inf:0.1"])
+    def test_grid_outside_unit_interval_fails_before_any_level(
+        self, tmp_path, rng, capsys, grid
+    ):
+        manifest = self._manifest(tmp_path, rng)
+        argv = ["sweep-threshold", str(manifest), f"--threshold-grid={grid}"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"configuration error: --threshold-grid levels must lie in [0, 1], "
+            f"got {grid!r}\n"
+        )
+
+    def test_single_channel_series_fail_once(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        lines = ["individual,replicate,path"]
+        for i in range(2):
+            for j in range(2):
+                np.savetxt(tmp_path / f"c{i}{j}.csv", rng.standard_normal((20, 1)))
+                lines.append(f"q{i},{j},c{i}{j}.csv")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["sweep-threshold", str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            "DegenerateInputError: a 1x1 matrix has no off-diagonal entries\n"
+        )
 
     def test_sweep_rejects_vector_input(self, tmp_path, capsys):
         src = tmp_path / "hand.csv"

@@ -11,6 +11,7 @@ from dbicc import core
 from dbicc import (
     DistanceMatrix,
     DistanceSpec,
+    GroupedSample,
     InputShapeError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
@@ -18,10 +19,13 @@ from dbicc import (
     MetricMismatchError,
     NonFiniteError,
     PayloadKind,
+    block_stats,
+    bootstrap_dbicc,
     build_grouped_sample,
     compute_distance_matrix,
     corr_of_corr_distance,
     correlation_from_timeseries,
+    dbicc_point,
     l1_distance,
     l2_distance,
 )
@@ -57,8 +61,8 @@ class TestBuildGroupedSample:
         ]
         s = build_grouped_sample(rows)
         assert s.labels == ("B", "A")
-        assert s.individuals[0].replicates[0][0] == 3.0  # B's replicate 1 first
-        assert s.individuals[1].replicates[0][0] == 4.0  # A's replicate 5 first
+        assert s.values[0][0] == 3.0  # B's replicate 1 first
+        assert s.values[2][0] == 4.0  # A's replicate 5 first
 
     def test_single_individual(self):
         with pytest.raises(InsufficientGroupsError):
@@ -73,6 +77,37 @@ class TestBuildGroupedSample:
         rows = [("A", 0, [1.0, np.nan]), ("B", 0, [3.0, 4.0]), ("B", 1, [1.0, 0.0])]
         with pytest.raises(NonFiniteError):
             build_grouped_sample(rows)
+
+    def test_non_finite_error_names_the_first_individual_at_fault(self):
+        rows = [("A", 0, [1.0, 2.0]), ("A", 1, [0.0, 1.0]), ("B", 0, [3.0, 4.0]),
+                ("B", 1, [np.nan, 0.0]), ("C", 0, [np.inf, 0.0])]
+        with pytest.raises(NonFiniteError, match="individual 'B'"):
+            build_grouped_sample(rows)
+
+    def test_fields_must_agree(self):
+        values = np.zeros((3, 2))
+        with pytest.raises(InputShapeError, match="one label per individual"):
+            GroupedSample(values, [2, 1], ("a",), PayloadKind.VECTOR)
+        with pytest.raises(InputShapeError, match="must stack 4 payloads"):
+            GroupedSample(values, [2, 2], ("a", "b"), PayloadKind.VECTOR)
+        with pytest.raises(InputShapeError, match="'b' has no replicates"):
+            GroupedSample(values, [3, 0], ("a", "b"), PayloadKind.VECTOR)
+
+    @pytest.mark.parametrize("kind", ["matrix", "timeseries"])
+    def test_values_are_read_only_and_left_unchanged(self, rng, kind):
+        given = rng.standard_normal((6, 4, 4))
+        sample = GroupedSample(given, [2, 3, 1], ("a", "b", "c"), kind)
+        assert given.flags.writeable  # the caller's array keeps its flags
+        with pytest.raises(ValueError):
+            sample.values[0, 0, 0] = 1.0
+        before = sample.values.copy()
+        for spec in (Metric.L2_VEC, Metric.CORR_OF_CORR,
+                     DistanceSpec(kind=Metric.L2_VEC, threshold=0.2)):
+            stats = block_stats(sample, spec)
+            dbicc_point(stats)
+            bootstrap_dbicc(stats, 100, seed=1)
+            dbicc_point(compute_distance_matrix(sample, spec))
+        assert np.array_equal(sample.values, before)
 
     def test_no_repeated_individual(self):
         with pytest.raises(InsufficientReplicatesError):
@@ -101,7 +136,7 @@ class TestComputeDistanceMatrix:
 
     def test_entries_match_scalar_calls_exactly(self, rng):
         s = vector_sample(rng, [2, 1, 1], 7)
-        payloads = s.payloads()
+        payloads = s.values
         for metric, fn in ((Metric.L2_VEC, l2_distance), (Metric.L1_VEC, l1_distance)):
             dm = compute_distance_matrix(s, metric)
             for a in range(4):
@@ -117,7 +152,7 @@ class TestComputeDistanceMatrix:
         ]
         s = build_grouped_sample(rows, payload_kind=PayloadKind.MATRIX)
         dm = compute_distance_matrix(s, Metric.CORR_OF_CORR)
-        payloads = s.payloads()
+        payloads = s.values
         for a in range(3):
             for b in range(a + 1, 3):
                 assert dm.values[a, b] == corr_of_corr_distance(

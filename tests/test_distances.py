@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbicc import (
     DegenerateInputError,
@@ -186,6 +188,33 @@ class TestSoftThreshold:
         once, _ = soft_threshold(r, lam1 + lam2)
         twice, _ = soft_threshold(soft_threshold(r, lam1)[0], lam2)
         assert np.allclose(once, twice, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        p=st.integers(2, 6),
+        level=st.sampled_from([0.0, 1.0, 0.25]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_per_matrix_calls_bitwise(self, n, p, level, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(-1.0, 1.0, (n, p, p))
+        # signed zeros, entries exactly at +-level, and the ends of [-1, 1]
+        special = np.array([0.0, -0.0, level, -level, 1.0, -1.0])
+        pick = rng.random(r.shape) < 0.4
+        r[pick] = rng.choice(special, size=int(pick.sum()))
+        singles = [soft_threshold(m, level) for m in r]
+        # today's formula, matrix by matrix
+        want = np.sign(r) * np.maximum(np.abs(r) - level, 0.0)
+        diag = np.arange(p)
+        want[:, diag, diag] = r[:, diag, diag]
+        buf = np.full_like(r, np.nan)
+        for stacked, fractions in (soft_threshold(r, level),
+                                   soft_threshold(r, level, out=buf)):
+            assert stacked.tobytes() == want.tobytes()
+            assert stacked.tobytes() == np.stack([m for m, _ in singles]).tobytes()
+            assert fractions.tolist() == [f for _, f in singles]
+        assert soft_threshold(r, level, out=buf)[0] is buf
 
 
 class TestConnectivityScore:

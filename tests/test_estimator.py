@@ -147,7 +147,7 @@ class TestDbiccPoint:
         sample = vector_sample(rng, [3, 2, 3], 5)
         dm = compute_distance_matrix(sample, Metric.L2_VEC)
         est = dbicc_point(dm)
-        payloads = sample.payloads()
+        payloads = sample.values
         ind = dm.individual_index
         between, within = [], []
         for a in range(len(payloads)):
