@@ -34,7 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockStats, DistanceMatrix
-from .errors import DegenerateDistancesError, InsufficientDataError, ParameterError
+from .errors import (
+    DegenerateDistancesError,
+    InsufficientDataError,
+    NonFiniteError,
+    ParameterError,
+)
 from .estimator import _between_pair_count, _within_pair_count
 
 __all__ = [
@@ -200,7 +205,14 @@ def _checked_block_sums(source, n_boot) -> BlockStats:
     sizes = source.sizes if is_stats else source.group_sizes
     _between_pair_count(sizes)
     _within_pair_count(sizes)
-    stats = source if is_stats else _block_sums(source)
+    if is_stats:
+        stats = source
+    else:
+        stats = _block_sums(source)
+        with np.errstate(over="ignore"):  # an overflowing total is caught below
+            total = stats.cross.sum()
+        if not np.isfinite(total):
+            raise NonFiniteError("squared distances overflow float64")
     if np.count_nonzero(stats.cross) == np.count_nonzero(np.diagonal(stats.cross)):
         raise DegenerateDistancesError(
             "all between-individual distances are zero; dbICC is undefined"

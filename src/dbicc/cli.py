@@ -143,21 +143,26 @@ def _write_csv(header, rows, out_path):
 # ---------------------------------------------------------------------------
 
 
-def _read_csv_rows(path):
+def _csv_rows(path):
+    """Yield the rows of a CSV file; read errors become parse failures."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return list(csv.reader(fh))
+            yield from csv.reader(fh)
     except OSError as exc:
         raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
 
 
+def _read_csv_rows(path):
+    return list(_csv_rows(path))
+
+
 def _sniff_format(path) -> str:
-    rows = _read_csv_rows(path)
-    if not rows:
+    header = next(_csv_rows(path), None)  # the loader parses the whole file once
+    if header is None:
         raise _ParseFailure(path, "file is empty")
-    first = [f.strip() for f in rows[0]]
+    first = [f.strip() for f in header]
     if len(first) >= 3 and first[0] == "individual" and first[1] == "replicate":
         return "timeseries" if first[2] == "path" else "vectors"
     return "distances"

@@ -45,14 +45,23 @@ __all__ = [
 ]
 
 
-def _cholesky(mat, what):
+def _square(mat, what):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise FactorizationError(f"{what} must be square, got shape {mat.shape}")
+    return mat
+
+
+def _factor(mats, what):
+    """Lower Cholesky factor of an SPD matrix, or of each in a stack."""
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{what} is not symmetric positive definite") from exc
+
+
+def _cholesky(mat, what):
+    return _factor(_square(mat, what), what)
 
 
 @dataclass(frozen=True)
@@ -97,18 +106,23 @@ class TrueScorePopulation:
 
 @dataclass(frozen=True)
 class ConnectivityPopulation:
-    """Per-individual covariances plus a series length and AR(1) coefficient."""
+    """Per-individual covariances plus a series length and AR(1) coefficient.
+
+    The covariances are checked in this order: each is square, all share
+    one shape, each is SPD (one batched factorization).
+    """
 
     sigmas: tuple
     n_timepoints: int
     ar_coeff: float = 0.0
 
     def __post_init__(self):
-        sigmas = tuple(np.asarray(s, dtype=float) for s in self.sigmas)
-        chols = tuple(_cholesky(s, "individual covariance") for s in sigmas)
+        what = "individual covariance"
+        sigmas = tuple(_square(s, what) for s in self.sigmas)
         dims = {s.shape for s in sigmas}
         if len(dims) != 1:
             raise ParameterError(f"covariances have mixed shapes: {sorted(dims)}")
+        chols = _factor(np.stack(sigmas), what)
         if not (0.0 <= self.ar_coeff < 1.0):
             raise ParameterError(
                 f"AR(1) coefficient must lie in [0, 1) for stationarity, "
@@ -147,18 +161,23 @@ def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     )
 
 
+# Bytes of series gen_connectivity_sample holds at a time (a chunk is at
+# least one individual's series); one AR(1) recursion runs per chunk.
+_SERIES_CHUNK_BYTES = 1 << 19
 
-def _var1_batch(chol, n_series, n_timepoints, ar_coeff, rng):
-    """Stationary VAR(1) series, innovation covariance chol @ chol.T."""
-    p = chol.shape[0]
-    innov = rng.standard_normal((n_series, n_timepoints, p)) @ chol.T
+
+def _ar1_in_place(series, ar_coeff):
+    """Turn innovations into a stationary AR(1) series, in place.
+
+    Time runs along axis -2; every leading index is its own series.  Row
+    0 is scaled to the stationary law and each later row gets
+    ``ar_coeff`` times its predecessor added.
+    """
     if ar_coeff == 0.0:
-        return innov
-    out = np.empty_like(innov)
-    out[:, 0, :] = innov[:, 0, :] / np.sqrt(1.0 - ar_coeff * ar_coeff)
-    for t in range(1, n_timepoints):
-        out[:, t, :] = ar_coeff * out[:, t - 1, :] + innov[:, t, :]
-    return out
+        return
+    series[..., 0, :] /= np.sqrt(1.0 - ar_coeff * ar_coeff)
+    for t in range(1, series.shape[-2]):
+        series[..., t, :] += ar_coeff * series[..., t - 1, :]
 
 
 def gen_mvn_timeseries(sigma, n_timepoints: int, ar_coeff: float, rng) -> np.ndarray:
@@ -178,25 +197,29 @@ def gen_mvn_timeseries(sigma, n_timepoints: int, ar_coeff: float, rng) -> np.nda
         raise ParameterError(f"need at least 2 time points, got {n_timepoints}")
     chol = _cholesky(sigma, "innovation covariance")
     rng = np.random.default_rng(rng)
-    return _var1_batch(chol, 1, n_timepoints, ar_coeff, rng)[0]
+    series = rng.standard_normal((n_timepoints, chol.shape[0])) @ chol.T
+    _ar1_in_place(series, ar_coeff)
+    return series
 
 
 def gen_sample_cov(x) -> np.ndarray:
     """Unbiased sample covariance of rows (divisor n - 1, columns centered)."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)  # a copy: the kernel centres in place
     if x.ndim != 2:
         raise ParameterError(f"expected a 2-D array, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    centered = x - x.mean(axis=0)
-    return centered.T @ centered / (n - 1)
+    return _sample_cov_batch(x[None])[0]
 
 
-def _sample_cov_batch(series):
+def _sample_cov_batch(series, out=None):
+    """Sample covariance of each ``(n, p)`` series in a stack; centres in place."""
     n = series.shape[1]
-    centered = series - series.mean(axis=1, keepdims=True)
-    return np.einsum("nti,ntj->nij", centered, centered) / (n - 1)
+    series -= series.mean(axis=1, keepdims=True)
+    out = np.matmul(series.transpose(0, 2, 1), series, out=out)
+    out /= n - 1
+    return out
 
 
 def _corr_scale_batch(covs):
@@ -244,11 +267,19 @@ def gen_connectivity_sample(
     if n_replicates < 1:
         raise ParameterError("need at least 1 replicate per individual")
     rng = np.random.default_rng(rng)
-    n, p = pop.n_individuals, pop.dim
-    mats = np.empty((n * n_replicates, p, p))
-    for i, chol in enumerate(pop._chols):
-        series = _var1_batch(chol, n_replicates, pop.n_timepoints, pop.ar_coeff, rng)
-        mats[i * n_replicates : (i + 1) * n_replicates] = _sample_cov_batch(series)
+    n, k, m, p = pop.n_individuals, n_replicates, pop.n_timepoints, pop.dim
+    step = max(1, _SERIES_CHUNK_BYTES // (8 * k * m * p))
+    series = np.empty((min(step, n), k, m, p))
+    draws = np.empty((k, m, p))
+    mats = np.empty((n * k, p, p))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        chunk = series[: i1 - i0]
+        # innovations in individual order, so the RNG stream never depends on step
+        for c, chol in enumerate(pop._chols[i0:i1]):
+            np.matmul(rng.standard_normal(out=draws), chol.T, out=chunk[c])
+        _ar1_in_place(chunk, pop.ar_coeff)
+        _sample_cov_batch(chunk.reshape(-1, m, p), out=mats[i0 * k : i1 * k])
     if matrix_kind == "correlation":
         mats = _corr_scale_batch(mats)
     return GroupedSample(

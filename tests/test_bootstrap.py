@@ -9,6 +9,7 @@ from dbicc import (
     InsufficientGroupsError,
     InsufficientReplicatesError,
     Metric,
+    NonFiniteError,
     ParameterError,
     TrueScorePopulation,
     bootstrap_dbicc,
@@ -206,6 +207,16 @@ class TestBootstrapDbicc:
         with pytest.raises(error):
             bootstrap_dbicc(dm, 200, seed=1)
         with pytest.raises(error):
+            bootstrap_dbicc_pair(dm, 200, seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_matrix_raises_non_finite(self):
+        dm = _matrix(np.full((4, 4), 1e200) - np.diag(np.full(4, 1e200)), [0, 0, 1, 1])
+        with pytest.raises(NonFiniteError):
+            dbicc_point(dm)
+        with pytest.raises(NonFiniteError):
+            bootstrap_dbicc(dm, 200, seed=1)
+        with pytest.raises(NonFiniteError):
             bootstrap_dbicc_pair(dm, 200, seed=1)
 
     def test_deterministic_given_seed(self):

@@ -46,6 +46,20 @@ class TestEstimate:
         assert doc["distance"] == "l2"
         assert doc["threshold"] is None
 
+    def test_vector_csv_is_parsed_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        calls = []
+        read = dbicc.cli._read_csv_rows
+
+        def counting(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(dbicc.cli, "_read_csv_rows", counting)
+        run_json(tmp_path, ["estimate", str(src)])
+        assert calls == [str(src)]
+
     def test_distance_matrix_path_equivalence(self, tmp_path, rng):
         rows = [(f"s{i}", j, rng.standard_normal(3)) for i in range(3) for j in range(2)]
         src = tmp_path / "vectors.csv"
@@ -290,6 +304,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("NonFiniteError: squared distances")
         assert "Traceback" not in err
+
+    def test_non_utf8_byte_past_the_header_chunk_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "late.csv"
+        rows = "".join(f"A,{j},{j}\nB,{j},{2 * j}\n" for j in range(2000))
+        src.write_bytes(b"individual,replicate,f1\n" + rows.encode() + b"\xe9,1,1\n")
+        assert main(["estimate", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {src}: not a UTF-8 CSV file")
 
     def test_non_utf8_csv_is_parse_error(self, tmp_path, capsys):
         src = tmp_path / "latin1.csv"

@@ -187,6 +187,77 @@ class TestConnectivitySample:
             assert np.allclose(mat, mat.T)
 
 
+def _var1_reference(innov, ar_coeff):
+    """Per-series Python loop of the AR(1) recursion, for bitwise checks."""
+    out = np.empty_like(innov)
+    for s in range(innov.shape[0]):
+        out[s, 0] = innov[s, 0] / np.sqrt(1.0 - ar_coeff * ar_coeff)
+        for t in range(1, innov.shape[1]):
+            out[s, t] = ar_coeff * out[s, t - 1] + innov[s, t]
+    return out
+
+
+class TestBatchedGenerator:
+    @pytest.mark.parametrize("phi", [0.0, 0.6])
+    def test_bitwise_equal_to_public_generators(self, phi):
+        sigmas = gen_spd_population(5, 6, np.random.default_rng(2))
+        pop = ConnectivityPopulation(sigmas, 40, phi)
+        got = gen_connectivity_sample(pop, 3, np.random.default_rng(11)).values
+        ref_rng = np.random.default_rng(11)
+        ref = [
+            gen_sample_cov(gen_mvn_timeseries(sigma, 40, phi, ref_rng))
+            for sigma in sigmas
+            for _ in range(3)
+        ]
+        assert np.array_equal(got, np.array(ref))
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+
+    def test_chunk_budget_does_not_change_bits(self, monkeypatch):
+        pop = ConnectivityPopulation(
+            gen_spd_population(7, 5, np.random.default_rng(3)), 30, 0.6
+        )
+        sb_kwargs = dict(
+            n_individuals=6, dim=4, m_grid=[10, 20, 40], ar_coeff=0.6, n_runs=2, seed=5
+        )
+        results = []
+        # one individual per chunk, chunks of 3 with a short last one, all at once
+        for budget in (8, 3 * 2 * 30 * 5 * 8, 1 << 40):
+            monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", budget)
+            sample = gen_connectivity_sample(pop, 2, np.random.default_rng(8))
+            results.append((sample.values, run_sb_experiment(**sb_kwargs)))
+        for values, report in results[1:]:
+            assert np.array_equal(values, results[0][0])
+            assert report == results[0][1]
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 0.95])
+    def test_recursion_matches_per_series_loop(self, phi):
+        innov = np.random.default_rng(4).standard_normal((4, 3, 25, 5))
+        batched = innov.copy()
+        dbicc.simulation._ar1_in_place(batched, phi)
+        flat = innov.reshape(-1, 25, 5)
+        expected = flat if phi == 0.0 else _var1_reference(flat, phi)
+        assert np.array_equal(batched.reshape(-1, 25, 5), expected)
+
+    def test_sample_cov_leaves_input_alone(self):
+        x = np.random.default_rng(6).standard_normal((20, 3))
+        before = x.copy()
+        cov = gen_sample_cov(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(cov, cov.T)
+        assert np.allclose(cov, np.cov(x, rowvar=False), rtol=1e-12, atol=0.0)
+
+    def test_population_check_order(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(FactorizationError, match="must be square"):
+            ConnectivityPopulation((indefinite, np.ones((2, 3))), 10)
+        with pytest.raises(ParameterError, match="mixed shapes"):
+            ConnectivityPopulation((indefinite, np.eye(3)), 10)
+        with pytest.raises(FactorizationError, match="positive definite"):
+            ConnectivityPopulation((np.eye(2), indefinite), 10, ar_coeff=1.0)
+        with pytest.raises(ParameterError, match="AR"):
+            ConnectivityPopulation((np.eye(2), np.eye(2)), 1, ar_coeff=1.0)
+
+
 class TestExperimentRunners:
     def test_default_m_grid(self):
         grid = default_m_grid()
