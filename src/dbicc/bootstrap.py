@@ -11,8 +11,10 @@ time and O(n*p + I^2) memory, with no n-by-n matrix (see
 
 Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
-individuals; payload distances are never recomputed, so a replicate
-costs O(I^2) regardless of payload size.
+individuals; payload distances are never recomputed.  Sums read off a
+matrix give each replicate from the I-by-I cross sums, in O(I^2); sums
+from ``l2``/``corr`` payloads give it from the I individual means of
+p values, in O(I*min(I, p)) (see :func:`_replicate_components`).
 
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
@@ -119,12 +121,86 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     return BlockStats(sizes, within, cross)
 
 
-def _replicate_components(sizes, within, cross, indices):
+# Bytes of centred mean columns the Gram matrix of the means takes at a
+# time, and bytes of temporaries per chunk of two-pass replicates (a
+# chunk holds at least one replicate).
+_GRAM_COLUMN_BYTES = 1 << 20
+_TWO_PASS_BYTES = 1 << 22
+
+
+def _two_pass_spread(means, weights, picks):
+    """Weighted spread of the means in two passes, one per row of ``weights``.
+
+    Computes ``sum_g w_g ||means[g] - mu_w||^2`` for each row ``w``.  Each
+    row's means are taken relative to ``means[picks[r]]``, an
+    individual the replicate drew, and so is its weighted mean ``mu_w``:
+    a replicate whose drawn means are bitwise equal gets exactly 0.  Each
+    row is computed on its own, so the chunking does not change the bits.
+    """
+    out = np.empty(weights.shape[0])
+    step = max(1, _TWO_PASS_BYTES // (16 * means.size))
+    for a in range(0, weights.shape[0], step):
+        w = weights[a : a + step]
+        diff = means[None, :, :] - means[picks[a : a + step], None, :]
+        centre = (diff * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        diff -= centre[:, None, :]
+        diff *= diff
+        out[a : a + step] = (diff.sum(axis=2) * w).sum(axis=1)
+    return out
+
+
+def _spread_of_means(sizes, means, counts, total, picks):
+    """Weighted spread of the individual means, one value per row of ``counts``.
+
+    For the weights ``w = c * sizes`` of each row ``c`` of ``counts``,
+    whose sum is ``total``, the spread is ``S(w) = sum_g w_g ||means[g] -
+    mu_w||^2`` with ``mu_w`` the ``w``-weighted mean.  One pass,
+    ``w.q - ||M^T w||^2 / sum(w)``, on the means ``M`` centred at their
+    ``sizes``-weighted mean, with ``q`` their squared norms: O(I*p) per
+    replicate through ``M`` when p <= I, O(I^2) through the I-by-I Gram
+    matrix ``M M^T`` when p > I.  Rows where the subtraction cancels more
+    than half of ``w.q`` are redone by :func:`_two_pass_spread` about
+    ``picks``.
+    """
+    n_groups, width = means.shape
+    centre = (sizes @ means) / sizes.sum()
+    if width <= n_groups:
+        centred = means - centre
+        norms = np.einsum("ij,ij->i", centred, centred)
+        centred *= sizes[:, None]
+        proj = counts @ centred
+        projected = np.einsum("ij,ij->i", proj, proj)
+    else:
+        gram = np.zeros((n_groups, n_groups))
+        step = max(1, _GRAM_COLUMN_BYTES // (8 * n_groups))
+        for a in range(0, width, step):
+            block = means[:, a : a + step] - centre[a : a + step]
+            gram += block @ block.T
+        norms = np.diagonal(gram).copy()
+        gram *= sizes[:, None] * sizes[None, :]
+        projected = np.einsum("ij,ij->i", counts @ gram, counts)
+    weighted = counts @ (sizes * norms)
+    spread = weighted - projected / total
+    redo = np.flatnonzero(spread < 0.5 * weighted)
+    if redo.size:
+        weights = counts[redo] * sizes
+        spread[redo] = _two_pass_spread(means, weights, picks[redo])
+    return spread
+
+
+def _replicate_components(sizes, within, cross, means, indices):
     """Vectorized per-replicate MSD components for resampled index rows.
 
-    ``indices`` has one row per bootstrap replicate.  Returns a dict of
-    arrays over replicates: within-mean numerator/denominator and the
-    naive and corrected between-mean numerators/denominators.
+    Takes the fields of a :class:`BlockStats`; ``indices`` has one row per
+    bootstrap replicate.  Returns a dict of arrays over replicates:
+    within-mean numerator/denominator and the naive and corrected
+    between-mean numerators/denominators.
+
+    Each numerator derives from ``c^T cross c`` for the replicate's
+    counts ``c``.  Without ``means`` that is the O(I^2) product with
+    ``cross``.  With them, for ``w = c * sizes`` it is
+    ``2 sum(w) (S(w) + c . (within / sizes))``, where ``S(w)`` is the
+    ``w``-weighted spread of the means (:func:`_spread_of_means`).
     """
     n_groups = sizes.shape[0]
     n_rep = indices.shape[0]
@@ -136,12 +212,17 @@ def _replicate_components(sizes, within, cross, indices):
     within_num = counts_f @ within
     within_den = counts @ pairs_within
 
+    total = counts @ sizes
     diag_cross = np.diag(cross)
-    quad = ((counts_f @ cross) * counts_f).sum(axis=1)
+    if means is None:
+        quad = ((counts_f @ cross) * counts_f).sum(axis=1)
+    else:
+        spread = _spread_of_means(sizes, means, counts_f, total, indices[:, 0])
+        spread += counts_f @ (within / sizes)
+        quad = 2.0 * total * spread
     naive_num = (quad - counts_f @ diag_cross) / 2.0
     corrected_num = (quad - (counts_f * counts_f) @ diag_cross) / 2.0
 
-    total = counts @ sizes
     sq_sizes = sizes * sizes
     naive_den = (total * total - counts @ sq_sizes) // 2
     corrected_den = (total * total - (counts * counts) @ sq_sizes) // 2
@@ -156,14 +237,14 @@ def _replicate_components(sizes, within, cross, indices):
     }
 
 
-def _estimates_for_indices(sizes, within, cross, indices):
+def _estimates_for_indices(sizes, within, cross, means, indices):
     """Naive and corrected replicate estimates for given resample rows.
 
     Takes the fields of a :class:`BlockStats`.  Returns (naive,
     corrected, naive_valid, corrected_valid); estimates are NaN where the
     corresponding validity flag is False.
     """
-    comp = _replicate_components(sizes, within, cross, indices)
+    comp = _replicate_components(sizes, within, cross, means, indices)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         msd_w = comp["within_num"] / comp["within_den"]

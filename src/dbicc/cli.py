@@ -212,6 +212,36 @@ def _parse_float(path, line, column, text):
         )
 
 
+def _locate_bad_number(path, numbered, skip):
+    """Raise the located parse failure of the first cell that is no number."""
+    for line, row in numbered:
+        for col, cell in enumerate(row[skip:], start=skip + 1):
+            _parse_float(path, line, col, cell)
+
+
+def _numeric_rows(path, numbered, skip):
+    """The ``(line, row)`` pairs of ``numbered`` and their cells as floats.
+
+    The cells after the first ``skip`` of each row become one float array
+    in one bulk conversion, which runs ``float`` on each cell.  Only when
+    it fails, or when ``numbered`` raises on a malformed row, are the
+    cells parsed one by one, so that the first bad number on an earlier
+    line is reported with its line and column, as a row-by-row parse would.
+    """
+    rows = []
+    try:
+        for item in numbered:
+            rows.append(item)
+    except _ParseFailure:
+        _locate_bad_number(path, rows, skip)
+        raise
+    try:
+        return rows, np.array([row[skip:] for _, row in rows], dtype=float)
+    except ValueError:
+        _locate_bad_number(path, rows, skip)
+        raise
+
+
 def _load_vector_csv(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -221,35 +251,48 @@ def _load_vector_csv(path) -> GroupedSample:
             "expected header 'individual,replicate,f1,...,fp'",
             line=1,
         )
-    records = []
-    for lineno, row in _labelled_rows(path, rows, len(header), 0):
-        values = [
-            _parse_float(path, lineno, col + 3, cell)
-            for col, cell in enumerate(row[2:])
-        ]
-        records.append((row[0], _replicate_sort_key(row[1]), np.array(values)))
-    if not records:
+    numbered, values = _numeric_rows(
+        path, _labelled_rows(path, rows, len(header), 0), 2
+    )
+    if not numbered:
         raise _ParseFailure(path, "no data rows")
+    records = [
+        (row[0], _replicate_sort_key(row[1]), payload)
+        for (_, row), payload in zip(numbered, values)
+    ]
     return build_grouped_sample(records, payload_kind=PayloadKind.VECTOR)
+
+
+def _equal_width_rows(path, rows):
+    """Non-blank rows as ``(line, fields)``, each as wide as the first."""
+    width = None
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise _ParseFailure(
+                path, f"expected {width} fields, got {len(row)}", line=lineno
+            )
+        yield lineno, row
 
 
 def _load_distance_input(path, groups_path) -> DistanceMatrix:
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
-    parsed = []
-    for lineno, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        if parsed and len(row) != len(parsed[0]):
-            raise _ParseFailure(
-                path, f"expected {len(parsed[0])} fields, got {len(row)}", line=lineno
-            )
-        parsed.append(
-            [_parse_float(path, lineno, col + 1, cell) for col, cell in enumerate(row)]
-        )
-    values = np.array(parsed)
+    numbered, values = _numeric_rows(path, _equal_width_rows(path, rows), 0)
+    if not numbered:
+        raise _ParseFailure(path, "no data rows")
     n = values.shape[0]
+    if values.shape[1] != n:
+        raise _ParseFailure(
+            path,
+            f"expected {n} fields for an {n}x{n} distance matrix, "
+            f"got {values.shape[1]}",
+            line=numbered[0][0],
+        )
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
     if gheader != ["row", "individual", "replicate"]:

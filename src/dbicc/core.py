@@ -30,6 +30,7 @@ from scipy.spatial.distance import pdist, squareform
 from .distances import (
     DistanceSpec,
     Metric,
+    _standardize_rows,
     correlation_from_timeseries,
     soft_threshold,
 )
@@ -378,9 +379,15 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
 
 
 def _pairwise(rows, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
-    """Distance matrix of ``rows``, one per row of ``sample``'s grouping."""
+    """Distance matrix of ``rows``, one per row of ``sample``'s grouping.
+
+    Correlation of correlations is ``sqrt(1/2)`` times the Euclidean
+    distance between rows standardized in place to mean 0 and norm 1,
+    which keeps its digits where ``1 - r`` would cancel.
+    """
     if metric is Metric.CORR_OF_CORR:
-        vals = np.sqrt(np.maximum(squareform(pdist(rows, "correlation")), 0.0))
+        vals = squareform(pdist(_standardize_rows(rows), "euclidean"))
+        vals *= np.sqrt(0.5)
     else:
         scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
         vals = squareform(pdist(rows, scipy_name))
@@ -405,11 +412,19 @@ class BlockStats(NamedTuple):
     ``within[g]``, the duplicated-block sum including its zero diagonal.
     Built from a :class:`DistanceMatrix` by ``bootstrap._block_sums``, or
     from payload rows by :func:`_payload_block_stats`.
+
+    ``means`` is ``None`` for sums read off a matrix.  From payload rows
+    it holds one row per individual, the group means relative to the
+    first payload, scaled so that ``cross[g, h]`` is
+    ``J_g J_h ||means[g] - means[h]||^2 + J_h within[g] / J_g +
+    J_g within[h] / J_h`` with ``J = sizes``; the bootstrap computes its
+    replicates from them instead of from ``cross``.
     """
 
     sizes: np.ndarray
     within: np.ndarray
     cross: np.ndarray
+    means: np.ndarray | None = None
 
 
 # Bytes of rows the payload block-sum kernel holds in a temporary at a
@@ -435,7 +450,8 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     and the means relative to the very first row, so a common offset
     cancels exactly and identical payloads give exact zeros.  Besides
     ``rows`` the temporaries are one I-by-p array, the I-by-I result and
-    row chunks.
+    row chunks.  The means, scaled by ``sqrt(scale)`` after ``cross`` is
+    taken from them, become the result's ``means``.
     """
     n, width = rows.shape
     n_groups = sizes.size
@@ -470,16 +486,19 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     cross *= sizes[None, :]
     within = scale * sizes * spread
     np.fill_diagonal(cross, 2.0 * within)
-    return BlockStats(sizes, within, cross)
+    if scale != 1.0:
+        means *= np.sqrt(scale)
+    return BlockStats(sizes, within, cross, means)
 
 
 def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockStats:
     """Block sums of ``l2`` or correlation-of-correlations metric rows.
 
-    ``rows`` (from :func:`_metric_rows`) are overwritten.  For rows ``z`` standardized to mean 0 and norm 1, ``1 - r`` is
-    ``||z_a - z_b||^2 / 2``, so correlation of correlations is ``l2`` on
-    ``z`` at half scale.  Raises :class:`NonFiniteError` where the
-    distance matrix would hold NaN or Inf, or its squares overflow.
+    ``rows`` (from :func:`_metric_rows`) are overwritten.  For rows ``z``
+    standardized to mean 0 and norm 1, ``1 - r`` is ``||z_a - z_b||^2 / 2``,
+    so correlation of correlations is ``l2`` on ``z`` at half scale.
+    Raises :class:`NonFiniteError` where the distance matrix would hold
+    NaN or Inf, or its squares overflow.
     """
     if metric is Metric.L1_VEC:
         raise MetricMismatchError(
@@ -489,8 +508,7 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
     # overflow and underflow show up as a non-finite total, checked below
     with np.errstate(all="ignore"):
         if metric is Metric.CORR_OF_CORR:
-            rows -= rows.mean(axis=1, keepdims=True)
-            rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+            _standardize_rows(rows)
             scale = 0.5
         stats = _rows_block_sums(rows, sample.group_sizes, scale)
     if not np.isfinite(stats.cross.sum()):

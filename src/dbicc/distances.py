@@ -128,14 +128,34 @@ def _strict_lower(mat, name):
     return v
 
 
+def _standardize_rows(rows):
+    """Centre each row of ``rows`` at 0 and scale it to norm 1, in place.
+
+    For standardized rows ``z``, one minus the Pearson correlation of two
+    rows is ``||z_a - z_b||^2 / 2``.  Every correlation-of-correlations
+    path standardizes through here.  A row whose largest magnitude lies
+    outside ``[1e-100, 1e100]`` is divided by it first, so that its sum
+    and squares neither overflow nor underflow; the correlation does not
+    depend on scale.  Returns ``rows``.
+    """
+    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    rescale = (peak > 1e100) | (peak < 1e-100)
+    if rescale.any():
+        rows[rescale] /= peak[rescale, None]
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    return rows
+
+
 def corr_of_corr_distance(r1, r2) -> float:
     """Correlation-of-correlations distance between two correlation matrices.
 
     Computes ``sqrt(1 - r)`` where ``r`` is the Pearson correlation between
     the strictly-lower-triangular entries of ``r1`` and those of ``r2``.
     The unit diagonal is excluded (it is constant and would make the
-    Pearson correlation degenerate).  ``1 - r`` is clamped at zero before
-    the square root to absorb floating-point excursions above ``r = 1``.
+    Pearson correlation degenerate).  The distance is taken as
+    ``sqrt(1/2) * ||z1 - z2||`` on the standardized triangles ``z``, which
+    keeps its digits near ``r = 1`` where ``1 - r`` would cancel.
     """
     v1 = _strict_lower(r1, "corr_of_corr_distance: first matrix")
     v2 = _strict_lower(r2, "corr_of_corr_distance: second matrix")
@@ -144,9 +164,9 @@ def corr_of_corr_distance(r1, r2) -> float:
             "corr_of_corr_distance requires matrices of equal size, got "
             f"{np.asarray(r1).shape} and {np.asarray(r2).shape}"
         )
-    # scipy's 'correlation' metric is exactly 1 - pearson(v1, v2)
-    one_minus_r = float(pdist(np.vstack([v1, v2]), "correlation")[0])
-    return float(np.sqrt(max(one_minus_r, 0.0)))
+    # same kernel as the pairwise path, so entries match bit for bit
+    z = _standardize_rows(np.vstack([v1, v2]))
+    return float(pdist(z, "euclidean")[0] * np.sqrt(0.5))
 
 
 def correlation_from_timeseries(x) -> np.ndarray:

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dbicc import GroupedSample, PayloadKind
+
+# HYPOTHESIS_PROFILE=ci: a failing property test also prints the blob that
+# reproduces it (@reproduce_failure); everything else is the default profile.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rand_corr(rng, p, df=None):

@@ -21,9 +21,16 @@ from dbicc import (
     bootstrap_dbicc,
     bootstrap_dbicc_pair,
     compute_distance_matrix,
+    corr_of_corr_distance,
     dbicc_point,
 )
-from dbicc.bootstrap import _block_sums, _draw_indices, _estimates_for_indices
+import dbicc.bootstrap
+from dbicc.bootstrap import (
+    _block_sums,
+    _draw_indices,
+    _estimates_for_indices,
+    _replicate_components,
+)
 
 RTOL = 1e-10
 
@@ -109,11 +116,8 @@ class TestAgainstMatrixPath:
         assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
 
     @settings(max_examples=40, deadline=None)
-    @given(sizes=group_sizes, dim=st.integers(4, 6), seed=seeds)
+    @given(sizes=group_sizes, dim=st.integers(3, 6), seed=seeds)
     def test_corr_of_corr(self, sizes, dim, seed):
-        # 4x4 and up: standardized 3x3 triangles live on a circle, where a
-        # replicate pair is often close enough for scipy's 1 - r, the
-        # reference here, to lose digits (see the next test).
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
         sample = grouped(payloads, PayloadKind.MATRIX)
@@ -129,8 +133,8 @@ class TestAgainstMatrixPath:
     )
     def test_corr_of_corr_near_duplicates(self, sizes, dim, noise, seed):
         # Corr of corr is l2 on the standardized lower triangles at half
-        # scale, so that is the reference here: scipy's 1 - r cancels to a
-        # few digits once r is this close to 1.  Standardizing rounds each
+        # scale, so that is the reference here, standardized independently
+        # of the library.  Standardizing rounds each
         # row by about 1e-16 of its norm in any algorithm, which bounds the
         # relative accuracy of a difference of size d by about 1e-16 / d, so
         # noise of 1e-5 and below is covered by the l2 cases instead.
@@ -146,6 +150,40 @@ class TestAgainstMatrixPath:
         sample = grouped(payloads, PayloadKind.MATRIX)
         fast = block_stats(sample, Metric.CORR_OF_CORR)
         assert_same_analysis(fast, _block_sums(half))
+
+    @pytest.mark.parametrize("noise", [1e-5, 1e-3])
+    def test_corr_matrix_keeps_its_digits_near_r_one(self, rng, noise):
+        # 1 - r from a Pearson correlation cancels near r = 1 (8.8e-6
+        # relative at noise 1e-5); the matrix path must not
+        dim = 6
+        payloads = draw_payloads(rng, [3, 2, 3, 1], (dim, dim), 0.0, 1.0, noise)
+        tril = np.tril_indices(dim, k=-1)
+        z = [m[tril] - m[tril].mean() for reps in payloads for m in reps]
+        z = np.array([v / np.linalg.norm(v) for v in z])
+        reference = np.sqrt(0.5) * np.linalg.norm(z[:, None] - z[None], axis=2)
+        sample = grouped(payloads, PayloadKind.MATRIX)
+        got = compute_distance_matrix(sample, Metric.CORR_OF_CORR).values
+        np.testing.assert_allclose(got, reference, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_corr_of_corr_does_not_depend_on_scale(self, rng, scale):
+        # squares of these payloads overflow or underflow float64
+        payloads = draw_payloads(rng, [3, 2, 3, 1], (5, 5), 0.0, 1.0, 0.3)
+        scaled = [[scale * m for m in reps] for reps in payloads]
+        plain = grouped(payloads, PayloadKind.MATRIX)
+        big = grouped(scaled, PayloadKind.MATRIX)
+        np.testing.assert_allclose(
+            compute_distance_matrix(big, Metric.CORR_OF_CORR).values,
+            compute_distance_matrix(plain, Metric.CORR_OF_CORR).values,
+            rtol=1e-12, atol=1e-15,
+        )
+        assert_same_analysis(
+            block_stats(big, Metric.CORR_OF_CORR),
+            block_stats(plain, Metric.CORR_OF_CORR),
+        )
+        assert corr_of_corr_distance(*scaled[0][:2]) == pytest.approx(
+            corr_of_corr_distance(*payloads[0][:2]), rel=1e-12
+        )
 
     def test_l1_needs_the_distance_matrix(self, rng):
         payloads = draw_payloads(rng, [2, 1, 3], (4,), 0.0, 1.0, 0.5)
@@ -215,6 +253,139 @@ class TestExactCases:
         assert stats.sizes.tolist() == [2, 1, 3]
         assert np.array_equal(np.diagonal(stats.cross), 2.0 * stats.within)
         assert np.array_equal(stats.cross, stats.cross.T)
+
+
+def draw_clustered(rng, sizes, dim, offset, spread, noise, clusters):
+    """Vectors around ``clusters`` centres a unit apart: individual ``i``
+    is its centre plus ``spread`` noise, each replicate that plus
+    ``noise``, so a small ``spread`` makes clusters of near-identical
+    individuals."""
+    centres = offset + rng.standard_normal((clusters, dim))
+    out = []
+    for i, size in enumerate(sizes):
+        centre = centres[i % clusters] + spread * rng.standard_normal(dim)
+        out.append([centre + noise * rng.standard_normal(dim) for _ in range(size)])
+    return grouped(out, PayloadKind.VECTOR)
+
+
+def dense(stats):
+    """The same block sums without means: replicates take the I-by-I product."""
+    return stats._replace(means=None)
+
+
+def assert_same_replicates(stats, picks):
+    """Factored and dense replicate components agree, with the same flags."""
+    fast = _replicate_components(*stats, picks)
+    exact = _replicate_components(*dense(stats), picks)
+    for key in ("within_num", "within_den", "naive_den", "corrected_den"):
+        assert np.array_equal(fast[key], exact[key])
+    flags = zip(
+        _estimates_for_indices(*stats, picks)[2:],
+        _estimates_for_indices(*dense(stats), picks)[2:],
+    )
+    for (got, want), kind in zip(flags, ("naive", "corrected")):
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(
+            fast[f"{kind}_num"][want], exact[f"{kind}_num"][want], rtol=RTOL, atol=0
+        )
+
+
+# individuals a unit apart, or in clusters of near-identical ones
+clustered_regimes = st.sampled_from(
+    [(0.0, 1.0, 0.5), (1e4, 1.0, 1e-6), (1e4, 1e-6, 1e-9), (0.0, 1.0, 1e-9),
+     (0.0, 1e-9, 1e-3), (1e4, 1e-9, 0.0)]
+)
+
+
+class TestFactoredReplicates:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=60).filter(
+            lambda sizes: max(sizes) >= 2
+        ),
+        dim=st.sampled_from([1, 2, 5, 20, 80]),
+        regime=clustered_regimes,
+        clusters=st.integers(1, 4),
+        seed=seeds,
+    )
+    def test_factored_match_dense(self, sizes, dim, regime, clusters, seed):
+        rng = np.random.default_rng(seed)
+        sample = draw_clustered(rng, sizes, dim, *regime, clusters)
+        stats = block_stats(sample, Metric.L2_VEC)
+        assert_same_replicates(stats, _draw_indices(len(sizes), 60, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=group_sizes, dim=st.integers(3, 9), seed=seeds)
+    def test_factored_match_dense_corr_of_corr(self, sizes, dim, seed):
+        rng = np.random.default_rng(seed)
+        payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
+        stats = block_stats(grouped(payloads, PayloadKind.MATRIX), Metric.CORR_OF_CORR)
+        assert_same_replicates(stats, _draw_indices(len(sizes), 60, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=group_sizes,
+        dim=st.sampled_from([1, 3, 20]),
+        regime=clustered_regimes,
+        seed=seeds,
+    )
+    def test_naive_equals_corrected_without_duplicates(self, sizes, dim, regime, seed):
+        rng = np.random.default_rng(seed)
+        sample = draw_clustered(rng, sizes, dim, *regime, 2)
+        stats = block_stats(sample, Metric.L2_VEC)
+        picks = np.array([rng.permutation(len(sizes)) for _ in range(20)])
+        naive, corrected, naive_valid, corrected_valid = _estimates_for_indices(
+            *stats, picks
+        )
+        assert np.array_equal(naive_valid, corrected_valid)
+        assert np.array_equal(naive, corrected, equal_nan=True)
+
+    @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
+    def test_exact_zeros_and_flags(self, rng, metric):
+        # 0: identical replicates; 1 and 2: bitwise-identical payloads, zero
+        # spread; 3: ordinary; 4: a singleton
+        twin = rng.standard_normal((4, 4)) + 1e4
+        same = rng.standard_normal((4, 4)) + 1e4
+        payloads = [
+            [same.copy() for _ in range(3)],
+            [twin.copy(), twin.copy()],
+            [twin.copy(), twin.copy()],
+            [rng.standard_normal((4, 4)) + 1e4 for _ in range(2)],
+            [rng.standard_normal((4, 4)) + 1e4],
+        ]
+        stats = block_stats(grouped(payloads, PayloadKind.MATRIX), metric)
+        picks = np.array(
+            [[g] * 5 for g in range(5)]
+            + [[1, 2, 1, 2, 2], [1, 2, 2, 2, 2], [2, 1, 1, 1, 1]]
+            + [[0, 0, 0, 4, 4], [3, 3, 3, 3, 1]]
+        )
+        fast = _replicate_components(*stats, picks)
+        exact = _replicate_components(*dense(stats), picks)
+        for kind in ("naive_num", "corrected_num"):
+            zero = exact[kind] == 0.0
+            assert zero[[0, 1, 2, 4, 5, 6, 7]].all()
+            assert np.array_equal(fast[kind][zero], exact[kind][zero])
+        assert_same_replicates(stats, picks)
+
+    def test_two_pass_chunks_do_not_change_the_bits(self, rng, monkeypatch):
+        sample = draw_clustered(rng, [2, 3, 1, 2, 2, 3], 4, 1e4, 1e-6, 1e-9, 2)
+        stats = block_stats(sample, Metric.L2_VEC)
+        picks = _draw_indices(6, 200, 7)
+        two_pass = dbicc.bootstrap._two_pass_spread
+        rows = []
+
+        def counting(means, weights, picks):
+            rows.append(len(weights))
+            return two_pass(means, weights, picks)
+
+        monkeypatch.setattr(dbicc.bootstrap, "_two_pass_spread", counting)
+        whole = _replicate_components(*stats, picks)
+        assert 0 < rows[0] < 200  # both paths run
+        for budget in (1, 3 * 16 * stats.means.size):
+            monkeypatch.setattr(dbicc.bootstrap, "_TWO_PASS_BYTES", budget)
+            chunked = _replicate_components(*stats, picks)
+            for key in whole:
+                assert np.array_equal(chunked[key], whole[key])
 
 
 def test_estimate_and_bootstrap_allocate_less_than_one_matrix():

@@ -146,7 +146,7 @@ class TestReplicateMechanics:
 
     def test_block_sums_match_squared_values(self, rng):
         dm = compute_distance_matrix(vector_sample(rng, [2, 3, 2], 3), Metric.L2_VEC)
-        sizes, within, cross = _block_sums(dm)
+        sizes, within, cross, means = _block_sums(dm)
         sq = dm.values**2
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         for g1 in range(3):
@@ -172,7 +172,7 @@ class TestReplicateMechanics:
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         squared = dm.values * dm.values
         cross = np.add.reduceat(np.add.reduceat(squared, starts, axis=0), starts, axis=1)
-        got_sizes, got_within, got_cross = _block_sums(dm)
+        got_sizes, got_within, got_cross, _ = _block_sums(dm)
         assert np.array_equal(got_sizes, sizes)
         assert np.array_equal(got_cross, cross)
         assert np.array_equal(got_within, np.diag(cross) / 2.0)
@@ -266,9 +266,9 @@ class TestBootstrapDbicc:
         pop = TrueScorePopulation(np.eye(2), 0.25 * np.eye(2), 10, 4)
         sample = gen_gaussian_sample(pop, np.random.default_rng(321))
         dm = compute_distance_matrix(sample, Metric.L2_VEC)
-        sizes, within, cross = _block_sums(dm)
+        sizes, within, cross, means = _block_sums(dm)
         picks = np.random.default_rng(654).integers(0, 10, size=(500, 10))
-        comp = _replicate_components(sizes, within, cross, picks)
+        comp = _replicate_components(sizes, within, cross, means, picks)
         has_dupes = np.array([len(set(row)) < len(row) for row in picks])
         msd_w = comp["within_num"] / comp["within_den"]
         naive_b = comp["naive_num"] / comp["naive_den"]

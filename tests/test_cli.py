@@ -102,6 +102,28 @@ class TestEstimate:
                 assert type(value) is type(dist_doc[key])
                 assert value == dist_doc[key]
 
+    def test_vector_cells_read_as_python_floats(self, tmp_path, rng):
+        # a quoted label may hold a comma; cells are read as float() reads them
+        cells = [repr(float(v)) for v in rng.standard_normal(6)]
+        src = tmp_path / "v.csv"
+        src.write_text(
+            "individual,replicate,f1,f2\n"
+            f'"s,1",1,{cells[0]},{cells[1]}\n'
+            f'"s,1",2, 1_0 ,{cells[2]}\n'
+            f"t,1,{cells[3]},\u0661\u0662\n"
+            f"t,2,{cells[4]},{cells[5]}\n",
+            encoding="utf-8",
+        )
+        sample = dbicc.cli._load_vector_csv(str(src))
+        assert sample.labels == ("s,1", "t")
+        want = [
+            [float(cells[0]), float(cells[1])],
+            [10.0, float(cells[2])],
+            [float(cells[3]), 12.0],
+            [float(cells[4]), float(cells[5])],
+        ]
+        assert np.array_equal(sample.values, want)
+
     def test_format_override(self, tmp_path):
         src = tmp_path / "hand.csv"
         write_hand_csv(src)
@@ -182,6 +204,34 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad.csv:2:3" in err
+
+    def test_first_bad_number_is_reported_before_a_later_bad_row(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "bad.csv"
+        src.write_text("individual,replicate,f1\nA,1,0\nA,2,x\nB,1\nB,2,3\n")
+        assert main(["estimate", str(src)]) == 2
+        assert "bad.csv:3:3: expected a number, got 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0,1,2,9\n1,0,3,9\n2,3,0,9\n",
+                                      "0,1,2\n1,0,3\n2,3,0\n9,9,9\n"])
+    def test_non_square_distance_csv_is_parse_error(self, tmp_path, capsys, text):
+        src = tmp_path / "d.csv"
+        src.write_text(text)
+        n = text.count("\n")
+        groups = tmp_path / "g.csv"
+        groups.write_text(
+            "row,individual,replicate\n"
+            + "".join(f"{k},{'AB'[k % 2]},{k // 2}\n" for k in range(n))
+        )
+        assert main(["estimate", str(src), "--groups", str(groups)]) == 2
+        err = capsys.readouterr().err
+        width = text.index("\n") // 2 + 1
+        assert (
+            f"d.csv:1: expected {n} fields for an {n}x{n} distance matrix, "
+            f"got {width}" in err
+        )
+        assert "Traceback" not in err
 
     def test_single_individual_is_computation_error(self, tmp_path, capsys):
         src = tmp_path / "one.csv"
