@@ -205,27 +205,29 @@ def _replicate_components(sizes, within, cross, means, indices):
     n_groups = sizes.shape[0]
     n_rep = indices.shape[0]
     flat = (np.arange(n_rep)[:, None] * n_groups + indices).ravel()
+    # float counts: every count and count product below is an integer
+    # under 2**53, so float matmuls give the integer results exactly
     counts = np.bincount(flat, minlength=n_rep * n_groups).reshape(n_rep, n_groups)
-    counts_f = counts.astype(float)
+    counts = counts.astype(float)
 
     pairs_within = sizes * (sizes - 1) // 2
-    within_num = counts_f @ within
+    within_num = counts @ within
     within_den = counts @ pairs_within
 
     total = counts @ sizes
     diag_cross = np.diag(cross)
     if means is None:
-        quad = ((counts_f @ cross) * counts_f).sum(axis=1)
+        quad = ((counts @ cross) * counts).sum(axis=1)
     else:
-        spread = _spread_of_means(sizes, means, counts_f, total, indices[:, 0])
-        spread += counts_f @ (within / sizes)
+        spread = _spread_of_means(sizes, means, counts, total, indices[:, 0])
+        spread += counts @ (within / sizes)
         quad = 2.0 * total * spread
-    naive_num = (quad - counts_f @ diag_cross) / 2.0
-    corrected_num = (quad - (counts_f * counts_f) @ diag_cross) / 2.0
+    naive_num = (quad - counts @ diag_cross) / 2.0
+    corrected_num = (quad - (counts * counts) @ diag_cross) / 2.0
 
     sq_sizes = sizes * sizes
-    naive_den = (total * total - counts @ sq_sizes) // 2
-    corrected_den = (total * total - (counts * counts) @ sq_sizes) // 2
+    naive_den = (total * total - counts @ sq_sizes) / 2
+    corrected_den = (total * total - (counts * counts) @ sq_sizes) / 2
 
     return {
         "within_num": within_num,
@@ -279,7 +281,7 @@ def _checked_block_sums(source, n_boot) -> BlockStats:
             f"n_boot={n_boot} is small; percentile intervals are unstable "
             "below a few hundred replicates",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public function
         )
     # the point estimate's preconditions, in its order
     is_stats = isinstance(source, BlockStats)
@@ -305,7 +307,21 @@ def _resolve_seed(seed):
     return secrets.randbits(63) if seed is None else int(seed)
 
 
-def _result(estimates, valid, corrected, level, seed, n_boot):
+def _replicates(source, n_boot, seed):
+    """Check the arguments, seed the draw and estimate every replicate.
+
+    Returns the seed and, keyed by ``corrected`` (``False`` or ``True``),
+    each method's ``(estimates, valid)`` arrays.
+    """
+    stats = _checked_block_sums(source, n_boot)
+    seed = _resolve_seed(seed)
+    indices = _draw_indices(stats.sizes.size, n_boot, seed)
+    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
+    return seed, {False: (naive, naive_valid), True: (corr, corr_valid)}
+
+
+def _result(replicates, corrected, level, seed, n_boot):
+    estimates, valid = replicates[corrected]
     kept = estimates[valid]
     low, high = percentile_ci(kept, level)
     return BootstrapResult(
@@ -345,13 +361,8 @@ def bootstrap_dbicc(
         64-bit seed; drawn from the OS entropy pool when omitted and
         recorded in the result either way.
     """
-    stats = _checked_block_sums(source, n_boot)
-    seed = _resolve_seed(seed)
-    indices = _draw_indices(stats.sizes.size, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
-    if corrected:
-        return _result(corr, corr_valid, True, level, seed, n_boot)
-    return _result(naive, naive_valid, False, level, seed, n_boot)
+    seed, replicates = _replicates(source, n_boot, seed)
+    return _result(replicates, bool(corrected), level, seed, n_boot)
 
 
 def bootstrap_dbicc_pair(source, n_boot: int, level: float = 0.95, seed=None):
@@ -360,11 +371,8 @@ def bootstrap_dbicc_pair(source, n_boot: int, level: float = 0.95, seed=None):
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
     seed, at half the cost.  Returns ``(naive, corrected)``.
     """
-    stats = _checked_block_sums(source, n_boot)
-    seed = _resolve_seed(seed)
-    indices = _draw_indices(stats.sizes.size, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
+    seed, replicates = _replicates(source, n_boot, seed)
     return (
-        _result(naive, naive_valid, False, level, seed, n_boot),
-        _result(corr, corr_valid, True, level, seed, n_boot),
+        _result(replicates, False, level, seed, n_boot),
+        _result(replicates, True, level, seed, n_boot),
     )

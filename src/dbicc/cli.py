@@ -47,6 +47,7 @@ from .core import (
     DistanceMatrix,
     GroupedSample,
     PayloadKind,
+    _group_order,
     _matrices,
     _metric_rows,
     _pairwise,
@@ -177,11 +178,12 @@ def _replicate_sort_key(label: str):
 
 
 def _labelled_rows(path, rows, width, label_col):
-    """Data rows after the header, as ``(line number, fields)``.
+    """Data rows after the header, as ``(line number, fields, replicate key)``.
 
     Blank rows are skipped; every other row must have ``width`` fields,
     and the (individual, replicate) label pair in columns ``label_col``
-    and ``label_col + 1`` must not repeat.
+    and ``label_col + 1`` must not repeat.  The replicate key is the
+    replicate label's :func:`_replicate_sort_key`.
     """
     seen = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -192,7 +194,8 @@ def _labelled_rows(path, rows, width, label_col):
                 path, f"expected {width} fields, got {len(row)}", line=lineno
             )
         ind, rep = row[label_col], row[label_col + 1]
-        first = seen.setdefault((ind, _replicate_sort_key(rep)), lineno)
+        key = _replicate_sort_key(rep)
+        first = seen.setdefault((ind, key), lineno)
         if first != lineno:
             raise _ParseFailure(
                 path,
@@ -200,7 +203,7 @@ def _labelled_rows(path, rows, width, label_col):
                 f"(first on line {first})",
                 line=lineno,
             )
-        yield lineno, row
+        yield lineno, row, key
 
 
 def _parse_float(path, line, column, text):
@@ -214,13 +217,13 @@ def _parse_float(path, line, column, text):
 
 def _locate_bad_number(path, numbered, skip):
     """Raise the located parse failure of the first cell that is no number."""
-    for line, row in numbered:
+    for line, row, *_ in numbered:
         for col, cell in enumerate(row[skip:], start=skip + 1):
             _parse_float(path, line, col, cell)
 
 
 def _numeric_rows(path, numbered, skip):
-    """The ``(line, row)`` pairs of ``numbered`` and their cells as floats.
+    """The items of ``numbered``, ``(line, row, ...)``, and their cells as floats.
 
     The cells after the first ``skip`` of each row become one float array
     in one bulk conversion, which runs ``float`` on each cell.  Only when
@@ -236,7 +239,7 @@ def _numeric_rows(path, numbered, skip):
         _locate_bad_number(path, rows, skip)
         raise
     try:
-        return rows, np.array([row[skip:] for _, row in rows], dtype=float)
+        return rows, np.array([item[1][skip:] for item in rows], dtype=float)
     except ValueError:
         _locate_bad_number(path, rows, skip)
         raise
@@ -257,8 +260,7 @@ def _load_vector_csv(path) -> GroupedSample:
     if not numbered:
         raise _ParseFailure(path, "no data rows")
     records = [
-        (row[0], _replicate_sort_key(row[1]), payload)
-        for (_, row), payload in zip(numbered, values)
+        (row[0], key, payload) for (_, row, key), payload in zip(numbered, values)
     ]
     return build_grouped_sample(records, payload_kind=PayloadKind.VECTOR)
 
@@ -300,7 +302,7 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
             groups_path, "expected header 'row,individual,replicate'", line=1
         )
     entries = []
-    for lineno, row in _labelled_rows(groups_path, grows, 3, 1):
+    for lineno, row, key in _labelled_rows(groups_path, grows, 3, 1):
         try:
             row_idx = int(row[0])
         except ValueError:
@@ -308,40 +310,19 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
                 groups_path, f"row index must be an integer, got {row[0]!r}",
                 line=lineno, column=1,
             )
-        entries.append((row_idx, row[1], row[2]))
-    if sorted(e[0] for e in entries) != list(range(n)):
+        entries.append((row_idx, row[1], key))
+    entries.sort(key=lambda e: e[0])
+    if [e[0] for e in entries] != list(range(n)):
         raise _ParseFailure(
             groups_path,
             f"row indices must cover 0..{n - 1} exactly once for a "
             f"{n}x{n} distance matrix",
         )
-    # canonical order: individuals by first appearance (by row), replicates
-    # sorted by their label within each individual
-    entries.sort(key=lambda e: e[0])
-    order: dict = {}
-    for _, ind, _rep in entries:
-        order.setdefault(ind, len(order))
-    blocks: dict = {ind: [] for ind in order}
-    for row_idx, ind, rep in entries:
-        blocks[ind].append((rep, row_idx))
-    perm = []
-    individual_index = []
-    replicate_index = []
-    labels = []
-    for ind, pos in order.items():
-        members = sorted(blocks[ind], key=lambda t: _replicate_sort_key(t[0]))
-        labels.append(ind)
-        for j, (_rep, row_idx) in enumerate(members):
-            perm.append(row_idx)
-            individual_index.append(pos)
-            replicate_index.append(j)
-    perm = np.array(perm)
-    return DistanceMatrix(
-        values=values[np.ix_(perm, perm)],
-        individual_index=np.array(individual_index),
-        replicate_index=np.array(replicate_index),
-        labels=tuple(labels),
+    # entries[k] now describes row k of the matrix
+    order, sizes, labels = _group_order(
+        [e[1] for e in entries], [e[2] for e in entries]
     )
+    return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
 def _load_timeseries_manifest(path) -> GroupedSample:
@@ -351,7 +332,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         raise _ParseFailure(path, "expected header 'individual,replicate,path'", line=1)
     base = Path(path).parent
     records = []
-    for _, row in _labelled_rows(path, rows, 3, 0):
+    for _, row, key in _labelled_rows(path, rows, 3, 0):
         series_path = Path(row[2])
         if not series_path.is_absolute():
             series_path = base / series_path
@@ -361,7 +342,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
             raise _ParseFailure(series_path, f"cannot read file ({exc})")
         except ValueError as exc:
             raise _ParseFailure(series_path, f"not a numeric CSV ({exc})")
-        records.append((row[0], _replicate_sort_key(row[1]), series))
+        records.append((row[0], key, series))
     if not records:
         raise _ParseFailure(path, "no data rows")
     return build_grouped_sample(records, payload_kind=PayloadKind.TIMESERIES)
@@ -374,11 +355,11 @@ def _load_input(args):
     if fmt == "timeseries":
         return _load_timeseries_manifest(args.input)
     if fmt == "distances":
-        if not args.groups:
+        if not args.groups_csv:
             raise _ConfigFailure(
                 "distance-matrix input requires --groups with the row grouping"
             )
-        return _load_distance_input(args.input, args.groups)
+        return _load_distance_input(args.input, args.groups_csv)
     raise _ConfigFailure(f"unknown input format {fmt!r}")
 
 
@@ -598,7 +579,10 @@ def _build_parser() -> _Parser:
         help="input format; default: auto-detect from the header",
     )
     io_parent.add_argument(
-        "--groups", help="grouping CSV for --format distances (row,individual,replicate)"
+        "--groups",
+        dest="groups_csv",
+        metavar="GROUPS",
+        help="grouping CSV for --format distances (row,individual,replicate)",
     )
     io_parent.add_argument(
         "--distance", choices=["l2", "l1", "corr"], help="distance (default l2)"
@@ -617,7 +601,7 @@ def _build_parser() -> _Parser:
     boot = sub.add_parser(
         "bootstrap", parents=[io_parent], help="point estimate plus bootstrap CI"
     )
-    boot.add_argument("--boot", type=int, default=1200, help="bootstrap replicates")
+    boot.add_argument("--boot", type=_count, default=1200, help="bootstrap replicates")
     boot.add_argument("--level", type=float, default=0.95, help="confidence level")
     corr_group = boot.add_mutually_exclusive_group()
     corr_group.add_argument(
@@ -662,7 +646,7 @@ def _build_parser() -> _Parser:
         default=0.0,
         help="AR(1) coefficient for sb series, in [0, 1)",
     )
-    sim.add_argument("--boot", type=int, default=1200, help="bootstrap replicates")
+    sim.add_argument("--boot", type=_count, default=1200, help="bootstrap replicates")
     sim.add_argument("--level", type=float, default=0.95, help="confidence level")
     sim.add_argument("--runs", type=_count, help="number of simulation runs")
     sim.add_argument("--m-grid", help="comma-separated series lengths for sb")

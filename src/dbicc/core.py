@@ -13,10 +13,13 @@ compares.  :func:`compute_distance_matrix` turns a sample into a
 for ``l2`` and correlation of correlations :func:`block_stats` takes
 them straight from the payload rows instead.
 
-Rows of a sample and of a distance matrix follow (individual, replicate)
-order: individuals in order of first appearance, replicates in their
-stated order within each individual.  All types are immutable after
-construction and safe to share across workers.
+Samples and distance matrices share one grouping model: rows in group
+order, described by ``group_sizes`` (the first individual's rows, then
+the second's, and so on) and optional ``labels`` naming the
+individuals.  :func:`_grouping` checks it for both types, and
+:func:`_group_order` puts labelled rows into it: individuals in order of
+first appearance, replicates in ascending label order within each.  All
+types are immutable after construction and safe to share across workers.
 """
 
 from dataclasses import dataclass
@@ -60,6 +63,56 @@ class PayloadKind(str, Enum):
     TIMESERIES = "timeseries"
 
 
+def _grouping(sizes, labels, n_rows):
+    """Checked ``(group_sizes, labels)`` for ``n_rows`` rows in group order.
+
+    The sizes must be 1-D, each at least 1, and add up to ``n_rows``;
+    the labels are empty or name every individual.  Returns the sizes as
+    a read-only int64 array and the labels as a tuple.
+    """
+    sizes = np.array(sizes, dtype=np.int64)
+    labels = tuple(labels)
+    if sizes.ndim != 1:
+        raise InputShapeError(f"group sizes must be 1-D, got shape {sizes.shape}")
+    if labels and len(labels) != sizes.size:
+        raise InputShapeError(
+            f"need one label per individual, got {len(labels)} labels "
+            f"for {sizes.size} individuals"
+        )
+    if np.any(sizes < 1):
+        g = int(np.argmax(sizes < 1))
+        raise InputShapeError(
+            f"individual {labels[g] if labels else g!r} has no replicates"
+        )
+    if int(sizes.sum()) != n_rows:
+        raise InputShapeError(
+            f"group sizes need {int(sizes.sum())} rows, got {n_rows}"
+        )
+    sizes.flags.writeable = False
+    return sizes, labels
+
+
+def _group_order(individuals, replicate_keys):
+    """Order rows by individual, then by replicate: ``(order, sizes, labels)``.
+
+    Row ``k`` belongs to individual ``individuals[k]`` and sorts by
+    ``replicate_keys[k]``.  Individuals come in order of first appearance,
+    and each one's rows in ascending key order, ties in row order;
+    ``order`` lists the row numbers in that order, ``sizes`` counts each
+    individual's rows and ``labels`` names the individuals.
+    """
+    members: dict = {}
+    for row, individual in enumerate(individuals):
+        members.setdefault(individual, []).append(row)
+    order = [
+        row
+        for rows in members.values()
+        for row in sorted(rows, key=replicate_keys.__getitem__)
+    ]
+    sizes = [len(rows) for rows in members.values()]
+    return np.array(order, dtype=np.intp), np.array(sizes), tuple(members)
+
+
 @dataclass(frozen=True)
 class GroupedSample:
     """Repeated observations of several individuals with a common payload shape.
@@ -71,11 +124,12 @@ class GroupedSample:
     C-contiguous float64 array, a view when the given array already is
     one, so consumers that write must copy.
 
-    Invariants enforced at construction: at least two individuals, one
-    label per individual, every individual has at least one replicate
-    and at least one has two or more (otherwise within-individual spread
-    is undefined), one payload per replicate with the dimension its kind
-    needs (square for matrices), and all values finite.
+    Invariants enforced at construction: one payload per row of the
+    grouping (:func:`_grouping`), with the dimension its kind needs
+    (square for matrices); at least two individuals, one label per
+    individual, at least one individual with two or more replicates
+    (otherwise within-individual spread is undefined), and all values
+    finite.
     """
 
     values: np.ndarray
@@ -85,26 +139,7 @@ class GroupedSample:
 
     def __post_init__(self):
         kind = PayloadKind(self.payload_kind)
-        sizes = np.array(self.group_sizes, dtype=np.int64)
-        labels = tuple(self.labels)
         values = np.ascontiguousarray(self.values, dtype=float).view()
-        if sizes.ndim != 1 or sizes.size != len(labels):
-            raise InputShapeError(
-                f"need one label per individual, got {len(labels)} labels "
-                f"for group sizes of shape {sizes.shape}"
-            )
-        if sizes.size < 2:
-            raise InsufficientGroupsError(
-                f"need at least 2 individuals, got {sizes.size}"
-            )
-        if np.any(sizes < 1):
-            empty = labels[int(np.argmax(sizes < 1))]
-            raise InputShapeError(f"individual {empty!r} has no replicates")
-        total = int(sizes.sum())
-        if values.ndim == 0 or values.shape[0] != total:
-            raise InputShapeError(
-                f"values must stack {total} payloads, got shape {values.shape}"
-            )
         shape = values.shape[1:]
         expected_ndim = 1 if kind is PayloadKind.VECTOR else 2
         if len(shape) != expected_ndim:
@@ -113,6 +148,13 @@ class GroupedSample:
             )
         if kind is PayloadKind.MATRIX and shape[0] != shape[1]:
             raise InputShapeError(f"matrix payloads must be square, got shape {shape}")
+        sizes, labels = _grouping(self.group_sizes, self.labels, values.shape[0])
+        if sizes.size < 2:
+            raise InsufficientGroupsError(
+                f"need at least 2 individuals, got {sizes.size}"
+            )
+        if not labels:
+            raise InputShapeError("need one label per individual, got none")
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
         if not finite.all():
             row = int(np.argmin(finite))
@@ -126,7 +168,6 @@ class GroupedSample:
                 "within-individual spread is undefined otherwise"
             )
         values.flags.writeable = False
-        sizes.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "group_sizes", sizes)
         object.__setattr__(self, "labels", labels)
@@ -158,17 +199,15 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
         Defaults to ``vector`` for 1-D payloads and ``matrix`` for 2-D;
         pass ``timeseries`` explicitly for non-square series payloads.
     """
-    by_individual: dict = {}
-    for ind_id, rep_id, payload in records:
-        by_individual.setdefault(str(ind_id), []).append((rep_id, payload))
-    if len(by_individual) < 2:
+    records = list(records)
+    order, sizes, labels = _group_order(
+        [str(ind_id) for ind_id, _, _ in records], [rep for _, rep, _ in records]
+    )
+    if sizes.size < 2:
         raise InsufficientGroupsError(
-            f"need at least 2 distinct individuals, got {len(by_individual)}"
+            f"need at least 2 distinct individuals, got {sizes.size}"
         )
-    payloads = []
-    for reps in by_individual.values():
-        reps.sort(key=lambda item: item[0])
-        payloads.extend(np.asarray(arr, dtype=float) for _, arr in reps)
+    payloads = [np.asarray(records[k][2], dtype=float) for k in order]
     shapes = {arr.shape for arr in payloads}
     if len(shapes) != 1:
         raise InputShapeError(f"payloads have mixed shapes: {sorted(shapes)}")
@@ -182,8 +221,8 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
             raise InputShapeError(f"cannot infer payload kind from shape {first.shape}")
     return GroupedSample(
         values=np.stack(payloads),
-        group_sizes=[len(reps) for reps in by_individual.values()],
-        labels=tuple(by_individual),
+        group_sizes=sizes,
+        labels=labels,
         payload_kind=payload_kind,
     )
 
@@ -230,49 +269,29 @@ def _check_values(vals):
 class DistanceMatrix:
     """A symmetric dissimilarity matrix whose rows are grouped by individual.
 
-    ``values[a, b]`` is the dissimilarity between payloads ``a`` and ``b``;
-    ``individual_index[a]`` / ``replicate_index[a]`` locate row ``a`` in the
-    grouping.  Rows must be in canonical order: individual blocks
-    contiguous and numbered 0..I-1, replicates numbered 0..J_i-1 within
-    each block.  The triangle inequality is not required.
+    ``values[a, b]`` is the dissimilarity between payloads ``a`` and ``b``.
+    Rows are in group order: the ``group_sizes[0]`` replicates of the
+    first individual, then those of the second, and so on.  ``labels``
+    names the individuals, or is empty.  The grouping is checked as by
+    :func:`_grouping`, and the values are checked to be finite,
+    nonnegative, symmetric and zero on the diagonal.  The triangle
+    inequality is not required.  One individual, or none with replicates,
+    is accepted: the estimators reject such a grouping.
     """
 
     values: np.ndarray
-    individual_index: np.ndarray
-    replicate_index: np.ndarray
+    group_sizes: np.ndarray
     labels: tuple = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        ind = np.asarray(self.individual_index, dtype=np.int64)
-        rep = np.asarray(self.replicate_index, dtype=np.int64)
-        n = vals.shape[0]
-        if vals.ndim != 2 or vals.shape != (n, n):
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise InputShapeError(f"distance matrix must be square, got {vals.shape}")
-        if ind.shape != (n,) or rep.shape != (n,):
-            raise InputShapeError(
-                f"group indices must have length {n}, got {ind.shape} and {rep.shape}"
-            )
+        sizes, labels = _grouping(self.group_sizes, self.labels, vals.shape[0])
         _check_values(vals)
-        # canonical (individual, replicate) layout
-        boundaries = np.flatnonzero(np.diff(ind)) + 1
-        blocks = np.split(np.arange(n), boundaries)
-        seen = set()
-        for b, rows in enumerate(blocks):
-            i = int(ind[rows[0]])
-            if i in seen or i != b:
-                raise InputShapeError(
-                    "individual indices must form contiguous blocks numbered 0..I-1"
-                )
-            seen.add(i)
-            if not np.array_equal(rep[rows], np.arange(len(rows))):
-                raise InputShapeError(
-                    f"replicate indices of individual {i} must run 0..J-1 in order"
-                )
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "individual_index", ind)
-        object.__setattr__(self, "replicate_index", rep)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_total(self) -> int:
@@ -280,16 +299,7 @@ class DistanceMatrix:
 
     @property
     def n_individuals(self) -> int:
-        return int(self.individual_index[-1]) + 1 if self.n_total else 0
-
-    @property
-    def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.individual_index, minlength=self.n_individuals)
-
-    @property
-    def groups(self):
-        """(individual_index, replicate_index) pairs, one per row."""
-        return list(zip(self.individual_index.tolist(), self.replicate_index.tolist()))
+        return self.group_sizes.size
 
 
 def _matrices(sample: GroupedSample) -> np.ndarray:
@@ -391,15 +401,7 @@ def _pairwise(rows, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
     else:
         scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
         vals = squareform(pdist(rows, scipy_name))
-    sizes = sample.group_sizes
-    individual = np.repeat(np.arange(sizes.size), sizes)
-    starts = np.cumsum(sizes) - sizes
-    return DistanceMatrix(
-        values=vals,
-        individual_index=individual,
-        replicate_index=np.arange(individual.size) - starts[individual],
-        labels=sample.labels,
-    )
+    return DistanceMatrix(vals, sample.group_sizes, sample.labels)
 
 
 class BlockStats(NamedTuple):

@@ -73,29 +73,21 @@ def _squared_upper(dm: DistanceMatrix, between: bool) -> np.ndarray:
         return np.multiply(vals, vals, out=vals)
 
 
-def n_between_pairs(group_sizes) -> int:
+def _between_pair_count(group_sizes) -> int:
+    """Unordered between-individual pair count; raises unless 2+ individuals."""
     sizes = np.asarray(group_sizes, dtype=np.int64)
+    if sizes.size < 2:
+        raise InsufficientGroupsError(
+            f"between-individual spread needs 2+ individuals, got {sizes.size}"
+        )
     total = int(sizes.sum())
     return (total * total - int((sizes * sizes).sum())) // 2
 
 
-def n_within_pairs(group_sizes) -> int:
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    return int((sizes * (sizes - 1) // 2).sum())
-
-
-def _between_pair_count(group_sizes) -> int:
-    """Between-individual pair count; raises unless there are 2+ individuals."""
-    if len(group_sizes) < 2:
-        raise InsufficientGroupsError(
-            f"between-individual spread needs 2+ individuals, got {len(group_sizes)}"
-        )
-    return n_between_pairs(group_sizes)
-
-
 def _within_pair_count(group_sizes) -> int:
-    """Within-individual pair count; raises if it is zero."""
-    count = n_within_pairs(group_sizes)
+    """Unordered within-individual pair count; raises if it is zero."""
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    count = int((sizes * (sizes - 1) // 2).sum())
     if count == 0:
         raise InsufficientReplicatesError(
             "no individual has 2+ replicates; within-individual spread undefined"
@@ -136,17 +128,19 @@ def dbicc_point(source) -> DbiccEstimate:
         If all between-individual distances are zero, leaving the ratio
         undefined.
     """
-    if isinstance(source, DistanceMatrix):
-        sizes = source.group_sizes
-        between = msd_between(source)
-        within = msd_within(source)
+    matrix = isinstance(source, DistanceMatrix)
+    sizes = source.group_sizes if matrix else source.sizes
+    n_between = _between_pair_count(sizes)
+    n_within = _within_pair_count(sizes)
+    if matrix:
+        between_sum = np.sum(_squared_upper(source, between=True))
+        within_sum = np.sum(_squared_upper(source, between=False))
     else:
-        sizes = source.sizes
-        n_between = _between_pair_count(sizes)
-        n_within = _within_pair_count(sizes)
         off_diagonal = ~np.eye(sizes.size, dtype=bool)
-        between = float(np.sum(source.cross, where=off_diagonal) / 2.0 / n_between)
-        within = float(np.sum(source.within) / n_within)
+        between_sum = np.sum(source.cross, where=off_diagonal) / 2.0
+        within_sum = np.sum(source.within)
+    between = float(between_sum / n_between)
+    within = float(within_sum / n_within)
     if not (np.isfinite(between) and np.isfinite(within)):
         raise NonFiniteError("squared distances overflow float64")
     if between == 0.0:
@@ -157,8 +151,8 @@ def dbicc_point(source) -> DbiccEstimate:
         rho_hat=float(1.0 - within / between),
         msd_within=within,
         msd_between=between,
-        n_within_pairs=n_within_pairs(sizes),
-        n_between_pairs=n_between_pairs(sizes),
+        n_within_pairs=n_within,
+        n_between_pairs=n_between,
     )
 
 

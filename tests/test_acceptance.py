@@ -183,11 +183,7 @@ def test_c7_property_suite():
     # dbICC scale and permutation invariance
     dm = compute_distance_matrix(vector_sample(rng, [3, 2, 2], 4), Metric.L2_VEC)
     base = dbicc_point(dm).rho_hat
-    scaled = DistanceMatrix(
-        values=3.7 * dm.values,
-        individual_index=dm.individual_index,
-        replicate_index=dm.replicate_index,
-    )
+    scaled = DistanceMatrix(values=3.7 * dm.values, group_sizes=dm.group_sizes)
     ok &= abs(dbicc_point(scaled).rho_hat - base) < 1e-12
     payloads = {name: rng.standard_normal((2, 3)) for name in "ABC"}
     rows1 = [(n, j, payloads[n][j]) for n in "ABC" for j in range(2)]
@@ -209,7 +205,7 @@ def test_c7_property_suite():
     # brute-force oracle equality of the MSD estimators, n <= 12
     for sizes in ([2, 3, 2], [4, 2, 1, 3], [2, 2, 2, 2, 2]):
         dm_small = compute_distance_matrix(vector_sample(rng, sizes, 3), Metric.L2_VEC)
-        ind = dm_small.individual_index
+        ind = np.repeat(np.arange(dm_small.n_individuals), dm_small.group_sizes)
         between, within = [], []
         for a in range(dm_small.n_total):
             for b in range(a + 1, dm_small.n_total):

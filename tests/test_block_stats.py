@@ -144,9 +144,7 @@ class TestAgainstMatrixPath:
         z = [[(m[tril] - m[tril].mean()) for m in reps] for reps in payloads]
         z = [[v / np.linalg.norm(v) for v in reps] for reps in z]
         dm = compute_distance_matrix(grouped(z, PayloadKind.VECTOR), Metric.L2_VEC)
-        half = DistanceMatrix(
-            np.sqrt(0.5) * dm.values, dm.individual_index, dm.replicate_index
-        )
+        half = DistanceMatrix(np.sqrt(0.5) * dm.values, dm.group_sizes)
         sample = grouped(payloads, PayloadKind.MATRIX)
         fast = block_stats(sample, Metric.CORR_OF_CORR)
         assert_same_analysis(fast, _block_sums(half))

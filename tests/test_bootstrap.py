@@ -43,7 +43,8 @@ def three_individual_matrix():
 
 def oracle_replicate(dm, picks):
     """Definitional bootstrap estimates: rebuild the resampled matrix blocks."""
-    blocks = [np.flatnonzero(dm.individual_index == g) for g in range(dm.n_individuals)]
+    bounds = np.cumsum(dm.group_sizes)
+    blocks = [np.arange(end - size, end) for size, end in zip(dm.group_sizes, bounds)]
     sq = dm.values**2
     w_num = w_den = 0.0
     for g in picks:
@@ -178,24 +179,22 @@ class TestReplicateMechanics:
         assert np.array_equal(got_within, np.diag(cross) / 2.0)
 
 
-def _matrix(values, individual_index):
-    ind = np.asarray(individual_index)
-    rep = np.concatenate([np.arange(k) for k in np.bincount(ind)])
-    return DistanceMatrix(np.asarray(values, dtype=float), ind, rep)
+def _matrix(values, group_sizes):
+    return DistanceMatrix(np.asarray(values, dtype=float), group_sizes)
 
 
 class TestBootstrapDbicc:
     @pytest.mark.parametrize(
         "dm, error",
         [
-            (_matrix([[0.0, 1.0], [1.0, 0.0]], [0, 0]), InsufficientGroupsError),
-            (_matrix([[0.0]], [0]), InsufficientGroupsError),
-            (_matrix([[0.0, 1.0], [1.0, 0.0]], [0, 1]), InsufficientReplicatesError),
-            (_matrix(np.zeros((4, 4)), [0, 0, 1, 1]), DegenerateDistancesError),
+            (_matrix([[0.0, 1.0], [1.0, 0.0]], [2]), InsufficientGroupsError),
+            (_matrix([[0.0]], [1]), InsufficientGroupsError),
+            (_matrix([[0.0, 1.0], [1.0, 0.0]], [1, 1]), InsufficientReplicatesError),
+            (_matrix(np.zeros((4, 4)), [2, 2]), DegenerateDistancesError),
             (
                 _matrix(
                     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-                    [0, 0, 1, 1],
+                    [2, 2],
                 ),
                 DegenerateDistancesError,
             ),
@@ -211,7 +210,7 @@ class TestBootstrapDbicc:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_matrix_raises_non_finite(self):
-        dm = _matrix(np.full((4, 4), 1e200) - np.diag(np.full(4, 1e200)), [0, 0, 1, 1])
+        dm = _matrix(np.full((4, 4), 1e200) - np.diag(np.full(4, 1e200)), [2, 2])
         with pytest.raises(NonFiniteError):
             dbicc_point(dm)
         with pytest.raises(NonFiniteError):

@@ -26,6 +26,11 @@ def write_hand_csv(path):
     )
 
 
+def grouping(dm):
+    """(individual, replicate) numbers of the matrix rows, in row order."""
+    return [(g, j) for g, size in enumerate(dm.group_sizes) for j in range(size)]
+
+
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
     rc = main([*args, "--out", str(out)])
@@ -78,7 +83,7 @@ class TestEstimate:
         with groups_csv.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "individual", "replicate"])
-            for row, (gi, rj) in enumerate(dm.groups):
+            for row, (gi, rj) in enumerate(grouping(dm)):
                 writer.writerow([row, f"s{gi}", rj])
         dist_out = tmp_path / "dist.json"
         assert (
@@ -142,7 +147,7 @@ class TestEstimate:
             writer = csv.writer(fh)
             writer.writerow(["row", "individual", "replicate"])
             for row in range(6):
-                gi, rj = dm.groups[perm[row]]
+                gi, rj = grouping(dm)[perm[row]]
                 writer.writerow([row, f"s{gi}", rj])
         doc = run_json(
             tmp_path,
@@ -293,13 +298,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment", ["point", "coverage", "sb"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize(
-        "flag", ["--runs", "--individuals", "--replicates", "--dim", "--threads"]
+        "flag",
+        ["--runs", "--individuals", "--replicates", "--dim", "--threads", "--boot"],
     )
     def test_nonpositive_count_is_config_error(self, capsys, experiment, value, flag):
         argv = ["simulate", "--experiment", experiment, "--seed", "1", flag, value]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert f"configuration error: argument {flag}: expected a positive" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_boot_is_config_error(self, tmp_path, capsys, value):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        assert main(["bootstrap", str(src), "--seed", "1", "--boot", value]) == 4
+        err = capsys.readouterr().err
+        assert "configuration error: argument --boot: expected a positive" in err
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap", "sweep-threshold"])
     def test_threads_belongs_to_simulate_only(self, tmp_path, capsys, command):

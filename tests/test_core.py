@@ -85,13 +85,26 @@ class TestBuildGroupedSample:
             build_grouped_sample(rows)
 
     def test_fields_must_agree(self):
-        values = np.zeros((3, 2))
+        # samples and distance matrices share one grouping check
+        builders = (
+            lambda sizes, labels: GroupedSample(
+                np.zeros((3, 2)), sizes, labels, PayloadKind.VECTOR
+            ),
+            lambda sizes, labels: DistanceMatrix(np.zeros((3, 3)), sizes, labels),
+        )
+        for build in builders:
+            with pytest.raises(InputShapeError, match="one label per individual"):
+                build([2, 1], ("a",))
+            with pytest.raises(InputShapeError, match="need 4 rows, got 3"):
+                build([2, 2], ("a", "b"))
+            with pytest.raises(InputShapeError, match="'b' has no replicates"):
+                build([3, 0], ("a", "b"))
+            with pytest.raises(InputShapeError, match="sizes must be 1-D"):
+                build([[2, 1]], ("a", "b"))
+        with pytest.raises(InputShapeError, match="individual 1 has no replicates"):
+            DistanceMatrix(np.zeros((3, 3)), [3, 0])
         with pytest.raises(InputShapeError, match="one label per individual"):
-            GroupedSample(values, [2, 1], ("a",), PayloadKind.VECTOR)
-        with pytest.raises(InputShapeError, match="must stack 4 payloads"):
-            GroupedSample(values, [2, 2], ("a", "b"), PayloadKind.VECTOR)
-        with pytest.raises(InputShapeError, match="'b' has no replicates"):
-            GroupedSample(values, [3, 0], ("a", "b"), PayloadKind.VECTOR)
+            GroupedSample(np.zeros((3, 2)), [2, 1], (), PayloadKind.VECTOR)
 
     @pytest.mark.parametrize("kind", ["matrix", "timeseries"])
     def test_values_are_read_only_and_left_unchanged(self, rng, kind):
@@ -216,52 +229,29 @@ class TestComputeDistanceMatrix:
 
 
 class TestDistanceMatrixValidation:
-    def _groups(self, sizes):
-        ind = np.repeat(np.arange(len(sizes)), sizes)
-        rep = np.concatenate([np.arange(k) for k in sizes])
-        return ind, rep
-
     def test_asymmetric_rejected(self):
-        ind, rep = self._groups([1, 1])
         vals = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InputShapeError):
-            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            DistanceMatrix(values=vals, group_sizes=[1, 1])
 
     def test_negative_rejected(self):
-        ind, rep = self._groups([1, 1])
         vals = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(InputShapeError):
-            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            DistanceMatrix(values=vals, group_sizes=[1, 1])
 
     def test_nonzero_diagonal_rejected(self):
-        ind, rep = self._groups([1, 1])
         vals = np.array([[0.5, 1.0], [1.0, 0.0]])
         with pytest.raises(InputShapeError):
-            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            DistanceMatrix(values=vals, group_sizes=[1, 1])
 
-    def test_noncontiguous_blocks_rejected(self):
-        vals = np.zeros((3, 3))
-        with pytest.raises(InputShapeError):
-            DistanceMatrix(
-                values=vals,
-                individual_index=np.array([0, 1, 0]),
-                replicate_index=np.array([0, 0, 1]),
-            )
-
-    def test_bad_replicate_numbering_rejected(self):
-        vals = np.zeros((3, 3))
-        with pytest.raises(InputShapeError):
-            DistanceMatrix(
-                values=vals,
-                individual_index=np.array([0, 0, 1]),
-                replicate_index=np.array([0, 2, 0]),
-            )
+    def test_scalar_values_rejected(self):
+        with pytest.raises(InputShapeError, match="must be square"):
+            DistanceMatrix(np.float64(1.0), [1])
 
     def test_nan_rejected(self):
-        ind, rep = self._groups([1, 1])
         vals = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(NonFiniteError):
-            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            DistanceMatrix(values=vals, group_sizes=[1, 1])
 
 
 def allclose_verdict(vals):
@@ -312,11 +302,7 @@ class TestBlockedValidation:
             vals[k, m] = np.nan if factor > 1.0 else vals[k, m] + factor * tol
         with mock.patch.object(core, "_VALIDATE_ROWS", block_rows):
             try:
-                DistanceMatrix(
-                    values=vals,
-                    individual_index=np.arange(n),
-                    replicate_index=np.zeros(n, dtype=np.int64),
-                )
+                DistanceMatrix(values=vals, group_sizes=np.ones(n, dtype=np.int64))
                 verdict = None
             except (NonFiniteError, InputShapeError) as exc:
                 verdict = (type(exc), str(exc))
@@ -325,11 +311,9 @@ class TestBlockedValidation:
     def test_peak_memory_below_one_matrix(self):
         n = 2000
         vals = squareform(pdist(np.random.default_rng(3).standard_normal((n, 3))))
-        ind = np.arange(n) // 2
-        rep = np.arange(n) % 2
         tracemalloc.start()
         try:
-            DistanceMatrix(values=vals, individual_index=ind, replicate_index=rep)
+            DistanceMatrix(values=vals, group_sizes=np.full(n // 2, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -29,7 +29,7 @@ def hand_matrix():
 def oracle_msds(dm):
     """Brute-force MSD estimates, summed in row-major upper-triangle order."""
     n = dm.n_total
-    ind = dm.individual_index
+    ind = np.repeat(np.arange(dm.n_individuals), dm.group_sizes)
     between, within = [], []
     for a in range(n):
         for b in range(a + 1, n):
@@ -67,7 +67,8 @@ class TestMsd:
         # gather through same-individual and triu(ones) masks
         sizes = np.concatenate(([1], rng.integers(1, 12, size=90), [1]))
         dm = compute_distance_matrix(vector_sample(rng, sizes, 4), Metric.L2_VEC)
-        same = dm.individual_index[:, None] == dm.individual_index[None, :]
+        ind = np.repeat(np.arange(dm.n_individuals), dm.group_sizes)
+        same = ind[:, None] == ind[None, :]
         upper = np.triu(np.ones((dm.n_total, dm.n_total), dtype=bool), k=1)
         between = dm.values[upper & ~same]
         within = dm.values[upper & same]
@@ -79,18 +80,14 @@ class TestMsd:
 
     def test_single_individual(self):
         dm = DistanceMatrix(
-            values=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            individual_index=np.array([0, 0]),
-            replicate_index=np.array([0, 1]),
+            values=np.array([[0.0, 1.0], [1.0, 0.0]]), group_sizes=[2]
         )
         with pytest.raises(InsufficientGroupsError):
             msd_between(dm)
 
     def test_no_replicated_individual(self):
         dm = DistanceMatrix(
-            values=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            individual_index=np.array([0, 1]),
-            replicate_index=np.array([0, 0]),
+            values=np.array([[0.0, 1.0], [1.0, 0.0]]), group_sizes=[1, 1]
         )
         with pytest.raises(InsufficientReplicatesError):
             msd_within(dm)
@@ -124,11 +121,7 @@ class TestDbiccPoint:
         dm = compute_distance_matrix(vector_sample(rng, [3, 2, 2], 4), Metric.L2_VEC)
         base = dbicc_point(dm).rho_hat
         for c in (2.0, 0.125, 3.7):
-            scaled = DistanceMatrix(
-                values=c * dm.values,
-                individual_index=dm.individual_index,
-                replicate_index=dm.replicate_index,
-            )
+            scaled = DistanceMatrix(values=c * dm.values, group_sizes=dm.group_sizes)
             assert dbicc_point(scaled).rho_hat == pytest.approx(base, abs=1e-12)
 
     def test_permutation_invariance(self, rng):
@@ -148,7 +141,7 @@ class TestDbiccPoint:
         dm = compute_distance_matrix(sample, Metric.L2_VEC)
         est = dbicc_point(dm)
         payloads = sample.values
-        ind = dm.individual_index
+        ind = np.repeat(np.arange(dm.n_individuals), dm.group_sizes)
         between, within = [], []
         for a in range(len(payloads)):
             for b in range(a + 1, len(payloads)):
