@@ -2,19 +2,22 @@
 
 Everything the dbICC needs from a sample is in its :class:`BlockStats`:
 per individual, the sum of squared distances over its within pairs,
-and per pair of individuals, the sum over the pairs between them.  For
-``l1`` and for a precomputed matrix the sums are read off the
-:class:`~dbicc.core.DistanceMatrix`; for ``l2`` and correlation of
-correlations they come straight from the payloads, in O(n*p + I^2*p)
-time and O(n*p + I^2) memory, with no n-by-n matrix (see
-:func:`~dbicc.core.block_stats`).
+and the sums over the pairs between individuals.  For ``l1`` and for a
+precomputed matrix the sums are read off the
+:class:`~dbicc.core.DistanceMatrix`, with the between sums as the I-by-I
+``cross``.  For ``l2`` and correlation of correlations they come
+straight from the payloads, with no n-by-n matrix, and the between sums
+take the smaller of two forms: the I individual means of p values when
+p <= I, the I-by-I ``cross`` when p > I; memory is O(n*p + I*min(I, p))
+(see :func:`~dbicc.core.block_stats`).
 
 Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
-individuals; payload distances are never recomputed.  Sums read off a
-matrix give each replicate from the I-by-I cross sums, in O(I^2); sums
-from ``l2``/``corr`` payloads give it from the I individual means of
-p values, in O(I*min(I, p)) (see :func:`_replicate_components`).
+individuals; payload distances are never recomputed.  A replicate
+costs O(I*min(I, p)) from sums of payloads: O(I*p) from the means,
+O(I^2) from ``cross``, which is also the cost for sums read off a
+matrix (see :func:`_replicate_components`).  The point estimate reads
+the same sums (:func:`~dbicc.core._between_sum`).
 
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockStats, DistanceMatrix
+from .core import BlockStats, DistanceMatrix, _between_sum, _resampled_sums
 from .errors import (
     DegenerateDistancesError,
     InsufficientDataError,
@@ -121,86 +124,16 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     return BlockStats(sizes, within, cross)
 
 
-# Bytes of centred mean columns the Gram matrix of the means takes at a
-# time, and bytes of temporaries per chunk of two-pass replicates (a
-# chunk holds at least one replicate).
-_GRAM_COLUMN_BYTES = 1 << 20
-_TWO_PASS_BYTES = 1 << 22
-
-
-def _two_pass_spread(means, weights, picks):
-    """Weighted spread of the means in two passes, one per row of ``weights``.
-
-    Computes ``sum_g w_g ||means[g] - mu_w||^2`` for each row ``w``.  Each
-    row's means are taken relative to ``means[picks[r]]``, an
-    individual the replicate drew, and so is its weighted mean ``mu_w``:
-    a replicate whose drawn means are bitwise equal gets exactly 0.  Each
-    row is computed on its own, so the chunking does not change the bits.
-    """
-    out = np.empty(weights.shape[0])
-    step = max(1, _TWO_PASS_BYTES // (16 * means.size))
-    for a in range(0, weights.shape[0], step):
-        w = weights[a : a + step]
-        diff = means[None, :, :] - means[picks[a : a + step], None, :]
-        centre = (diff * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-        diff -= centre[:, None, :]
-        diff *= diff
-        out[a : a + step] = (diff.sum(axis=2) * w).sum(axis=1)
-    return out
-
-
-def _spread_of_means(sizes, means, counts, total, picks):
-    """Weighted spread of the individual means, one value per row of ``counts``.
-
-    For the weights ``w = c * sizes`` of each row ``c`` of ``counts``,
-    whose sum is ``total``, the spread is ``S(w) = sum_g w_g ||means[g] -
-    mu_w||^2`` with ``mu_w`` the ``w``-weighted mean.  One pass,
-    ``w.q - ||M^T w||^2 / sum(w)``, on the means ``M`` centred at their
-    ``sizes``-weighted mean, with ``q`` their squared norms: O(I*p) per
-    replicate through ``M`` when p <= I, O(I^2) through the I-by-I Gram
-    matrix ``M M^T`` when p > I.  Rows where the subtraction cancels more
-    than half of ``w.q`` are redone by :func:`_two_pass_spread` about
-    ``picks``.
-    """
-    n_groups, width = means.shape
-    centre = (sizes @ means) / sizes.sum()
-    if width <= n_groups:
-        centred = means - centre
-        norms = np.einsum("ij,ij->i", centred, centred)
-        centred *= sizes[:, None]
-        proj = counts @ centred
-        projected = np.einsum("ij,ij->i", proj, proj)
-    else:
-        gram = np.zeros((n_groups, n_groups))
-        step = max(1, _GRAM_COLUMN_BYTES // (8 * n_groups))
-        for a in range(0, width, step):
-            block = means[:, a : a + step] - centre[a : a + step]
-            gram += block @ block.T
-        norms = np.diagonal(gram).copy()
-        gram *= sizes[:, None] * sizes[None, :]
-        projected = np.einsum("ij,ij->i", counts @ gram, counts)
-    weighted = counts @ (sizes * norms)
-    spread = weighted - projected / total
-    redo = np.flatnonzero(spread < 0.5 * weighted)
-    if redo.size:
-        weights = counts[redo] * sizes
-        spread[redo] = _two_pass_spread(means, weights, picks[redo])
-    return spread
-
-
 def _replicate_components(sizes, within, cross, means, indices):
     """Vectorized per-replicate MSD components for resampled index rows.
 
     Takes the fields of a :class:`BlockStats`; ``indices`` has one row per
     bootstrap replicate.  Returns a dict of arrays over replicates:
     within-mean numerator/denominator and the naive and corrected
-    between-mean numerators/denominators.
-
-    Each numerator derives from ``c^T cross c`` for the replicate's
-    counts ``c``.  Without ``means`` that is the O(I^2) product with
-    ``cross``.  With them, for ``w = c * sizes`` it is
-    ``2 sum(w) (S(w) + c . (within / sizes))``, where ``S(w)`` is the
-    ``w``-weighted spread of the means (:func:`_spread_of_means`).
+    between-mean numerators/denominators.  Each numerator derives from
+    ``c^T cross c`` for the replicate's counts ``c``
+    (:func:`~dbicc.core._resampled_sums`): O(I^2) from ``cross``,
+    O(I*p) from the means.
     """
     n_groups = sizes.shape[0]
     n_rep = indices.shape[0]
@@ -215,13 +148,8 @@ def _replicate_components(sizes, within, cross, means, indices):
     within_den = counts @ pairs_within
 
     total = counts @ sizes
-    diag_cross = np.diag(cross)
-    if means is None:
-        quad = ((counts @ cross) * counts).sum(axis=1)
-    else:
-        spread = _spread_of_means(sizes, means, counts, total, indices[:, 0])
-        spread += counts @ (within / sizes)
-        quad = 2.0 * total * spread
+    diag_cross = 2.0 * within  # np.diag(cross), bit for bit
+    quad = _resampled_sums(sizes, within, cross, means, counts, indices[:, 0])
     naive_num = (quad - counts @ diag_cross) / 2.0
     corrected_num = (quad - (counts * counts) @ diag_cross) / 2.0
 
@@ -272,17 +200,25 @@ def _draw_indices(n_individuals, n_boot, seed):
     return rng.integers(0, n_individuals, size=(n_boot, n_individuals))
 
 
+# Replicate counts below this draw a warning.
+_FEW_REPLICATES = 100
+
+
+def _few_replicates(n_boot):
+    """The warning for a replicate count below ``_FEW_REPLICATES``."""
+    return (
+        f"n_boot={n_boot} is small; percentile intervals are unstable "
+        "below a few hundred replicates"
+    )
+
+
 def _checked_block_sums(source, n_boot) -> BlockStats:
     """Validate the arguments, then return the block sums of ``source``."""
     if n_boot < 1:
         raise ParameterError(f"n_boot must be positive, got {n_boot}")
-    if n_boot < 100:
-        warnings.warn(
-            f"n_boot={n_boot} is small; percentile intervals are unstable "
-            "below a few hundred replicates",
-            UserWarning,
-            stacklevel=4,  # the caller of the public function
-        )
+    if n_boot < _FEW_REPLICATES:
+        # stacklevel 4: the caller of the public function
+        warnings.warn(_few_replicates(n_boot), UserWarning, stacklevel=4)
     # the point estimate's preconditions, in its order
     is_stats = isinstance(source, BlockStats)
     sizes = source.sizes if is_stats else source.group_sizes
@@ -296,7 +232,7 @@ def _checked_block_sums(source, n_boot) -> BlockStats:
             total = stats.cross.sum()
         if not np.isfinite(total):
             raise NonFiniteError("squared distances overflow float64")
-    if np.count_nonzero(stats.cross) == np.count_nonzero(np.diagonal(stats.cross)):
+    if _between_sum(stats) == 0.0:
         raise DegenerateDistancesError(
             "all between-individual distances are zero; dbICC is undefined"
         )

@@ -37,12 +37,14 @@ import csv
 import io
 import json
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import bootstrap_dbicc
+from .bootstrap import _FEW_REPLICATES, _few_replicates, bootstrap_dbicc
 from .core import (
     DistanceMatrix,
     GroupedSample,
@@ -411,8 +413,21 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _warn_few_replicates(n_boot):
+    """Print the library's small-``--boot`` warning as one stable line.
+
+    The warning itself is ignored for the rest of the command (``main``
+    runs each command under ``catch_warnings``), so it shows once.
+    """
+    if n_boot < _FEW_REPLICATES:
+        text = _few_replicates(n_boot)
+        print(f"warning: {text}", file=sys.stderr)
+        warnings.filterwarnings("ignore", re.escape(text), UserWarning)
+
+
 def _cmd_bootstrap(args) -> int:
     source, doc = _estimate_doc(args, _load_input(args))
+    _warn_few_replicates(args.boot)
     result = bootstrap_dbicc(
         source, args.boot, corrected=args.corrected, level=args.level, seed=args.seed
     )
@@ -512,6 +527,7 @@ def _cmd_simulate(args) -> int:
         csv_rows = list(enumerate(report["estimates"]))
         csv_header = ["run", "rho_hat"]
     elif args.experiment == "coverage":
+        _warn_few_replicates(args.boot)
         report = run_coverage_experiment(
             n_individuals=args.individuals or 40,
             n_replicates=args.replicates or 4,
@@ -679,7 +695,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except _ParseFailure as exc:

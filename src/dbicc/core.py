@@ -407,25 +407,29 @@ def _pairwise(rows, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
 class BlockStats(NamedTuple):
     """Squared-distance sums per individual and per pair of individuals.
 
-    ``sizes[g]`` is individual ``g``'s replicate count, ``within[g]`` the
-    sum of squared distances over the unordered pairs of its replicates,
-    and ``cross[g, h]`` the sum over all ordered pairs between the
-    replicates of ``g`` and ``h``; so ``cross[g, g]`` is twice
-    ``within[g]``, the duplicated-block sum including its zero diagonal.
-    Built from a :class:`DistanceMatrix` by ``bootstrap._block_sums``, or
-    from payload rows by :func:`_payload_block_stats`.
+    ``sizes[g]`` is individual ``g``'s replicate count and ``within[g]``
+    the sum of squared distances over the unordered pairs of its
+    replicates.  The sums between individuals come in one of two forms,
+    never both:
 
-    ``means`` is ``None`` for sums read off a matrix.  From payload rows
-    it holds one row per individual, the group means relative to the
-    first payload, scaled so that ``cross[g, h]`` is
-    ``J_g J_h ||means[g] - means[h]||^2 + J_h within[g] / J_g +
-    J_g within[h] / J_h`` with ``J = sizes``; the bootstrap computes its
-    replicates from them instead of from ``cross``.
+    * ``cross[g, h]``, the sum over all ordered pairs between the
+      replicates of ``g`` and ``h``; so ``cross[g, g]`` is twice
+      ``within[g]``, the duplicated-block sum including its zero
+      diagonal.  Sums read off a :class:`DistanceMatrix` (by
+      ``bootstrap._block_sums``) take this form, and so do sums from
+      payload rows of p values when p > I, the number of individuals.
+    * ``means``, one row per individual: the group means relative to the
+      first payload, scaled so that ``cross[g, h]`` would be
+      ``J_g J_h ||means[g] - means[h]||^2 + J_h within[g] / J_g +
+      J_g within[h] / J_h`` with ``J = sizes``.  Sums from payload rows
+      take this I-by-p form when p <= I, and ``cross`` is ``None``.
+
+    :func:`_between_sum` and :func:`_resampled_sums` read either form.
     """
 
     sizes: np.ndarray
     within: np.ndarray
-    cross: np.ndarray
+    cross: np.ndarray | None
     means: np.ndarray | None = None
 
 
@@ -450,10 +454,11 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     sums-of-squares decomposition behind PERMANOVA).  Each later row is
     first taken relative to its group's first row, which stays as it is,
     and the means relative to the very first row, so a common offset
-    cancels exactly and identical payloads give exact zeros.  Besides
-    ``rows`` the temporaries are one I-by-p array, the I-by-I result and
-    row chunks.  The means, scaled by ``sqrt(scale)`` after ``cross`` is
-    taken from them, become the result's ``means``.
+    cancels exactly and identical payloads give exact zeros.  With I
+    groups of p-value rows, the result holds the means, scaled by
+    ``sqrt(scale)``, when p <= I, and otherwise the I-by-I ``cross``
+    taken from them.  Besides ``rows`` the temporaries are the I-by-p
+    means, row chunks and, when p > I, the I-by-I result.
     """
     n, width = rows.shape
     n_groups = sizes.size
@@ -480,17 +485,109 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     spread = np.bincount(group, weights=squares)
     for c in _chunks(n_groups, width):
         means[c] += rows[starts[c]] - rows[0]
+    within = scale * sizes * spread
+    if width <= n_groups:
+        if scale != 1.0:
+            means *= np.sqrt(scale)
+        return BlockStats(sizes, within, None, means)
     cross = squareform(pdist(means, "sqeuclidean"))
     per_replicate = spread / sizes
     cross += per_replicate[:, None]
     cross += per_replicate[None, :]
     cross *= scale * sizes[:, None]
     cross *= sizes[None, :]
-    within = scale * sizes * spread
     np.fill_diagonal(cross, 2.0 * within)
-    if scale != 1.0:
-        means *= np.sqrt(scale)
-    return BlockStats(sizes, within, cross, means)
+    return BlockStats(sizes, within, cross)
+
+
+# Bytes of temporaries per chunk of two-pass spreads (a chunk holds at
+# least one row of weights).
+_TWO_PASS_BYTES = 1 << 22
+
+
+def _two_pass_spread(means, weights, picks):
+    """Weighted spread of the means in two passes, one per row of ``weights``.
+
+    Computes ``sum_g w_g ||means[g] - mu_w||^2`` for each row ``w``.  Each
+    row's means are taken relative to ``means[picks[r]]``, an
+    individual the row weights, and so is its weighted mean ``mu_w``: a
+    row whose weighted means are bitwise equal gets exactly 0.  Each row
+    is computed on its own, so the chunking does not change the bits.
+    """
+    out = np.empty(weights.shape[0])
+    step = max(1, _TWO_PASS_BYTES // (16 * means.size))
+    for a in range(0, weights.shape[0], step):
+        w = weights[a : a + step]
+        diff = means[None, :, :] - means[picks[a : a + step], None, :]
+        centre = (diff * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        diff -= centre[:, None, :]
+        diff *= diff
+        out[a : a + step] = (diff.sum(axis=2) * w).sum(axis=1)
+    return out
+
+
+def _spread_of_means(sizes, means, counts, total, picks):
+    """Weighted spread of the individual means, one value per row of ``counts``.
+
+    For the weights ``w = c * sizes`` of each row ``c`` of ``counts``,
+    whose sum is ``total``, the spread is ``S(w) = sum_g w_g ||means[g] -
+    mu_w||^2`` with ``mu_w`` the ``w``-weighted mean.  One pass,
+    ``w.q - ||M^T w||^2 / sum(w)``, on the I-by-p means ``M`` centred at
+    their ``sizes``-weighted mean, with ``q`` their squared norms:
+    O(I*p) per row.  Rows where the subtraction cancels more than half of
+    ``w.q`` are redone by :func:`_two_pass_spread` about ``picks``.
+    """
+    centred = means - (sizes @ means) / sizes.sum()
+    norms = np.einsum("ij,ij->i", centred, centred)
+    centred *= sizes[:, None]
+    proj = counts @ centred
+    weighted = counts @ (sizes * norms)
+    spread = weighted - np.einsum("ij,ij->i", proj, proj) / total
+    redo = np.flatnonzero(spread < 0.5 * weighted)
+    if redo.size:
+        weights = counts[redo] * sizes
+        spread[redo] = _two_pass_spread(means, weights, picks[redo])
+    return spread
+
+
+def _resampled_sums(sizes, within, cross, means, counts, picks):
+    """``c^T cross c`` for each row ``c`` of ``counts``, from either form.
+
+    Takes the fields of a :class:`BlockStats`.  A row of ``counts`` says
+    how often a resample draws each individual, and ``picks[r]`` is an
+    individual that row ``r`` draws.  ``c^T cross c`` sums the squared
+    distances over all ordered pairs of the resample's payloads.  From
+    ``cross`` it is the O(I^2) product.  From the means, for
+    ``w = c * sizes`` it is ``2 sum(w) (S(w) + c . (within / sizes))``,
+    where ``S(w)`` is the ``w``-weighted spread of the means
+    (:func:`_spread_of_means`), in O(I*p).
+    """
+    if means is None:
+        return ((counts @ cross) * counts).sum(axis=1)
+    total = counts @ sizes
+    spread = _spread_of_means(sizes, means, counts, total, picks)
+    spread += counts @ (within / sizes)
+    return 2.0 * total * spread
+
+
+def _between_sum(stats: BlockStats):
+    """Sum of the squared distances over the unordered between-individual pairs.
+
+    From ``cross``, half its off-diagonal sum.  From the means, the
+    resample that draws every individual once: half of ``c^T cross c``
+    less its diagonal, for ``c`` all ones, which is
+    ``N S(J) + sum_g W_g (N - J_g)`` with ``W = within / sizes``, ``N``
+    the payload count and ``S(J)`` the ``sizes``-weighted spread of the
+    means.  Bitwise-equal means and zero ``within`` give exactly 0.
+    """
+    sizes, within, cross, means = stats
+    if means is None:
+        off_diagonal = ~np.eye(sizes.size, dtype=bool)
+        return np.sum(cross, where=off_diagonal) / 2.0
+    ones = np.ones((1, sizes.size))
+    every = np.zeros(1, dtype=np.intp)  # individual 0 is drawn
+    quad = _resampled_sums(sizes, within, None, means, ones, every)
+    return (quad[0] - ones[0] @ (2.0 * within)) / 2.0
 
 
 def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockStats:
@@ -513,7 +610,9 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
             _standardize_rows(rows)
             scale = 0.5
         stats = _rows_block_sums(rows, sample.group_sizes, scale)
-    if not np.isfinite(stats.cross.sum()):
+        # the sum over all ordered pairs, diagonal blocks included
+        total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
+    if not np.isfinite(total):
         raise NonFiniteError("squared distances overflow float64 or are undefined")
     return stats
 
@@ -523,9 +622,11 @@ def block_stats(sample: GroupedSample, metric) -> BlockStats:
 
     The payload pipeline is that of :func:`compute_distance_matrix`, and
     the sums equal those of its distance matrix up to rounding, but no
-    n-by-n matrix is built: for n payloads of p values and I individuals
-    this takes O(n*p + I^2*p) time and O(n*p + I^2) memory.  ``l1`` raises
-    :class:`MetricMismatchError`.
+    n-by-n matrix is built.  For n payloads of p values and I individuals
+    the sums between individuals come as the I-by-p means when p <= I, in
+    O(n*p) time, and as the I-by-I ``cross`` when p > I, in
+    O(n*p + I^2*p) time (see :class:`BlockStats`); either way memory is
+    O(n*p + I*min(I, p)).  ``l1`` raises :class:`MetricMismatchError`.
 
     Parameters
     ----------

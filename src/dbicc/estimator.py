@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix
+from .core import DistanceMatrix, _between_sum
 from .errors import (
     DegenerateDistancesError,
     InsufficientGroupsError,
@@ -136,8 +136,7 @@ def dbicc_point(source) -> DbiccEstimate:
         between_sum = np.sum(_squared_upper(source, between=True))
         within_sum = np.sum(_squared_upper(source, between=False))
     else:
-        off_diagonal = ~np.eye(sizes.size, dtype=bool)
-        between_sum = np.sum(source.cross, where=off_diagonal) / 2.0
+        between_sum = _between_sum(source)
         within_sum = np.sum(source.within)
     between = float(between_sum / n_between)
     within = float(within_sum / n_within)

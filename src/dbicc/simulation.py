@@ -249,6 +249,40 @@ def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     return list(_corr_scale_batch(wisharts))
 
 
+def _matrix_sample(mats, n_replicates):
+    """The stacked matrices as a sample, ``n_replicates`` per individual."""
+    n = mats.shape[0] // n_replicates
+    return GroupedSample(
+        values=mats,
+        group_sizes=np.full(n, n_replicates),
+        labels=_sim_labels(n),
+        payload_kind=PayloadKind.MATRIX,
+    )
+
+
+def _sample_covs(pop, n_timepoints, n_replicates, rng):
+    """Sample covariances of ``n_replicates`` series per individual, stacked.
+
+    Each series has ``n_timepoints`` rows drawn from the population's
+    AR(1) law, whatever the population's own series length, so one
+    population (and one factorization) serves every length.
+    """
+    n, k, m, p = pop.n_individuals, n_replicates, n_timepoints, pop.dim
+    step = max(1, _SERIES_CHUNK_BYTES // (8 * k * m * p))
+    series = np.empty((min(step, n), k, m, p))
+    draws = np.empty((k, m, p))
+    mats = np.empty((n * k, p, p))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        chunk = series[: i1 - i0]
+        # innovations in individual order, so the RNG stream never depends on step
+        for c, chol in enumerate(pop._chols[i0:i1]):
+            np.matmul(rng.standard_normal(out=draws), chol.T, out=chunk[c])
+        _ar1_in_place(chunk, pop.ar_coeff)
+        _sample_cov_batch(chunk.reshape(-1, m, p), out=mats[i0 * k : i1 * k])
+    return mats
+
+
 def gen_connectivity_sample(
     pop: ConnectivityPopulation,
     n_replicates: int,
@@ -267,27 +301,10 @@ def gen_connectivity_sample(
     if n_replicates < 1:
         raise ParameterError("need at least 1 replicate per individual")
     rng = np.random.default_rng(rng)
-    n, k, m, p = pop.n_individuals, n_replicates, pop.n_timepoints, pop.dim
-    step = max(1, _SERIES_CHUNK_BYTES // (8 * k * m * p))
-    series = np.empty((min(step, n), k, m, p))
-    draws = np.empty((k, m, p))
-    mats = np.empty((n * k, p, p))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        chunk = series[: i1 - i0]
-        # innovations in individual order, so the RNG stream never depends on step
-        for c, chol in enumerate(pop._chols[i0:i1]):
-            np.matmul(rng.standard_normal(out=draws), chol.T, out=chunk[c])
-        _ar1_in_place(chunk, pop.ar_coeff)
-        _sample_cov_batch(chunk.reshape(-1, m, p), out=mats[i0 * k : i1 * k])
+    mats = _sample_covs(pop, pop.n_timepoints, n_replicates, rng)
     if matrix_kind == "correlation":
         mats = _corr_scale_batch(mats)
-    return GroupedSample(
-        values=mats,
-        group_sizes=np.full(n, n_replicates),
-        labels=_sim_labels(n),
-        payload_kind=PayloadKind.MATRIX,
-    )
+    return _matrix_sample(mats, n_replicates)
 
 
 def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
@@ -464,18 +481,15 @@ def _sb_worker(task):
     (seed, run, n_individuals, n_replicates, dim, m_grid, ar_coeff, df) = task
     rng = np.random.default_rng([seed, run])
     sigmas = gen_spd_population(n_individuals, dim, rng, wishart_df=df)
+    # one factorization per run; the shortest length is the one to check
+    pop = ConnectivityPopulation(sigmas, min(m_grid), ar_coeff)
     rows = []
     for m in m_grid:
-        pop = ConnectivityPopulation(sigmas, m, ar_coeff)
-        covs = gen_connectivity_sample(pop, n_replicates, rng)
-        corrs = GroupedSample(
-            values=_corr_scale_batch(covs.values),
-            group_sizes=covs.group_sizes,
-            labels=covs.labels,
-            payload_kind=PayloadKind.MATRIX,
-        )
+        covs = _sample_covs(pop, m, n_replicates, rng)
         row = {"m": int(m)}
-        for kind, sample in (("covariance", covs), ("correlation", corrs)):
+        corrs = _corr_scale_batch(covs)
+        for kind, mats in (("covariance", covs), ("correlation", corrs)):
+            sample = _matrix_sample(mats, n_replicates)
             row[kind] = dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
         rows.append(row)
     return rows

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 import dbicc.core
 from dbicc import (
@@ -24,13 +25,13 @@ from dbicc import (
     corr_of_corr_distance,
     dbicc_point,
 )
-import dbicc.bootstrap
 from dbicc.bootstrap import (
     _block_sums,
     _draw_indices,
     _estimates_for_indices,
     _replicate_components,
 )
+from dbicc.core import _between_sum
 
 RTOL = 1e-10
 
@@ -59,6 +60,33 @@ group_sizes = st.lists(st.integers(1, 4), min_size=2, max_size=6).filter(
     lambda sizes: max(sizes) >= 2
 )
 seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def dim_and_sizes(draw, dims, width=lambda dim: dim, max_individuals=6):
+    """A payload dimension and replicate counts of I individuals.
+
+    The rows compared have ``width(dim)`` values, p; I is 2, p - 1, p or
+    p + 1, or up to ``max_individuals``, so the sums from payload rows
+    take both forms (means when p <= I, ``cross`` when p > I).
+    """
+    dim = draw(dims)
+    p = width(dim)
+    n_groups = draw(
+        st.sampled_from(sorted({2, max(2, p - 1), max(2, p), p + 1}))
+        | st.integers(2, max_individuals)
+    )
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=n_groups, max_size=n_groups).filter(
+            lambda sizes: max(sizes) >= 2
+        )
+    )
+    return dim, sizes
+
+
+def tril_width(dim):
+    return dim * (dim - 1) // 2
+
 # (offset, between spread, within noise): ordinary data, a large common
 # offset with tiny within-noise, and near-duplicate replicates
 regimes = st.sampled_from(
@@ -66,11 +94,21 @@ regimes = st.sampled_from(
 )
 
 
+def assert_one_form(stats):
+    """Sums from payload rows hold the smaller between form, never both."""
+    assert (stats.cross is None) != (stats.means is None)
+    if stats.means is not None:
+        assert stats.means.shape[1] <= stats.sizes.size
+
+
 def assert_same_analysis(fast, exact):
     """Block sums, point estimate and bootstrap replicates agree to RTOL."""
     assert np.array_equal(fast.sizes, exact.sizes)
+    assert_one_form(fast)
     np.testing.assert_allclose(fast.within, exact.within, rtol=RTOL, atol=0)
-    np.testing.assert_allclose(fast.cross, exact.cross, rtol=RTOL, atol=0)
+    assert _between_sum(fast) == pytest.approx(_between_sum(exact), rel=RTOL, abs=0)
+    if fast.cross is not None and exact.cross is not None:
+        np.testing.assert_allclose(fast.cross, exact.cross, rtol=RTOL, atol=0)
     got, want = dbicc_point(fast), dbicc_point(exact)
     assert got.msd_within == pytest.approx(want.msd_within, rel=RTOL, abs=0)
     assert got.msd_between == pytest.approx(want.msd_between, rel=RTOL, abs=0)
@@ -79,6 +117,7 @@ def assert_same_analysis(fast, exact):
     )
     assert_rho_close(got.rho_hat, want.rho_hat)
     picks = _draw_indices(fast.sizes.size, 60, 11)
+    assert_same_replicates(fast, exact, picks)
     for a, b in zip(
         _estimates_for_indices(*fast, picks), _estimates_for_indices(*exact, picks)
     ):
@@ -98,8 +137,9 @@ def assert_rho_close(got, want):
 
 class TestAgainstMatrixPath:
     @settings(max_examples=60, deadline=None)
-    @given(sizes=group_sizes, dim=st.integers(1, 6), regime=regimes, seed=seeds)
-    def test_l2_vectors(self, sizes, dim, regime, seed):
+    @given(grouping=dim_and_sizes(st.integers(1, 6)), regime=regimes, seed=seeds)
+    def test_l2_vectors(self, grouping, regime, seed):
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim,), *regime)
         sample = grouped(payloads, PayloadKind.VECTOR)
@@ -107,8 +147,13 @@ class TestAgainstMatrixPath:
         assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
 
     @settings(max_examples=40, deadline=None)
-    @given(sizes=group_sizes, dim=st.integers(1, 4), regime=regimes, seed=seeds)
-    def test_l2_matrices(self, sizes, dim, regime, seed):
+    @given(
+        grouping=dim_and_sizes(st.integers(1, 4), width=lambda dim: dim * dim),
+        regime=regimes,
+        seed=seeds,
+    )
+    def test_l2_matrices(self, grouping, regime, seed):
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim, dim), *regime)
         sample = grouped(payloads, PayloadKind.MATRIX)
@@ -116,8 +161,9 @@ class TestAgainstMatrixPath:
         assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
 
     @settings(max_examples=40, deadline=None)
-    @given(sizes=group_sizes, dim=st.integers(3, 6), seed=seeds)
-    def test_corr_of_corr(self, sizes, dim, seed):
+    @given(grouping=dim_and_sizes(st.integers(3, 6), width=tril_width), seed=seeds)
+    def test_corr_of_corr(self, grouping, seed):
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
         sample = grouped(payloads, PayloadKind.MATRIX)
@@ -126,18 +172,18 @@ class TestAgainstMatrixPath:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        sizes=group_sizes,
-        dim=st.integers(4, 6),
+        grouping=dim_and_sizes(st.integers(4, 6), width=tril_width),
         noise=st.sampled_from([1e-3, 1e-4]),
         seed=seeds,
     )
-    def test_corr_of_corr_near_duplicates(self, sizes, dim, noise, seed):
+    def test_corr_of_corr_near_duplicates(self, grouping, noise, seed):
         # Corr of corr is l2 on the standardized lower triangles at half
         # scale, so that is the reference here, standardized independently
         # of the library.  Standardizing rounds each
         # row by about 1e-16 of its norm in any algorithm, which bounds the
         # relative accuracy of a difference of size d by about 1e-16 / d, so
         # noise of 1e-5 and below is covered by the l2 cases instead.
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, noise)
         tril = np.tril_indices(dim, k=-1)
@@ -217,25 +263,36 @@ class TestAgainstMatrixPath:
 class TestExactCases:
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
     def test_identical_replicates_give_exactly_one(self, rng, metric):
-        centers = [rng.standard_normal((4, 4)) + 1e4 for _ in range(4)]
-        payloads = [[c.copy() for _ in range(3)] for c in centers]
-        sample = grouped(payloads, PayloadKind.MATRIX)
-        stats = block_stats(sample, metric)
-        assert np.all(stats.within == 0.0)
-        est = dbicc_point(stats)
-        assert est.msd_within == 0.0
-        assert est.rho_hat == 1.0
+        # 4 individuals of 4x4 payloads give cross (p = 16 or 6), 20 the means
+        for n_individuals in (4, 20):
+            centers = [rng.standard_normal((4, 4)) + 1e4 for _ in range(n_individuals)]
+            payloads = [[c.copy() for _ in range(3)] for c in centers]
+            sample = grouped(payloads, PayloadKind.MATRIX)
+            stats = block_stats(sample, metric)
+            assert (stats.cross is None) == (n_individuals == 20)
+            assert np.all(stats.within == 0.0)
+            est = dbicc_point(stats)
+            assert est.msd_within == 0.0
+            assert est.rho_hat == 1.0
 
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
     def test_all_identical_payloads_are_degenerate(self, rng, metric):
         payload = rng.standard_normal((4, 4)) + 1e4
-        sample = grouped([[payload.copy()] * 2 for _ in range(3)], PayloadKind.MATRIX)
-        stats = block_stats(sample, metric)
-        assert not np.any(stats.cross)
-        with pytest.raises(DegenerateDistancesError):
-            dbicc_point(stats)
-        with pytest.raises(DegenerateDistancesError):
-            bootstrap_dbicc(stats, 200, seed=1)
+        for n_individuals in (3, 20):
+            sample = grouped(
+                [[payload.copy()] * 2 for _ in range(n_individuals)], PayloadKind.MATRIX
+            )
+            stats = block_stats(sample, metric)
+            if n_individuals == 3:
+                assert not np.any(stats.cross)
+            else:
+                assert stats.cross is None
+                assert not np.any(stats.means)
+            assert not np.any(stats.within)
+            with pytest.raises(DegenerateDistancesError):
+                dbicc_point(stats)
+            with pytest.raises(DegenerateDistancesError):
+                bootstrap_dbicc(stats, 200, seed=1)
 
     def test_constant_lower_triangle_is_degenerate_input(self, rng):
         payloads = [[rng.standard_normal((4, 4)) for _ in range(2)] for _ in range(3)]
@@ -245,12 +302,25 @@ class TestExactCases:
             block_stats(sample, Metric.CORR_OF_CORR)
 
     def test_block_stats_fields(self, rng):
-        payloads = draw_payloads(rng, [2, 1, 3], (2,), 0.0, 1.0, 0.5)
-        stats = block_stats(grouped(payloads, PayloadKind.VECTOR), Metric.L2_VEC)
-        assert isinstance(stats, BlockStats)
-        assert stats.sizes.tolist() == [2, 1, 3]
-        assert np.array_equal(np.diagonal(stats.cross), 2.0 * stats.within)
-        assert np.array_equal(stats.cross, stats.cross.T)
+        # 3 individuals: p = 2 gives the means, p = 4 the cross sums
+        for dim in (2, 3, 4):
+            payloads = draw_payloads(rng, [2, 1, 3], (dim,), 0.0, 1.0, 0.5)
+            sample = grouped(payloads, PayloadKind.VECTOR)
+            stats = block_stats(sample, Metric.L2_VEC)
+            exact = _block_sums(compute_distance_matrix(sample, Metric.L2_VEC))
+            assert isinstance(stats, BlockStats)
+            assert stats.sizes.tolist() == [2, 1, 3]
+            np.testing.assert_allclose(stats.within, exact.within, rtol=RTOL, atol=0)
+            assert _between_sum(stats) == pytest.approx(
+                _between_sum(exact), rel=RTOL, abs=0
+            )
+            if dim <= 3:
+                assert stats.cross is None
+                assert stats.means.shape == (3, dim)
+            else:
+                assert stats.means is None
+                assert np.array_equal(np.diagonal(stats.cross), 2.0 * stats.within)
+                assert np.array_equal(stats.cross, stats.cross.T)
 
 
 def draw_clustered(rng, sizes, dim, offset, spread, noise, clusters):
@@ -266,20 +336,33 @@ def draw_clustered(rng, sizes, dim, offset, spread, noise, clusters):
     return grouped(out, PayloadKind.VECTOR)
 
 
+def oracle(sample, metric):
+    """Block sums of the sample's distance matrix, as the I-by-I cross sums."""
+    return _block_sums(compute_distance_matrix(sample, metric))
+
+
 def dense(stats):
-    """The same block sums without means: replicates take the I-by-I product."""
-    return stats._replace(means=None)
+    """The same block sums as the I-by-I cross sums, built from the means."""
+    if stats.means is None:
+        return stats
+    sizes, within, _, means = stats
+    spread = within / sizes
+    cross = squareform(pdist(means, "sqeuclidean")) * sizes[:, None] * sizes[None, :]
+    cross += sizes[None, :] * spread[:, None] + sizes[:, None] * spread[None, :]
+    np.fill_diagonal(cross, 2.0 * within)
+    return BlockStats(sizes, within, cross)
 
 
-def assert_same_replicates(stats, picks):
-    """Factored and dense replicate components agree, with the same flags."""
+def assert_same_replicates(stats, reference, picks):
+    """Replicate components of two sets of block sums agree, with the same flags."""
     fast = _replicate_components(*stats, picks)
-    exact = _replicate_components(*dense(stats), picks)
-    for key in ("within_num", "within_den", "naive_den", "corrected_den"):
+    exact = _replicate_components(*reference, picks)
+    for key in ("within_den", "naive_den", "corrected_den"):
         assert np.array_equal(fast[key], exact[key])
+    np.testing.assert_allclose(fast["within_num"], exact["within_num"], rtol=RTOL, atol=0)
     flags = zip(
         _estimates_for_indices(*stats, picks)[2:],
-        _estimates_for_indices(*dense(stats), picks)[2:],
+        _estimates_for_indices(*reference, picks)[2:],
     )
     for (got, want), kind in zip(flags, ("naive", "corrected")):
         assert np.array_equal(got, want)
@@ -298,27 +381,41 @@ clustered_regimes = st.sampled_from(
 class TestFactoredReplicates:
     @settings(max_examples=80, deadline=None)
     @given(
-        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=60).filter(
-            lambda sizes: max(sizes) >= 2
-        ),
-        dim=st.sampled_from([1, 2, 5, 20, 80]),
+        grouping=dim_and_sizes(st.sampled_from([1, 2, 5, 20, 80]), max_individuals=60),
         regime=clustered_regimes,
         clusters=st.integers(1, 4),
         seed=seeds,
     )
-    def test_factored_match_dense(self, sizes, dim, regime, clusters, seed):
+    def test_factored_match_dense(self, grouping, regime, clusters, seed):
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         sample = draw_clustered(rng, sizes, dim, *regime, clusters)
         stats = block_stats(sample, Metric.L2_VEC)
-        assert_same_replicates(stats, _draw_indices(len(sizes), 60, seed))
+        assert_one_form(stats)
+        picks = _draw_indices(len(sizes), 60, seed)
+        # numerators against the dense product on the same sums: at a 1e4
+        # offset, individuals 1e-6 apart in a cluster a unit from the first
+        # payload have means, and so sums, that differ from the distance
+        # matrix's by up to about 2e-10 (already so in cross)
+        assert_same_replicates(stats, dense(stats), picks)
+        flags = zip(
+            _estimates_for_indices(*stats, picks)[2:],
+            _estimates_for_indices(*oracle(sample, Metric.L2_VEC), picks)[2:],
+        )
+        for got, want in flags:
+            assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
-    @given(sizes=group_sizes, dim=st.integers(3, 9), seed=seeds)
-    def test_factored_match_dense_corr_of_corr(self, sizes, dim, seed):
+    @given(grouping=dim_and_sizes(st.integers(3, 9), width=tril_width), seed=seeds)
+    def test_factored_match_dense_corr_of_corr(self, grouping, seed):
+        dim, sizes = grouping
         rng = np.random.default_rng(seed)
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
-        stats = block_stats(grouped(payloads, PayloadKind.MATRIX), Metric.CORR_OF_CORR)
-        assert_same_replicates(stats, _draw_indices(len(sizes), 60, seed))
+        sample = grouped(payloads, PayloadKind.MATRIX)
+        stats = block_stats(sample, Metric.CORR_OF_CORR)
+        assert_one_form(stats)
+        picks = _draw_indices(len(sizes), 60, seed)
+        assert_same_replicates(stats, oracle(sample, Metric.CORR_OF_CORR), picks)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -341,53 +438,60 @@ class TestFactoredReplicates:
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
     def test_exact_zeros_and_flags(self, rng, metric):
         # 0: identical replicates; 1 and 2: bitwise-identical payloads, zero
-        # spread; 3: ordinary; 4: a singleton
-        twin = rng.standard_normal((4, 4)) + 1e4
-        same = rng.standard_normal((4, 4)) + 1e4
-        payloads = [
-            [same.copy() for _ in range(3)],
-            [twin.copy(), twin.copy()],
-            [twin.copy(), twin.copy()],
-            [rng.standard_normal((4, 4)) + 1e4 for _ in range(2)],
-            [rng.standard_normal((4, 4)) + 1e4],
-        ]
-        stats = block_stats(grouped(payloads, PayloadKind.MATRIX), metric)
-        picks = np.array(
-            [[g] * 5 for g in range(5)]
-            + [[1, 2, 1, 2, 2], [1, 2, 2, 2, 2], [2, 1, 1, 1, 1]]
-            + [[0, 0, 0, 4, 4], [3, 3, 3, 3, 1]]
-        )
-        fast = _replicate_components(*stats, picks)
-        exact = _replicate_components(*dense(stats), picks)
-        for kind in ("naive_num", "corrected_num"):
-            zero = exact[kind] == 0.0
-            assert zero[[0, 1, 2, 4, 5, 6, 7]].all()
-            assert np.array_equal(fast[kind][zero], exact[kind][zero])
-        assert_same_replicates(stats, picks)
+        # spread; 3: ordinary; 4: a singleton.  The smaller payloads give
+        # the means (p <= 5), the larger the cross sums.
+        for side in (2 if metric is Metric.L2_VEC else 3, 4):
+            shape = (side, side)
+            twin = rng.standard_normal(shape) + 1e4
+            same = rng.standard_normal(shape) + 1e4
+            payloads = [
+                [same.copy() for _ in range(3)],
+                [twin.copy(), twin.copy()],
+                [twin.copy(), twin.copy()],
+                [rng.standard_normal(shape) + 1e4 for _ in range(2)],
+                [rng.standard_normal(shape) + 1e4],
+            ]
+            sample = grouped(payloads, PayloadKind.MATRIX)
+            stats = block_stats(sample, metric)
+            assert (stats.cross is None) == (side < 4)
+            reference = oracle(sample, metric)
+            picks = np.array(
+                [[g] * 5 for g in range(5)]
+                + [[1, 2, 1, 2, 2], [1, 2, 2, 2, 2], [2, 1, 1, 1, 1]]
+                + [[0, 0, 0, 4, 4], [3, 3, 3, 3, 1]]
+            )
+            fast = _replicate_components(*stats, picks)
+            exact = _replicate_components(*reference, picks)
+            for kind in ("naive_num", "corrected_num"):
+                zero = exact[kind] == 0.0
+                assert zero[[0, 1, 2, 4, 5, 6, 7]].all()
+                assert np.array_equal(fast[kind][zero], exact[kind][zero])
+            assert_same_replicates(stats, reference, picks)
 
     def test_two_pass_chunks_do_not_change_the_bits(self, rng, monkeypatch):
         sample = draw_clustered(rng, [2, 3, 1, 2, 2, 3], 4, 1e4, 1e-6, 1e-9, 2)
         stats = block_stats(sample, Metric.L2_VEC)
         picks = _draw_indices(6, 200, 7)
-        two_pass = dbicc.bootstrap._two_pass_spread
+        two_pass = dbicc.core._two_pass_spread
         rows = []
 
         def counting(means, weights, picks):
             rows.append(len(weights))
             return two_pass(means, weights, picks)
 
-        monkeypatch.setattr(dbicc.bootstrap, "_two_pass_spread", counting)
+        monkeypatch.setattr(dbicc.core, "_two_pass_spread", counting)
         whole = _replicate_components(*stats, picks)
         assert 0 < rows[0] < 200  # both paths run
         for budget in (1, 3 * 16 * stats.means.size):
-            monkeypatch.setattr(dbicc.bootstrap, "_TWO_PASS_BYTES", budget)
+            monkeypatch.setattr(dbicc.core, "_TWO_PASS_BYTES", budget)
             chunked = _replicate_components(*stats, picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
 
 
 def test_estimate_and_bootstrap_allocate_less_than_one_matrix():
-    # n = 4000 payloads of 2 replicates: one n-by-n float64 array is 128 MB
+    # n = 4000 payloads of 2 replicates: one n-by-n float64 array is 128 MB,
+    # one I-by-I array 32 MB
     rng = np.random.default_rng(5)
     payloads = draw_payloads(rng, [2] * 2000, (8,), 0.0, 1.0, 0.5)
     sample = grouped(payloads, PayloadKind.VECTOR)
@@ -402,3 +506,6 @@ def test_estimate_and_bootstrap_allocate_less_than_one_matrix():
         tracemalloc.stop()
     assert n == 4000
     assert peak < 8 * n * n
+    n_individuals = sample.n_individuals
+    assert n_individuals == 2000
+    assert peak < 8 * n_individuals * n_individuals

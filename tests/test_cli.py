@@ -31,6 +31,12 @@ def grouping(dm):
     return [(g, j) for g, size in enumerate(dm.group_sizes) for j in range(size)]
 
 
+FEW_REPLICATES = (
+    "warning: n_boot={} is small; percentile intervals are unstable below a few "
+    "hundred replicates\n"
+)
+
+
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
     rc = main([*args, "--out", str(out)])
@@ -445,6 +451,14 @@ class TestBootstrapCommand:
         assert doc["corrected"] is True
         assert doc["ci_low"] <= doc["ci_high"]
 
+    def test_small_boot_warns_in_one_line(self, tmp_path, capsys, rng):
+        src = tmp_path / "data.csv"
+        rows = [f"s{i},{j},{rng.standard_normal()!r}" for i in range(4) for j in range(2)]
+        src.write_text("individual,replicate,f1\n" + "\n".join(rows) + "\n")
+        argv = ["bootstrap", str(src), "--boot", "50", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().err == FEW_REPLICATES.format(50)
+
     def test_naive_and_corrected_agree_on_duplicate_free_replicates(self, tmp_path, rng):
         src = tmp_path / "data.csv"
         with src.open("w", newline="") as fh:
@@ -611,6 +625,15 @@ class TestSimulateCommand:
         with csv_out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_small_boot_warns_once_in_one_line(self, tmp_path, capsys, threads):
+        argv = [
+            "simulate", "--experiment", "coverage", "--individuals", "6",
+            "--boot", "20", "--runs", "4", "--seed", "1", "--threads", threads,
+        ]
+        assert main([*argv, "--out", str(tmp_path / "cov.json")]) == 0
+        assert capsys.readouterr().err == FEW_REPLICATES.format(20)
 
     def test_sb_report(self, tmp_path):
         out = tmp_path / "sb.json"
