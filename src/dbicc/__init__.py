@@ -26,7 +26,6 @@ from .core import (
 from .distances import (
     DistanceSpec,
     Metric,
-    connectivity_score,
     corr_of_corr_distance,
     correlation_from_timeseries,
     l1_distance,

@@ -19,8 +19,11 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   pointing at a CSV with header ``row,individual,replicate`` (0-based
   ``row``);
 * a time-series manifest with header ``individual,replicate,path``,
-  each path a headerless CSV of one series (rows are time points),
-  resolved relative to the manifest.
+  each path a headerless CSV of one series (rows are time points), or a
+  ``.npy`` file of a 2-D float array, resolved relative to the manifest.
+
+CSV fields are split as the ``csv`` module splits them and number cells
+are read as ``float`` reads them.
 
 JSON and CSV output write each float as Python's shortest repr, which
 parses back to exactly the same value; all randomized commands record
@@ -39,6 +42,7 @@ import json
 import math
 import re
 import sys
+import tokenize
 import warnings
 from pathlib import Path
 
@@ -66,6 +70,7 @@ from .errors import (
 )
 from .estimator import dbicc_point
 from .simulation import (
+    _check_gaussian_args,
     run_coverage_experiment,
     run_point_experiment,
     run_sb_experiment,
@@ -161,14 +166,74 @@ def _read_csv_rows(path):
     return list(_csv_rows(path))
 
 
+def _is_vector_header(row):
+    header = [f.strip() for f in row]
+    return len(header) >= 3 and header[0] == "individual" and header[1] == "replicate"
+
+
 def _sniff_format(path) -> str:
     header = next(_csv_rows(path), None)  # the loader parses the whole file once
     if header is None:
         raise _ParseFailure(path, "file is empty")
-    first = [f.strip() for f in header]
-    if len(first) >= 3 and first[0] == "individual" and first[1] == "replicate":
-        return "timeseries" if first[2] == "path" else "vectors"
+    if _is_vector_header(header):
+        return "timeseries" if header[2].strip() == "path" else "vectors"
     return "distances"
+
+
+# Characters with which csv.reader may not split a line on its commas
+# alone: quotes, carriage returns, and NUL, which it rejects before
+# Python 3.11.  And \x1c-\x1f, which np.loadtxt strips from a cell as
+# white space where float() rejects the cell.
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
+
+
+def _bulk_table(path, skip, header):
+    """A CSV file read in one pass and one ``np.loadtxt`` call, or None.
+
+    Returns ``(head, labels, values)``.  ``head`` is the first line's
+    fields when ``header`` is true, else None.  Every later non-blank
+    line must have as many fields as ``head`` (without a header, as the
+    first data line); ``labels`` lists the first ``skip`` fields of each
+    and ``values`` holds the rest as one float array.
+
+    These are the rows and numbers that ``csv.reader`` and ``float``
+    would give, but only the plain case is taken: UTF-8 text without the
+    characters in ``_NOT_PLAIN``, no field over ``csv.field_size_limit()``,
+    lines of one width and cells that ``np.loadtxt`` reads (it accepts a
+    subset of ``float``'s spellings, to the same values).  Anything else
+    returns None, and the caller parses the file with
+    :func:`_read_csv_rows`, the path that locates each error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    # csv.reader ends lines at \n and \r alone, not at all of splitlines' breaks
+    lines = text.split("\n")
+    del text
+    limit = csv.field_size_limit()
+    long_lines = (line for line in lines if len(line) > limit)
+    if any(len(f) > limit for line in long_lines for f in line.split(",")):
+        return None
+    head = lines[0].split(",") if header else None
+    labels = [line.split(",", skip) for line in lines[1 if header else 0:] if line]
+    del lines
+    if not labels or any(len(row) != skip + 1 for row in labels):
+        return None
+    rests = [row.pop() for row in labels]
+    if "" in rests:  # an empty cell; np.loadtxt would skip the line
+        return None
+    try:
+        # raises, among others, on a line whose cell count differs from the first's
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if header and values.shape[1] != len(head) - skip:
+        return None
+    return head, labels, values
 
 
 def _replicate_sort_key(label: str):
@@ -248,16 +313,34 @@ def _numeric_rows(path, numbered, skip):
 
 
 def _load_vector_csv(path) -> GroupedSample:
+    table = _bulk_table(path, 2, header=True)
+    if table is not None and _is_vector_header(table[0]):
+        _, rows, values = table
+        individuals, replicates = zip(*rows)
+        keys = [_replicate_sort_key(rep) for rep in replicates]
+        order, sizes, labels = _group_order(individuals, keys)
+        # a repeated label or a single individual is reported by the csv path
+        if len(set(zip(individuals, keys))) == len(keys) and sizes.size >= 2:
+            return GroupedSample(
+                values=values[order],
+                group_sizes=sizes,
+                labels=labels,
+                payload_kind=PayloadKind.VECTOR,
+            )
+    return _parse_vector_csv(path)
+
+
+def _parse_vector_csv(path) -> GroupedSample:
+    """The vector CSV through ``csv.reader``: every case, every located error."""
     rows = _read_csv_rows(path)
-    header = [f.strip() for f in rows[0]] if rows else []
-    if len(header) < 3 or header[0] != "individual" or header[1] != "replicate":
+    if not rows or not _is_vector_header(rows[0]):
         raise _ParseFailure(
             path,
             "expected header 'individual,replicate,f1,...,fp'",
             line=1,
         )
     numbered, values = _numeric_rows(
-        path, _labelled_rows(path, rows, len(header), 0), 2
+        path, _labelled_rows(path, rows, len(rows[0]), 0), 2
     )
     if not numbered:
         raise _ParseFailure(path, "no data rows")
@@ -282,7 +365,11 @@ def _equal_width_rows(path, rows):
         yield lineno, row
 
 
-def _load_distance_input(path, groups_path) -> DistanceMatrix:
+def _distance_values(path) -> np.ndarray:
+    """The n×n matrix of a headerless distance CSV."""
+    table = _bulk_table(path, 0, header=False)
+    if table is not None and table[2].shape[0] == table[2].shape[1]:
+        return table[2]
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
@@ -297,6 +384,12 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
             f"got {values.shape[1]}",
             line=numbered[0][0],
         )
+    return values
+
+
+def _load_distance_input(path, groups_path) -> DistanceMatrix:
+    values = _distance_values(path)
+    n = values.shape[0]
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
     if gheader != ["row", "individual", "replicate"]:
@@ -327,6 +420,44 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
+def _load_npy_series(path) -> np.ndarray:
+    """A 2-D array of finite floats from a ``.npy`` file.
+
+    ``np.lib.format.read_array`` is the reader ``np.load`` uses for
+    ``.npy`` files; called directly, it rejects an ``.npz`` archive or
+    a pickle instead of opening it.  Malformed headers raise any of the
+    caught types.
+    """
+    try:
+        with open(path, "rb") as fh:
+            series = np.lib.format.read_array(fh, allow_pickle=False)
+    except OSError as exc:
+        raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
+    except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
+        raise _ParseFailure(path, f"not a .npy array ({exc})")
+    if series.ndim != 2:
+        raise _ParseFailure(path, f"expected a 2-D array, got shape {series.shape}")
+    if series.dtype.kind != "f":
+        raise _ParseFailure(path, f"expected a float array, got dtype {series.dtype}")
+    finite = np.isfinite(series)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise _ParseFailure(path, f"NaN or Inf at index ({row}, {col})")
+    return series
+
+
+def _load_series(path) -> np.ndarray:
+    """One series of a manifest: a ``.npy`` array or a headerless CSV."""
+    if path.suffix == ".npy":
+        return _load_npy_series(path)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise _ParseFailure(path, f"cannot read file ({exc})")
+    except ValueError as exc:
+        raise _ParseFailure(path, f"not a numeric CSV ({exc})")
+
+
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -338,13 +469,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         series_path = Path(row[2])
         if not series_path.is_absolute():
             series_path = base / series_path
-        try:
-            series = np.loadtxt(series_path, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise _ParseFailure(series_path, f"cannot read file ({exc})")
-        except ValueError as exc:
-            raise _ParseFailure(series_path, f"not a numeric CSV ({exc})")
-        records.append((row[0], key, series))
+        records.append((row[0], key, _load_series(series_path)))
     if not records:
         raise _ParseFailure(path, "no data rows")
     return build_grouped_sample(records, payload_kind=PayloadKind.TIMESERIES)
@@ -527,10 +652,13 @@ def _cmd_simulate(args) -> int:
         csv_rows = list(enumerate(report["estimates"]))
         csv_header = ["run", "rho_hat"]
     elif args.experiment == "coverage":
+        n_individuals, n_replicates = args.individuals or 40, args.replicates or 4
+        # bad values fail before the warning line and before any worker starts
+        _check_gaussian_args(n_individuals, n_replicates, args.rho)
         _warn_few_replicates(args.boot)
         report = run_coverage_experiment(
-            n_individuals=args.individuals or 40,
-            n_replicates=args.replicates or 4,
+            n_individuals=n_individuals,
+            n_replicates=n_replicates,
             icc=args.rho,
             n_boot=args.boot,
             n_runs=args.runs or 500,

@@ -10,8 +10,8 @@ Three dissimilarities are supported for repeated-measures payloads:
 
 The module also provides the helpers needed to turn multivariate time
 series into connectivity matrices: Pearson correlation across columns,
-soft-thresholding of off-diagonal correlations (one matrix or a whole
-stack at a time), and a log-determinant connectivity score.
+and soft-thresholding of off-diagonal correlations (one matrix or a
+whole stack at a time).
 
 All functions are pure, apart from writing a given ``out`` array, and
 safe for concurrent use.  The scalar distance
@@ -31,7 +31,6 @@ from .errors import (
     InputShapeError,
     InsufficientDataError,
     ParameterError,
-    SingularMatrixError,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "corr_of_corr_distance",
     "correlation_from_timeseries",
     "soft_threshold",
-    "connectivity_score",
 ]
 
 
@@ -247,21 +245,3 @@ def soft_threshold(r, level, out=None):
     fractions = zeros / (p * (p - 1))
     return out, fractions if r.ndim == 3 else float(fractions[0])
 
-
-def connectivity_score(r) -> float:
-    """Overall connectivity of a correlation matrix: ``-log det(R)``.
-
-    Identity (no correlation) scores 0; stronger dependence pushes the
-    determinant toward 0 and the score up.  Computed from a Cholesky
-    factorization for numerical stability.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise InputShapeError(f"expected a square matrix, got shape {r.shape}")
-    try:
-        chol = np.linalg.cholesky(r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "matrix is not positive definite; -log det is undefined"
-        ) from exc
-    return float(-2.0 * np.sum(np.log(np.diag(chol))))

@@ -9,8 +9,6 @@ from dbicc import (
     InputShapeError,
     InsufficientDataError,
     ParameterError,
-    SingularMatrixError,
-    connectivity_score,
     corr_of_corr_distance,
     correlation_from_timeseries,
     l1_distance,
@@ -215,25 +213,6 @@ class TestSoftThreshold:
             assert stacked.tobytes() == np.stack([m for m, _ in singles]).tobytes()
             assert fractions.tolist() == [f for _, f in singles]
         assert soft_threshold(r, level, out=buf)[0] is buf
-
-
-class TestConnectivityScore:
-    def test_identity(self):
-        assert connectivity_score(np.eye(4)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_two_by_two(self):
-        r = np.array([[1.0, 0.6], [0.6, 1.0]])
-        assert connectivity_score(r) == pytest.approx(-np.log(1 - 0.36), rel=1e-12)
-
-    def test_matches_eigenvalue_oracle(self, rng):
-        r = rand_corr(rng, 6)
-        expected = -float(np.sum(np.log(np.linalg.eigvalsh(r))))
-        assert connectivity_score(r) == pytest.approx(expected, rel=1e-10)
-
-    def test_not_positive_definite(self):
-        bad = np.array([[1.0, 0.9], [0.9, 0.5]])  # negative determinant
-        with pytest.raises(SingularMatrixError):
-            connectivity_score(bad)
 
 
 class TestDistanceSpec:
