@@ -19,8 +19,8 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   pointing at a CSV with header ``row,individual,replicate`` (0-based
   ``row``);
 * a time-series manifest with header ``individual,replicate,path``,
-  each path a headerless CSV of one series (rows are time points), or a
-  ``.npy`` file of a 2-D float array, resolved relative to the manifest.
+  each path a headerless CSV of one series (rows are time points),
+  resolved relative to the manifest.
 
 CSV fields are split as the ``csv`` module splits them and number cells
 are read as ``float`` reads them.
@@ -42,7 +42,6 @@ import json
 import math
 import re
 import sys
-import tokenize
 import warnings
 from pathlib import Path
 
@@ -181,27 +180,25 @@ def _sniff_format(path) -> str:
 
 
 # Characters with which csv.reader may not split a line on its commas
-# alone: quotes, carriage returns, and NUL, which it rejects before
-# Python 3.11.  And \x1c-\x1f, which np.loadtxt strips from a cell as
-# white space where float() rejects the cell.
+# alone: quotes, carriage returns other than in a \r\n line end, and NUL,
+# which it rejects before Python 3.11.  And \x1c-\x1f, which np.loadtxt
+# strips from a cell as white space where float() rejects the cell.
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _bulk_table(path, skip, header):
-    """A CSV file read in one pass and one ``np.loadtxt`` call, or None.
+def _bulk_table(path):
+    """A vector CSV read in one pass and one ``np.loadtxt`` call, or None.
 
-    Returns ``(head, labels, values)``.  ``head`` is the first line's
-    fields when ``header`` is true, else None.  Every later non-blank
-    line must have as many fields as ``head`` (without a header, as the
-    first data line); ``labels`` lists the first ``skip`` fields of each
-    and ``values`` holds the rest as one float array.
+    Returns ``(head, labels, values)``: the first line's fields, the
+    individual and replicate fields of each later non-blank line, and
+    the rest of those lines as one float array.
 
     These are the rows and numbers that ``csv.reader`` and ``float``
     would give, but only the plain case is taken: UTF-8 text without the
     characters in ``_NOT_PLAIN``, no field over ``csv.field_size_limit()``,
-    lines of one width and cells that ``np.loadtxt`` reads (it accepts a
-    subset of ``float``'s spellings, to the same values).  Anything else
-    returns None, and the caller parses the file with
+    lines as wide as the header and cells that ``np.loadtxt`` reads (it
+    accepts a subset of ``float``'s spellings, to the same values).
+    Anything else returns None, and the caller parses the file with
     :func:`_read_csv_rows`, the path that locates each error.
     """
     try:
@@ -209,6 +206,8 @@ def _bulk_table(path, skip, header):
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
+    if "\r" in text:  # \r\n is one line end to csv.reader, as \n is
+        text = text.replace("\r\n", "\n")
     if any(c in text for c in _NOT_PLAIN):
         return None
     # csv.reader ends lines at \n and \r alone, not at all of splitlines' breaks
@@ -218,10 +217,10 @@ def _bulk_table(path, skip, header):
     long_lines = (line for line in lines if len(line) > limit)
     if any(len(f) > limit for line in long_lines for f in line.split(",")):
         return None
-    head = lines[0].split(",") if header else None
-    labels = [line.split(",", skip) for line in lines[1 if header else 0:] if line]
+    head = lines[0].split(",")
+    labels = [line.split(",", 2) for line in lines[1:] if line]
     del lines
-    if not labels or any(len(row) != skip + 1 for row in labels):
+    if not labels or any(len(row) != 3 for row in labels):
         return None
     rests = [row.pop() for row in labels]
     if "" in rests:  # an empty cell; np.loadtxt would skip the line
@@ -231,7 +230,7 @@ def _bulk_table(path, skip, header):
         values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if header and values.shape[1] != len(head) - skip:
+    if values.shape[1] != len(head) - 2:
         return None
     return head, labels, values
 
@@ -313,7 +312,7 @@ def _numeric_rows(path, numbered, skip):
 
 
 def _load_vector_csv(path) -> GroupedSample:
-    table = _bulk_table(path, 2, header=True)
+    table = _bulk_table(path)
     if table is not None and _is_vector_header(table[0]):
         _, rows, values = table
         individuals, replicates = zip(*rows)
@@ -365,11 +364,7 @@ def _equal_width_rows(path, rows):
         yield lineno, row
 
 
-def _distance_values(path) -> np.ndarray:
-    """The n×n matrix of a headerless distance CSV."""
-    table = _bulk_table(path, 0, header=False)
-    if table is not None and table[2].shape[0] == table[2].shape[1]:
-        return table[2]
+def _load_distance_input(path, groups_path) -> DistanceMatrix:
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
@@ -384,12 +379,6 @@ def _distance_values(path) -> np.ndarray:
             f"got {values.shape[1]}",
             line=numbered[0][0],
         )
-    return values
-
-
-def _load_distance_input(path, groups_path) -> DistanceMatrix:
-    values = _distance_values(path)
-    n = values.shape[0]
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
     if gheader != ["row", "individual", "replicate"]:
@@ -420,44 +409,6 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
-def _load_npy_series(path) -> np.ndarray:
-    """A 2-D array of finite floats from a ``.npy`` file.
-
-    ``np.lib.format.read_array`` is the reader ``np.load`` uses for
-    ``.npy`` files; called directly, it rejects an ``.npz`` archive or
-    a pickle instead of opening it.  Malformed headers raise any of the
-    caught types.
-    """
-    try:
-        with open(path, "rb") as fh:
-            series = np.lib.format.read_array(fh, allow_pickle=False)
-    except OSError as exc:
-        raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
-    except (ValueError, EOFError, SyntaxError, TypeError, tokenize.TokenError) as exc:
-        raise _ParseFailure(path, f"not a .npy array ({exc})")
-    if series.ndim != 2:
-        raise _ParseFailure(path, f"expected a 2-D array, got shape {series.shape}")
-    if series.dtype.kind != "f":
-        raise _ParseFailure(path, f"expected a float array, got dtype {series.dtype}")
-    finite = np.isfinite(series)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise _ParseFailure(path, f"NaN or Inf at index ({row}, {col})")
-    return series
-
-
-def _load_series(path) -> np.ndarray:
-    """One series of a manifest: a ``.npy`` array or a headerless CSV."""
-    if path.suffix == ".npy":
-        return _load_npy_series(path)
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise _ParseFailure(path, f"cannot read file ({exc})")
-    except ValueError as exc:
-        raise _ParseFailure(path, f"not a numeric CSV ({exc})")
-
-
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -469,7 +420,13 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         series_path = Path(row[2])
         if not series_path.is_absolute():
             series_path = base / series_path
-        records.append((row[0], key, _load_series(series_path)))
+        try:
+            series = np.loadtxt(series_path, delimiter=",", ndmin=2)
+        except OSError as exc:
+            raise _ParseFailure(series_path, f"cannot read file ({exc})")
+        except ValueError as exc:
+            raise _ParseFailure(series_path, f"not a numeric CSV ({exc})")
+        records.append((row[0], key, series))
     if not records:
         raise _ParseFailure(path, "no data rows")
     return build_grouped_sample(records, payload_kind=PayloadKind.TIMESERIES)
@@ -653,8 +610,9 @@ def _cmd_simulate(args) -> int:
         csv_header = ["run", "rho_hat"]
     elif args.experiment == "coverage":
         n_individuals, n_replicates = args.individuals or 40, args.replicates or 4
-        # bad values fail before the warning line and before any worker starts
-        _check_gaussian_args(n_individuals, n_replicates, args.rho)
+        dim = args.dim or 2
+        # the runner checks these too; here they fail before the warning line
+        _check_gaussian_args(n_individuals, n_replicates, args.rho, dim)
         _warn_few_replicates(args.boot)
         report = run_coverage_experiment(
             n_individuals=n_individuals,
@@ -664,7 +622,7 @@ def _cmd_simulate(args) -> int:
             n_runs=args.runs or 500,
             level=args.level,
             seed=args.seed,
-            dim=args.dim or 2,
+            dim=dim,
             workers=args.threads,
         )
         csv_rows = [

@@ -113,6 +113,15 @@ def _group_order(individuals, replicate_keys):
     return np.array(order, dtype=np.intp), np.array(sizes), tuple(members)
 
 
+def _require_replicated(sizes):
+    """Raise unless some individual of ``sizes`` has 2+ replicates."""
+    if not np.any(np.asarray(sizes) >= 2):
+        raise InsufficientReplicatesError(
+            "at least one individual needs 2+ replicates; "
+            "within-individual spread is undefined otherwise"
+        )
+
+
 @dataclass(frozen=True)
 class GroupedSample:
     """Repeated observations of several individuals with a common payload shape.
@@ -162,11 +171,7 @@ class GroupedSample:
             raise NonFiniteError(
                 f"payload of individual {labels[owner]!r} contains NaN or Inf"
             )
-        if not np.any(sizes >= 2):
-            raise InsufficientReplicatesError(
-                "at least one individual needs 2+ replicates; "
-                "within-individual spread is undefined otherwise"
-            )
+        _require_replicated(sizes)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "group_sizes", sizes)

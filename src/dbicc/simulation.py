@@ -23,14 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import _resolve_seed, bootstrap_dbicc_pair
-from .core import GroupedSample, PayloadKind, block_stats
+from .core import GroupedSample, PayloadKind, _require_replicated, block_stats
 from .distances import Metric
-from .errors import (
-    FactorizationError,
-    InsufficientDataError,
-    InsufficientReplicatesError,
-    ParameterError,
-)
+from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
 from .spearman_brown import build_sb_curve, fit_loglog
 
@@ -364,26 +359,9 @@ def _run_tasks(worker, tasks, workers):
     return [worker(t) for t in tasks]
 
 
-def _check_gaussian_args(n_individuals, n_replicates, icc):
-    """Raise as the first run would for arguments no run can take.
-
-    The experiment runners call this before any run, and so before a
-    worker pool starts; the errors are those a run raises.
-    """
+def _gaussian_population(n_individuals, n_replicates, icc, dim):
     if not (0.0 < icc < 1.0):
         raise ParameterError(f"population dbICC must lie in (0, 1), got {icc}")
-    if n_individuals < 2:
-        raise ParameterError("need at least 2 individuals")
-    if n_replicates < 1:
-        raise ParameterError("need at least 1 replicate per individual")
-    if n_replicates < 2:
-        raise InsufficientReplicatesError(
-            "at least one individual needs 2+ replicates; "
-            "within-individual spread is undefined otherwise"
-        )
-
-
-def _gaussian_population(n_individuals, n_replicates, icc, dim):
     noise_scale = (1.0 - icc) / icc
     return TrueScorePopulation(
         score_cov=np.eye(dim),
@@ -391,6 +369,12 @@ def _gaussian_population(n_individuals, n_replicates, icc, dim):
         n_individuals=n_individuals,
         n_replicates=n_replicates,
     )
+
+
+def _check_gaussian_args(n_individuals, n_replicates, icc, dim):
+    """Raise, before any run or worker pool starts, what every run would."""
+    _gaussian_population(n_individuals, n_replicates, icc, dim)
+    _require_replicated([n_replicates])
 
 
 def _point_worker(task):
@@ -416,7 +400,7 @@ def run_point_experiment(
     ``icc`` (identity score covariance, scaled-identity noise) and
     estimates each with Euclidean distance.
     """
-    _check_gaussian_args(n_individuals, n_replicates, icc)
+    _check_gaussian_args(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
     tasks = [
         (seed, run, n_individuals, n_replicates, icc, dim) for run in range(n_runs)
@@ -475,7 +459,7 @@ def run_coverage_experiment(
     interval variants.  Coverage percentages count runs whose interval
     contains the true value.
     """
-    _check_gaussian_args(n_individuals, n_replicates, icc)
+    _check_gaussian_args(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
     tasks = [
         (seed, run, n_individuals, n_replicates, icc, dim, n_boot, level)

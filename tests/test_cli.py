@@ -184,32 +184,6 @@ class TestEstimate:
         assert doc["rho_hat"] <= 1.0
         assert np.isfinite(doc["rho_hat"])
 
-    def test_npy_series_read_as_their_csv_values(self, tmp_path, rng):
-        # the same values as .csv series, and as a mix of .npy and .csv
-        names = []
-        for i in range(4):
-            for j in range(2):
-                name = f"ts_{i}_{j}"
-                series = rng.standard_normal((12, 4)) + 0.5 * rng.standard_normal(4)
-                np.savetxt(tmp_path / f"{name}.csv", series, delimiter=",", fmt="%.17g")
-                np.save(tmp_path / f"{name}.npy", series)
-                names.append((f"s{i}", j, name))
-        outputs = []
-        for suffixes in (["csv"] * 8, ["npy", "csv"] * 4, ["npy"] * 8):
-            manifest = tmp_path / "m.csv"
-            manifest.write_text(
-                "individual,replicate,path\n"
-                + "".join(f"{i},{j},{name}.{suffix}\n"
-                          for (i, j, name), suffix in zip(names, suffixes)),
-                encoding="utf-8",
-            )
-            out = tmp_path / "out.json"
-            argv = ["bootstrap", str(manifest), "--distance", "corr", "--boot", "200",
-                    "--seed", "3", "--out", str(out)]
-            assert main(argv) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
-
     def test_threshold_flag_applied(self, tmp_path, rng):
         # matrices with all |off-diagonal| <= 0.4: threshold 0.5 zeroes all
         lines = ["individual,replicate,path"]
@@ -456,36 +430,6 @@ class TestExitCodes:
         assert main(["estimate", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert "m.csv:4: duplicate individual 'b', replicate '00' (first on line 3)" in err
-
-    @pytest.mark.parametrize(
-        "array, message",
-        [
-            (np.zeros(5), "expected a 2-D array, got shape (5,)"),
-            (np.zeros((2, 3, 4)), "expected a 2-D array, got shape (2, 3, 4)"),
-            (np.zeros((5, 3), dtype=np.int64), "expected a float array, got dtype int64"),
-            (np.zeros((5, 3), dtype=complex), "expected a float array, got dtype complex128"),
-            (np.array([[0.0, 1.0], [2.0, np.nan], [np.inf, 0.0]]),
-             "NaN or Inf at index (1, 1)"),
-            (np.array([1, "a"], dtype=object), "not a .npy array"),
-            (b"individual,replicate\n", "not a .npy array"),
-            (b"", "not a .npy array"),
-        ],
-    )
-    def test_malformed_npy_series_is_parse_error(self, tmp_path, capsys, array, message):
-        bad = tmp_path / "bad.npy"
-        if isinstance(array, bytes):
-            bad.write_bytes(array)
-        else:
-            np.save(bad, array, allow_pickle=True)
-        np.save(tmp_path / "good.npy", np.eye(3))
-        manifest = tmp_path / "m.csv"
-        manifest.write_text(
-            "individual,replicate,path\na,0,good.npy\na,1,good.npy\nb,0,bad.npy\n"
-        )
-        assert main(["estimate", str(manifest)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {bad}: {message}")
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("experiment", ["point", "coverage"])
     @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """The bulk CSV read against the csv-module path it falls back to.
 
-``dbicc.cli._bulk_table`` reads a plain CSV file with one ``np.loadtxt``
+``dbicc.cli._bulk_table`` reads a plain vector CSV with one ``np.loadtxt``
 call and returns None for anything it cannot prove it reads as
-``csv.reader`` and ``float`` do; the loaders then take the csv path,
+``csv.reader`` and ``float`` do; the loader then takes the csv path,
 which reports every error with its location.  Forcing that path must
 never change a result, an exit code or a message.
 """
@@ -133,48 +133,53 @@ def _vector_csvs(draw, flaw):
     return (bom + text).encode("utf-8")
 
 
+def _both_paths(content, limit=None):
+    """Sample or error, and ``main()``'s run, from the bulk read and the csv path."""
+    with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit):
+        path = Path(tmp) / "v.csv"
+        path.write_bytes(content)
+        results = []
+        for forced in (False, True):
+            with _csv_path_only(forced):
+                kind, sample = _outcome(dbicc.cli._load_vector_csv, str(path))
+                run = _through_main(path, Path(tmp) / f"out{forced}.json")
+            if kind == "ok":
+                sample = (sample.values.shape, sample.values.tobytes(),
+                          sample.labels, sample.group_sizes.tolist())
+            results.append((kind, sample, run))
+    return results
+
+
 class TestBulkReadMatchesCsvPath:
     @pytest.mark.parametrize("flaw", _FLAWS, ids=repr)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), limit=st.sampled_from([None, None, None, 20]))
     def test_vector_csv(self, flaw, data, limit):
-        content = data.draw(_vector_csvs(flaw))
-        with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit):
-            path = Path(tmp) / "v.csv"
-            path.write_bytes(content)
-            results = []
-            for forced in (False, True):
-                with _csv_path_only(forced):
-                    kind, sample = _outcome(dbicc.cli._load_vector_csv, str(path))
-                    run = _through_main(path, Path(tmp) / f"out{forced}.json")
-                if kind == "ok":
-                    sample = (sample.values.shape, sample.values.tobytes(),
-                              sample.labels, sample.group_sizes.tolist())
-                results.append((kind, sample, run))
-        assert results[0] == results[1]
+        bulk, csv_path = _both_paths(data.draw(_vector_csvs(flaw)), limit)
+        assert bulk == csv_path
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        rows=st.lists(st.lists(st.one_of(_NUMBERS, st.sampled_from(_ODD_CELLS)),
-                                   min_size=1, max_size=3),
-                      max_size=4),
-        newline=st.sampled_from(["\n", "\r\n"]),
+    # files each of the bulk read's own checks must send to the csv path
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"individual,replicate,f1\na,0,1\na,1\nb,0,3\nb,1,4\n",  # short row
+            b"individual,replicate,f1\na,0,1\na,1,2,5\nb,0,3\nb,1,4\n",  # long row
+            b"individual,replicate,f1,f2\na,0,1\na,1,2\nb,0,3\nb,1,4\n",  # wide header
+            b"individual,replicate,f1\na,0,\na,1,2\nb,0,3\nb,1,4\n",  # empty cell
+            b"individual,replicate,f1\r\na,0,1\r\na,1,2\r\nb,0,3\r\nb,1,4\r\n",
+            b"individual,replicate,f1\r\na,0,1\ra,1,2\r\nb,0,3\r\nb,1,4\r\n",
+            b"individual,replicate,f1\r\na,0,1\r\r\na,1,2\r\nb,0,3\r\nb,1,4",
+            b"individual,replicate,f1\na,0,1\r2\na,1,2\nb,0,3\nb,1,4\n",
+            b"individual,replicate,f1\na\r,0,1\na,1,2\nb,0,3\nb,1,4\n",
+        ],
     )
-    def test_distance_csv(self, rows, newline):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "d.csv"
-            path.write_bytes(newline.join(",".join(r) for r in rows).encode("utf-8"))
-            results = []
-            for forced in (False, True):
-                with _csv_path_only(forced):
-                    kind, values = _outcome(dbicc.cli._distance_values, str(path))
-                if kind == "ok":
-                    values = (values.shape, values.tobytes())
-                results.append((kind, values))
-        assert results[0] == results[1]
+    def test_vector_csv_case(self, content):
+        bulk, csv_path = _both_paths(content)
+        assert bulk == csv_path
 
 
-def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch, newline):
     # 3000 individuals, 3 replicates, 20 features, written as the benchmark does
     rng = np.random.default_rng(7)
     obs = rng.standard_normal((3000, 3, 20))
@@ -185,7 +190,7 @@ def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch):
         for j in range(3)
     ]
     src = tmp_path / "vectors.csv"
-    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src.write_bytes((newline.join(lines) + newline).encode("utf-8"))
 
     def fail(path):
         raise AssertionError("fell back to the csv path")
