@@ -38,14 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockStats, DistanceMatrix, _between_sum, _resampled_sums
-from .errors import (
-    DegenerateDistancesError,
-    InsufficientDataError,
-    NonFiniteError,
-    ParameterError,
-)
-from .estimator import _between_pair_count, _within_pair_count
+from .core import BlockStats, DistanceMatrix, _resampled_sums
+from .errors import InsufficientDataError, ParameterError
+from .estimator import _checked_msds
 
 __all__ = [
     "BootstrapResult",
@@ -75,6 +70,12 @@ class BootstrapResult:
     n_degenerate: int
 
 
+def _check_level(level):
+    """Raise unless the confidence level lies in (0, 1)."""
+    if not (0.0 < level < 1.0):
+        raise ParameterError(f"level must lie in (0, 1), got {level}")
+
+
 def percentile_ci(replicate_estimates, level: float):
     """Equal-tailed percentile interval of a sample of estimates.
 
@@ -86,8 +87,7 @@ def percentile_ci(replicate_estimates, level: float):
         raise InsufficientDataError(
             f"need at least 2 estimates for an interval, got {vals.size}"
         )
-    if not (0.0 < level < 1.0):
-        raise ParameterError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     q = (1.0 - level) / 2.0
     low, high = np.quantile(vals, [q, 1.0 - q])
     return float(low), float(high)
@@ -110,7 +110,7 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     starts = bounds[:-1]
     cross = np.empty((sizes.size, sizes.size))
-    chunk_rows = _BLOCK_SUM_BYTES // (8 * dm.n_total)
+    chunk_rows = _BLOCK_SUM_BYTES // (8 * max(dm.n_total, 1))
     g0 = 0
     while g0 < sizes.size:
         limit = bounds[g0] + chunk_rows
@@ -212,30 +212,16 @@ def _few_replicates(n_boot):
     )
 
 
-def _checked_block_sums(source, n_boot) -> BlockStats:
+def _checked_block_sums(source, n_boot, level) -> BlockStats:
     """Validate the arguments, then return the block sums of ``source``."""
     if n_boot < 1:
         raise ParameterError(f"n_boot must be positive, got {n_boot}")
+    _check_level(level)
     if n_boot < _FEW_REPLICATES:
         # stacklevel 4: the caller of the public function
         warnings.warn(_few_replicates(n_boot), UserWarning, stacklevel=4)
-    # the point estimate's preconditions, in its order
-    is_stats = isinstance(source, BlockStats)
-    sizes = source.sizes if is_stats else source.group_sizes
-    _between_pair_count(sizes)
-    _within_pair_count(sizes)
-    if is_stats:
-        stats = source
-    else:
-        stats = _block_sums(source)
-        with np.errstate(over="ignore"):  # an overflowing total is caught below
-            total = stats.cross.sum()
-        if not np.isfinite(total):
-            raise NonFiniteError("squared distances overflow float64")
-    if _between_sum(stats) == 0.0:
-        raise DegenerateDistancesError(
-            "all between-individual distances are zero; dbICC is undefined"
-        )
+    stats = source if isinstance(source, BlockStats) else _block_sums(source)
+    _checked_msds(stats)  # the point estimate's preconditions
     return stats
 
 
@@ -243,13 +229,13 @@ def _resolve_seed(seed):
     return secrets.randbits(63) if seed is None else int(seed)
 
 
-def _replicates(source, n_boot, seed):
+def _replicates(source, n_boot, level, seed):
     """Check the arguments, seed the draw and estimate every replicate.
 
     Returns the seed and, keyed by ``corrected`` (``False`` or ``True``),
     each method's ``(estimates, valid)`` arrays.
     """
-    stats = _checked_block_sums(source, n_boot)
+    stats = _checked_block_sums(source, n_boot, level)
     seed = _resolve_seed(seed)
     indices = _draw_indices(stats.sizes.size, n_boot, seed)
     naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
@@ -297,7 +283,7 @@ def bootstrap_dbicc(
         64-bit seed; drawn from the OS entropy pool when omitted and
         recorded in the result either way.
     """
-    seed, replicates = _replicates(source, n_boot, seed)
+    seed, replicates = _replicates(source, n_boot, level, seed)
     return _result(replicates, bool(corrected), level, seed, n_boot)
 
 
@@ -307,7 +293,7 @@ def bootstrap_dbicc_pair(source, n_boot: int, level: float = 0.95, seed=None):
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
     seed, at half the cost.  Returns ``(naive, corrected)``.
     """
-    seed, replicates = _replicates(source, n_boot, seed)
+    seed, replicates = _replicates(source, n_boot, level, seed)
     return (
         _result(replicates, False, level, seed, n_boot),
         _result(replicates, True, level, seed, n_boot),

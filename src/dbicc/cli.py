@@ -47,20 +47,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import _FEW_REPLICATES, _few_replicates, bootstrap_dbicc
+from .bootstrap import _FEW_REPLICATES, _check_level, _few_replicates, bootstrap_dbicc
 from .core import (
     DistanceMatrix,
     GroupedSample,
     PayloadKind,
     _group_order,
     _matrices,
-    _metric_rows,
     _pairwise,
     _payload_block_stats,
     _payload_rows,
     build_grouped_sample,
 )
-from .distances import DistanceSpec, Metric, soft_threshold
+from .distances import DistanceSpec, Metric, _metric_rows, soft_threshold
 from .errors import (
     DbiccError,
     DegenerateDistancesError,
@@ -69,7 +68,7 @@ from .errors import (
 )
 from .estimator import dbicc_point
 from .simulation import (
-    _check_gaussian_args,
+    _gaussian_population,
     run_coverage_experiment,
     run_point_experiment,
     run_sb_experiment,
@@ -318,8 +317,8 @@ def _load_vector_csv(path) -> GroupedSample:
         individuals, replicates = zip(*rows)
         keys = [_replicate_sort_key(rep) for rep in replicates]
         order, sizes, labels = _group_order(individuals, keys)
-        # a repeated label or a single individual is reported by the csv path
-        if len(set(zip(individuals, keys))) == len(keys) and sizes.size >= 2:
+        # a repeated label is reported by the csv path
+        if len(set(zip(individuals, keys))) == len(keys):
             return GroupedSample(
                 values=values[order],
                 group_sizes=sizes,
@@ -508,6 +507,7 @@ def _warn_few_replicates(n_boot):
 
 
 def _cmd_bootstrap(args) -> int:
+    _check_level(args.level)
     source, doc = _estimate_doc(args, _load_input(args))
     _warn_few_replicates(args.boot)
     result = bootstrap_dbicc(
@@ -612,7 +612,8 @@ def _cmd_simulate(args) -> int:
         n_individuals, n_replicates = args.individuals or 40, args.replicates or 4
         dim = args.dim or 2
         # the runner checks these too; here they fail before the warning line
-        _check_gaussian_args(n_individuals, n_replicates, args.rho, dim)
+        _gaussian_population(n_individuals, n_replicates, args.rho, dim)
+        _check_level(args.level)
         _warn_few_replicates(args.boot)
         report = run_coverage_experiment(
             n_individuals=n_individuals,

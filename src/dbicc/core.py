@@ -33,12 +33,12 @@ from scipy.spatial.distance import pdist, squareform
 from .distances import (
     DistanceSpec,
     Metric,
+    _metric_rows,
     _standardize_rows,
     correlation_from_timeseries,
     soft_threshold,
 )
 from .errors import (
-    DegenerateInputError,
     InputShapeError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
@@ -92,6 +92,33 @@ def _grouping(sizes, labels, n_rows):
     return sizes, labels
 
 
+def _between_pair_count(group_sizes) -> int:
+    """Unordered between-individual pair count; raises unless 2+ individuals."""
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    if sizes.size < 2:
+        raise InsufficientGroupsError(f"need at least 2 individuals, got {sizes.size}")
+    total = int(sizes.sum())
+    return (total * total - int((sizes * sizes).sum())) // 2
+
+
+def _within_pair_count(group_sizes) -> int:
+    """Unordered within-individual pair count; raises if it is zero."""
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    count = int((sizes * (sizes - 1) // 2).sum())
+    if count == 0:
+        raise InsufficientReplicatesError(
+            "at least one individual needs 2+ replicates; "
+            "within-individual spread is undefined otherwise"
+        )
+    return count
+
+
+def _require_finite(*sums):
+    """Raise unless every squared-distance sum is finite."""
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("squared distances overflow float64")
+
+
 def _group_order(individuals, replicate_keys):
     """Order rows by individual, then by replicate: ``(order, sizes, labels)``.
 
@@ -111,15 +138,6 @@ def _group_order(individuals, replicate_keys):
     ]
     sizes = [len(rows) for rows in members.values()]
     return np.array(order, dtype=np.intp), np.array(sizes), tuple(members)
-
-
-def _require_replicated(sizes):
-    """Raise unless some individual of ``sizes`` has 2+ replicates."""
-    if not np.any(np.asarray(sizes) >= 2):
-        raise InsufficientReplicatesError(
-            "at least one individual needs 2+ replicates; "
-            "within-individual spread is undefined otherwise"
-        )
 
 
 @dataclass(frozen=True)
@@ -158,10 +176,7 @@ class GroupedSample:
         if kind is PayloadKind.MATRIX and shape[0] != shape[1]:
             raise InputShapeError(f"matrix payloads must be square, got shape {shape}")
         sizes, labels = _grouping(self.group_sizes, self.labels, values.shape[0])
-        if sizes.size < 2:
-            raise InsufficientGroupsError(
-                f"need at least 2 individuals, got {sizes.size}"
-            )
+        _between_pair_count(sizes)
         if not labels:
             raise InputShapeError("need one label per individual, got none")
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
@@ -171,7 +186,7 @@ class GroupedSample:
             raise NonFiniteError(
                 f"payload of individual {labels[owner]!r} contains NaN or Inf"
             )
-        _require_replicated(sizes)
+        _within_pair_count(sizes)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "group_sizes", sizes)
@@ -208,10 +223,8 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
     order, sizes, labels = _group_order(
         [str(ind_id) for ind_id, _, _ in records], [rep for _, rep, _ in records]
     )
-    if sizes.size < 2:
-        raise InsufficientGroupsError(
-            f"need at least 2 distinct individuals, got {sizes.size}"
-        )
+    # before the payloads: no records leave no payload shape to check
+    _between_pair_count(sizes)
     payloads = [np.asarray(records[k][2], dtype=float) for k in order]
     shapes = {arr.shape for arr in payloads}
     if len(shapes) != 1:
@@ -320,34 +333,6 @@ def _matrices(sample: GroupedSample) -> np.ndarray:
     for k, series in enumerate(sample.values):
         out[k] = correlation_from_timeseries(series)
     return out
-
-
-def _metric_rows(mats, metric: Metric) -> np.ndarray:
-    """The rows ``metric`` compares, one per payload of the stack ``mats``.
-
-    Rows are the flattened payloads for ``l2``/``l1``, a view of
-    ``mats``, and a new array of the strict lower triangles for
-    correlation of correlations.
-    """
-    flat = mats.reshape(len(mats), -1)
-    if metric is not Metric.CORR_OF_CORR:
-        return flat
-    p = mats.shape[1]
-    if p < 3:
-        raise DegenerateInputError(
-            "correlation-of-correlations needs matrices of size 3x3 or larger"
-        )
-    i, j = np.tril_indices(p, k=-1)
-    # take keeps the rows C-contiguous, so row reductions sum as before
-    rows = np.take(flat, i * p + j, axis=1)
-    flat_ptp = rows.max(axis=1) - rows.min(axis=1)
-    if np.any(flat_ptp == 0.0):
-        bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
-        raise DegenerateInputError(
-            f"payload {bad} has a constant lower triangle; "
-            "correlation of correlations is undefined"
-        )
-    return rows
 
 
 def _payload_rows(sample: GroupedSample, spec: DistanceSpec) -> np.ndarray:
@@ -617,8 +602,7 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
         stats = _rows_block_sums(rows, sample.group_sizes, scale)
         # the sum over all ordered pairs, diagonal blocks included
         total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
-    if not np.isfinite(total):
-        raise NonFiniteError("squared distances overflow float64 or are undefined")
+    _require_finite(total)
     return stats
 
 

@@ -72,22 +72,26 @@ class DistanceSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", Metric(self.kind))
         if self.threshold is not None:
-            t = float(self.threshold)
-            if not (0.0 <= t <= 1.0):
-                raise ParameterError(
-                    f"soft-threshold level must lie in [0, 1], got {self.threshold}"
-                )
-            object.__setattr__(self, "threshold", t)
+            object.__setattr__(self, "threshold", _threshold_level(self.threshold))
+
+
+def _threshold_level(level) -> float:
+    """``level`` as a float; raises unless it lies in [0, 1]."""
+    t = float(level)
+    if not (0.0 <= t <= 1.0):
+        raise ParameterError(f"soft-threshold level must lie in [0, 1], got {level}")
+    return t
 
 
 def _pair_array(a, b, name):
+    """``a`` and ``b`` stacked as one float array; raises unless equal shapes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise InputShapeError(
             f"{name} requires equal shapes, got {a.shape} and {b.shape}"
         )
-    return a.ravel(), b.ravel()
+    return np.stack([a, b])
 
 
 def l2_distance(a, b) -> float:
@@ -96,34 +100,44 @@ def l2_distance(a, b) -> float:
     Matrix arguments are flattened first, so for matrices this is the
     Frobenius distance.
     """
-    a, b = _pair_array(a, b, "l2_distance")
+    pair = _pair_array(a, b, "l2_distance").reshape(2, -1)
     # same kernel as the pairwise path, so entries match bit for bit
-    return float(pdist(np.vstack([a, b]), "euclidean")[0])
+    return float(pdist(pair, "euclidean")[0])
 
 
 def l1_distance(a, b) -> float:
     """Sum of absolute entrywise differences between two arrays."""
-    a, b = _pair_array(a, b, "l1_distance")
-    return float(pdist(np.vstack([a, b]), "cityblock")[0])
+    pair = _pair_array(a, b, "l1_distance").reshape(2, -1)
+    return float(pdist(pair, "cityblock")[0])
 
 
-def _strict_lower(mat, name):
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputShapeError(f"{name} must be a square matrix, got shape {m.shape}")
-    p = m.shape[0]
+def _metric_rows(mats, metric: Metric) -> np.ndarray:
+    """The rows ``metric`` compares, one per payload of the stack ``mats``.
+
+    Rows are the flattened payloads for ``l2``/``l1``, a view of
+    ``mats``, and a new array of the strict lower triangles for
+    correlation of correlations, which needs matrices of 3x3 or larger
+    with a non-constant triangle.
+    """
+    flat = mats.reshape(len(mats), -1)
+    if metric is not Metric.CORR_OF_CORR:
+        return flat
+    p = mats.shape[1]
     if p < 3:
         raise DegenerateInputError(
-            f"{name} needs at least a 3x3 matrix (a 2x2 matrix has a single "
-            f"off-diagonal value, so the correlation of correlations is undefined)"
+            "correlation-of-correlations needs matrices of size 3x3 or larger"
         )
-    rows, cols = np.tril_indices(p, k=-1)
-    v = m[rows, cols]
-    if np.ptp(v) == 0.0:
+    i, j = np.tril_indices(p, k=-1)
+    # take keeps the rows C-contiguous, so row reductions sum as before
+    rows = np.take(flat, i * p + j, axis=1)
+    flat_ptp = rows.max(axis=1) - rows.min(axis=1)
+    if np.any(flat_ptp == 0.0):
+        bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
         raise DegenerateInputError(
-            f"{name} has a constant lower triangle; its correlation is undefined"
+            f"payload {bad} has a constant lower triangle; "
+            "correlation of correlations is undefined"
         )
-    return v
+    return rows
 
 
 def _standardize_rows(rows):
@@ -155,15 +169,13 @@ def corr_of_corr_distance(r1, r2) -> float:
     ``sqrt(1/2) * ||z1 - z2||`` on the standardized triangles ``z``, which
     keeps its digits near ``r = 1`` where ``1 - r`` would cancel.
     """
-    v1 = _strict_lower(r1, "corr_of_corr_distance: first matrix")
-    v2 = _strict_lower(r2, "corr_of_corr_distance: second matrix")
-    if v1.shape != v2.shape:
+    pair = _pair_array(r1, r2, "corr_of_corr_distance")
+    if pair.ndim != 3 or pair.shape[1] != pair.shape[2]:
         raise InputShapeError(
-            "corr_of_corr_distance requires matrices of equal size, got "
-            f"{np.asarray(r1).shape} and {np.asarray(r2).shape}"
+            f"corr_of_corr_distance needs square matrices, got shape {pair.shape[1:]}"
         )
-    # same kernel as the pairwise path, so entries match bit for bit
-    z = _standardize_rows(np.vstack([v1, v2]))
+    # the pairwise path's rows and kernel, so entries match bit for bit
+    z = _standardize_rows(_metric_rows(pair, Metric.CORR_OF_CORR))
     return float(pdist(z, "euclidean")[0] * np.sqrt(0.5))
 
 
@@ -224,9 +236,7 @@ def soft_threshold(r, level, out=None):
     p = r.shape[-1]
     if p < 2:
         raise DegenerateInputError("a 1x1 matrix has no off-diagonal entries")
-    level = float(level)
-    if not (0.0 <= level <= 1.0):
-        raise ParameterError(f"threshold level must lie in [0, 1], got {level}")
+    level = _threshold_level(level)
     if out is None:
         out = np.empty_like(r)
     elif out.shape != r.shape:

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DistanceMatrix, _between_sum
-from .errors import (
-    DegenerateDistancesError,
-    InsufficientGroupsError,
-    InsufficientReplicatesError,
-    NonFiniteError,
-    ParameterError,
+from .core import (
+    DistanceMatrix,
+    _between_pair_count,
+    _between_sum,
+    _require_finite,
+    _within_pair_count,
 )
+from .errors import DegenerateDistancesError, ParameterError
 
 __all__ = [
     "DbiccEstimate",
@@ -68,31 +68,9 @@ def _squared_upper(dm: DistanceMatrix, between: bool) -> np.ndarray:
     else:
         mask = (cols > cols[:, None]) & (cols < ends)
     vals = dm.values[mask]
-    # an overflow shows up as a non-finite mean, which dbicc_point reports
+    # an overflow shows up as a non-finite mean, which _checked_msds reports
     with np.errstate(over="ignore"):
         return np.multiply(vals, vals, out=vals)
-
-
-def _between_pair_count(group_sizes) -> int:
-    """Unordered between-individual pair count; raises unless 2+ individuals."""
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    if sizes.size < 2:
-        raise InsufficientGroupsError(
-            f"between-individual spread needs 2+ individuals, got {sizes.size}"
-        )
-    total = int(sizes.sum())
-    return (total * total - int((sizes * sizes).sum())) // 2
-
-
-def _within_pair_count(group_sizes) -> int:
-    """Unordered within-individual pair count; raises if it is zero."""
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    count = int((sizes * (sizes - 1) // 2).sum())
-    if count == 0:
-        raise InsufficientReplicatesError(
-            "no individual has 2+ replicates; within-individual spread undefined"
-        )
-    return count
 
 
 def msd_between(dm: DistanceMatrix) -> float:
@@ -108,6 +86,34 @@ def msd_within(dm: DistanceMatrix) -> float:
     """
     count = _within_pair_count(dm.group_sizes)
     return float(np.sum(_squared_upper(dm, between=False)) / count)
+
+
+def _checked_msds(source):
+    """``(between, within, n_between, n_within)`` of a matrix or its block sums.
+
+    The two mean squared distances and their pair counts, after every
+    check that the dbICC is defined, in this order: 2+ individuals, one
+    with 2+ replicates, finite means, a nonzero between mean.  The point
+    estimate and the bootstrap both check through here.
+    """
+    matrix = isinstance(source, DistanceMatrix)
+    sizes = source.group_sizes if matrix else source.sizes
+    n_between = _between_pair_count(sizes)
+    n_within = _within_pair_count(sizes)
+    if matrix:
+        between_sum = np.sum(_squared_upper(source, between=True))
+        within_sum = np.sum(_squared_upper(source, between=False))
+    else:
+        between_sum = _between_sum(source)
+        within_sum = np.sum(source.within)
+    between = float(between_sum / n_between)
+    within = float(within_sum / n_within)
+    _require_finite(between, within)
+    if between == 0.0:
+        raise DegenerateDistancesError(
+            "all between-individual distances are zero; dbICC is undefined"
+        )
+    return between, within, n_between, n_within
 
 
 def dbicc_point(source) -> DbiccEstimate:
@@ -128,24 +134,7 @@ def dbicc_point(source) -> DbiccEstimate:
         If all between-individual distances are zero, leaving the ratio
         undefined.
     """
-    matrix = isinstance(source, DistanceMatrix)
-    sizes = source.group_sizes if matrix else source.sizes
-    n_between = _between_pair_count(sizes)
-    n_within = _within_pair_count(sizes)
-    if matrix:
-        between_sum = np.sum(_squared_upper(source, between=True))
-        within_sum = np.sum(_squared_upper(source, between=False))
-    else:
-        between_sum = _between_sum(source)
-        within_sum = np.sum(source.within)
-    between = float(between_sum / n_between)
-    within = float(within_sum / n_within)
-    if not (np.isfinite(between) and np.isfinite(within)):
-        raise NonFiniteError("squared distances overflow float64")
-    if between == 0.0:
-        raise DegenerateDistancesError(
-            "all between-individual distances are zero; dbICC is undefined"
-        )
+    between, within, n_between, n_within = _checked_msds(source)
     return DbiccEstimate(
         rho_hat=float(1.0 - within / between),
         msd_within=within,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _resolve_seed, bootstrap_dbicc_pair
-from .core import GroupedSample, PayloadKind, _require_replicated, block_stats
+from .bootstrap import _check_level, _resolve_seed, bootstrap_dbicc_pair
+from .core import GroupedSample, PayloadKind, _within_pair_count, block_stats
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
@@ -104,6 +104,16 @@ class TrueScorePopulation:
         )
 
 
+def _check_ar1(ar_coeff, n_timepoints):
+    """Raise unless the AR(1) law is stationary and a series has 2+ time points."""
+    if not (0.0 <= ar_coeff < 1.0):
+        raise ParameterError(
+            f"AR(1) coefficient must lie in [0, 1) for stationarity, got {ar_coeff}"
+        )
+    if n_timepoints < 2:
+        raise ParameterError(f"need at least 2 time points, got {n_timepoints}")
+
+
 @dataclass(frozen=True)
 class ConnectivityPopulation:
     """Per-individual covariances plus a series length and AR(1) coefficient.
@@ -123,13 +133,7 @@ class ConnectivityPopulation:
         if len(dims) != 1:
             raise ParameterError(f"covariances have mixed shapes: {sorted(dims)}")
         chols = _factor(np.stack(sigmas), what)
-        if not (0.0 <= self.ar_coeff < 1.0):
-            raise ParameterError(
-                f"AR(1) coefficient must lie in [0, 1) for stationarity, "
-                f"got {self.ar_coeff}"
-            )
-        if self.n_timepoints < 2:
-            raise ParameterError(f"need at least 2 time points, got {self.n_timepoints}")
+        _check_ar1(self.ar_coeff, self.n_timepoints)
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "_chols", chols)
 
@@ -189,12 +193,7 @@ def gen_mvn_timeseries(sigma, n_timepoints: int, ar_coeff: float, rng) -> np.nda
     ``N(0, sigma)``.  With ``ar_coeff=0`` the rows are IID
     ``N(0, sigma)``.
     """
-    if not (0.0 <= ar_coeff < 1.0):
-        raise ParameterError(
-            f"AR(1) coefficient must lie in [0, 1), got {ar_coeff}"
-        )
-    if n_timepoints < 2:
-        raise ParameterError(f"need at least 2 time points, got {n_timepoints}")
+    _check_ar1(ar_coeff, n_timepoints)
     chol = _cholesky(sigma, "innovation covariance")
     rng = np.random.default_rng(rng)
     series = rng.standard_normal((n_timepoints, chol.shape[0])) @ chol.T
@@ -360,26 +359,26 @@ def _run_tasks(worker, tasks, workers):
 
 
 def _gaussian_population(n_individuals, n_replicates, icc, dim):
+    """The point and coverage experiments' population, checked for their runs.
+
+    Raises, before any run or worker pool starts, what every run would:
+    besides the population's own checks, its samples need replicates.
+    """
     if not (0.0 < icc < 1.0):
         raise ParameterError(f"population dbICC must lie in (0, 1), got {icc}")
     noise_scale = (1.0 - icc) / icc
-    return TrueScorePopulation(
+    pop = TrueScorePopulation(
         score_cov=np.eye(dim),
         noise_cov=noise_scale * np.eye(dim),
         n_individuals=n_individuals,
         n_replicates=n_replicates,
     )
-
-
-def _check_gaussian_args(n_individuals, n_replicates, icc, dim):
-    """Raise, before any run or worker pool starts, what every run would."""
-    _gaussian_population(n_individuals, n_replicates, icc, dim)
-    _require_replicated([n_replicates])
+    _within_pair_count([n_replicates])
+    return pop
 
 
 def _point_worker(task):
-    seed, run, n_individuals, n_replicates, icc, dim = task
-    pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
+    pop, seed, run = task
     rng = np.random.default_rng([seed, run])
     sample = gen_gaussian_sample(pop, rng)
     return dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
@@ -400,11 +399,9 @@ def run_point_experiment(
     ``icc`` (identity score covariance, scaled-identity noise) and
     estimates each with Euclidean distance.
     """
-    _check_gaussian_args(n_individuals, n_replicates, icc, dim)
+    pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
-    tasks = [
-        (seed, run, n_individuals, n_replicates, icc, dim) for run in range(n_runs)
-    ]
+    tasks = [(pop, seed, run) for run in range(n_runs)]
     estimates = _run_tasks(_point_worker, tasks, workers)
     arr = np.asarray(estimates)
     return {
@@ -422,8 +419,7 @@ def run_point_experiment(
 
 
 def _coverage_worker(task):
-    seed, run, n_individuals, n_replicates, icc, dim, n_boot, level = task
-    pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
+    pop, seed, run, n_boot, level = task
     rng = np.random.default_rng([seed, run])
     sample = gen_gaussian_sample(pop, rng)
     stats = block_stats(sample, Metric.L2_VEC)
@@ -459,12 +455,10 @@ def run_coverage_experiment(
     interval variants.  Coverage percentages count runs whose interval
     contains the true value.
     """
-    _check_gaussian_args(n_individuals, n_replicates, icc, dim)
+    pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
+    _check_level(level)
     seed = _resolve_seed(seed)
-    tasks = [
-        (seed, run, n_individuals, n_replicates, icc, dim, n_boot, level)
-        for run in range(n_runs)
-    ]
+    tasks = [(pop, seed, run, n_boot, level) for run in range(n_runs)]
     rows = _run_tasks(_coverage_worker, tasks, workers)
     covered_naive = sum(r["naive"][0] <= icc <= r["naive"][1] for r in rows)
     covered_corr = sum(r["corrected"][0] <= icc <= r["corrected"][1] for r in rows)

@@ -208,6 +208,16 @@ class TestBootstrapDbicc:
         with pytest.raises(error):
             bootstrap_dbicc_pair(dm, 200, seed=1)
 
+    @pytest.mark.filterwarnings("error")  # a bad level fails before the warning
+    def test_bad_level_fails_before_the_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("replicates were drawn")
+
+        monkeypatch.setattr(dbicc.bootstrap, "_draw_indices", no_draw)
+        for call in (bootstrap_dbicc, bootstrap_dbicc_pair):
+            with pytest.raises(ParameterError, match=r"level must lie in \(0, 1\)"):
+                call(three_individual_matrix(), 50, level=1.5, seed=1)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_matrix_raises_non_finite(self):
         dm = _matrix(np.full((4, 4), 1e200) - np.diag(np.full(4, 1e200)), [2, 2])

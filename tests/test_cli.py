@@ -32,6 +32,16 @@ def grouping(dm):
     return [(g, j) for g, size in enumerate(dm.group_sizes) for j in range(size)]
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Make any worker pool the simulations start fail the test."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(dbicc.simulation, "ProcessPoolExecutor", no_pool)
+
+
 FEW_REPLICATES = (
     "warning: n_boot={} is small; percentile intervals are unstable below a few "
     "hundred replicates\n"
@@ -443,16 +453,30 @@ class TestExitCodes:
         ],
     )
     def test_bad_population_fails_before_any_run(
-        self, monkeypatch, capsys, experiment, flag, value, error
+        self, no_pool, capsys, experiment, flag, value, error
     ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool started")
-
-        monkeypatch.setattr(dbicc.simulation, "ProcessPoolExecutor", no_pool)
         argv = ["simulate", "--experiment", experiment, "--boot", "50", "--threads", "2",
                 "--seed", "1", flag, value]
         assert main(argv) == 3
         assert capsys.readouterr().err == error + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, level",
+        [
+            (["bootstrap", "{v}", "--level", "1.5", "--boot", "50"], "1.5"),
+            (["bootstrap", "{v}", "--level", "nan", "--boot", "50"], "nan"),
+            (["bootstrap", "{missing}", "--level", "1.5"], "1.5"),
+            (["simulate", "--experiment", "coverage", "--level", "1.5", "--boot", "50",
+              "--threads", "2"], "1.5"),
+        ],
+    )
+    def test_bad_level_fails_before_any_work(self, tmp_path, no_pool, capsys, argv, level):
+        src = tmp_path / "v.csv"
+        write_hand_csv(src)
+        argv = [a.format(v=src, missing=tmp_path / "missing.csv") for a in argv]
+        assert main(argv) == 3
+        err = f"ParameterError: level must lie in (0, 1), got {level}\n"
+        assert capsys.readouterr().err == err
 
 
 class TestBootstrapCommand:

@@ -2,21 +2,37 @@ import numpy as np
 import pytest
 
 from dbicc import (
+    BlockStats,
+    ConnectivityPopulation,
     DegenerateDistancesError,
+    DegenerateInputError,
     DistanceMatrix,
+    DistanceSpec,
+    GroupedSample,
     InsufficientGroupsError,
     InsufficientReplicatesError,
     Metric,
+    NonFiniteError,
     ParameterError,
+    PayloadKind,
     TrueScorePopulation,
+    block_stats,
+    bootstrap_dbicc,
+    bootstrap_dbicc_pair,
     build_grouped_sample,
     compute_distance_matrix,
+    corr_of_corr_distance,
     dbicc_point,
     gen_gaussian_sample,
+    gen_mvn_timeseries,
     l2_distance,
     msd_between,
     msd_within,
+    percentile_ci,
     population_dbicc_gaussian,
+    run_coverage_experiment,
+    run_point_experiment,
+    soft_threshold,
 )
 from conftest import vector_sample
 
@@ -187,3 +203,116 @@ class TestPopulationDbicc:
     def test_negative_trace(self):
         with pytest.raises(ParameterError):
             population_dbicc_gaussian(-1.0, 2.0)
+
+
+def _stats(sizes, within, cross):
+    return BlockStats(np.array(sizes), np.array(within, float), np.array(cross, float))
+
+
+def _matrix_sample(mats):
+    return GroupedSample(np.array(mats), [2, 2], ("a", "b"), PayloadKind.MATRIX)
+
+
+_NO_INDIVIDUALS = DistanceMatrix(np.zeros((0, 0)), [])
+_ONE_INDIVIDUAL = DistanceMatrix(1.0 - np.eye(2), [2])
+_NO_REPLICATES = DistanceMatrix(1.0 - np.eye(2), [1, 1])
+_ZERO = DistanceMatrix(np.zeros((4, 4)), [2, 2])
+_OVERFLOW = DistanceMatrix(1e200 * (1.0 - np.eye(4)), [2, 2])
+_TWO_BY_TWO = _matrix_sample([np.eye(2)] * 4)
+# the first payload's lower triangle is constant
+_EQUICORRELATED = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+_VARIED = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.1], [0.4, 0.1, 1.0]])
+_CONSTANT_TRIANGLE = _matrix_sample([_EQUICORRELATED, _VARIED, _VARIED, _VARIED])
+
+# For each precondition, every public entry that reaches it.
+PRECONDITIONS = {
+    "two individuals": (InsufficientGroupsError, [
+        lambda: GroupedSample(np.zeros((2, 1)), [2], ("a",), PayloadKind.VECTOR),
+        lambda: build_grouped_sample([("a", 0, [0.0]), ("a", 1, [1.0])]),
+        lambda: dbicc_point(_ONE_INDIVIDUAL),
+        lambda: msd_between(_ONE_INDIVIDUAL),
+        lambda: dbicc_point(_stats([2], [1.0], [[2.0]])),
+        lambda: bootstrap_dbicc(_stats([2], [1.0], [[2.0]]), 100, seed=1),
+        lambda: bootstrap_dbicc_pair(_ONE_INDIVIDUAL, 100, seed=1),
+    ]),
+    "two individuals, given none": (InsufficientGroupsError, [
+        lambda: GroupedSample(np.zeros((0, 1)), [], (), PayloadKind.VECTOR),
+        lambda: build_grouped_sample([]),
+        lambda: dbicc_point(_NO_INDIVIDUALS),
+        lambda: bootstrap_dbicc(_NO_INDIVIDUALS, 100, seed=1),
+    ]),
+    "a replicated individual": (InsufficientReplicatesError, [
+        lambda: GroupedSample(np.zeros((2, 1)), [1, 1], ("a", "b"), PayloadKind.VECTOR),
+        lambda: build_grouped_sample([("a", 0, [0.0]), ("b", 0, [1.0])]),
+        lambda: dbicc_point(_NO_REPLICATES),
+        lambda: msd_within(_NO_REPLICATES),
+        lambda: bootstrap_dbicc(_stats([1, 1], [0, 0], [[0, 1], [1, 0]]), 100, seed=1),
+        lambda: bootstrap_dbicc(_NO_REPLICATES, 100, seed=1),
+        lambda: run_point_experiment(4, 1, 0.5, n_runs=2, seed=1),
+        lambda: run_coverage_experiment(4, 1, 0.5, n_boot=100, n_runs=2, seed=1),
+    ]),
+    "nonzero between spread": (DegenerateDistancesError, [
+        lambda: dbicc_point(_ZERO),
+        lambda: bootstrap_dbicc(_ZERO, 100, seed=1),
+        lambda: bootstrap_dbicc_pair(_ZERO, 100, seed=1),
+        lambda: dbicc_point(_stats([2, 2], [0, 0], [[0, 0], [0, 0]])),
+        lambda: bootstrap_dbicc(_stats([2, 2], [0, 0], [[0, 0], [0, 0]]), 100, seed=1),
+    ]),
+    "finite squared distances": (NonFiniteError, [
+        lambda: dbicc_point(_OVERFLOW),
+        lambda: bootstrap_dbicc(_OVERFLOW, 100, seed=1),
+        lambda: block_stats(
+            GroupedSample(np.array([[1e200, 0], [-1e200, 0], [0, 0], [1, 1]]), [2, 2],
+                          ("a", "b"), PayloadKind.VECTOR),
+            Metric.L2_VEC,
+        ),
+        lambda: dbicc_point(_stats([2, 2], [np.inf, 0], [[np.inf, 1], [1, 0]])),
+        lambda: bootstrap_dbicc(
+            _stats([2, 2], [np.inf, 0], [[np.inf, 1], [1, 0]]), 100, seed=1
+        ),
+    ]),
+    "corr matrices of 3x3 or larger": (DegenerateInputError, [
+        lambda: corr_of_corr_distance(np.eye(2), np.eye(2)),
+        lambda: compute_distance_matrix(_TWO_BY_TWO, Metric.CORR_OF_CORR),
+        lambda: block_stats(_TWO_BY_TWO, Metric.CORR_OF_CORR),
+    ]),
+    "a non-constant corr triangle": (DegenerateInputError, [
+        lambda: corr_of_corr_distance(_EQUICORRELATED, _VARIED),
+        lambda: compute_distance_matrix(_CONSTANT_TRIANGLE, Metric.CORR_OF_CORR),
+        lambda: block_stats(_CONSTANT_TRIANGLE, Metric.CORR_OF_CORR),
+    ]),
+    "soft-threshold level in [0, 1]": (ParameterError, [
+        lambda: DistanceSpec(Metric.L2_VEC, threshold=1.5),
+        lambda: soft_threshold(np.eye(3), 1.5),
+    ]),
+    "stationary AR(1) coefficient": (ParameterError, [
+        lambda: ConnectivityPopulation((np.eye(2),), 10, ar_coeff=1.0),
+        lambda: gen_mvn_timeseries(np.eye(2), 10, 1.0, 1),
+    ]),
+    "series of 2+ time points": (ParameterError, [
+        lambda: ConnectivityPopulation((np.eye(2),), 1),
+        lambda: gen_mvn_timeseries(np.eye(2), 1, 0.0, 1),
+    ]),
+    "population dbICC in (0, 1)": (ParameterError, [
+        lambda: run_point_experiment(4, 2, 1.5, n_runs=2, seed=1),
+        lambda: run_coverage_experiment(4, 2, 1.5, n_boot=100, n_runs=2, seed=1),
+    ]),
+    "confidence level in (0, 1)": (ParameterError, [
+        lambda: percentile_ci([0.1, 0.2, 0.3], 1.5),
+        lambda: bootstrap_dbicc(hand_matrix(), 100, level=1.5, seed=1),
+        lambda: bootstrap_dbicc_pair(hand_matrix(), 100, level=1.5, seed=1),
+        lambda: run_coverage_experiment(
+            4, 2, 0.5, n_boot=100, n_runs=2, level=1.5, seed=1
+        ),
+    ]),
+}
+
+
+@pytest.mark.parametrize("error, calls", PRECONDITIONS.values(), ids=PRECONDITIONS)
+def test_each_precondition_has_one_message(error, calls):
+    raised = set()
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        raised.add((type(info.value), str(info.value)))
+    assert raised == {(error, str(info.value))}

@@ -346,6 +346,14 @@ class TestExperimentRunners:
                 n_runs=1, seed=0,
             )
 
+    def test_coverage_experiment_checks_level_before_any_run(self, monkeypatch):
+        def no_runs(worker, tasks, workers):
+            raise AssertionError("a Monte Carlo run started")
+
+        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        with pytest.raises(ParameterError, match=r"level must lie in \(0, 1\)"):
+            run_coverage_experiment(4, 2, 0.5, n_boot=100, n_runs=2, level=1.5, seed=1)
+
     def test_point_experiment_icc_domain(self):
         with pytest.raises(ParameterError):
             run_point_experiment(10, 4, 1.5, 4, seed=0)
