@@ -204,22 +204,26 @@ def _draw_indices(n_individuals, n_boot, seed):
 _FEW_REPLICATES = 100
 
 
-def _few_replicates(n_boot):
-    """The warning for a replicate count below ``_FEW_REPLICATES``."""
-    return (
-        f"n_boot={n_boot} is small; percentile intervals are unstable "
-        "below a few hundred replicates"
-    )
+def _check_n_boot(n_boot, stacklevel):
+    """Raise unless ``n_boot`` is positive; warn if it is below ``_FEW_REPLICATES``.
+
+    ``stacklevel`` counts frames from the caller, as ``warnings.warn`` does.
+    """
+    if n_boot < 1:
+        raise ParameterError(f"n_boot must be positive, got {n_boot}")
+    if n_boot < _FEW_REPLICATES:
+        warnings.warn(
+            f"n_boot={n_boot} is small; percentile intervals are unstable "
+            "below a few hundred replicates",
+            UserWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _checked_block_sums(source, n_boot, level) -> BlockStats:
     """Validate the arguments, then return the block sums of ``source``."""
-    if n_boot < 1:
-        raise ParameterError(f"n_boot must be positive, got {n_boot}")
     _check_level(level)
-    if n_boot < _FEW_REPLICATES:
-        # stacklevel 4: the caller of the public function
-        warnings.warn(_few_replicates(n_boot), UserWarning, stacklevel=4)
+    _check_n_boot(n_boot, stacklevel=4)  # the caller of the public function
     stats = source if isinstance(source, BlockStats) else _block_sums(source)
     _checked_msds(stats)  # the point estimate's preconditions
     return stats

@@ -40,14 +40,13 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import _FEW_REPLICATES, _check_level, _few_replicates, bootstrap_dbicc
+from .bootstrap import _check_level, bootstrap_dbicc
 from .core import (
     DistanceMatrix,
     GroupedSample,
@@ -57,22 +56,13 @@ from .core import (
     _pairwise,
     _payload_block_stats,
     _payload_rows,
+    _require_matrix_payloads,
     build_grouped_sample,
 )
 from .distances import DistanceSpec, Metric, _metric_rows, soft_threshold
-from .errors import (
-    DbiccError,
-    DegenerateDistancesError,
-    DegenerateInputError,
-    MetricMismatchError,
-)
+from .errors import DbiccError, DegenerateDistancesError, DegenerateInputError
 from .estimator import dbicc_point
-from .simulation import (
-    _gaussian_population,
-    run_coverage_experiment,
-    run_point_experiment,
-    run_sb_experiment,
-)
+from .simulation import run_coverage_experiment, run_point_experiment, run_sb_experiment
 
 __all__ = ["main", "main_entry"]
 
@@ -463,13 +453,20 @@ def _source(rows, kind, sample):
     return _payload_block_stats(rows, kind, sample)
 
 
-def _estimate_doc(args, data):
+def _check_thresholdable(data):
+    """Raise unless ``data`` has payloads that soft-thresholding applies to."""
     if isinstance(data, DistanceMatrix):
-        if args.threshold is not None:
-            raise _ConfigFailure(
-                "--threshold needs payload input; a precomputed distance "
-                "matrix cannot be re-thresholded"
-            )
+        raise _ConfigFailure(
+            "soft-thresholding needs payload input; a precomputed distance "
+            "matrix cannot be re-thresholded"
+        )
+    _require_matrix_payloads(data)
+
+
+def _estimate_doc(args, data):
+    if args.threshold is not None:
+        _check_thresholdable(data)
+    if isinstance(data, DistanceMatrix):
         source = data
         distance_name = args.distance or "precomputed"
     else:
@@ -494,22 +491,9 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _warn_few_replicates(n_boot):
-    """Print the library's small-``--boot`` warning as one stable line.
-
-    The warning itself is ignored for the rest of the command (``main``
-    runs each command under ``catch_warnings``), so it shows once.
-    """
-    if n_boot < _FEW_REPLICATES:
-        text = _few_replicates(n_boot)
-        print(f"warning: {text}", file=sys.stderr)
-        warnings.filterwarnings("ignore", re.escape(text), UserWarning)
-
-
 def _cmd_bootstrap(args) -> int:
     _check_level(args.level)
     source, doc = _estimate_doc(args, _load_input(args))
-    _warn_few_replicates(args.boot)
     result = bootstrap_dbicc(
         source, args.boot, corrected=args.corrected, level=args.level, seed=args.seed
     )
@@ -553,14 +537,7 @@ def _parse_grid(text):
 
 def _cmd_sweep_threshold(args) -> int:
     data = _load_input(args)
-    if isinstance(data, DistanceMatrix):
-        raise MetricMismatchError(
-            "threshold sweep requires payload input (matrices or time series)"
-        )
-    if data.payload_kind is PayloadKind.VECTOR:
-        raise MetricMismatchError(
-            "threshold sweep applies to matrix payloads, not vectors"
-        )
+    _check_thresholdable(data)
     grid = [args.threshold] if args.threshold is not None else _parse_grid(
         args.threshold_grid
     )
@@ -585,77 +562,76 @@ def _cmd_sweep_threshold(args) -> int:
 
 
 def _parse_m_grid(text):
+    """The argparse type of ``--m-grid``; argparse lets ``_ConfigFailure`` through."""
     try:
-        grid = [int(p) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise _ConfigFailure(f"--m-grid expects comma-separated integers, got {text!r}")
-    if len(grid) < 3:
-        raise _ConfigFailure("--m-grid needs at least 3 values")
-    return grid
+
+
+# The runner of each experiment, by its name in this module
+_RUNNERS = {
+    "point": "run_point_experiment",
+    "coverage": "run_coverage_experiment",
+    "sb": "run_sb_experiment",
+}
+_ALL = tuple(_RUNNERS)
+# Each simulate flag: the runner parameter it sets (its argparse dest), the
+# experiments that take it, its help and its parser options.  An absent flag
+# stays None and is not passed on, so every default lives in the runner's
+# signature; a flag given to another experiment is a configuration error.
+_SIM_FLAGS = {
+    "--individuals": ("n_individuals", _ALL, "number of individuals", {"type": _count}),
+    "--replicates": ("n_replicates", _ALL, "replicates per individual", {"type": _count}),
+    "--dim": ("dim", _ALL, "payload dimension", {"type": _count}),
+    "--rho": ("icc", ("point", "coverage"), "population dbICC", {"type": float}),
+    "--phi": ("ar_coeff", ("sb",), "AR(1) coefficient, in [0, 1)", {"type": float}),
+    "--boot": ("n_boot", ("coverage",), "bootstrap replicates", {"type": _count}),
+    "--level": ("level", ("coverage",), "confidence level", {"type": float}),
+    "--runs": ("n_runs", _ALL, "number of simulation runs", {"type": _count}),
+    "--m-grid": ("m_grid", ("sb",), "comma-separated series lengths",
+                 {"type": _parse_m_grid}),
+    "--sb-offset": ("offset", ("sb",), "abscissa is log(m - offset)",
+                    {"type": int, "choices": [0, 1]}),
+    "--wishart-df": ("wishart_df", ("sb",), "population heterogeneity control",
+                     {"type": int}),
+    "--seed": ("seed", _ALL, "64-bit RNG seed", {"type": _seed}),
+    "--threads": ("workers", _ALL, "parallel workers for runs", {"type": _count}),
+}
+
+
+def _simulation_csv(experiment, report):
+    """The plot-ready CSV header and rows of a ``simulate`` report."""
+    if experiment == "point":
+        return ["run", "rho_hat"], enumerate(report["estimates"])
+    if experiment == "coverage":
+        ends = ["naive_low", "naive_high", "corrected_low", "corrected_high"]
+        return ["run", "rho_hat", *ends], (
+            (i, r["point"], *r["naive"], *r["corrected"])
+            for i, r in enumerate(report["runs"])
+        )
+    return ["matrix", "run", "m", "rho_hat", "x", "y"], (
+        (kind, p["run"], p["m"], p["rho_hat"], p["x"], p["y"])
+        for kind in ("covariance", "correlation")
+        for p in report[kind]["points"]
+    )
 
 
 def _cmd_simulate(args) -> int:
-    # absent counts are None and _count rejects 0, so `or` only fills defaults
-    if args.experiment == "point":
-        report = run_point_experiment(
-            n_individuals=args.individuals or 40,
-            n_replicates=args.replicates or 4,
-            icc=args.rho,
-            n_runs=args.runs or 500,
-            seed=args.seed,
-            dim=args.dim or 2,
-            workers=args.threads,
-        )
-        csv_rows = list(enumerate(report["estimates"]))
-        csv_header = ["run", "rho_hat"]
-    elif args.experiment == "coverage":
-        n_individuals, n_replicates = args.individuals or 40, args.replicates or 4
-        dim = args.dim or 2
-        # the runner checks these too; here they fail before the warning line
-        _gaussian_population(n_individuals, n_replicates, args.rho, dim)
-        _check_level(args.level)
-        _warn_few_replicates(args.boot)
-        report = run_coverage_experiment(
-            n_individuals=n_individuals,
-            n_replicates=n_replicates,
-            icc=args.rho,
-            n_boot=args.boot,
-            n_runs=args.runs or 500,
-            level=args.level,
-            seed=args.seed,
-            dim=dim,
-            workers=args.threads,
-        )
-        csv_rows = [
-            (i, r["point"], *r["naive"], *r["corrected"])
-            for i, r in enumerate(report["runs"])
-        ]
-        csv_header = [
-            "run", "rho_hat", "naive_low", "naive_high", "corrected_low",
-            "corrected_high",
-        ]
-    else:
-        m_grid = _parse_m_grid(args.m_grid) if args.m_grid else None
-        report = run_sb_experiment(
-            n_individuals=args.individuals or 25,
-            n_replicates=args.replicates or 2,
-            dim=args.dim or 40,
-            m_grid=m_grid,
-            ar_coeff=args.phi,
-            n_runs=args.runs or 20,
-            seed=args.seed,
-            wishart_df=args.wishart_df,
-            offset=args.sb_offset,
-            workers=args.threads,
-        )
-        csv_rows = [
-            (kind, p["run"], p["m"], p["rho_hat"], p["x"], p["y"])
-            for kind in ("covariance", "correlation")
-            for p in report[kind]["points"]
-        ]
-        csv_header = ["matrix", "run", "m", "rho_hat", "x", "y"]
+    kwargs = {}
+    for flag, (param, experiments, *_) in _SIM_FLAGS.items():
+        value = getattr(args, param)
+        if value is None:
+            continue
+        if args.experiment not in experiments:
+            raise _ConfigFailure(
+                f"{flag} does not apply to --experiment {args.experiment}"
+            )
+        kwargs[param] = value
+    # looked up when the command runs, so that a replaced attribute is called
+    report = globals()[_RUNNERS[args.experiment]](**kwargs)
     if args.csv:
-        _write_csv(csv_header, csv_rows, args.csv)
+        _write_csv(*_simulation_csv(args.experiment, report), args.csv)
     _write_output(dumps_json(report), args.out)
     return 0
 
@@ -736,35 +712,11 @@ def _build_parser() -> _Parser:
     )
 
     sim = sub.add_parser("simulate", help="synthetic-data experiments")
-    sim.add_argument(
-        "--experiment", choices=["point", "coverage", "sb"], required=True
-    )
-    sim.add_argument("--individuals", type=_count, help="number of individuals")
-    sim.add_argument("--replicates", type=_count, help="replicates per individual")
-    sim.add_argument("--dim", type=_count, help="payload dimension")
-    sim.add_argument("--rho", type=float, default=0.5, help="population dbICC")
-    sim.add_argument(
-        "--phi",
-        type=float,
-        default=0.0,
-        help="AR(1) coefficient for sb series, in [0, 1)",
-    )
-    sim.add_argument("--boot", type=_count, default=1200, help="bootstrap replicates")
-    sim.add_argument("--level", type=float, default=0.95, help="confidence level")
-    sim.add_argument("--runs", type=_count, help="number of simulation runs")
-    sim.add_argument("--m-grid", help="comma-separated series lengths for sb")
-    sim.add_argument(
-        "--sb-offset",
-        type=int,
-        choices=[0, 1],
-        default=1,
-        help="abscissa is log(m - offset)",
-    )
-    sim.add_argument("--wishart-df", type=int, help="population heterogeneity control")
-    sim.add_argument("--seed", type=_seed, help="64-bit RNG seed")
-    sim.add_argument(
-        "--threads", type=_count, default=1, help="parallel workers for runs"
-    )
+    sim.add_argument("--experiment", choices=_ALL, required=True)
+    for flag, (param, experiments, text, options) in _SIM_FLAGS.items():
+        sim.add_argument(
+            flag, dest=param, help=f"{text} ({', '.join(experiments)})", **options
+        )
     sim.add_argument("--out", help="JSON output path (default: stdout)")
     sim.add_argument("--csv", help="also write plot-ready CSV here")
     return parser
@@ -778,11 +730,18 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, *args, **kwargs):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         with warnings.catch_warnings():
+            # each library warning is one stderr line, whatever -W asks for
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = _print_warning
             return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)

@@ -335,6 +335,14 @@ def _matrices(sample: GroupedSample) -> np.ndarray:
     return out
 
 
+def _require_matrix_payloads(sample: GroupedSample):
+    """Raise unless soft-thresholding applies to the sample: matrix payloads."""
+    if sample.payload_kind is PayloadKind.VECTOR:
+        raise MetricMismatchError(
+            "soft-thresholding applies to matrix payloads, not vector payloads"
+        )
+
+
 def _payload_rows(sample: GroupedSample, spec: DistanceSpec) -> np.ndarray:
     """The payload pipeline: series -> correlation -> threshold -> metric rows.
 
@@ -343,11 +351,7 @@ def _payload_rows(sample: GroupedSample, spec: DistanceSpec) -> np.ndarray:
     mats = _matrices(sample)
     matrices = sample.payload_kind is not PayloadKind.VECTOR
     if spec.threshold is not None:
-        if not matrices:
-            raise MetricMismatchError(
-                "soft-thresholding applies to matrix payloads, not "
-                f"{sample.payload_kind.value} payloads"
-            )
+        _require_matrix_payloads(sample)
         mats = soft_threshold(mats, spec.threshold)[0]
     if spec.kind is Metric.CORR_OF_CORR and not matrices:
         raise MetricMismatchError(

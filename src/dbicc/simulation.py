@@ -17,13 +17,15 @@ index), so results are reproducible and independent of the worker
 count used to fan the runs out.
 """
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import _check_level, _resolve_seed, bootstrap_dbicc_pair
-from .core import GroupedSample, PayloadKind, _within_pair_count, block_stats
+from .bootstrap import _check_level, _check_n_boot, _resolve_seed, bootstrap_dbicc_pair
+from .core import GroupedSample, PayloadKind, block_stats
+from .core import _between_pair_count, _within_pair_count
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
@@ -230,6 +232,14 @@ def _corr_scale_batch(covs):
     return out
 
 
+def _wishart_df(dim, wishart_df):
+    """Wishart degrees of freedom: ``2 * dim`` when None, else at least ``dim``."""
+    df = 2 * dim if wishart_df is None else int(wishart_df)
+    if df < dim:
+        raise ParameterError(f"wishart_df must be >= dim ({dim}), got {df}")
+    return df
+
+
 def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     """Random unit-diagonal SPD matrices (correlation-scaled Wishart draws).
 
@@ -239,9 +249,7 @@ def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     """
     if n < 1:
         raise ParameterError(f"need at least 1 matrix, got {n}")
-    df = 2 * dim if wishart_df is None else int(wishart_df)
-    if df < dim:
-        raise ParameterError(f"wishart_df must be >= dim ({dim}), got {df}")
+    df = _wishart_df(dim, wishart_df)
     rng = np.random.default_rng(rng)
     roots = rng.standard_normal((n, dim, df))
     wisharts = np.einsum("nik,njk->nij", roots, roots)
@@ -385,10 +393,10 @@ def _point_worker(task):
 
 
 def run_point_experiment(
-    n_individuals: int,
-    n_replicates: int,
-    icc: float,
-    n_runs: int,
+    n_individuals: int = 40,
+    n_replicates: int = 4,
+    icc: float = 0.5,
+    n_runs: int = 500,
     seed=None,
     dim: int = 2,
     workers: int = 1,
@@ -425,7 +433,10 @@ def _coverage_worker(task):
     stats = block_stats(sample, Metric.L2_VEC)
     point = dbicc_point(stats).rho_hat
     boot_seed = int(rng.integers(0, 2**62))
-    naive, corrected = bootstrap_dbicc_pair(stats, n_boot, level=level, seed=boot_seed)
+    with warnings.catch_warnings():
+        # the runner warned once of a small n_boot, the bootstrap's one warning
+        warnings.simplefilter("ignore", UserWarning)
+        naive, corrected = bootstrap_dbicc_pair(stats, n_boot, level=level, seed=boot_seed)
     return {
         "point": float(point),
         "naive": [naive.ci_low, naive.ci_high],
@@ -438,11 +449,11 @@ def _coverage_worker(task):
 
 
 def run_coverage_experiment(
-    n_individuals: int,
-    n_replicates: int,
-    icc: float,
-    n_boot: int,
-    n_runs: int,
+    n_individuals: int = 40,
+    n_replicates: int = 4,
+    icc: float = 0.5,
+    n_boot: int = 1200,
+    n_runs: int = 500,
     level: float = 0.95,
     seed=None,
     dim: int = 2,
@@ -453,10 +464,12 @@ def run_coverage_experiment(
     Each run simulates a Gaussian grouped sample with population dbICC
     ``icc``, bootstraps the estimate ``n_boot`` times, and records both
     interval variants.  Coverage percentages count runs whose interval
-    contains the true value.
+    contains the true value.  Every argument is checked before any run
+    starts; an ``n_boot`` below 100 then warns once, not once per run.
     """
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     _check_level(level)
+    _check_n_boot(n_boot, stacklevel=2)
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run, n_boot, level) for run in range(n_runs)]
     rows = _run_tasks(_coverage_worker, tasks, workers)
@@ -518,10 +531,10 @@ def run_sb_experiment(
     Frobenius distance, and fits a line to
     ``[log(m - offset), log snr]``.  Reports per-run slopes plus the
     across-run mean curve, for both matrix kinds.  ``m_grid`` needs 3 or
-    more distinct lengths above ``offset``, which is 0 or 1; a grid that
-    breaks this raises :class:`ParameterError` before any run.
-    ``ar_coeff`` must lie in [0, 1); the runs raise
-    :class:`ParameterError` otherwise.
+    more distinct lengths above ``offset``, which is 0 or 1, and
+    ``ar_coeff`` must lie in [0, 1).  These and the population's
+    arguments are checked before any run, with the errors the runs would
+    raise.
     """
     if m_grid is None:
         m_grid = default_m_grid()
@@ -536,6 +549,12 @@ def run_sb_experiment(
         raise ParameterError(
             f"every length in m_grid must exceed the offset {offset}, got {min(m_grid)}"
         )
+    # what gen_spd_population, ConnectivityPopulation and each sample check
+    _wishart_df(dim, wishart_df)
+    _check_ar1(ar_coeff, min(m_grid))
+    sizes = [n_replicates] * n_individuals
+    _between_pair_count(sizes)
+    _within_pair_count(sizes)
     seed = _resolve_seed(seed)
     tasks = [
         (seed, run, n_individuals, n_replicates, dim, tuple(m_grid), ar_coeff, wishart_df)

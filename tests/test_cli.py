@@ -1,8 +1,11 @@
 import contextlib
 import csv
+import functools
 import io
 import json
+import multiprocessing
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -455,7 +458,8 @@ class TestExitCodes:
     def test_bad_population_fails_before_any_run(
         self, no_pool, capsys, experiment, flag, value, error
     ):
-        argv = ["simulate", "--experiment", experiment, "--boot", "50", "--threads", "2",
+        boot = ["--boot", "50"] if experiment == "coverage" else []
+        argv = ["simulate", "--experiment", experiment, *boot, "--threads", "2",
                 "--seed", "1", flag, value]
         assert main(argv) == 3
         assert capsys.readouterr().err == error + "\n"
@@ -645,6 +649,40 @@ class TestSweepCommand:
         assert rc == 3
         assert "MetricMismatchError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--threshold", "0.2"],
+            ["bootstrap", "--threshold", "0.2", "--seed", "1"],
+            ["sweep-threshold"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "data, code, error",
+        [
+            ("vectors", 3,
+             "MetricMismatchError: soft-thresholding applies to matrix payloads, "
+             "not vector payloads"),
+            ("matrix", 4,
+             "configuration error: soft-thresholding needs payload input; a "
+             "precomputed distance matrix cannot be re-thresholded"),
+        ],
+    )
+    def test_thresholding_precondition_has_one_error(
+        self, tmp_path, capsys, command, data, code, error
+    ):
+        if data == "vectors":
+            src = tmp_path / "hand.csv"
+            write_hand_csv(src)
+            inputs = [str(src)]
+        else:
+            src, groups = tmp_path / "dm.csv", tmp_path / "groups.csv"
+            src.write_text("0,1,2,3\n1,0,2,3\n2,2,0,1\n3,3,1,0\n")
+            groups.write_text("row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n")
+            inputs = [str(src), "--groups", str(groups)]
+        assert main([command[0], *inputs, *command[1:]]) == code
+        assert capsys.readouterr().err == error + "\n"
+
 
 class TestSimulateCommand:
     def test_point_reproducible_across_threads(self, tmp_path):
@@ -685,6 +723,20 @@ class TestSimulateCommand:
         assert main([*argv, "--out", str(tmp_path / "cov.json")]) == 0
         assert capsys.readouterr().err == FEW_REPLICATES.format(20)
 
+    def test_small_boot_warns_once_with_spawned_workers(
+        self, tmp_path, capfd, monkeypatch
+    ):
+        # spawned workers inherit no warning filters from the command
+        spawn = multiprocessing.get_context("spawn")
+        pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
+        monkeypatch.setattr(dbicc.simulation, "ProcessPoolExecutor", pool)
+        argv = [
+            "simulate", "--experiment", "coverage", "--individuals", "6",
+            "--boot", "20", "--runs", "4", "--seed", "1", "--threads", "2",
+        ]
+        assert main([*argv, "--out", str(tmp_path / "cov.json")]) == 0
+        assert capfd.readouterr().err == FEW_REPLICATES.format(20)
+
     def test_sb_report(self, tmp_path):
         out = tmp_path / "sb.json"
         rc = main(
@@ -704,6 +756,107 @@ class TestSimulateCommand:
             ["simulate", "--experiment", "sb", "--m-grid", "10,twenty,40", "--seed", "1"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "experiment, flag, value",
+        [
+            ("point", "--boot", "50"),
+            ("point", "--level", "0.9"),
+            ("point", "--phi", "0.5"),
+            ("point", "--m-grid", "10,20,40"),
+            ("point", "--sb-offset", "1"),
+            ("point", "--wishart-df", "50"),
+            ("coverage", "--phi", "0.5"),
+            ("coverage", "--m-grid", "10,20,40"),
+            ("coverage", "--sb-offset", "1"),
+            ("coverage", "--wishart-df", "50"),
+            ("sb", "--rho", "0.5"),
+            ("sb", "--boot", "50"),
+            ("sb", "--level", "0.9"),
+        ],
+    )
+    def test_flag_of_another_experiment_is_config_error(
+        self, no_pool, capsys, experiment, flag, value
+    ):
+        argv = ["simulate", "--experiment", experiment, flag, value, "--runs", "2",
+                "--seed", "1", "--threads", "2"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag} does not apply to --experiment {experiment}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "experiment, runner",
+        [
+            ("point", dbicc.cli.run_point_experiment),
+            ("coverage", dbicc.cli.run_coverage_experiment),
+            ("sb", dbicc.cli.run_sb_experiment),
+        ],
+    )
+    def test_defaults_are_the_runners(self, tmp_path, experiment, runner):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--experiment", experiment, "--seed", "1", "--runs", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == dumps_json(runner(n_runs=2, seed=1))
+
+    @pytest.mark.parametrize(
+        "experiment, flags, kwargs",
+        [
+            ("point", ["--rho", "0.3"], {"icc": 0.3}),
+            ("coverage", ["--boot", "50", "--level", "0.9"], {"n_boot": 50, "level": 0.9}),
+            ("sb", ["--phi", "0.5", "--m-grid", "10,20,40", "--sb-offset", "0",
+                    "--wishart-df", "9"],
+             {"ar_coeff": 0.5, "m_grid": [10, 20, 40], "offset": 0, "wishart_df": 9}),
+        ],
+    )
+    def test_command_calls_the_module_runner(
+        self, tmp_path, monkeypatch, experiment, flags, kwargs
+    ):
+        calls = []
+
+        def runner(**given):
+            calls.append(given)
+            return {"experiment": experiment}
+
+        monkeypatch.setattr(dbicc.cli, f"run_{experiment}_experiment", runner)
+        argv = ["simulate", "--experiment", experiment, *flags, "--individuals", "5",
+                "--replicates", "3", "--dim", "2", "--runs", "2", "--seed", "1",
+                "--threads", "2"]
+        assert run_json(tmp_path, argv) == {"experiment": experiment}
+        shared = {"n_individuals": 5, "n_replicates": 3, "dim": 2, "n_runs": 2,
+                  "seed": 1, "workers": 2}
+        assert calls == [{**shared, **kwargs}]
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--phi", "1"],
+             "ParameterError: AR(1) coefficient must lie in [0, 1) for stationarity, "
+             "got 1.0"),
+            (["--individuals", "1"],
+             "InsufficientGroupsError: need at least 2 individuals, got 1"),
+            (["--replicates", "1"],
+             "InsufficientReplicatesError: at least one individual needs 2+ replicates; "
+             "within-individual spread is undefined otherwise"),
+            (["--dim", "5", "--wishart-df", "3"],
+             "ParameterError: wishart_df must be >= dim (5), got 3"),
+            (["--m-grid", "10,20"],
+             "ParameterError: m_grid needs at least 3 lengths to fit a curve"),
+        ],
+    )
+    def test_bad_sb_arguments_fail_before_any_run(self, no_pool, capsys, flags, error):
+        argv = ["simulate", "--experiment", "sb", *flags, "--runs", "2", "--seed", "1",
+                "--threads", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == error + "\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_warning_is_one_line_when_warnings_are_errors(self, tmp_path, capsys):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        argv = ["bootstrap", str(src), "--boot", "50", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().err == FEW_REPLICATES.format(50)
 
 
 class TestDumpsJson:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,19 @@ class TestExperimentRunners:
         monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
         with pytest.raises(ParameterError, match=r"level must lie in \(0, 1\)"):
             run_coverage_experiment(4, 2, 0.5, n_boot=100, n_runs=2, level=1.5, seed=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_n_boot_warns_once(self, workers):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_coverage_experiment(6, 2, n_boot=50, n_runs=3, seed=1, workers=workers)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (
+                UserWarning,
+                "n_boot=50 is small; percentile intervals are unstable below a few "
+                "hundred replicates",
+            )
+        ]
 
     def test_point_experiment_icc_domain(self):
         with pytest.raises(ParameterError):
