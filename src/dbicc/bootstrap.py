@@ -2,21 +2,20 @@
 
 Everything the dbICC needs from a sample is in its :class:`BlockStats`:
 per individual, the sum of squared distances over its within pairs,
-and the sums over the pairs between individuals.  For ``l1`` and for a
-precomputed matrix the sums are read off the
-:class:`~dbicc.core.DistanceMatrix`, with the between sums as the I-by-I
-``cross``.  For ``l2`` and correlation of correlations they come
-straight from the payloads, with no n-by-n matrix, and the between sums
-take the smaller of two forms: the I individual means of p values when
-p <= I, the I-by-I ``cross`` when p > I; memory is O(n*p + I*min(I, p))
-(see :func:`~dbicc.core.block_stats`).
+and the sums over the pairs between individuals.  For a precomputed
+:class:`~dbicc.core.DistanceMatrix` they are read off its rows, with
+the between sums as the I-by-I ``cross``.  From payloads,
+:func:`~dbicc.core.block_stats` builds no n-by-n matrix under any
+metric: ``l1`` reads the same rows in chunks of ``cdist``, and ``l2``
+and correlation of correlations take the smaller of two forms for the
+between sums, the I individual means of p values when p <= I, the I-by-I
+``cross`` when p > I.
 
 Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
 individuals; payload distances are never recomputed.  A replicate
-costs O(I*min(I, p)) from sums of payloads: O(I*p) from the means,
-O(I^2) from ``cross``, which is also the cost for sums read off a
-matrix (see :func:`_replicate_components`).  The point estimate reads
+costs O(I*p) from the means and O(I^2) from ``cross`` (see
+:func:`_replicate_components`).  The point estimate reads
 the same sums (:func:`~dbicc.core._between_sum`).
 
 When an individual is drawn twice, the blocks between its copies are
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockStats, DistanceMatrix, _resampled_sums
+from .core import BlockStats, DistanceMatrix, _distance_block_sums, _resampled_sums
 from .errors import InsufficientDataError, ParameterError
 from .estimator import _checked_msds
 
@@ -93,35 +92,9 @@ def percentile_ci(replicate_estimates, level: float):
     return float(low), float(high)
 
 
-# Bytes of squared rows _block_sums holds at a time (a chunk is at least
-# one whole block); chunks that stay in cache sum fastest.
-_BLOCK_SUM_BYTES = 1 << 21
-
-
 def _block_sums(dm: DistanceMatrix) -> BlockStats:
-    """Block sums of a distance matrix, exactly.
-
-    Rows are squared and summed in chunks of whole blocks.  Every sum
-    adds the same values in the same order as ``reduceat`` over the
-    whole squared matrix would, so the bits are the same without an
-    n-by-n squared copy.
-    """
-    sizes = dm.group_sizes
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    starts = bounds[:-1]
-    cross = np.empty((sizes.size, sizes.size))
-    chunk_rows = _BLOCK_SUM_BYTES // (8 * max(dm.n_total, 1))
-    g0 = 0
-    while g0 < sizes.size:
-        limit = bounds[g0] + chunk_rows
-        g1 = max(g0 + 1, int(np.searchsorted(bounds, limit, side="right")) - 1)
-        rows = dm.values[bounds[g0] : bounds[g1]]
-        with np.errstate(over="ignore"):  # overflows are infinite sums
-            row_sums = np.add.reduceat(rows * rows, starts[g0:g1] - bounds[g0])
-        cross[g0:g1] = np.add.reduceat(row_sums, starts, axis=1)
-        g0 = g1
-    within = np.diag(cross) / 2.0
-    return BlockStats(sizes, within, cross)
+    """Block sums of a distance matrix, exactly (see :func:`_distance_block_sums`)."""
+    return _distance_block_sums(dm.group_sizes, lambda a, b: dm.values[a:b])
 
 
 def _replicate_components(sizes, within, cross, means, indices):

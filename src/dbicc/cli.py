@@ -53,10 +53,9 @@ from .core import (
     PayloadKind,
     _group_order,
     _matrices,
-    _pairwise,
     _payload_block_stats,
-    _payload_rows,
     _require_matrix_payloads,
+    block_stats,
     build_grouped_sample,
 )
 from .distances import DistanceSpec, Metric, _metric_rows, soft_threshold
@@ -446,13 +445,6 @@ def _distance_spec(args):
     return DistanceSpec(kind=kind, threshold=args.threshold)
 
 
-def _source(rows, kind, sample):
-    """What the dbICC is computed from: the l1 distance matrix, else block sums."""
-    if kind is Metric.L1_VEC:
-        return _pairwise(rows, kind, sample)
-    return _payload_block_stats(rows, kind, sample)
-
-
 def _check_thresholdable(data):
     """Raise unless ``data`` has payloads that soft-thresholding applies to."""
     if isinstance(data, DistanceMatrix):
@@ -470,8 +462,7 @@ def _estimate_doc(args, data):
         source = data
         distance_name = args.distance or "precomputed"
     else:
-        spec = _distance_spec(args)
-        source = _source(_payload_rows(data, spec), spec.kind, data)
+        source = block_stats(data, _distance_spec(args))
         distance_name = args.distance or "l2"
     est = dbicc_point(source)
     return source, {
@@ -550,7 +541,8 @@ def _cmd_sweep_threshold(args) -> int:
         # the block-sum kernel overwrites shrunk; each level refills it
         _, fractions = soft_threshold(mats, level, out=shrunk)
         try:
-            rho = dbicc_point(_source(_metric_rows(shrunk, kind), kind, data)).rho_hat
+            stats = _payload_block_stats(_metric_rows(shrunk, kind), kind, data)
+            rho = dbicc_point(stats).rho_hat
         except (DegenerateInputError, DegenerateDistancesError) as exc:
             print(
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr
@@ -591,8 +583,8 @@ _SIM_FLAGS = {
     "--runs": ("n_runs", _ALL, "number of simulation runs", {"type": _count}),
     "--m-grid": ("m_grid", ("sb",), "comma-separated series lengths",
                  {"type": _parse_m_grid}),
-    "--sb-offset": ("offset", ("sb",), "abscissa is log(m - offset)",
-                    {"type": int, "choices": [0, 1]}),
+    "--sb-offset": ("offset", ("sb",), "abscissa is log(m - offset), offset 0 or 1",
+                    {"type": int}),
     "--wishart-df": ("wishart_df", ("sb",), "population heterogeneity control",
                      {"type": int}),
     "--seed": ("seed", _ALL, "64-bit RNG seed", {"type": _seed}),

@@ -8,10 +8,9 @@ works on whole stacks: time series become correlation matrices, an
 optional soft threshold shrinks them (:func:`~dbicc.distances.soft_threshold`
 takes a whole stack), and each payload becomes the row its metric
 compares.  :func:`compute_distance_matrix` turns a sample into a
-:class:`DistanceMatrix`.  Estimators consume it, or the
-:class:`BlockStats` (per-individual squared-distance sums) read off it;
-for ``l2`` and correlation of correlations :func:`block_stats` takes
-them straight from the payload rows instead.
+:class:`DistanceMatrix`, the exact reference; :func:`block_stats` takes
+the :class:`BlockStats` (per-individual squared-distance sums) that the
+estimators read straight from the payload rows, with no n-by-n matrix.
 
 Samples and distance matrices share one grouping model: rows in group
 order, described by ``group_sizes`` (the first individual's rows, then
@@ -28,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .distances import (
     DistanceSpec,
@@ -379,21 +378,15 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
         Plain kinds are promoted to a threshold-free spec.
     """
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
-    return _pairwise(_payload_rows(sample, spec), spec.kind, sample)
-
-
-def _pairwise(rows, metric: Metric, sample: GroupedSample) -> DistanceMatrix:
-    """Distance matrix of ``rows``, one per row of ``sample``'s grouping.
-
-    Correlation of correlations is ``sqrt(1/2)`` times the Euclidean
-    distance between rows standardized in place to mean 0 and norm 1,
-    which keeps its digits where ``1 - r`` would cancel.
-    """
-    if metric is Metric.CORR_OF_CORR:
+    rows = _payload_rows(sample, spec)
+    # correlation of correlations is sqrt(1/2) times the Euclidean distance
+    # between rows standardized to mean 0 and norm 1, which keeps its digits
+    # where 1 - r would cancel
+    if spec.kind is Metric.CORR_OF_CORR:
         vals = squareform(pdist(_standardize_rows(rows), "euclidean"))
         vals *= np.sqrt(0.5)
     else:
-        scipy_name = "euclidean" if metric is Metric.L2_VEC else "cityblock"
+        scipy_name = "euclidean" if spec.kind is Metric.L2_VEC else "cityblock"
         vals = squareform(pdist(rows, scipy_name))
     return DistanceMatrix(vals, sample.group_sizes, sample.labels)
 
@@ -409,14 +402,17 @@ class BlockStats(NamedTuple):
     * ``cross[g, h]``, the sum over all ordered pairs between the
       replicates of ``g`` and ``h``; so ``cross[g, g]`` is twice
       ``within[g]``, the duplicated-block sum including its zero
-      diagonal.  Sums read off a :class:`DistanceMatrix` (by
-      ``bootstrap._block_sums``) take this form, and so do sums from
-      payload rows of p values when p > I, the number of individuals.
+      diagonal.  Sums read off distance rows (by
+      :func:`_distance_block_sums`: a :class:`DistanceMatrix`, or ``l1``
+      payloads) take this form, and so do ``l2`` and
+      correlation-of-correlations sums from payload rows of p values when
+      p > I, the number of individuals.
     * ``means``, one row per individual: the group means relative to the
       first payload, scaled so that ``cross[g, h]`` would be
       ``J_g J_h ||means[g] - means[h]||^2 + J_h within[g] / J_g +
-      J_g within[h] / J_h`` with ``J = sizes``.  Sums from payload rows
-      take this I-by-p form when p <= I, and ``cross`` is ``None``.
+      J_g within[h] / J_h`` with ``J = sizes``.  ``l2`` and
+      correlation-of-correlations sums take this I-by-p form when p <= I,
+      and ``cross`` is ``None``.
 
     :func:`_between_sum` and :func:`_resampled_sums` read either form.
     """
@@ -425,6 +421,37 @@ class BlockStats(NamedTuple):
     within: np.ndarray
     cross: np.ndarray | None
     means: np.ndarray | None = None
+
+
+# Bytes of squared distance rows _distance_block_sums holds at a time (a
+# chunk is at least one whole block); chunks that stay in cache sum fastest.
+_BLOCK_SUM_BYTES = 1 << 21
+
+
+def _distance_block_sums(sizes, distance_rows) -> BlockStats:
+    """Block sums of a distance matrix read in row chunks, exactly.
+
+    ``distance_rows(a, b)`` returns rows ``a:b`` of the n-by-n matrix,
+    whose rows are grouped by ``sizes``; only one chunk of whole blocks
+    exists at a time.  Every sum adds the same values in the same order
+    as ``reduceat`` over the whole squared matrix would, so the bits are
+    the same without an n-by-n squared copy.
+    """
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    starts = bounds[:-1]
+    cross = np.empty((sizes.size, sizes.size))
+    chunk_rows = _BLOCK_SUM_BYTES // (8 * max(int(bounds[-1]), 1))
+    g0 = 0
+    while g0 < sizes.size:
+        limit = bounds[g0] + chunk_rows
+        g1 = max(g0 + 1, int(np.searchsorted(bounds, limit, side="right")) - 1)
+        rows = distance_rows(bounds[g0], bounds[g1])
+        with np.errstate(over="ignore"):  # overflows are infinite sums
+            row_sums = np.add.reduceat(rows * rows, starts[g0:g1] - bounds[g0])
+        cross[g0:g1] = np.add.reduceat(row_sums, starts, axis=1)
+        g0 = g1
+    within = np.diag(cross) / 2.0
+    return BlockStats(sizes, within, cross)
 
 
 # Bytes of rows the payload block-sum kernel holds in a temporary at a
@@ -585,25 +612,27 @@ def _between_sum(stats: BlockStats):
 
 
 def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockStats:
-    """Block sums of ``l2`` or correlation-of-correlations metric rows.
+    """Block sums of the distances between metric rows (from :func:`_metric_rows`).
 
-    ``rows`` (from :func:`_metric_rows`) are overwritten.  For rows ``z``
-    standardized to mean 0 and norm 1, ``1 - r`` is ``||z_a - z_b||^2 / 2``,
-    so correlation of correlations is ``l2`` on ``z`` at half scale.
-    Raises :class:`NonFiniteError` where the distance matrix would hold
-    NaN or Inf, or its squares overflow.
+    ``l1`` reads ``cdist`` row chunks, each equal bit for bit to those
+    rows of the distance matrix.  ``l2`` and correlation of correlations
+    overwrite ``rows``: for rows ``z`` standardized to mean 0 and norm 1,
+    ``1 - r`` is ``||z_a - z_b||^2 / 2``, so correlation of correlations
+    is ``l2`` on ``z`` at half scale.  Raises :class:`NonFiniteError`
+    where the distance matrix would hold NaN or Inf, or its squares
+    overflow.
     """
-    if metric is Metric.L1_VEC:
-        raise MetricMismatchError(
-            "l1 block sums need the distance matrix; use compute_distance_matrix"
-        )
-    scale = 1.0
+    sizes = sample.group_sizes
     # overflow and underflow show up as a non-finite total, checked below
     with np.errstate(all="ignore"):
-        if metric is Metric.CORR_OF_CORR:
-            _standardize_rows(rows)
-            scale = 0.5
-        stats = _rows_block_sums(rows, sample.group_sizes, scale)
+        if metric is Metric.L1_VEC:
+            stats = _distance_block_sums(
+                sizes, lambda a, b: cdist(rows[a:b], rows, "cityblock")
+            )
+        elif metric is Metric.CORR_OF_CORR:
+            stats = _rows_block_sums(_standardize_rows(rows), sizes, 0.5)
+        else:
+            stats = _rows_block_sums(rows, sizes, 1.0)
         # the sum over all ordered pairs, diagonal blocks included
         total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
     _require_finite(total)
@@ -611,15 +640,19 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
 
 
 def block_stats(sample: GroupedSample, metric) -> BlockStats:
-    """Block sums of the squared ``l2`` or correlation-of-correlations distances.
+    """Block sums of the squared distances of a sample, under any metric.
 
     The payload pipeline is that of :func:`compute_distance_matrix`, and
-    the sums equal those of its distance matrix up to rounding, but no
-    n-by-n matrix is built.  For n payloads of p values and I individuals
-    the sums between individuals come as the I-by-p means when p <= I, in
-    O(n*p) time, and as the I-by-I ``cross`` when p > I, in
-    O(n*p + I^2*p) time (see :class:`BlockStats`); either way memory is
-    O(n*p + I*min(I, p)).  ``l1`` raises :class:`MetricMismatchError`.
+    the sums equal those of its distance matrix, but no n-by-n matrix is
+    built.  For n payloads of p values and I individuals:
+
+    * ``l1`` reads the distance matrix in row chunks of about 2 MiB and
+      keeps the I-by-I ``cross``, equal bit for bit to that of the
+      matrix, in O(n^2*p) time and O(n*p + I^2) memory beyond the chunk.
+    * ``l2`` and correlation of correlations, equal up to rounding, keep
+      the I-by-p means when p <= I, in O(n*p) time, and the I-by-I
+      ``cross`` when p > I, in O(n*p + I^2*p) time (see
+      :class:`BlockStats`); either way memory is O(n*p + I*min(I, p)).
 
     Parameters
     ----------

@@ -123,8 +123,8 @@ def dbicc_point(source) -> DbiccEstimate:
     ----------
     source : DistanceMatrix or BlockStats
         A matrix gives the exact reference estimate.  Block sums (of a
-        matrix, or straight from ``l2``/``corr`` payloads) give the same
-        estimate up to rounding.
+        matrix, or straight from payloads) give the same estimate up to
+        rounding.
 
     Raises
     ------

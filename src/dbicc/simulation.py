@@ -29,7 +29,7 @@ from .core import _between_pair_count, _within_pair_count
 from .distances import Metric
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
-from .spearman_brown import build_sb_curve, fit_loglog
+from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
 
 __all__ = [
     "TrueScorePopulation",
@@ -85,8 +85,8 @@ class TrueScorePopulation:
         noise_chol = _cholesky(self.noise_cov, "noise covariance")
         if score_chol.shape != noise_chol.shape:
             raise ParameterError("score and noise covariances must share one size")
-        if self.n_individuals < 2:
-            raise ParameterError("need at least 2 individuals")
+        # the error every sample of the population would raise
+        _between_pair_count([self.n_replicates] * self.n_individuals)
         if self.n_replicates < 1:
             raise ParameterError("need at least 1 replicate per individual")
         object.__setattr__(self, "score_cov", np.asarray(self.score_cov, dtype=float))
@@ -541,14 +541,7 @@ def run_sb_experiment(
     m_grid = [int(m) for m in m_grid]
     if len(m_grid) < 3:
         raise ParameterError("m_grid needs at least 3 lengths to fit a curve")
-    if len(set(m_grid)) != len(m_grid):
-        raise ParameterError(f"m_grid repeats a length: {m_grid}")
-    if offset not in (0, 1):
-        raise ParameterError(f"offset must be 0 or 1, got {offset}")
-    if min(m_grid) <= offset:
-        raise ParameterError(
-            f"every length in m_grid must exceed the offset {offset}, got {min(m_grid)}"
-        )
+    _check_lengths(m_grid, offset)
     # what gen_spd_population, ConnectivityPopulation and each sample check
     _wishart_df(dim, wishart_df)
     _check_ar1(ar_coeff, min(m_grid))

@@ -130,6 +130,18 @@ def fit_loglog(points) -> LineFit:
     return LineFit(slope, intercept, slope_se, intercept_se)
 
 
+def _check_lengths(m_grid, offset):
+    """Raise unless ``m_grid`` holds distinct lengths above ``offset``, 0 or 1."""
+    if len(set(m_grid)) != len(m_grid):
+        raise ParameterError(f"m_grid repeats a length: {m_grid}")
+    if offset not in (0, 1):
+        raise ParameterError(f"offset must be 0 or 1, got {offset}")
+    if any(m <= offset for m in m_grid):
+        raise ParameterError(
+            f"every length in m_grid must exceed the offset {offset}, got {min(m_grid)}"
+        )
+
+
 def build_sb_curve(estimates, offset: int = 1) -> SbCurve:
     """Transform (m, rho_hat) estimates into a fitted log-log SNR curve.
 
@@ -146,27 +158,16 @@ def build_sb_curve(estimates, offset: int = 1) -> SbCurve:
     aside in ``excluded``; at least 3 usable points are required.
     """
     offset = int(offset)
-    if offset not in (0, 1):
-        raise ParameterError(f"offset must be 0 or 1, got {offset}")
-    usable = []
-    excluded = []
-    for m, rho in estimates:
-        m = int(m)
-        if m <= offset:
-            raise ParameterError(f"m must exceed the offset {offset}, got m={m}")
-        if 0.0 < rho < 1.0:
-            usable.append((m, float(rho)))
-        else:
-            excluded.append((m, float(rho)))
+    estimates = [(int(m), float(rho)) for m, rho in estimates]
+    _check_lengths([m for m, _ in estimates], offset)
+    usable = [(m, rho) for m, rho in estimates if 0.0 < rho < 1.0]
+    excluded = [(m, rho) for m, rho in estimates if not 0.0 < rho < 1.0]
     if len(usable) < 3:
         raise InsufficientDataError(
             f"need at least 3 estimates inside (0, 1) to fit a curve, "
             f"got {len(usable)} usable of {len(usable) + len(excluded)}"
         )
     usable.sort(key=lambda t: t[0])
-    ms = [m for m, _ in usable]
-    if len(set(ms)) != len(ms):
-        raise ParameterError("duplicate measurement intensities in curve input")
     points = tuple(
         SbPoint(m=m, rho_hat=rho, x=float(np.log(m - offset)), y=float(np.log(snr(rho))))
         for m, rho in usable

@@ -16,7 +16,6 @@ from dbicc import (
     DistanceMatrix,
     GroupedSample,
     Metric,
-    MetricMismatchError,
     PayloadKind,
     block_stats,
     bootstrap_dbicc,
@@ -229,11 +228,23 @@ class TestAgainstMatrixPath:
             corr_of_corr_distance(*payloads[0][:2]), rel=1e-12
         )
 
-    def test_l1_needs_the_distance_matrix(self, rng):
-        payloads = draw_payloads(rng, [2, 1, 3], (4,), 0.0, 1.0, 0.5)
-        sample = grouped(payloads, PayloadKind.VECTOR)
-        with pytest.raises(MetricMismatchError, match="l1 block sums"):
-            block_stats(sample, Metric.L1_VEC)
+    @pytest.mark.parametrize("chunk_rows", [1, 7, None])
+    def test_l1_equals_the_matrix_sums(self, rng, monkeypatch, chunk_rows):
+        # blocks of 1..19 rows, so chunks hold several blocks or one block
+        # larger than the chunk
+        sizes = np.concatenate(([1], rng.integers(1, 20, size=60), [1]))
+        sample = grouped(
+            draw_payloads(rng, sizes, (3,), 10.0, 1.0, 0.5), PayloadKind.VECTOR
+        )
+        exact = _block_sums(compute_distance_matrix(sample, "l1_vec"))
+        if chunk_rows is not None:
+            monkeypatch.setattr(
+                dbicc.core, "_BLOCK_SUM_BYTES", 8 * sample.n_total * chunk_rows
+            )
+        stats = block_stats(sample, "l1_vec")
+        assert stats.means is None
+        for got, want in zip(stats[:3], exact[:3]):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 2, 5])
     def test_chunking_does_not_change_the_bits(self, rng, monkeypatch, rows_per_chunk):
@@ -491,21 +502,22 @@ class TestFactoredReplicates:
 
 def test_estimate_and_bootstrap_allocate_less_than_one_matrix():
     # n = 4000 payloads of 2 replicates: one n-by-n float64 array is 128 MB,
-    # one I-by-I array 32 MB
+    # one I-by-I array 32 MB; l1 keeps an I-by-I cross, l2 the means
     rng = np.random.default_rng(5)
     payloads = draw_payloads(rng, [2] * 2000, (8,), 0.0, 1.0, 0.5)
     sample = grouped(payloads, PayloadKind.VECTOR)
     n = sample.n_total
-    tracemalloc.start()
-    try:
-        stats = block_stats(sample, Metric.L2_VEC)
-        dbicc_point(stats)
-        bootstrap_dbicc(stats, 200, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert n == 4000
-    assert peak < 8 * n * n
     n_individuals = sample.n_individuals
-    assert n_individuals == 2000
-    assert peak < 8 * n_individuals * n_individuals
+    assert (n, n_individuals) == (4000, 2000)
+    for metric in (Metric.L2_VEC, Metric.L1_VEC):
+        tracemalloc.start()
+        try:
+            stats = block_stats(sample, metric)
+            dbicc_point(stats)
+            bootstrap_dbicc(stats, 200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, metric
+        if metric is Metric.L2_VEC:
+            assert peak < 8 * n_individuals * n_individuals

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dbicc.bootstrap
+import dbicc.core
 from dbicc import (
     DegenerateDistancesError,
     DistanceMatrix,
@@ -168,7 +169,7 @@ class TestReplicateMechanics:
         dm = compute_distance_matrix(vector_sample(rng, sizes, 3), Metric.L2_VEC)
         if chunk_rows is not None:
             monkeypatch.setattr(
-                dbicc.bootstrap, "_BLOCK_SUM_BYTES", 8 * dm.n_total * chunk_rows
+                dbicc.core, "_BLOCK_SUM_BYTES", 8 * dm.n_total * chunk_rows
             )
         starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         squared = dm.values * dm.values

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from dbicc import (
     Metric,
+    bootstrap_dbicc,
     build_grouped_sample,
     compute_distance_matrix,
+    dbicc_point,
     gen_spd_population,
 )
 import dbicc.cli
@@ -176,8 +178,6 @@ class TestEstimate:
             ["estimate", str(dist_csv), "--groups", str(groups_csv)],
             name="shuffled.json",
         )
-        from dbicc import dbicc_point
-
         assert doc["rho_hat"] == dbicc_point(dm).rho_hat
         assert doc["distance"] == "precomputed"
 
@@ -391,6 +391,18 @@ class TestExitCodes:
         assert err.startswith("NonFiniteError: squared distances")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_infinite_l1_distances_are_non_finite_error(self, tmp_path, capsys, command):
+        src = tmp_path / "huge.csv"
+        src.write_text(
+            "individual,replicate,f1,f2\n"
+            "a,0,1e308,1e308\na,1,-1e308,-1e308\nb,0,0,0\nb,1,1,1\n"
+        )
+        assert main([command, str(src), "--distance", "l1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteError: ")
+        assert "Traceback" not in err
+
     def test_non_utf8_byte_past_the_header_chunk_is_parse_error(self, tmp_path, capsys):
         src = tmp_path / "late.csv"
         rows = "".join(f"A,{j},{j}\nB,{j},{2 * j}\n" for j in range(2000))
@@ -449,7 +461,8 @@ class TestExitCodes:
         "flag, value, error",
         [
             ("--rho", "1.5", "ParameterError: population dbICC must lie in (0, 1), got 1.5"),
-            ("--individuals", "1", "ParameterError: need at least 2 individuals"),
+            ("--individuals", "1",
+             "InsufficientGroupsError: need at least 2 individuals, got 1"),
             ("--replicates", "1",
              "InsufficientReplicatesError: at least one individual needs 2+ replicates; "
              "within-individual spread is undefined otherwise"),
@@ -504,6 +517,22 @@ class TestBootstrapCommand:
         assert doc["seed"] == 42
         assert doc["corrected"] is True
         assert doc["ci_low"] <= doc["ci_high"]
+
+    def test_l1_replicates_match_the_matrix_path(self, tmp_path, rng):
+        rows = [(f"s{i}", j, rng.standard_normal(3)) for i in range(8) for j in range(3)]
+        src = tmp_path / "vectors.csv"
+        with src.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["individual", "replicate", "f1", "f2", "f3"])
+            for ind, rep, vec in rows:
+                writer.writerow([ind, rep, *(format(v, ".17g") for v in vec)])
+        doc = run_json(tmp_path, ["bootstrap", str(src), "--distance", "l1",
+                                  "--boot", "300", "--seed", "4", "--emit-replicates"])
+        dm = compute_distance_matrix(build_grouped_sample(rows), Metric.L1_VEC)
+        result = bootstrap_dbicc(dm, 300, seed=4)
+        assert doc["replicate_estimates"] == result.replicate_estimates.tolist()
+        assert (doc["ci_low"], doc["ci_high"]) == (result.ci_low, result.ci_high)
+        assert doc["rho_hat"] == pytest.approx(dbicc_point(dm).rho_hat, rel=0, abs=1e-12)
 
     def test_small_boot_warns_in_one_line(self, tmp_path, capsys, rng):
         src = tmp_path / "data.csv"
@@ -842,6 +871,7 @@ class TestSimulateCommand:
              "ParameterError: wishart_df must be >= dim (5), got 3"),
             (["--m-grid", "10,20"],
              "ParameterError: m_grid needs at least 3 lengths to fit a curve"),
+            (["--sb-offset", "2"], "ParameterError: offset must be 0 or 1, got 2"),
         ],
     )
     def test_bad_sb_arguments_fail_before_any_run(self, no_pool, capsys, flags, error):
