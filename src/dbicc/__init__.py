@@ -44,7 +44,6 @@ from .errors import (
     MetricMismatchError,
     NonFiniteError,
     ParameterError,
-    SingularMatrixError,
 )
 from .estimator import (
     DbiccEstimate,

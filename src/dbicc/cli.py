@@ -142,11 +142,14 @@ def _csv_rows(path):
     """Yield the rows of a CSV file; read errors become parse failures."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            yield from csv.reader(fh)
+            reader = csv.reader(fh)
+            yield from reader
     except OSError as exc:
         raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
+    except csv.Error as exc:  # the line on which csv.reader stopped
+        raise _ParseFailure(path, str(exc), line=reader.line_num)
 
 
 def _read_csv_rows(path):
@@ -269,34 +272,34 @@ def _parse_float(path, line, column, text):
         )
 
 
-def _locate_bad_number(path, numbered, skip):
-    """Raise the located parse failure of the first cell that is no number."""
-    for line, row, *_ in numbered:
-        for col, cell in enumerate(row[skip:], start=skip + 1):
-            _parse_float(path, line, col, cell)
-
-
 def _numeric_rows(path, numbered, skip):
     """The items of ``numbered``, ``(line, row, ...)``, and their cells as floats.
 
-    The cells after the first ``skip`` of each row become one float array
-    in one bulk conversion, which runs ``float`` on each cell.  Only when
-    it fails, or when ``numbered`` raises on a malformed row, are the
-    cells parsed one by one, so that the first bad number on an earlier
-    line is reported with its line and column, as a row-by-row parse would.
+    The cells after the first ``skip`` of each row are read with
+    ``float``, row by row, so the first bad number is reported with its
+    line and column before any malformed later row.
     """
-    rows = []
-    try:
-        for item in numbered:
-            rows.append(item)
-    except _ParseFailure:
-        _locate_bad_number(path, rows, skip)
-        raise
-    try:
-        return rows, np.array([item[1][skip:] for item in rows], dtype=float)
-    except ValueError:
-        _locate_bad_number(path, rows, skip)
-        raise
+    rows, values = [], []
+    for item in numbered:
+        line, cells = item[0], item[1][skip:]
+        try:
+            values.append([float(cell) for cell in cells])
+        except ValueError:
+            for col, cell in enumerate(cells, start=skip + 1):
+                _parse_float(path, line, col, cell)
+        rows.append(item)
+    return rows, np.array(values, dtype=float)
+
+
+def _vector_sample(individuals, keys, values) -> GroupedSample:
+    """The sample of vector rows, row ``k`` labelled ``individuals[k]``, ``keys[k]``."""
+    order, sizes, labels = _group_order(individuals, keys)
+    return GroupedSample(
+        values=values[order],
+        group_sizes=sizes,
+        labels=labels,
+        payload_kind=PayloadKind.VECTOR,
+    )
 
 
 def _load_vector_csv(path) -> GroupedSample:
@@ -305,15 +308,9 @@ def _load_vector_csv(path) -> GroupedSample:
         _, rows, values = table
         individuals, replicates = zip(*rows)
         keys = [_replicate_sort_key(rep) for rep in replicates]
-        order, sizes, labels = _group_order(individuals, keys)
         # a repeated label is reported by the csv path
         if len(set(zip(individuals, keys))) == len(keys):
-            return GroupedSample(
-                values=values[order],
-                group_sizes=sizes,
-                labels=labels,
-                payload_kind=PayloadKind.VECTOR,
-            )
+            return _vector_sample(individuals, keys, values)
     return _parse_vector_csv(path)
 
 
@@ -331,10 +328,8 @@ def _parse_vector_csv(path) -> GroupedSample:
     )
     if not numbered:
         raise _ParseFailure(path, "no data rows")
-    records = [
-        (row[0], key, payload) for (_, row, key), payload in zip(numbered, values)
-    ]
-    return build_grouped_sample(records, payload_kind=PayloadKind.VECTOR)
+    _, data_rows, keys = zip(*numbered)
+    return _vector_sample([row[0] for row in data_rows], keys, values)
 
 
 def _equal_width_rows(path, rows):
@@ -421,18 +416,35 @@ def _load_timeseries_manifest(path) -> GroupedSample:
 
 
 def _load_input(args):
+    """The input's data, after every input flag is checked against its format.
+
+    The flags are checked before any cell is parsed, except that vector
+    payloads are refused soft-thresholding after the parse, so that a
+    malformed file reports its parse error first.  Sets ``args.distance``
+    to the output's distance label.
+    """
     fmt = args.format or _sniff_format(args.input)
-    if fmt == "vectors":
-        return _load_vector_csv(args.input)
-    if fmt == "timeseries":
-        return _load_timeseries_manifest(args.input)
+    thresholded = args.threshold is not None or args.command == "sweep-threshold"
     if fmt == "distances":
         if not args.groups_csv:
             raise _ConfigFailure(
                 "distance-matrix input requires --groups with the row grouping"
             )
+        if thresholded:
+            raise _ConfigFailure(
+                "soft-thresholding needs payload input; a precomputed distance "
+                "matrix cannot be re-thresholded"
+            )
+        args.distance = args.distance or "precomputed"
         return _load_distance_input(args.input, args.groups_csv)
-    raise _ConfigFailure(f"unknown input format {fmt!r}")
+    if args.groups_csv:
+        raise _ConfigFailure("--groups applies only to a distance-matrix input")
+    args.distance = args.distance or "l2"
+    load = _load_vector_csv if fmt == "vectors" else _load_timeseries_manifest
+    data = load(args.input)
+    if thresholded:
+        _require_matrix_payloads(data)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +452,11 @@ def _load_input(args):
 # ---------------------------------------------------------------------------
 
 
-def _distance_spec(args):
-    kind = _METRIC_BY_FLAG[args.distance or "l2"]
-    return DistanceSpec(kind=kind, threshold=args.threshold)
-
-
-def _check_thresholdable(data):
-    """Raise unless ``data`` has payloads that soft-thresholding applies to."""
-    if isinstance(data, DistanceMatrix):
-        raise _ConfigFailure(
-            "soft-thresholding needs payload input; a precomputed distance "
-            "matrix cannot be re-thresholded"
-        )
-    _require_matrix_payloads(data)
-
-
 def _estimate_doc(args, data):
-    if args.threshold is not None:
-        _check_thresholdable(data)
-    if isinstance(data, DistanceMatrix):
-        source = data
-        distance_name = args.distance or "precomputed"
-    else:
-        source = block_stats(data, _distance_spec(args))
-        distance_name = args.distance or "l2"
+    source = data
+    if not isinstance(data, DistanceMatrix):
+        kind = _METRIC_BY_FLAG[args.distance]
+        source = block_stats(data, DistanceSpec(kind=kind, threshold=args.threshold))
     est = dbicc_point(source)
     return source, {
         "rho_hat": est.rho_hat,
@@ -471,7 +464,7 @@ def _estimate_doc(args, data):
         "msd_between": est.msd_between,
         "n_within_pairs": est.n_within_pairs,
         "n_between_pairs": est.n_between_pairs,
-        "distance": distance_name,
+        "distance": args.distance,
         "threshold": args.threshold,
     }
 
@@ -527,13 +520,11 @@ def _parse_grid(text):
 
 
 def _cmd_sweep_threshold(args) -> int:
-    data = _load_input(args)
-    _check_thresholdable(data)
     grid = [args.threshold] if args.threshold is not None else _parse_grid(
         args.threshold_grid
     )
-    distance_name = args.distance or "l2"
-    kind = _METRIC_BY_FLAG[distance_name]
+    data = _load_input(args)
+    kind = _METRIC_BY_FLAG[args.distance]
     mats = _matrices(data)
     shrunk = np.empty_like(mats)
     rows = []
@@ -548,7 +539,7 @@ def _cmd_sweep_threshold(args) -> int:
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr
             )
             rho = None
-        rows.append((distance_name, level, float(np.mean(fractions)), rho))
+        rows.append((args.distance, level, float(np.mean(fractions)), rho))
     _write_csv(["distance", "threshold", "avg_fraction_zeroed", "rho_hat"], rows, args.out)
     return 0
 

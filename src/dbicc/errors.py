@@ -46,9 +46,5 @@ class ParameterError(DbiccError):
     """A parameter lies outside its admissible range."""
 
 
-class SingularMatrixError(DbiccError):
-    """A matrix that must be positive definite is not."""
-
-
 class FactorizationError(DbiccError):
     """Covariance factorization failed; the matrix is not SPD."""

@@ -153,6 +153,14 @@ class TestEstimate:
         ]
         assert np.array_equal(sample.values, want)
 
+    def test_output_goes_to_stdout_without_out(self, tmp_path, capsys):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        out = tmp_path / "out.json"
+        assert main(["estimate", str(src), "--out", str(out)]) == 0
+        assert main(["estimate", str(src)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_format_override(self, tmp_path):
         src = tmp_path / "hand.csv"
         write_hand_csv(src)
@@ -496,6 +504,127 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
 
 
+_GROUPS = "row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n"
+
+
+def _matrix_input(tmp_path, groups=_GROUPS):
+    """A 4x4 distance matrix of two individuals and its ``--groups`` file."""
+    src, groups_csv = tmp_path / "dm.csv", tmp_path / "groups.csv"
+    src.write_text("0,1,2,3\n1,0,2,3\n2,2,0,1\n3,3,1,0\n")
+    groups_csv.write_text(groups)
+    return src, groups_csv
+
+
+def _series_manifest(tmp_path, last=None):
+    """A manifest of four 20x3 series; ``last`` replaces the last path."""
+    rng = np.random.default_rng(1)
+    lines = ["individual,replicate,path"]
+    for i in range(2):
+        for j in range(2):
+            np.savetxt(tmp_path / f"s{i}{j}.csv", rng.standard_normal((20, 3)),
+                       delimiter=",")
+            lines.append(f"q{i},{j},s{i}{j}.csv")
+    if last is not None:
+        lines[-1] = f"q1,1,{last}"
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+class TestInputChecks:
+    """Input flags checked against the format, and each input file's own errors."""
+
+    @pytest.mark.parametrize("data", ["vectors", "timeseries"])
+    def test_groups_with_payload_input_is_config_error(self, tmp_path, capsys, data):
+        if data == "vectors":
+            src = tmp_path / "hand.csv"
+            write_hand_csv(src)
+        else:
+            src = _series_manifest(tmp_path)
+        # the groups file is never read
+        argv = ["estimate", str(src), "--groups", str(tmp_path / "missing.csv")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "configuration error: --groups applies only to a distance-matrix input\n"
+        )
+
+    @pytest.mark.parametrize(
+        "groups, error",
+        [
+            ("row,ind,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n",
+             "groups.csv:1: expected header 'row,individual,replicate'"),
+            ("row,individual,replicate\n0,a,1\nx,a,2\n2,b,1\n3,b,2\n",
+             "groups.csv:3:1: row index must be an integer, got 'x'"),
+            ("row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n4,b,2\n",
+             "groups.csv: row indices must cover 0..3 exactly once for a 4x4 "
+             "distance matrix"),
+        ],
+    )
+    def test_malformed_groups_file_is_parse_error(self, tmp_path, capsys, groups, error):
+        src, groups_csv = _matrix_input(tmp_path, groups)
+        assert main(["estimate", str(src), "--groups", str(groups_csv)]) == 2
+        assert capsys.readouterr().err == f"input error: {tmp_path / error}\n"
+
+    def test_missing_series_is_parse_error(self, tmp_path, capsys):
+        manifest = _series_manifest(tmp_path, last="nope.csv")
+        assert main(["estimate", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {tmp_path / 'nope.csv'}: cannot read file (")
+
+    def test_non_numeric_series_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("1,2,3\n4,x,6\n")
+        manifest = _series_manifest(tmp_path, last="bad.csv")
+        assert main(["estimate", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {tmp_path / 'bad.csv'}: not a numeric CSV (")
+
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            ("0:0.2", "--threshold-grid expects 'start:stop:step', got '0:0.2'"),
+            ("a:b:c", "--threshold-grid values must be numbers, got 'a:b:c'"),
+            ("0:0.5:0", "--threshold-grid needs step > 0 and stop >= start"),
+            ("1:0:0.1", "--threshold-grid needs step > 0 and stop >= start"),
+        ],
+    )
+    def test_malformed_grid_fails_before_the_input_is_read(
+        self, tmp_path, capsys, grid, error
+    ):
+        argv = ["sweep-threshold", str(tmp_path / "missing.csv"), f"--threshold-grid={grid}"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"configuration error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "text, fmt, error",
+        [("\n\n\n", [], "no data rows"), ("", ["--format", "distances"], "file is empty")],
+    )
+    def test_distance_csv_without_rows_is_parse_error(
+        self, tmp_path, capsys, text, fmt, error
+    ):
+        src, groups_csv = _matrix_input(tmp_path)
+        src.write_text(text)
+        assert main(["estimate", str(src), *fmt, "--groups", str(groups_csv)]) == 2
+        assert capsys.readouterr().err == f"input error: {src}: {error}\n"
+
+    @pytest.mark.parametrize("data", ["vectors", "distances"])
+    def test_csv_error_names_its_line(self, tmp_path, capsys, data):
+        limit = csv.field_size_limit()
+        if data == "vectors":
+            src = tmp_path / "long.csv"
+            write_hand_csv(src)
+            argv = ["estimate", str(src)]
+        else:
+            src, groups_csv = _matrix_input(tmp_path)
+            argv = ["estimate", str(src), "--groups", str(groups_csv)]
+        lines = src.read_text().splitlines()
+        lines[1] = lines[1] + "1" * limit  # its last cell now exceeds the limit
+        src.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {src}:2: field larger than field limit ({limit})\n"
+        )
+
+
 class TestBootstrapCommand:
     def test_byte_identical_reruns(self, tmp_path, rng):
         src = tmp_path / "data.csv"
@@ -704,11 +833,11 @@ class TestSweepCommand:
             src = tmp_path / "hand.csv"
             write_hand_csv(src)
             inputs = [str(src)]
-        else:
-            src, groups = tmp_path / "dm.csv", tmp_path / "groups.csv"
-            src.write_text("0,1,2,3\n1,0,2,3\n2,2,0,1\n3,3,1,0\n")
-            groups.write_text("row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n")
-            inputs = [str(src), "--groups", str(groups)]
+        else:  # refused before it is parsed: a bad number, a short row, no groups file
+            src = tmp_path / "dm.csv"
+            src.write_text("0,1,x\n1,0\n")
+            inputs = [str(src), "--format", "distances",
+                      "--groups", str(tmp_path / "missing.csv")]
         assert main([command[0], *inputs, *command[1:]]) == code
         assert capsys.readouterr().err == error + "\n"
 
@@ -742,6 +871,36 @@ class TestSimulateCommand:
         with csv_out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--experiment", "point", "--individuals", "6", "--runs", "3"],
+            ["--experiment", "sb", "--individuals", "6", "--replicates", "2",
+             "--dim", "4", "--m-grid", "10,20,40", "--runs", "2"],
+        ],
+    )
+    def test_csv_rows_are_the_report_values(self, tmp_path, argv):
+        out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+        cmd = ["simulate", *argv, "--seed", "3", "--out", str(out), "--csv", str(csv_out)]
+        assert main(cmd) == 0
+        report = json.loads(out.read_text())
+        if argv[1] == "point":
+            header = ["run", "rho_hat"]
+            rows = list(enumerate(report["estimates"]))
+        else:
+            header = ["matrix", "run", "m", "rho_hat", "x", "y"]
+            rows = [
+                (kind, p["run"], p["m"], p["rho_hat"], p["x"], p["y"])
+                for kind in ("covariance", "correlation")
+                for p in report[kind]["points"]
+            ]
+        with csv_out.open(newline="") as fh:
+            written = list(csv.reader(fh))
+        assert written[0] == header
+        assert len(written) == len(rows) + 1 > 2
+        # csv and JSON both write a float as its shortest repr
+        assert written[1:] == [["" if v is None else str(v) for v in row] for row in rows]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_small_boot_warns_once_in_one_line(self, tmp_path, capsys, threads):
