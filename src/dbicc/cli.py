@@ -392,6 +392,33 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
+def _read_series(path):
+    """One series CSV as a 2-D float array.
+
+    ``np.loadtxt`` reads the file.  Only when it fails is the file read
+    again, line by line as ``np.loadtxt`` splits it (``#`` starts a
+    comment, blank lines are skipped), so that the first line of another
+    width or the first cell that is not a number is reported at its line
+    and column.  A failure found neither way keeps numpy's message.
+    """
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except OSError as exc:
+        # numpy's text for a missing file gives no reason; the csv reader's does
+        next(_csv_rows(path), None)
+        raise _ParseFailure(path, f"cannot read file ({exc})")
+    except ValueError as exc:
+        failure = exc
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        text = ""
+    data = [line.split("#", 1)[0] for line in text.split("\n")]
+    rows = [cells.split(",") if cells.strip() else [] for cells in data]
+    _numeric_rows(path, _equal_width_rows(path, rows), 0)
+    raise _ParseFailure(path, f"not a numeric CSV ({failure})")
+
+
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -399,16 +426,15 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         raise _ParseFailure(path, "expected header 'individual,replicate,path'", line=1)
     base = Path(path).parent
     records = []
-    for _, row, key in _labelled_rows(path, rows, 3, 0):
+    for lineno, row, key in _labelled_rows(path, rows, 3, 0):
         series_path = Path(row[2])
         if not series_path.is_absolute():
             series_path = base / series_path
         try:
-            series = np.loadtxt(series_path, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise _ParseFailure(series_path, f"cannot read file ({exc})")
-        except ValueError as exc:
-            raise _ParseFailure(series_path, f"not a numeric CSV ({exc})")
+            series = _read_series(series_path)
+        except _ParseFailure as exc:
+            exc.args = (f"{exc} (listed at {path}:{lineno})",)
+            raise
         records.append((row[0], key, series))
     if not records:
         raise _ParseFailure(path, "no data rows")

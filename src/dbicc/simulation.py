@@ -175,15 +175,17 @@ _SERIES_CHUNK_BYTES = 1 << 19
 def _ar1_in_place(series, ar_coeff):
     """Turn innovations into a stationary AR(1) series, in place.
 
-    Time runs along axis -2; every leading index is its own series.  Row
-    0 is scaled to the stationary law and each later row gets
-    ``ar_coeff`` times its predecessor added.
+    Time runs along axis 0 of an array of two or more axes; every index
+    into the later axes is its own series.  Row 0 is scaled to the
+    stationary law and each later row gets ``ar_coeff`` times its
+    predecessor added.
     """
     if ar_coeff == 0.0:
         return
-    series[..., 0, :] /= np.sqrt(1.0 - ar_coeff * ar_coeff)
-    for t in range(1, series.shape[-2]):
-        series[..., t, :] += ar_coeff * series[..., t - 1, :]
+    series[0] /= np.sqrt(1.0 - ar_coeff * ar_coeff)
+    tmp = np.empty_like(series[0])
+    for prev, cur in zip(series, series[1:]):
+        cur += np.multiply(prev, ar_coeff, out=tmp)
 
 
 def gen_mvn_timeseries(sigma, n_timepoints: int, ar_coeff: float, rng) -> np.ndarray:
@@ -276,17 +278,19 @@ def _sample_covs(pop, n_timepoints, n_replicates, rng):
     """
     n, k, m, p = pop.n_individuals, n_replicates, n_timepoints, pop.dim
     step = max(1, _SERIES_CHUNK_BYTES // (8 * k * m * p))
-    series = np.empty((min(step, n), k, m, p))
+    # time-major, so each AR(1) step updates one contiguous row of the chunk
+    series = np.empty((m, min(step, n) * k, p))
     draws = np.empty((k, m, p))
     mats = np.empty((n * k, p, p))
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
-        chunk = series[: i1 - i0]
+        chunk = series[:, : (i1 - i0) * k]
         # innovations in individual order, so the RNG stream never depends on step
         for c, chol in enumerate(pop._chols[i0:i1]):
-            np.matmul(rng.standard_normal(out=draws), chol.T, out=chunk[c])
+            out = chunk[:, c * k : (c + 1) * k].transpose(1, 0, 2)
+            np.matmul(rng.standard_normal(out=draws), chol.T, out=out)
         _ar1_in_place(chunk, pop.ar_coeff)
-        _sample_cov_batch(chunk.reshape(-1, m, p), out=mats[i0 * k : i1 * k])
+        _sample_cov_batch(chunk.transpose(1, 0, 2), out=mats[i0 * k : i1 * k])
     return mats
 
 

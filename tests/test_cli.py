@@ -568,15 +568,37 @@ class TestInputChecks:
     def test_missing_series_is_parse_error(self, tmp_path, capsys):
         manifest = _series_manifest(tmp_path, last="nope.csv")
         assert main(["estimate", str(manifest)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {tmp_path / 'nope.csv'}: cannot read file (")
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'nope.csv'}: cannot read file "
+            f"(No such file or directory) (listed at {manifest}:5)\n"
+        )
 
     def test_non_numeric_series_is_parse_error(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("1,2,3\n4,x,6\n")
         manifest = _series_manifest(tmp_path, last="bad.csv")
         assert main(["estimate", str(manifest)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {tmp_path / 'bad.csv'}: not a numeric CSV (")
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'bad.csv'}:2:2: expected a number, got 'x' "
+            f"(listed at {manifest}:5)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("# a,b,c\n1,2,3\n\n4,5,x # end\n7,8\n", "4:3: expected a number, got 'x '"),
+            ("1,2,3 # a,b\n\n4,5\n", "3: expected 3 fields, got 2"),
+        ],
+    )
+    def test_series_error_lines_count_as_loadtxt_reads_them(
+        self, tmp_path, capsys, text, error
+    ):
+        # a comment and a blank line are skipped, and still counted
+        (tmp_path / "bad.csv").write_text(text)
+        manifest = _series_manifest(tmp_path, last="bad.csv")
+        assert main(["estimate", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'bad.csv'}:{error} (listed at {manifest}:5)\n"
+        )
 
     @pytest.mark.parametrize(
         "grid, error",
@@ -847,6 +869,17 @@ class TestSimulateCommand:
         base = [
             "simulate", "--experiment", "point", "--individuals", "10",
             "--replicates", "4", "--rho", "0.5", "--runs", "6", "--seed", "5",
+        ]
+        out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
+        assert main([*base, "--threads", "1", "--out", str(out1)]) == 0
+        assert main([*base, "--threads", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sb_reproducible_across_threads(self, tmp_path):
+        base = [
+            "simulate", "--experiment", "sb", "--phi", "0.6", "--individuals", "6",
+            "--replicates", "2", "--dim", "4", "--m-grid", "10,20,40", "--runs", "3",
+            "--seed", "5",
         ]
         out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
         assert main([*base, "--threads", "1", "--out", str(out1)]) == 0

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dbicc.simulation
 
@@ -235,10 +237,42 @@ class TestBatchedGenerator:
     def test_recursion_matches_per_series_loop(self, phi):
         innov = np.random.default_rng(4).standard_normal((4, 3, 25, 5))
         batched = innov.copy()
-        dbicc.simulation._ar1_in_place(batched, phi)
+        # time on axis 0; the view writes through to batched
+        dbicc.simulation._ar1_in_place(np.moveaxis(batched, -2, 0), phi)
         flat = innov.reshape(-1, 25, 5)
         expected = flat if phi == 0.0 else _var1_reference(flat, phi)
         assert np.array_equal(batched.reshape(-1, 25, 5), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        m=st.integers(2, 30),
+        phi=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recursion_matches_reference_for_any_shape(self, lead, m, phi, seed):
+        innov = np.random.default_rng(seed).standard_normal((m, *lead))
+        series = innov.copy()
+        dbicc.simulation._ar1_in_place(series, phi)
+        # one series per trailing index, time on axis 1 for the reference
+        per_series = np.moveaxis(innov.reshape(m, -1), 0, 1)
+        expected = _var1_reference(per_series, phi)
+        assert np.array_equal(np.moveaxis(series.reshape(m, -1), 0, 1), expected)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.6])
+    def test_equal_to_reference_built_from_the_recursion(self, monkeypatch, phi):
+        n, k, m, p = 5, 3, 2, 4
+        # two individuals per chunk, so the last chunk holds one
+        monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", 2 * 8 * k * m * p)
+        sigmas = gen_spd_population(n, p, np.random.default_rng(12))
+        pop = ConnectivityPopulation(sigmas, m, phi)
+        got = gen_connectivity_sample(pop, k, np.random.default_rng(13)).values
+        ref_rng = np.random.default_rng(13)
+        ref = []
+        for sigma in sigmas:
+            innov = ref_rng.standard_normal((k, m, p)) @ np.linalg.cholesky(sigma).T
+            ref.extend(gen_sample_cov(x) for x in _var1_reference(innov, phi))
+        assert np.array_equal(got, np.array(ref))
 
     def test_sample_cov_leaves_input_alone(self):
         x = np.random.default_rng(6).standard_normal((20, 3))
