@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import BlockStats, DistanceMatrix, _distance_block_sums, _resampled_sums
 from .errors import InsufficientDataError, ParameterError
-from .estimator import _checked_msds
+from .estimator import dbicc_point
 
 __all__ = [
     "BootstrapResult",
@@ -198,7 +198,7 @@ def _checked_block_sums(source, n_boot, level) -> BlockStats:
     _check_level(level)
     _check_n_boot(n_boot, stacklevel=4)  # the caller of the public function
     stats = source if isinstance(source, BlockStats) else _block_sums(source)
-    _checked_msds(stats)  # the point estimate's preconditions
+    dbicc_point(stats)  # the point estimate's preconditions
     return stats
 
 

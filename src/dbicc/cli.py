@@ -22,8 +22,8 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   each path a headerless CSV of one series (rows are time points),
   resolved relative to the manifest.
 
-CSV fields are split as the ``csv`` module splits them and number cells
-are read as ``float`` reads them.
+Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
+series files; other CSVs are split by the ``csv`` module, numbers by ``float``.
 
 JSON and CSV output write each float as Python's shortest repr, which
 parses back to exactly the same value; all randomized commands record
@@ -58,7 +58,7 @@ from .core import (
     block_stats,
     build_grouped_sample,
 )
-from .distances import DistanceSpec, Metric, _metric_rows, soft_threshold
+from .distances import DistanceSpec, Metric, _metric_rows, _threshold_level, soft_threshold
 from .errors import DbiccError, DegenerateDistancesError, DegenerateInputError
 from .estimator import dbicc_point
 from .simulation import run_coverage_experiment, run_point_experiment, run_sb_experiment
@@ -393,25 +393,34 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
 
 
 def _read_series(path):
-    """One series CSV as a 2-D float array.
+    """One series CSV as a 2-D float array of at least one row.
 
     ``np.loadtxt`` reads the file.  Only when it fails is the file read
     again, line by line as ``np.loadtxt`` splits it (``#`` starts a
-    comment, blank lines are skipped), so that the first line of another
-    width or the first cell that is not a number is reported at its line
+    comment, blank lines are skipped), to report non-UTF-8 text, or the
+    first line of another width or cell that is not a number at its line
     and column.  A failure found neither way keeps numpy's message.
     """
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows is reported below, not as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            series = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except OSError as exc:
         # numpy's text for a missing file gives no reason; the csv reader's does
         next(_csv_rows(path), None)
         raise _ParseFailure(path, f"cannot read file ({exc})")
     except ValueError as exc:
         failure = exc
+    else:
+        if series.size:
+            return series
+        raise _ParseFailure(path, "no data rows")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
+    except OSError:
         text = ""
     data = [line.split("#", 1)[0] for line in text.split("\n")]
     rows = [cells.split(",") if cells.strip() else [] for cells in data]
@@ -444,11 +453,13 @@ def _load_timeseries_manifest(path) -> GroupedSample:
 def _load_input(args):
     """The input's data, after every input flag is checked against its format.
 
-    The flags are checked before any cell is parsed, except that vector
-    payloads are refused soft-thresholding after the parse, so that a
-    malformed file reports its parse error first.  Sets ``args.distance``
-    to the output's distance label.
+    The flags are checked before any cell is parsed, ``--threshold`` before
+    the input is opened, except that vector payloads are refused
+    soft-thresholding after the parse, so that a malformed file reports
+    its parse error first.  Sets ``args.distance`` to the output's label.
     """
+    if args.threshold is not None:
+        _threshold_level(args.threshold)
     fmt = args.format or _sniff_format(args.input)
     thresholded = args.threshold is not None or args.command == "sweep-threshold"
     if fmt == "distances":
@@ -525,6 +536,7 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _parse_grid(text):
+    """The levels of ``start:stop:step``, each checked as ``--threshold`` is."""
     parts = text.split(":")
     if len(parts) != 3:
         raise _ConfigFailure(f"--threshold-grid expects 'start:stop:step', got {text!r}")
@@ -534,15 +546,10 @@ def _parse_grid(text):
         raise _ConfigFailure(f"--threshold-grid values must be numbers, got {text!r}")
     if not (0.0 < step < math.inf and stop >= start):  # NaN fails too
         raise _ConfigFailure("--threshold-grid needs step > 0 and stop >= start")
-    outside = f"--threshold-grid levels must lie in [0, 1], got {text!r}"
-    # the last level is within one step of stop
-    if start < 0.0 or stop > 1.0 + step:
-        raise _ConfigFailure(outside)
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + k * step for k in range(count)]
-    if grid[-1] > 1.0:
-        raise _ConfigFailure(outside)
-    return grid
+    _threshold_level(start)
+    # the last level is within one step of stop, or of 1, so a bad grid fails fast
+    count = int(math.floor((min(stop, 1.0 + step) - start) / step + 1e-9)) + 1
+    return [_threshold_level(start + k * step) for k in range(count)]
 
 
 def _cmd_sweep_threshold(args) -> int:

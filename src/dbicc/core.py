@@ -33,11 +33,11 @@ from .distances import (
     DistanceSpec,
     Metric,
     _metric_rows,
-    _standardize_rows,
     correlation_from_timeseries,
     soft_threshold,
 )
 from .errors import (
+    DbiccError,
     InputShapeError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
@@ -118,6 +118,11 @@ def _require_finite(*sums):
         raise NonFiniteError("squared distances overflow float64")
 
 
+def _owner(sizes, labels, row):
+    """The label of the individual whose rows, in group order, hold ``row``."""
+    return labels[int(np.searchsorted(np.cumsum(sizes), row, side="right"))]
+
+
 def _group_order(individuals, replicate_keys):
     """Order rows by individual, then by replicate: ``(order, sizes, labels)``.
 
@@ -180,11 +185,8 @@ class GroupedSample:
             raise InputShapeError("need one label per individual, got none")
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
         if not finite.all():
-            row = int(np.argmin(finite))
-            owner = int(np.searchsorted(np.cumsum(sizes), row, side="right"))
-            raise NonFiniteError(
-                f"payload of individual {labels[owner]!r} contains NaN or Inf"
-            )
+            owner = _owner(sizes, labels, int(np.argmin(finite)))
+            raise NonFiniteError(f"payload of individual {owner!r} contains NaN or Inf")
         _within_pair_count(sizes)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -225,11 +227,14 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
     # before the payloads: no records leave no payload shape to check
     _between_pair_count(sizes)
     payloads = [np.asarray(records[k][2], dtype=float) for k in order]
-    shapes = {arr.shape for arr in payloads}
-    if len(shapes) != 1:
-        raise InputShapeError(f"payloads have mixed shapes: {sorted(shapes)}")
+    first = payloads[0]
+    for k, arr in enumerate(payloads):
+        if arr.shape != first.shape:
+            raise InputShapeError(
+                f"payloads have mixed shapes: individual {_owner(sizes, labels, k)!r} "
+                f"has {arr.shape}, individual {labels[0]!r} has {first.shape}"
+            )
     if payload_kind is None:
-        first = payloads[0]
         if first.ndim == 1:
             payload_kind = PayloadKind.VECTOR
         elif first.ndim == 2:
@@ -323,14 +328,19 @@ def _matrices(sample: GroupedSample) -> np.ndarray:
     """The sample's payloads, each time series as its correlation matrix.
 
     Time series give a new stack; other kinds give the sample's own
-    read-only ``values``.
+    read-only ``values``.  A series that cannot be correlated raises its
+    error with the owning individual's label in front.
     """
     if sample.payload_kind is not PayloadKind.TIMESERIES:
         return sample.values
     p = sample.feature_dim
     out = np.empty((sample.n_total, p, p))
     for k, series in enumerate(sample.values):
-        out[k] = correlation_from_timeseries(series)
+        try:
+            out[k] = correlation_from_timeseries(series)
+        except DbiccError as exc:
+            owner = _owner(sample.group_sizes, sample.labels, k)
+            raise type(exc)(f"series of individual {owner!r}: {exc}") from None
     return out
 
 
@@ -380,14 +390,12 @@ def compute_distance_matrix(sample: GroupedSample, metric) -> DistanceMatrix:
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
     rows = _payload_rows(sample, spec)
     # correlation of correlations is sqrt(1/2) times the Euclidean distance
-    # between rows standardized to mean 0 and norm 1, which keeps its digits
-    # where 1 - r would cancel
+    # between its rows, standardized to mean 0 and norm 1, which keeps its
+    # digits where 1 - r would cancel
+    scipy_name = "cityblock" if spec.kind is Metric.L1_VEC else "euclidean"
+    vals = squareform(pdist(rows, scipy_name))
     if spec.kind is Metric.CORR_OF_CORR:
-        vals = squareform(pdist(_standardize_rows(rows), "euclidean"))
         vals *= np.sqrt(0.5)
-    else:
-        scipy_name = "euclidean" if spec.kind is Metric.L2_VEC else "cityblock"
-        vals = squareform(pdist(rows, scipy_name))
     return DistanceMatrix(vals, sample.group_sizes, sample.labels)
 
 
@@ -616,9 +624,8 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
 
     ``l1`` reads ``cdist`` row chunks, each equal bit for bit to those
     rows of the distance matrix.  ``l2`` and correlation of correlations
-    overwrite ``rows``: for rows ``z`` standardized to mean 0 and norm 1,
-    ``1 - r`` is ``||z_a - z_b||^2 / 2``, so correlation of correlations
-    is ``l2`` on ``z`` at half scale.  Raises :class:`NonFiniteError`
+    overwrite ``rows``; the latter's rows are standardized, so it is
+    ``l2`` on them at half scale.  Raises :class:`NonFiniteError`
     where the distance matrix would hold NaN or Inf, or its squares
     overflow.
     """
@@ -629,10 +636,9 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
             stats = _distance_block_sums(
                 sizes, lambda a, b: cdist(rows[a:b], rows, "cityblock")
             )
-        elif metric is Metric.CORR_OF_CORR:
-            stats = _rows_block_sums(_standardize_rows(rows), sizes, 0.5)
         else:
-            stats = _rows_block_sums(rows, sizes, 1.0)
+            scale = 0.5 if metric is Metric.CORR_OF_CORR else 1.0
+            stats = _rows_block_sums(rows, sizes, scale)
         # the sum over all ordered pairs, diagonal blocks included
         total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
     _require_finite(total)

@@ -115,9 +115,14 @@ def _metric_rows(mats, metric: Metric) -> np.ndarray:
     """The rows ``metric`` compares, one per payload of the stack ``mats``.
 
     Rows are the flattened payloads for ``l2``/``l1``, a view of
-    ``mats``, and a new array of the strict lower triangles for
-    correlation of correlations, which needs matrices of 3x3 or larger
-    with a non-constant triangle.
+    ``mats``.  For correlation of correlations, which needs matrices of
+    3x3 or larger with a non-constant triangle, they are a new array of
+    the strict lower triangles, each centred at 0 and scaled to norm 1:
+    for such rows ``z``, one minus the Pearson correlation of two rows is
+    ``||z_a - z_b||^2 / 2``.  A triangle whose largest magnitude lies
+    outside ``[1e-100, 1e100]`` is divided by it first, so that its sum
+    and squares neither overflow nor underflow; the correlation does not
+    depend on scale.
     """
     flat = mats.reshape(len(mats), -1)
     if metric is not Metric.CORR_OF_CORR:
@@ -130,27 +135,15 @@ def _metric_rows(mats, metric: Metric) -> np.ndarray:
     i, j = np.tril_indices(p, k=-1)
     # take keeps the rows C-contiguous, so row reductions sum as before
     rows = np.take(flat, i * p + j, axis=1)
-    flat_ptp = rows.max(axis=1) - rows.min(axis=1)
+    high, low = rows.max(axis=1), rows.min(axis=1)
+    flat_ptp = high - low
     if np.any(flat_ptp == 0.0):
         bad = int(np.flatnonzero(flat_ptp == 0.0)[0])
         raise DegenerateInputError(
             f"payload {bad} has a constant lower triangle; "
             "correlation of correlations is undefined"
         )
-    return rows
-
-
-def _standardize_rows(rows):
-    """Centre each row of ``rows`` at 0 and scale it to norm 1, in place.
-
-    For standardized rows ``z``, one minus the Pearson correlation of two
-    rows is ``||z_a - z_b||^2 / 2``.  Every correlation-of-correlations
-    path standardizes through here.  A row whose largest magnitude lies
-    outside ``[1e-100, 1e100]`` is divided by it first, so that its sum
-    and squares neither overflow nor underflow; the correlation does not
-    depend on scale.  Returns ``rows``.
-    """
-    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    peak = np.maximum(high, -low)
     rescale = (peak > 1e100) | (peak < 1e-100)
     if rescale.any():
         rows[rescale] /= peak[rescale, None]
@@ -175,7 +168,7 @@ def corr_of_corr_distance(r1, r2) -> float:
             f"corr_of_corr_distance needs square matrices, got shape {pair.shape[1:]}"
         )
     # the pairwise path's rows and kernel, so entries match bit for bit
-    z = _standardize_rows(_metric_rows(pair, Metric.CORR_OF_CORR))
+    z = _metric_rows(pair, Metric.CORR_OF_CORR)
     return float(pdist(z, "euclidean")[0] * np.sqrt(0.5))
 
 

@@ -68,7 +68,7 @@ def _squared_upper(dm: DistanceMatrix, between: bool) -> np.ndarray:
     else:
         mask = (cols > cols[:, None]) & (cols < ends)
     vals = dm.values[mask]
-    # an overflow shows up as a non-finite mean, which _checked_msds reports
+    # an overflow shows up as a non-finite mean, which dbicc_point reports
     with np.errstate(over="ignore"):
         return np.multiply(vals, vals, out=vals)
 
@@ -88,13 +88,27 @@ def msd_within(dm: DistanceMatrix) -> float:
     return float(np.sum(_squared_upper(dm, between=False)) / count)
 
 
-def _checked_msds(source):
-    """``(between, within, n_between, n_within)`` of a matrix or its block sums.
+def dbicc_point(source) -> DbiccEstimate:
+    """dbICC point estimate of a grouped distance matrix or its block sums.
 
-    The two mean squared distances and their pair counts, after every
-    check that the dbICC is defined, in this order: 2+ individuals, one
-    with 2+ replicates, finite means, a nonzero between mean.  The point
-    estimate and the bootstrap both check through here.
+    Checks that the dbICC is defined, in this order: 2+ individuals, one
+    with 2+ replicates, finite means, a nonzero between mean.  The
+    bootstrap checks its block sums through here too.
+
+    Parameters
+    ----------
+    source : DistanceMatrix or BlockStats
+        A matrix gives the exact reference estimate.  Block sums (of a
+        matrix, or straight from payloads) give the same estimate up to
+        rounding.
+
+    Raises
+    ------
+    NonFiniteError
+        If the squared distances overflow.
+    DegenerateDistancesError
+        If all between-individual distances are zero, leaving the ratio
+        undefined.
     """
     matrix = isinstance(source, DistanceMatrix)
     sizes = source.group_sizes if matrix else source.sizes
@@ -113,28 +127,6 @@ def _checked_msds(source):
         raise DegenerateDistancesError(
             "all between-individual distances are zero; dbICC is undefined"
         )
-    return between, within, n_between, n_within
-
-
-def dbicc_point(source) -> DbiccEstimate:
-    """dbICC point estimate of a grouped distance matrix or its block sums.
-
-    Parameters
-    ----------
-    source : DistanceMatrix or BlockStats
-        A matrix gives the exact reference estimate.  Block sums (of a
-        matrix, or straight from payloads) give the same estimate up to
-        rounding.
-
-    Raises
-    ------
-    NonFiniteError
-        If the squared distances overflow.
-    DegenerateDistancesError
-        If all between-individual distances are zero, leaving the ratio
-        undefined.
-    """
-    between, within, n_between, n_within = _checked_msds(source)
     return DbiccEstimate(
         rho_hat=float(1.0 - within / between),
         msd_within=within,

@@ -450,8 +450,10 @@ class TestExitCodes:
         manifest = tmp_path / "m.csv"
         manifest.write_text("individual,replicate,path\na,0,s0.csv\na,1,s1.csv\nb,0,s2.csv\n")
         assert main(["estimate", str(manifest)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("InputShapeError: payloads have mixed shapes")
+        assert capsys.readouterr().err == (
+            "InputShapeError: payloads have mixed shapes: individual 'b' has (25, 3), "
+            "individual 'a' has (20, 3)\n"
+        )
 
     def test_duplicate_manifest_label_is_parse_error(self, tmp_path, capsys):
         for name in ("s0", "s1", "s2"):
@@ -571,6 +573,62 @@ class TestInputChecks:
         assert capsys.readouterr().err == (
             f"input error: {tmp_path / 'nope.csv'}: cannot read file "
             f"(No such file or directory) (listed at {manifest}:5)\n"
+        )
+
+    def test_series_with_bom_and_crlf_reads_as_plain(self, tmp_path):
+        manifest = _series_manifest(tmp_path)
+        argv = ["estimate", str(manifest), "--distance", "corr", "--out"]
+        assert main([*argv, str(tmp_path / "plain.json")]) == 0
+        series = tmp_path / "s11.csv"
+        series.write_bytes(b"\xef\xbb\xbf" + series.read_bytes().replace(b"\n", b"\r\n"))
+        assert main([*argv, str(tmp_path / "marked.json")]) == 0
+        plain = (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "marked.json").read_bytes() == plain
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"", "no data rows"),
+            (b"# no rows\n\n", "no data rows"),
+            (b"1,2,3\n4,\xe9,6\n", "not a UTF-8 CSV file ('utf-8' codec can't decode "
+             "byte 0xe9 in position 8: invalid continuation byte)"),
+        ],
+        ids=["empty", "comments only", "not UTF-8"],
+    )
+    def test_series_without_rows_or_not_utf8_is_parse_error(
+        self, tmp_path, capsys, content, error
+    ):
+        # one located line, and no warning from the parser before it
+        (tmp_path / "bad.csv").write_bytes(content)
+        manifest = _series_manifest(tmp_path, last="bad.csv")
+        assert main(["estimate", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'bad.csv'}: {error} (listed at {manifest}:5)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep-threshold"])
+    def test_constant_series_column_names_the_individual(
+        self, tmp_path, capsys, command
+    ):
+        series = np.random.default_rng(2).standard_normal((20, 3))
+        series[:, 2] = 1.0
+        np.savetxt(tmp_path / "dead.csv", series, delimiter=",")
+        manifest = _series_manifest(tmp_path, last="dead.csv")
+        assert main([command, str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            "DegenerateInputError: series of individual 'q1': column 2 is constant; "
+            "correlation undefined\n"
+        )
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap", "sweep-threshold"])
+    @pytest.mark.parametrize("level, shown", [("2", "2.0"), ("-0.5", "-0.5"), ("nan", "nan")])
+    def test_threshold_outside_unit_interval_fails_before_the_input_is_read(
+        self, tmp_path, capsys, command, level, shown
+    ):
+        argv = [command, str(tmp_path / "missing.csv"), f"--threshold={level}"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"ParameterError: soft-threshold level must lie in [0, 1], got {shown}\n"
         )
 
     def test_non_numeric_series_is_parse_error(self, tmp_path, capsys):
@@ -776,7 +834,7 @@ class TestSweepCommand:
         assert float(rows[0]["rho_hat"]) == est["rho_hat"]
         assert float(rows[0]["threshold"]) == 0.0
 
-    @pytest.mark.parametrize("distance", ["l2", "corr"])
+    @pytest.mark.parametrize("distance", ["l2", "l1", "corr"])
     def test_every_level_matches_estimate(self, tmp_path, rng, distance):
         manifest = self._manifest(tmp_path, rng)
         out = tmp_path / "sweep.csv"
@@ -796,16 +854,20 @@ class TestSweepCommand:
             assert rc == 0
             assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
 
-    @pytest.mark.parametrize("grid", ["0.5:1.3:0.4", "-0.1:0.2:0.1", "0:inf:0.1"])
+    @pytest.mark.parametrize(
+        "grid, level",
+        [("0.5:1.3:0.4", "1.3"), ("-0.1:0.2:0.1", "-0.1"), ("0:inf:0.1", "1.1"),
+         ("-inf:0.5:0.1", "-inf")],
+        ids=["0.5:1.3:0.4", "-0.1:0.2:0.1", "0:inf:0.1", "-inf:0.5:0.1"],
+    )
     def test_grid_outside_unit_interval_fails_before_any_level(
-        self, tmp_path, rng, capsys, grid
+        self, tmp_path, capsys, grid, level
     ):
-        manifest = self._manifest(tmp_path, rng)
-        argv = ["sweep-threshold", str(manifest), f"--threshold-grid={grid}"]
-        assert main(argv) == 4
+        # each level is checked as --threshold is, before the input is read
+        argv = ["sweep-threshold", str(tmp_path / "missing.csv"), f"--threshold-grid={grid}"]
+        assert main(argv) == 3
         assert capsys.readouterr().err == (
-            f"configuration error: --threshold-grid levels must lie in [0, 1], "
-            f"got {grid!r}\n"
+            f"ParameterError: soft-threshold level must lie in [0, 1], got {level}\n"
         )
 
     def test_single_channel_series_fail_once(self, tmp_path, capsys):

@@ -73,6 +73,16 @@ class TestBuildGroupedSample:
         with pytest.raises(InputShapeError):
             build_grouped_sample(rows)
 
+    def test_mixed_shapes_name_the_first_individual_that_differs(self):
+        # in group order B's replicate 0 comes before its replicate 1
+        rows = [("A", 0, [1.0, 2.0]), ("B", 1, [1.0]), ("B", 0, [3.0, 4.0]),
+                ("C", 0, [5.0])]
+        with pytest.raises(InputShapeError) as info:
+            build_grouped_sample(rows)
+        assert str(info.value) == (
+            "payloads have mixed shapes: individual 'B' has (1,), individual 'A' has (2,)"
+        )
+
     def test_nan_payload(self):
         rows = [("A", 0, [1.0, np.nan]), ("B", 0, [3.0, 4.0]), ("B", 1, [1.0, 0.0])]
         with pytest.raises(NonFiniteError):
