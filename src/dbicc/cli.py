@@ -23,7 +23,8 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   resolved relative to the manifest.
 
 Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
-series files; other CSVs are split by the ``csv`` module, numbers by ``float``.
+series files, in forked processes when a manifest's series are large; other
+CSVs are split by the ``csv`` module, numbers by ``float``.
 
 JSON and CSV output write each float as Python's shortest repr, which
 parses back to exactly the same value; all randomized commands record
@@ -36,11 +37,15 @@ way, without a traceback), 4 configuration error.
 """
 
 import argparse
+import copyreg
 import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -82,6 +87,10 @@ class _ParseFailure(Exception):
             if column is not None:
                 loc += f":{column}"
         super().__init__(f"{loc}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from its message, without __init__, so that it pickles
+        return copyreg.__newobj__, (type(self), *self.args)
 
 
 class _ConfigFailure(Exception):
@@ -428,25 +437,129 @@ def _read_series(path):
     raise _ParseFailure(path, f"not a numeric CSV ({failure})")
 
 
+# Bytes of series files above which a manifest's series are parsed in forked
+# child processes.  Below it a serial read takes under 0.06 s, and forking
+# saves less than 0.02 s of it on two CPUs.
+_PARALLEL_SERIES_BYTES = 8 << 20
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _series_workers(paths):
+    """How many child processes parse ``paths``; 1 means none, a serial read.
+
+    One per usable CPU, at most one per file, if the files hold more than
+    ``_PARALLEL_SERIES_BYTES`` and processes can be forked.  A process with
+    other threads reads serially: a fork copies only the calling thread, and
+    a lock another thread holds would stay held in the child.
+    """
+    workers = min(_usable_cpus(), len(paths))
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 1
+    size = 0
+    for series_path in paths:
+        try:
+            size += os.stat(series_path).st_size
+        except OSError:  # reported when the file is read
+            pass
+    return workers if size > _PARALLEL_SERIES_BYTES else 1
+
+
+def _send_series(paths, conn):
+    """In a child: each series of ``paths`` as its shape, then its bytes.
+
+    The first exception is sent instead of its file's series, and ends
+    the child.
+    """
+    try:
+        for series_path in paths:
+            series = np.ascontiguousarray(_read_series(series_path))
+            conn.send(series.shape)
+            conn.send_bytes(series)
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _parsed_series(paths):
+    """Yield :func:`_read_series` of each path, in order, until one raises.
+
+    Above the budget of :func:`_series_workers`, child ``k`` of ``n``
+    forked processes parses paths ``k``, ``k + n``, ...  This thread
+    reads their pipes in path order, each series into an array it
+    allocates, and raises the first failure it reads.  Every child is
+    killed and reaped before this generator ends, however it ends.
+    """
+    workers = _series_workers(paths)
+    if workers < 2:
+        yield from map(_read_series, paths)
+        return
+    fork = multiprocessing.get_context("fork")
+    pipes, children = [], []
+    try:
+        for k in range(workers):
+            receiver, sender = fork.Pipe(duplex=False)
+            pipes.append(receiver)
+            child = fork.Process(target=_send_series, args=(paths[k::workers], sender))
+            child.start()
+            children.append(child)
+            sender.close()
+        for k in range(len(paths)):
+            pipe = pipes[k % workers]
+            try:
+                head = pipe.recv()
+            except EOFError:  # the child died without a word
+                children[k % workers].join()
+                code = children[k % workers].exitcode
+                raise RuntimeError(f"series reader process ended (exit code {code})")
+            if isinstance(head, Exception):
+                raise head
+            series = np.empty(head)
+            pipe.recv_bytes_into(series.reshape(-1).view(np.uint8))
+            yield series
+    finally:
+        # every wanted series has been read, or none more is wanted
+        for child in children:
+            child.kill()
+            child.join()
+        for pipe in pipes:
+            pipe.close()
+
+
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
     if header != ["individual", "replicate", "path"]:
         raise _ParseFailure(path, "expected header 'individual,replicate,path'", line=1)
     base = Path(path).parent
-    records = []
-    for lineno, row, key in _labelled_rows(path, rows, 3, 0):
-        series_path = Path(row[2])
-        if not series_path.is_absolute():
-            series_path = base / series_path
-        try:
-            series = _read_series(series_path)
-        except _ParseFailure as exc:
-            exc.args = (f"{exc} (listed at {path}:{lineno})",)
-            raise
-        records.append((row[0], key, series))
-    if not records:
+    # the series listed before a malformed line are read, and the first
+    # fault in line order is the one reported
+    listed, paths, fault = [], [], None
+    try:
+        for lineno, row, key in _labelled_rows(path, rows, 3, 0):
+            listed.append((lineno, row[0], key))
+            paths.append(base / row[2])  # an absolute path stays as it is
+    except _ParseFailure as exc:
+        fault = exc
+    series = []
+    try:
+        series.extend(_parsed_series(paths))
+    except _ParseFailure as exc:
+        exc.args = (f"{exc} (listed at {path}:{listed[len(series)][0]})",)
+        raise
+    if fault is not None:
+        raise fault
+    if not series:
         raise _ParseFailure(path, "no data rows")
+    records = [(ind, key, data) for (_, ind, key), data in zip(listed, series)]
     return build_grouped_sample(records, payload_kind=PayloadKind.TIMESERIES)
 
 

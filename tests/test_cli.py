@@ -4,7 +4,10 @@ import functools
 import io
 import json
 import multiprocessing
+import multiprocessing.connection
+import pickle
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -703,6 +706,182 @@ class TestInputChecks:
         assert capsys.readouterr().err == (
             f"input error: {src}:2: field larger than field limit ({limit})\n"
         )
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the parallel series read needs the fork start method",
+)
+
+
+def _force_forked_reads(monkeypatch):
+    """Parse every manifest's series in two forked processes from now on.
+
+    Returns the worker counts that the reads chose, one per manifest.
+    """
+    chosen = []
+    choose = dbicc.cli._series_workers
+
+    def spy(paths):
+        chosen.append(choose(paths))
+        return chosen[-1]
+
+    monkeypatch.setattr(dbicc.cli, "_PARALLEL_SERIES_BYTES", 0)
+    monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dbicc.cli, "_series_workers", spy)
+    return chosen
+
+
+def _listed_series(tmp_path, entries):
+    """A manifest of ``(individual, replicate, series or text)`` lines.
+
+    A series array is saved as its own CSV; text is written as the file.
+    """
+    rng = np.random.default_rng(3)
+    lines = ["individual,replicate,path"]
+    for k, (ind, rep, content) in enumerate(entries):
+        name = f"series{k}.csv"
+        if content is None:
+            np.savetxt(tmp_path / name, rng.standard_normal((30, 6)), delimiter=",")
+        else:
+            (tmp_path / name).write_text(content)
+        lines.append(f"{ind},{rep},{name}")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+class TestParallelSeriesRead:
+    """Series parsed in forked processes give what the serial read gives."""
+
+    def test_parse_failure_survives_pickling(self):
+        exc = dbicc.cli._ParseFailure("a.csv", "m", line=3, column=4)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is dbicc.cli._ParseFailure
+        assert str(back) == "a.csv:3:4: m"
+        exc.args = (f"{exc} (listed at m.csv:2)",)
+        assert str(pickle.loads(pickle.dumps(exc))) == "a.csv:3:4: m (listed at m.csv:2)"
+
+    def test_workers_need_the_budget_two_cpus_and_two_files(self, tmp_path, monkeypatch):
+        _listed_series(tmp_path, [("a", 0, None), ("a", 1, None), ("b", 0, None)])
+        paths = [tmp_path / f"series{k}.csv" for k in range(3)]
+        monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 4)
+        assert dbicc.cli._series_workers(paths) == 1  # below the budget
+        size = sum(p.stat().st_size for p in paths)
+        monkeypatch.setattr(dbicc.cli, "_PARALLEL_SERIES_BYTES", size - 1)
+        expected = 3 if "fork" in multiprocessing.get_all_start_methods() else 1
+        assert dbicc.cli._series_workers(paths) == expected
+        assert dbicc.cli._series_workers(paths[:1]) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:  # a fork would copy this thread only
+            assert dbicc.cli._series_workers(paths) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 1)
+        assert dbicc.cli._series_workers(paths) == 1
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            # a bad series on line 3, a duplicate label on line 5
+            ([("a", 0, None), ("a", 1, "1,2\n3,x\n"), ("b", 0, None), ("b", 0, None)],
+             "{d}/series1.csv:2:2: expected a number, got 'x' (listed at {m}:3)"),
+            # a duplicate label on line 4, a bad series on line 5
+            ([("a", 0, None), ("b", 0, None), ("a", 0, None), ("b", 1, "1,2\n3,x\n")],
+             "{m}:4: duplicate individual 'a', replicate '0' (first on line 2)"),
+            # two bad series, read by different processes
+            ([("a", 0, None), ("a", 1, "1,2\n3\n"), ("b", 0, ""), ("b", 1, None)],
+             "{d}/series1.csv:2: expected 2 fields, got 1 (listed at {m}:3)"),
+            ([("a", 0, None), ("a", 1, None), ("b", 0, "1,2\n3\n"), ("b", 1, "")],
+             "{d}/series2.csv:2: expected 2 fields, got 1 (listed at {m}:4)"),
+        ],
+        ids=["bad series first", "duplicate first", "two bad series", "two bad, later"],
+    )
+    def test_first_fault_in_line_order_wins(
+        self, tmp_path, monkeypatch, capsys, entries, error
+    ):
+        manifest = _listed_series(tmp_path, entries)
+        argv = ["estimate", str(manifest)]
+        serial = main(argv), capsys.readouterr()
+        chosen = _force_forked_reads(monkeypatch)
+        forked = main(argv), capsys.readouterr()
+        assert chosen == [2]
+        assert forked == serial
+        assert forked[0] == 2
+        assert forked[1].err == f"input error: {error.format(d=tmp_path, m=manifest)}\n"
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_estimate_to_stdout_is_identical_and_printed_once(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
+        outputs = []
+        for forked in (False, True):
+            if forked:
+                chosen = _force_forked_reads(monkeypatch)
+            print("before the command", end="")  # a pending line the forks must not repeat
+            assert main(["estimate", str(manifest), "--distance", "corr"]) == 0
+            outputs.append(capfd.readouterr())
+        assert chosen == [2]
+        assert outputs[1] == outputs[0]
+        assert outputs[0].err == ""
+        assert outputs[0].out.startswith("before the command{\n")
+        assert outputs[0].out.count('"rho_hat"') == 1
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bootstrap", "--distance", "corr", "--boot", "200", "--seed", "5"],
+            ["sweep-threshold", "--distance", "l2"],
+        ],
+        ids=["bootstrap", "sweep-threshold"],
+    )
+    def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, argv):
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
+        command = [argv[0], str(manifest), *argv[1:], "--out"]
+        assert main([*command, str(tmp_path / "serial.out")]) == 0
+        chosen = _force_forked_reads(monkeypatch)
+        assert main([*command, str(tmp_path / "forked.out")]) == 0
+        assert chosen == [2]
+        serial = (tmp_path / "serial.out").read_bytes()
+        assert (tmp_path / "forked.out").read_bytes() == serial
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @pytest.mark.parametrize("interrupt", [RuntimeError("boom"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_no_child_outlives_an_exception_in_the_reader(
+        self, tmp_path, monkeypatch, capsys, interrupt
+    ):
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
+        chosen = _force_forked_reads(monkeypatch)
+        received = []
+
+        def fail_second(conn, buf, offset=0):
+            received.append(len(buf))
+            if len(received) == 2:
+                raise interrupt
+            return receive(conn, buf, offset)
+
+        receive = multiprocessing.connection.Connection.recv_bytes_into
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv_bytes_into",
+                            fail_second)
+        if isinstance(interrupt, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(["estimate", str(manifest)])
+        else:
+            assert main(["estimate", str(manifest)]) == 3
+            assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert chosen == [2]
+        assert len(received) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestBootstrapCommand:
