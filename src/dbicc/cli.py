@@ -23,7 +23,7 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   resolved relative to the manifest.
 
 Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
-series files, in forked processes when a manifest's series are large; other
+series files, in forked processes when a manifest lists several; other
 CSVs are split by the ``csv`` module, numbers by ``float``.
 
 JSON and CSV output write each float as Python's shortest repr, which
@@ -44,6 +44,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import warnings
@@ -437,26 +438,22 @@ def _read_series(path):
     raise _ParseFailure(path, f"not a numeric CSV ({failure})")
 
 
-# Bytes of series files above which a manifest's series are parsed in forked
-# child processes.  Below it a serial read takes under 0.06 s, and forking
-# saves less than 0.02 s of it on two CPUs.
-_PARALLEL_SERIES_BYTES = 8 << 20
-
-
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+    except AttributeError:  # no affinity call (macOS, Windows): read serially
+        return 1
 
 
 def _series_workers(paths):
     """How many child processes parse ``paths``; 1 means none, a serial read.
 
-    One per usable CPU, at most one per file, if the files hold more than
-    ``_PARALLEL_SERIES_BYTES`` and processes can be forked.  A process with
-    other threads reads serially: a fork copies only the calling thread, and
-    a lock another thread holds would stay held in the child.
+    One per usable CPU, at most one per file, if processes can be forked
+    and no other Python thread runs: a fork copies only the calling
+    thread, and a lock another thread holds would stay held in the child.
+    Native threads are not checked.  The one numpy starts, OpenBLAS's pool,
+    is shut down by its own fork handler before the fork, and a child only
+    parses text with ``numpy.loadtxt``, which calls no BLAS.
     """
     workers = min(_usable_cpus(), len(paths))
     if (
@@ -465,21 +462,17 @@ def _series_workers(paths):
         or threading.active_count() > 1
     ):
         return 1
-    size = 0
-    for series_path in paths:
-        try:
-            size += os.stat(series_path).st_size
-        except OSError:  # reported when the file is read
-            pass
-    return workers if size > _PARALLEL_SERIES_BYTES else 1
+    return workers
 
 
 def _send_series(paths, conn):
     """In a child: each series of ``paths`` as its shape, then its bytes.
 
     The first exception is sent instead of its file's series, and ends
-    the child.
+    the child.  Ctrl-C reaches the whole process group; the parent ends
+    the child, so the child ignores it.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         for series_path in paths:
             series = np.ascontiguousarray(_read_series(series_path))
@@ -492,8 +485,8 @@ def _send_series(paths, conn):
 def _parsed_series(paths):
     """Yield :func:`_read_series` of each path, in order, until one raises.
 
-    Above the budget of :func:`_series_workers`, child ``k`` of ``n``
-    forked processes parses paths ``k``, ``k + n``, ...  This thread
+    With ``n`` readers from :func:`_series_workers`, child ``k`` of the
+    ``n`` forked processes parses paths ``k``, ``k + n``, ...  This thread
     reads their pipes in path order, each series into an array it
     allocates, and raises the first failure it reads.  Every child is
     killed and reaped before this generator ends, however it ends.

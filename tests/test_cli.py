@@ -5,7 +5,11 @@ import io
 import json
 import multiprocessing
 import multiprocessing.connection
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -714,20 +718,22 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _force_forked_reads(monkeypatch):
-    """Parse every manifest's series in two forked processes from now on.
+_choose_series_workers = dbicc.cli._series_workers
 
-    Returns the worker counts that the reads chose, one per manifest.
+
+def _reads_on(monkeypatch, cpus):
+    """Read every manifest's series as ``cpus`` usable CPUs would from now on.
+
+    One CPU gives the serial read, two give two forked readers.  Returns
+    the worker counts that the reads chose, one per manifest.
     """
     chosen = []
-    choose = dbicc.cli._series_workers
 
     def spy(paths):
-        chosen.append(choose(paths))
+        chosen.append(_choose_series_workers(paths))
         return chosen[-1]
 
-    monkeypatch.setattr(dbicc.cli, "_PARALLEL_SERIES_BYTES", 0)
-    monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(dbicc.cli, "_series_workers", spy)
     return chosen
 
@@ -762,13 +768,12 @@ class TestParallelSeriesRead:
         exc.args = (f"{exc} (listed at m.csv:2)",)
         assert str(pickle.loads(pickle.dumps(exc))) == "a.csv:3:4: m (listed at m.csv:2)"
 
-    def test_workers_need_the_budget_two_cpus_and_two_files(self, tmp_path, monkeypatch):
+    def test_workers_need_two_cpus_two_files_and_no_other_thread(
+        self, tmp_path, monkeypatch
+    ):
         _listed_series(tmp_path, [("a", 0, None), ("a", 1, None), ("b", 0, None)])
         paths = [tmp_path / f"series{k}.csv" for k in range(3)]
         monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 4)
-        assert dbicc.cli._series_workers(paths) == 1  # below the budget
-        size = sum(p.stat().st_size for p in paths)
-        monkeypatch.setattr(dbicc.cli, "_PARALLEL_SERIES_BYTES", size - 1)
         expected = 3 if "fork" in multiprocessing.get_all_start_methods() else 1
         assert dbicc.cli._series_workers(paths) == expected
         assert dbicc.cli._series_workers(paths[:1]) == 1
@@ -783,6 +788,10 @@ class TestParallelSeriesRead:
         assert not other.is_alive()
         monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 1)
         assert dbicc.cli._series_workers(paths) == 1
+
+    def test_no_affinity_call_means_one_cpu(self, monkeypatch):
+        monkeypatch.delattr(dbicc.cli.os, "sched_getaffinity", raising=False)
+        assert dbicc.cli._usable_cpus() == 1
 
     @needs_fork
     @pytest.mark.parametrize(
@@ -807,8 +816,10 @@ class TestParallelSeriesRead:
     ):
         manifest = _listed_series(tmp_path, entries)
         argv = ["estimate", str(manifest)]
+        chosen = _reads_on(monkeypatch, 1)
         serial = main(argv), capsys.readouterr()
-        chosen = _force_forked_reads(monkeypatch)
+        assert chosen == [1]
+        chosen = _reads_on(monkeypatch, 2)
         forked = main(argv), capsys.readouterr()
         assert chosen == [2]
         assert forked == serial
@@ -822,13 +833,12 @@ class TestParallelSeriesRead:
     ):
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
         outputs = []
-        for forked in (False, True):
-            if forked:
-                chosen = _force_forked_reads(monkeypatch)
+        for cpus in (1, 2):
+            chosen = _reads_on(monkeypatch, cpus)
             print("before the command", end="")  # a pending line the forks must not repeat
             assert main(["estimate", str(manifest), "--distance", "corr"]) == 0
             outputs.append(capfd.readouterr())
-        assert chosen == [2]
+            assert chosen == [cpus]
         assert outputs[1] == outputs[0]
         assert outputs[0].err == ""
         assert outputs[0].out.startswith("before the command{\n")
@@ -846,8 +856,10 @@ class TestParallelSeriesRead:
     def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, argv):
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
         command = [argv[0], str(manifest), *argv[1:], "--out"]
+        chosen = _reads_on(monkeypatch, 1)
         assert main([*command, str(tmp_path / "serial.out")]) == 0
-        chosen = _force_forked_reads(monkeypatch)
+        assert chosen == [1]
+        chosen = _reads_on(monkeypatch, 2)
         assert main([*command, str(tmp_path / "forked.out")]) == 0
         assert chosen == [2]
         serial = (tmp_path / "serial.out").read_bytes()
@@ -861,7 +873,7 @@ class TestParallelSeriesRead:
         self, tmp_path, monkeypatch, capsys, interrupt
     ):
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
-        chosen = _force_forked_reads(monkeypatch)
+        chosen = _reads_on(monkeypatch, 2)
         received = []
 
         def fail_second(conn, buf, offset=0):
@@ -882,6 +894,63 @@ class TestParallelSeriesRead:
         assert chosen == [2]
         assert len(received) == 2
         assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_reader_ignores_ctrl_c(self, tmp_path, monkeypatch, capfd):
+        # Ctrl-C signals every process in the foreground group, the readers too
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
+        argv = ["estimate", str(manifest)]
+        _reads_on(monkeypatch, 1)
+        assert main(argv) == 0
+        serial = capfd.readouterr()
+        read = dbicc.cli._read_series
+
+        def interrupted(path):  # runs in a reader only
+            os.kill(os.getpid(), signal.SIGINT)
+            return read(path)
+
+        monkeypatch.setattr(dbicc.cli, "_read_series", interrupted)
+        chosen = _reads_on(monkeypatch, 2)
+        assert main(argv) == 0
+        assert chosen == [2]
+        assert capfd.readouterr() == serial
+        assert serial.err == ""
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="counts the process's threads in /proc/self/stat")
+    def test_the_fork_sees_one_os_thread_with_numpys_blas_pool_running(self, tmp_path):
+        # Python 3.12+ warns when it forks a process with other OS threads.
+        # OpenBLAS's own fork handler stops its pool first, so none is left.
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "ab" for j in (0, 1)])
+        script = """
+import os, sys
+import numpy as np
+import dbicc.cli
+
+def os_threads():
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[17])
+
+a = np.ones((300, 300))
+a @ a  # the BLAS pool, if any, has run
+at_fork = []
+os.register_at_fork(after_in_parent=lambda: at_fork.append(os_threads()))
+dbicc.cli._usable_cpus = lambda: 2
+code = dbicc.cli.main(["estimate", sys.argv[1]])
+print(at_fork)
+sys.exit(code)
+"""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(dbicc.cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script, str(manifest)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.stderr == ""
+        assert done.returncode == 0
+        assert done.stdout.endswith("}\n[1, 1]\n")
 
 
 class TestBootstrapCommand:
