@@ -42,16 +42,13 @@ import csv
 import io
 import json
 import math
-import multiprocessing
-import os
-import signal
 import sys
-import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ._children import fork_workers, run_in_children
 from .bootstrap import _check_level, bootstrap_dbicc
 from .core import (
     DistanceMatrix,
@@ -438,95 +435,6 @@ def _read_series(path):
     raise _ParseFailure(path, f"not a numeric CSV ({failure})")
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call (macOS, Windows): read serially
-        return 1
-
-
-def _series_workers(paths):
-    """How many child processes parse ``paths``; 1 means none, a serial read.
-
-    One per usable CPU, at most one per file, if processes can be forked
-    and no other Python thread runs: a fork copies only the calling
-    thread, and a lock another thread holds would stay held in the child.
-    Native threads are not checked.  The one numpy starts, OpenBLAS's pool,
-    is shut down by its own fork handler before the fork, and a child only
-    parses text with ``numpy.loadtxt``, which calls no BLAS.
-    """
-    workers = min(_usable_cpus(), len(paths))
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-    ):
-        return 1
-    return workers
-
-
-def _send_series(paths, conn):
-    """In a child: each series of ``paths`` as its shape, then its bytes.
-
-    The first exception is sent instead of its file's series, and ends
-    the child.  Ctrl-C reaches the whole process group; the parent ends
-    the child, so the child ignores it.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for series_path in paths:
-            series = np.ascontiguousarray(_read_series(series_path))
-            conn.send(series.shape)
-            conn.send_bytes(series)
-    except Exception as exc:
-        conn.send(exc)
-
-
-def _parsed_series(paths):
-    """Yield :func:`_read_series` of each path, in order, until one raises.
-
-    With ``n`` readers from :func:`_series_workers`, child ``k`` of the
-    ``n`` forked processes parses paths ``k``, ``k + n``, ...  This thread
-    reads their pipes in path order, each series into an array it
-    allocates, and raises the first failure it reads.  Every child is
-    killed and reaped before this generator ends, however it ends.
-    """
-    workers = _series_workers(paths)
-    if workers < 2:
-        yield from map(_read_series, paths)
-        return
-    fork = multiprocessing.get_context("fork")
-    pipes, children = [], []
-    try:
-        for k in range(workers):
-            receiver, sender = fork.Pipe(duplex=False)
-            pipes.append(receiver)
-            child = fork.Process(target=_send_series, args=(paths[k::workers], sender))
-            child.start()
-            children.append(child)
-            sender.close()
-        for k in range(len(paths)):
-            pipe = pipes[k % workers]
-            try:
-                head = pipe.recv()
-            except EOFError:  # the child died without a word
-                children[k % workers].join()
-                code = children[k % workers].exitcode
-                raise RuntimeError(f"series reader process ended (exit code {code})")
-            if isinstance(head, Exception):
-                raise head
-            series = np.empty(head)
-            pipe.recv_bytes_into(series.reshape(-1).view(np.uint8))
-            yield series
-    finally:
-        # every wanted series has been read, or none more is wanted
-        for child in children:
-            child.kill()
-            child.join()
-        for pipe in pipes:
-            pipe.close()
-
-
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -544,7 +452,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         fault = exc
     series = []
     try:
-        series.extend(_parsed_series(paths))
+        series.extend(run_in_children(_read_series, paths, fork_workers(paths), "fork"))
     except _ParseFailure as exc:
         exc.args = (f"{exc} (listed at {path}:{listed[len(series)][0]})",)
         raise

@@ -18,11 +18,11 @@ count used to fan the runs out.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._children import can_fork, run_in_children
 from .bootstrap import _check_level, _check_n_boot, _resolve_seed, bootstrap_dbicc_pair
 from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
@@ -364,10 +364,9 @@ def default_m_grid(low: int = 25, high: int = 197, count: int = 8) -> list:
 
 
 def _run_tasks(worker, tasks, workers):
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks, chunksize=1))
-    return [worker(t) for t in tasks]
+    # a spawned child imports the package again, which a set of runs pays back
+    method = "fork" if can_fork() else "spawn"
+    return list(run_in_children(worker, tasks, workers, method))
 
 
 def _gaussian_population(n_individuals, n_replicates, icc, dim):

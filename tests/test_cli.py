@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import io
 import json
 import multiprocessing
@@ -12,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +26,7 @@ from dbicc import (
     dbicc_point,
     gen_spd_population,
 )
+import dbicc._children
 import dbicc.cli
 import dbicc.simulation
 from dbicc.cli import dumps_json, main
@@ -46,12 +45,12 @@ def grouping(dm):
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Make any worker pool the simulations start fail the test."""
+    """Make any set of Monte Carlo runs the simulations start fail the test."""
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started")
+        raise AssertionError("a set of runs started")
 
-    monkeypatch.setattr(dbicc.simulation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(dbicc.simulation, "run_in_children", no_pool)
 
 
 FEW_REPLICATES = (
@@ -718,7 +717,7 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-_choose_series_workers = dbicc.cli._series_workers
+_choose_series_workers = dbicc._children.fork_workers
 
 
 def _reads_on(monkeypatch, cpus):
@@ -733,8 +732,8 @@ def _reads_on(monkeypatch, cpus):
         chosen.append(_choose_series_workers(paths))
         return chosen[-1]
 
-    monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(dbicc.cli, "_series_workers", spy)
+    monkeypatch.setattr(dbicc._children, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dbicc.cli, "fork_workers", spy)
     return chosen
 
 
@@ -773,25 +772,25 @@ class TestParallelSeriesRead:
     ):
         _listed_series(tmp_path, [("a", 0, None), ("a", 1, None), ("b", 0, None)])
         paths = [tmp_path / f"series{k}.csv" for k in range(3)]
-        monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(dbicc._children, "usable_cpus", lambda: 4)
         expected = 3 if "fork" in multiprocessing.get_all_start_methods() else 1
-        assert dbicc.cli._series_workers(paths) == expected
-        assert dbicc.cli._series_workers(paths[:1]) == 1
+        assert dbicc._children.fork_workers(paths) == expected
+        assert dbicc._children.fork_workers(paths[:1]) == 1
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:  # a fork would copy this thread only
-            assert dbicc.cli._series_workers(paths) == 1
+            assert dbicc._children.fork_workers(paths) == 1
         finally:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
-        monkeypatch.setattr(dbicc.cli, "_usable_cpus", lambda: 1)
-        assert dbicc.cli._series_workers(paths) == 1
+        monkeypatch.setattr(dbicc._children, "usable_cpus", lambda: 1)
+        assert dbicc._children.fork_workers(paths) == 1
 
     def test_no_affinity_call_means_one_cpu(self, monkeypatch):
-        monkeypatch.delattr(dbicc.cli.os, "sched_getaffinity", raising=False)
-        assert dbicc.cli._usable_cpus() == 1
+        monkeypatch.delattr(dbicc._children.os, "sched_getaffinity", raising=False)
+        assert dbicc._children.usable_cpus() == 1
 
     @needs_fork
     @pytest.mark.parametrize(
@@ -896,6 +895,19 @@ class TestParallelSeriesRead:
         assert multiprocessing.active_children() == []
 
     @needs_fork
+    def test_a_reader_that_dies_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
+        chosen = _reads_on(monkeypatch, 2)
+        monkeypatch.setattr(dbicc.cli, "_read_series",
+                            _in_children_only(lambda path: os._exit(3)))
+        assert main(["estimate", str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: worker process ended (exit code 3)\n"
+        )
+        assert chosen == [2]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
     def test_a_reader_ignores_ctrl_c(self, tmp_path, monkeypatch, capfd):
         # Ctrl-C signals every process in the foreground group, the readers too
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
@@ -927,7 +939,7 @@ class TestParallelSeriesRead:
         script = """
 import os, sys
 import numpy as np
-import dbicc.cli
+import dbicc._children, dbicc.cli
 
 def os_threads():
     with open("/proc/self/stat") as f:
@@ -937,7 +949,7 @@ a = np.ones((300, 300))
 a @ a  # the BLAS pool, if any, has run
 at_fork = []
 os.register_at_fork(after_in_parent=lambda: at_fork.append(os_threads()))
-dbicc.cli._usable_cpus = lambda: 2
+dbicc._children.usable_cpus = lambda: 2
 code = dbicc.cli.main(["estimate", sys.argv[1]])
 print(at_fork)
 sys.exit(code)
@@ -951,6 +963,98 @@ sys.exit(code)
         assert done.stderr == ""
         assert done.returncode == 0
         assert done.stdout.endswith("}\n[1, 1]\n")
+
+
+def _in_children_only(action):
+    """A stand-in that runs ``action(task)`` in a child; in this process it fails."""
+    parent = os.getpid()
+
+    def stand_in(task):
+        if os.getpid() == parent:
+            raise AssertionError("ran in the parent process")
+        return action(task)
+
+    return stand_in
+
+
+_POINT_RUNS = ["simulate", "--experiment", "point", "--individuals", "5", "--runs", "4",
+               "--seed", "1"]
+
+
+class TestSimulateWorkers:
+    """``simulate --threads`` runs in the children of the series read's generator."""
+
+    @needs_fork
+    def test_no_more_children_than_runs(self, tmp_path):
+        script = """
+import os, sys
+import dbicc.cli
+forks = []
+os.register_at_fork(before=lambda: forks.append(os.getpid()))
+argv = ["simulate", "--experiment", "point", "--runs", "2", "--seed", "1", "--out"]
+code = dbicc.cli.main([*argv, sys.argv[1], "--threads", "8"])
+print(code, len(forks))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(dbicc.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        out = tmp_path / "forked.json"
+        done = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.stdout, done.stderr) == ("0 2\n", "")
+        serial = tmp_path / "serial.json"
+        argv = ["simulate", "--experiment", "point", "--runs", "2", "--seed", "1"]
+        assert main([*argv, "--out", str(serial), "--threads", "1"]) == 0
+        assert out.read_bytes() == serial.read_bytes()
+
+    @needs_fork
+    def test_a_worker_ignores_ctrl_c(self, tmp_path, monkeypatch, capfd):
+        assert main([*_POINT_RUNS, "--threads", "1"]) == 0
+        serial = capfd.readouterr()
+        signalled = tmp_path / "signalled"
+        run = dbicc.simulation._point_worker
+
+        def interrupted(task):
+            with signalled.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            os.kill(os.getpid(), signal.SIGINT)
+            return run(task)
+
+        monkeypatch.setattr(dbicc.simulation, "_point_worker",
+                            _in_children_only(interrupted))
+        assert main([*_POINT_RUNS, "--threads", "2"]) == 0
+        assert capfd.readouterr() == serial
+        assert serial.err == ""
+        assert len(set(signalled.read_text().split())) == 2
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_worker_that_dies_is_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(dbicc.simulation, "_point_worker",
+                            _in_children_only(lambda task: os._exit(3)))
+        assert main([*_POINT_RUNS, "--threads", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: worker process ended (exit code 3)\n"
+        )
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_no_child_outlives_an_interrupt_in_the_parent(self, monkeypatch):
+        received = []
+
+        def interrupt_second(conn):
+            received.append(conn)
+            if len(received) == 2:
+                raise KeyboardInterrupt
+            return receive(conn)
+
+        receive = multiprocessing.connection.Connection.recv
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                            interrupt_second)
+        with pytest.raises(KeyboardInterrupt):
+            main([*_POINT_RUNS, "--threads", "2"])
+        assert len(received) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestBootstrapCommand:
@@ -1258,15 +1362,22 @@ class TestSimulateCommand:
         self, tmp_path, capfd, monkeypatch
     ):
         # spawned workers inherit no warning filters from the command
-        spawn = multiprocessing.get_context("spawn")
-        pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
-        monkeypatch.setattr(dbicc.simulation, "ProcessPoolExecutor", pool)
+        methods = []
+
+        def spawned(fn, items, workers, start_method):
+            methods.append(start_method)
+            return run_in_children(fn, items, workers, start_method)
+
+        run_in_children = dbicc.simulation.run_in_children
+        monkeypatch.setattr(dbicc.simulation, "can_fork", lambda: False)
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", spawned)
         argv = [
             "simulate", "--experiment", "coverage", "--individuals", "6",
             "--boot", "20", "--runs", "4", "--seed", "1", "--threads", "2",
         ]
         assert main([*argv, "--out", str(tmp_path / "cov.json")]) == 0
         assert capfd.readouterr().err == FEW_REPLICATES.format(20)
+        assert methods == ["spawn"]
 
     def test_sb_report(self, tmp_path):
         out = tmp_path / "sb.json"
