@@ -1,4 +1,8 @@
-"""Work spread over child processes, read back in item order by the caller."""
+"""Child processes that compute a function of each item, read back in item order.
+
+The manifest's series read and the simulations' runs both go through
+:func:`run_in_children`.
+"""
 
 import multiprocessing
 import os
@@ -9,17 +13,20 @@ import numpy as np
 
 
 def usable_cpus():
-    # one where there is no affinity call (macOS, Windows)
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return len(os.sched_getaffinity(0))
 
 
 def can_fork():
-    """Whether the platform forks and no other Python thread runs, whose locks
-    a child would keep held.  Native threads are not checked: OpenBLAS's pool
-    stops in its own fork handler and restarts in a child that calls BLAS.
+    """Whether to fork: on Linux, and while no other Python thread runs.
+
+    Linux is told by its CPU affinity call; macOS's system libraries are
+    not fork-safe.  A fork copies only the calling thread, and a lock
+    another thread holds would stay held in the child.  Native threads are
+    not checked: OpenBLAS's pool stops in its own fork handler and restarts
+    in a child that calls BLAS.
     """
     forks = "fork" in multiprocessing.get_all_start_methods()
-    return forks and threading.active_count() == 1
+    return forks and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
 
 
 def fork_workers(items):
@@ -37,7 +44,7 @@ def _serve(fn, items, conn):
     try:
         for item in items:
             result = fn(item)
-            if isinstance(result, np.ndarray) and not result.dtype.hasobject:
+            if isinstance(result, np.ndarray):
                 result = np.asarray(result, order="C")
                 conn.send(("array", (result.shape, result.dtype)))
                 conn.send_bytes(result.reshape(-1).view(np.uint8))

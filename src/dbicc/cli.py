@@ -23,8 +23,11 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   resolved relative to the manifest.
 
 Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
-series files, in forked processes when a manifest lists several; other
-CSVs are split by the ``csv`` module, numbers by ``float``.
+series files, those of one manifest in forked processes where
+``dbicc._children.fork_workers`` allows; other CSVs are split by the
+``csv`` module, numbers by ``float``.  ``simulate --threads N`` runs in
+``min(N, runs)`` child processes, forked by the same rule or else spawned.
+``--out`` and ``--csv`` are checked before any input is read.
 
 JSON and CSV output write each float as Python's shortest repr, which
 parses back to exactly the same value; all randomized commands record
@@ -123,6 +126,22 @@ _count = _int_at_least(1, "positive")
 def dumps_json(obj) -> str:
     """Indented JSON; floats as their shortest exact repr, NaN/Inf rejected."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _check_outputs(args):
+    """Raise unless ``--out`` and ``--csv`` each name a file in a directory.
+
+    Runs before any input is read; write permission is not checked.
+    """
+    for flag in ("--out", "--csv"):
+        name = getattr(args, flag[2:], None)
+        if name is None:
+            continue
+        folder = str(Path(name).parent)
+        if Path(name).is_dir():
+            raise _ConfigFailure(f"{flag} {name!r}: is a directory")
+        if not Path(folder).is_dir():
+            raise _ConfigFailure(f"{flag} {name!r}: {folder!r} is not a directory")
 
 
 def _write_output(text: str, out_path):
@@ -563,7 +582,8 @@ def _parse_grid(text):
     _threshold_level(start)
     # the last level is within one step of stop, or of 1, so a bad grid fails fast
     count = int(math.floor((min(stop, 1.0 + step) - start) / step + 1e-9)) + 1
-    return [_threshold_level(start + k * step) for k in range(count)]
+    # a level that rounds past stop is stop
+    return [_threshold_level(min(start + k * step, stop)) for k in range(count)]
 
 
 def _cmd_sweep_threshold(args) -> int:
@@ -768,6 +788,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
         with warnings.catch_warnings():
             # each library warning is one stderr line, whatever -W asks for
             warnings.simplefilter("always", UserWarning)

@@ -194,9 +194,10 @@ def correlation_from_timeseries(x) -> np.ndarray:
         raise InsufficientDataError(
             f"need at least 3 time points to correlate, got {x.shape[0]}"
         )
-    sd = x.std(axis=0)
-    if np.any(sd == 0.0):
-        bad = int(np.flatnonzero(sd == 0.0)[0])
+    # exact: a constant column's std is often a rounding residue, not 0
+    flat = x.max(axis=0) == x.min(axis=0)
+    if flat.any():
+        bad = int(np.flatnonzero(flat)[0])
         raise DegenerateInputError(f"column {bad} is constant; correlation undefined")
     r = np.atleast_2d(np.corrcoef(x, rowvar=False))
     r = np.clip(r, -1.0, 1.0)

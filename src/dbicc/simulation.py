@@ -14,7 +14,9 @@ estimate consistency, bootstrap interval coverage (naive versus
 duplicate-block corrected), and log-log SNR curves against measurement
 intensity.  Every run draws from a generator seeded by (seed, run
 index), so results are reproducible and independent of the worker
-count used to fan the runs out.
+count used to fan the runs out: ``min(workers, n_runs)`` child
+processes, forked on Linux while no other Python thread runs and
+spawned otherwise (``dbicc._children``).
 """
 
 import warnings

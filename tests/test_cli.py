@@ -512,6 +512,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == err
 
 
+    @pytest.mark.parametrize(
+        "argv, flag, path, error",
+        [
+            (["estimate", "{missing}"], "--out", "{d}/nodir/x.json",
+             "'{d}/nodir' is not a directory"),
+            (["bootstrap", "{missing}"], "--out", "{d}", "is a directory"),
+            (["sweep-threshold", "{missing}"], "--out", "{d}/nodir/s.csv",
+             "'{d}/nodir' is not a directory"),
+            (["simulate", "--experiment", "point", "--runs", "2", "--seed", "1"], "--csv",
+             "{d}/nodir/y.csv", "'{d}/nodir' is not a directory"),
+            (["simulate", "--experiment", "coverage", "--boot", "50", "--runs", "2",
+              "--threads", "2", "--seed", "1"], "--out", "{d}", "is a directory"),
+        ],
+        ids=["estimate", "bootstrap", "sweep-threshold", "simulate csv", "simulate out"],
+    )
+    def test_output_path_fails_before_any_work(
+        self, tmp_path, no_pool, capsys, argv, flag, path, error
+    ):
+        path = path.format(d=tmp_path)
+        argv = [a.format(missing=tmp_path / "missing.csv") for a in argv]
+        assert main([*argv, flag, path]) == 4
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag} {path!r}: {error.format(d=tmp_path)}\n"
+        )
+
+
 _GROUPS = "row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n"
 
 
@@ -621,6 +647,26 @@ class TestInputChecks:
         np.savetxt(tmp_path / "dead.csv", series, delimiter=",")
         manifest = _series_manifest(tmp_path, last="dead.csv")
         assert main([command, str(manifest)]) == 3
+        assert capsys.readouterr().err == (
+            "DegenerateInputError: series of individual 'q1': column 2 is constant; "
+            "correlation undefined\n"
+        )
+
+    def test_constant_channel_with_a_nonzero_std_is_caught(self, tmp_path, capsys):
+        # 197 samples of 0.1 have a mean other than 0.1, so a std above 0
+        rng = np.random.default_rng(4)
+        lines = ["individual,replicate,path"]
+        for i in range(3):
+            for j in range(2):
+                series = rng.standard_normal((197, 4))
+                if (i, j) == (1, 0):
+                    series[:, 2] = 0.1
+                np.savetxt(tmp_path / f"s{i}{j}.csv", series, delimiter=",")
+                lines.append(f"q{i},{j},s{i}{j}.csv")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert np.loadtxt(tmp_path / "s10.csv", delimiter=",")[:, 2].std() > 0.0
+        assert main(["estimate", str(manifest), "--distance", "corr"]) == 3
         assert capsys.readouterr().err == (
             "DegenerateInputError: series of individual 'q1': column 2 is constant; "
             "correlation undefined\n"
@@ -789,8 +835,10 @@ class TestParallelSeriesRead:
         assert dbicc._children.fork_workers(paths) == 1
 
     def test_no_affinity_call_means_one_cpu(self, monkeypatch):
+        # and no fork: macOS, say, spawns simulate's workers
         monkeypatch.delattr(dbicc._children.os, "sched_getaffinity", raising=False)
-        assert dbicc._children.usable_cpus() == 1
+        assert not dbicc._children.can_fork()
+        assert dbicc._children.fork_workers(["a.csv", "b.csv"]) == 1
 
     @needs_fork
     @pytest.mark.parametrize(
@@ -1205,6 +1253,18 @@ class TestSweepCommand:
                 continue
             assert rc == 0
             assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
+
+    def test_a_level_that_rounds_past_stop_is_stop(self, tmp_path, rng):
+        # 0.09 + 13 * 0.07 is 1.0000000000000002
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-threshold", str(self._manifest(tmp_path, rng)),
+                "--threshold-grid", "0.09:1:0.07", "--out", str(out)]
+        assert main(argv) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 14
+        assert rows[-1]["threshold"] == "1.0"
+        assert rows[-2]["threshold"] == repr(0.09 + 12 * 0.07)
 
     @pytest.mark.parametrize(
         "grid, level",

@@ -141,6 +141,14 @@ class TestCorrelationFromTimeseries:
         with pytest.raises(DegenerateInputError):
             correlation_from_timeseries(x)
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 1e-3])
+    def test_constant_column_whose_std_is_a_rounding_residue(self, rng, value):
+        x = rng.standard_normal((197, 4))
+        x[:, 2] = value
+        assert x[:, 2].std() > 0.0
+        with pytest.raises(DegenerateInputError, match="^column 2 is constant; "):
+            correlation_from_timeseries(x)
+
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             correlation_from_timeseries(np.ones((2, 3)) + np.eye(2, 3))
