@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -929,15 +930,24 @@ class TestParallelSeriesRead:
                 raise interrupt
             return receive(conn, buf, offset)
 
+        def slow_after_the_first(path):
+            if path.name not in ("series0.csv", "series1.csv"):
+                time.sleep(60)
+            return read(path)
+
+        read = dbicc.cli._read_series
+        monkeypatch.setattr(dbicc.cli, "_read_series", _in_children_only(slow_after_the_first))
         receive = multiprocessing.connection.Connection.recv_bytes_into
         monkeypatch.setattr(multiprocessing.connection.Connection, "recv_bytes_into",
                             fail_second)
+        start = time.monotonic()
         if isinstance(interrupt, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
                 main(["estimate", str(manifest)])
         else:
             assert main(["estimate", str(manifest)]) == 3
             assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert time.monotonic() - start < 30  # the readers were ended, not awaited
         assert chosen == [2]
         assert len(received) == 2
         assert multiprocessing.active_children() == []
@@ -1096,11 +1106,21 @@ print(code, len(forks))
                 raise KeyboardInterrupt
             return receive(conn)
 
+        def slow_after_the_first(task):
+            if task[2] >= 2:  # each child's second run
+                time.sleep(60)
+            return run(task)
+
+        run = dbicc.simulation._point_worker
+        monkeypatch.setattr(dbicc.simulation, "_point_worker",
+                            _in_children_only(slow_after_the_first))
         receive = multiprocessing.connection.Connection.recv
         monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
                             interrupt_second)
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main([*_POINT_RUNS, "--threads", "2"])
+        assert time.monotonic() - start < 30  # the running runs were ended, not awaited
         assert len(received) == 2
         assert multiprocessing.active_children() == []
 
