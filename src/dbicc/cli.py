@@ -58,13 +58,12 @@ from .core import (
     GroupedSample,
     PayloadKind,
     _group_order,
-    _matrices,
-    _payload_block_stats,
+    _MatrixColumns,
     _require_matrix_payloads,
     block_stats,
     build_grouped_sample,
 )
-from .distances import DistanceSpec, Metric, _metric_rows, _threshold_level, soft_threshold
+from .distances import DistanceSpec, Metric, _threshold_level
 from .errors import DbiccError, DegenerateDistancesError, DegenerateInputError
 from .estimator import dbicc_point
 from .simulation import run_coverage_experiment, run_point_experiment, run_sb_experiment
@@ -591,16 +590,13 @@ def _cmd_sweep_threshold(args) -> int:
         args.threshold_grid
     )
     data = _load_input(args)
-    kind = _METRIC_BY_FLAG[args.distance]
-    mats = _matrices(data)
-    shrunk = np.empty_like(mats)
+    # the correlations and their column statistics are computed once
+    columns = _MatrixColumns(data, _METRIC_BY_FLAG[args.distance])
     rows = []
     for level in grid:
-        # the block-sum kernel overwrites shrunk; each level refills it
-        _, fractions = soft_threshold(mats, level, out=shrunk)
+        payload_rows, fractions = columns.rows(level)
         try:
-            stats = _payload_block_stats(_metric_rows(shrunk, kind), kind, data)
-            rho = dbicc_point(stats).rho_hat
+            rho = dbicc_point(columns.block_stats(payload_rows)).rho_hat
         except (DegenerateInputError, DegenerateDistancesError) as exc:
             print(
                 f"threshold {level:g}: {type(exc).__name__}: {exc}", file=sys.stderr

@@ -5,12 +5,17 @@ each measured one or more times, as one read-only stacked array:
 payloads may be vectors, square matrices, or multivariate time series,
 but all payloads in a sample share one shape.  The payload pipeline
 works on whole stacks: time series become correlation matrices, an
-optional soft threshold shrinks them (:func:`~dbicc.distances.soft_threshold`
-takes a whole stack), and each payload becomes the row its metric
-compares.  :func:`compute_distance_matrix` turns a sample into a
-:class:`DistanceMatrix`, the exact reference; :func:`block_stats` takes
-the :class:`BlockStats` (per-individual squared-distance sums) that the
-estimators read straight from the payload rows, with no n-by-n matrix.
+optional soft threshold shrinks them, and each payload becomes the row
+its metric compares.  :func:`compute_distance_matrix` turns a sample
+into a :class:`DistanceMatrix`, the exact reference, from whole rows
+(:func:`~dbicc.distances.soft_threshold` takes the stack);
+:func:`block_stats` takes the :class:`BlockStats` (per-individual
+squared-distance sums) that the estimators read straight from the
+payload rows, with no n-by-n matrix.  For matrix and series payloads
+it goes through the column pipeline (:class:`_MatrixColumns`), which
+``sweep-threshold`` runs once per level: a symmetric stack contributes
+only its lower triangle, and ``l1`` and ``l2`` compare only the columns
+that a level leaves different between payloads.
 
 Samples and distance matrices share one grouping model: rows in group
 order, described by ``group_sizes`` (the first individual's rows, then
@@ -33,11 +38,14 @@ from .distances import (
     DistanceSpec,
     Metric,
     _metric_rows,
+    _shrink,
+    _standardized,
     correlation_from_timeseries,
     soft_threshold,
 )
 from .errors import (
     DbiccError,
+    DegenerateInputError,
     InputShapeError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
@@ -324,23 +332,32 @@ class DistanceMatrix:
         return self.group_sizes.size
 
 
+def _correlations(sample: GroupedSample):
+    """Each time series of the sample as its correlation matrix, in row order.
+
+    A series that cannot be correlated raises its error with the owning
+    individual's label in front.
+    """
+    for k, series in enumerate(sample.values):
+        try:
+            yield correlation_from_timeseries(series)
+        except DbiccError as exc:
+            owner = _owner(sample.group_sizes, sample.labels, k)
+            raise type(exc)(f"series of individual {owner!r}: {exc}") from None
+
+
 def _matrices(sample: GroupedSample) -> np.ndarray:
     """The sample's payloads, each time series as its correlation matrix.
 
     Time series give a new stack; other kinds give the sample's own
-    read-only ``values``.  A series that cannot be correlated raises its
-    error with the owning individual's label in front.
+    read-only ``values``.
     """
     if sample.payload_kind is not PayloadKind.TIMESERIES:
         return sample.values
     p = sample.feature_dim
     out = np.empty((sample.n_total, p, p))
-    for k, series in enumerate(sample.values):
-        try:
-            out[k] = correlation_from_timeseries(series)
-        except DbiccError as exc:
-            owner = _owner(sample.group_sizes, sample.labels, k)
-            raise type(exc)(f"series of individual {owner!r}: {exc}") from None
+    for k, r in enumerate(_correlations(sample)):
+        out[k] = r
     return out
 
 
@@ -467,9 +484,14 @@ def _distance_block_sums(sizes, distance_rows) -> BlockStats:
 _ROW_CHUNK_BYTES = 1 << 16
 
 
+def _chunk_rows(width):
+    """Rows per chunk: ``_ROW_CHUNK_BYTES`` of ``width`` floats, or one row."""
+    return max(1, _ROW_CHUNK_BYTES // (8 * max(width, 1)))
+
+
 def _chunks(n_rows, width):
-    """Slices of rows, each ``_ROW_CHUNK_BYTES`` of ``width`` floats or one row."""
-    step = max(1, _ROW_CHUNK_BYTES // (8 * max(width, 1)))
+    """Slices of rows, each of :func:`_chunk_rows` rows of ``width`` floats."""
+    step = _chunk_rows(width)
     return (slice(a, a + step) for a in range(0, n_rows, step))
 
 
@@ -619,25 +641,32 @@ def _between_sum(stats: BlockStats):
     return (quad[0] - ones[0] @ (2.0 * within)) / 2.0
 
 
-def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockStats:
+def _payload_block_stats(rows, metric: Metric, sizes, weight=1.0) -> BlockStats:
     """Block sums of the distances between metric rows (from :func:`_metric_rows`).
 
-    ``l1`` reads ``cdist`` row chunks, each equal bit for bit to those
-    rows of the distance matrix.  ``l2`` and correlation of correlations
-    overwrite ``rows``; the latter's rows are standardized, so it is
-    ``l2`` on them at half scale.  Raises :class:`NonFiniteError`
-    where the distance matrix would hold NaN or Inf, or its squares
-    overflow.
+    Each value of an ``l1`` or ``l2`` row stands for ``weight`` equal
+    entries of its payload: ``l1`` distances are ``weight`` times those
+    of the rows, ``l2`` squared distances too.  ``l1`` reads ``cdist``
+    row chunks, each equal bit for bit to those rows of the distance
+    matrix at weight 1 (doubling is exact too).  ``l2`` and correlation
+    of correlations overwrite ``rows``; the latter's rows are
+    standardized, so it is ``l2`` on them at half scale.  Raises
+    :class:`NonFiniteError` where the distance matrix would hold NaN or
+    Inf, or its squares overflow.
     """
-    sizes = sample.group_sizes
+
+    def distance_rows(a, b):
+        chunk = cdist(rows[a:b], rows, "cityblock")
+        if weight != 1.0:
+            chunk *= weight
+        return chunk
+
     # overflow and underflow show up as a non-finite total, checked below
     with np.errstate(all="ignore"):
         if metric is Metric.L1_VEC:
-            stats = _distance_block_sums(
-                sizes, lambda a, b: cdist(rows[a:b], rows, "cityblock")
-            )
+            stats = _distance_block_sums(sizes, distance_rows)
         else:
-            scale = 0.5 if metric is Metric.CORR_OF_CORR else 1.0
+            scale = 0.5 if metric is Metric.CORR_OF_CORR else weight
             stats = _rows_block_sums(rows, sizes, scale)
         # the sum over all ordered pairs, diagonal blocks included
         total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
@@ -645,16 +674,134 @@ def _payload_block_stats(rows, metric: Metric, sample: GroupedSample) -> BlockSt
     return stats
 
 
+class _MatrixColumns:
+    """The column pipeline: a matrix stack's columns, thresholded level by level.
+
+    Built once per stack from a sample of matrix or time-series payloads
+    (series become their correlation matrices), for ``metric``.  A column
+    holds one entry of every payload.  When every matrix is exactly
+    symmetric and all share one diagonal, the column set is the strict
+    lower triangle, each column standing for itself and its mirror image
+    (``weight`` 2).  Any other stack keeps every entry (``weight`` 1),
+    and its diagonal entries are never thresholded.
+
+    :meth:`rows` soft-thresholds the set at one level into one buffer,
+    reused across levels, and :meth:`block_stats` takes the block sums
+    of its result.  ``l1`` and ``l2`` compare only the live columns: those
+    that vary across payloads and, off the diagonal, whose largest
+    magnitude exceeds the level, in their original order.  The columns
+    left out are equal in every payload, so the distances are those of
+    the whole matrices up to rounding.  Correlation of correlations
+    compares every column of the lower triangle, so its rows are those
+    of :func:`_metric_rows` after :func:`~dbicc.distances.soft_threshold`,
+    and so are its outputs.
+    """
+
+    def __init__(self, sample: GroupedSample, metric: Metric):
+        n, p = sample.n_total, sample.feature_dim
+        lower = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
+        if sample.payload_kind is PayloadKind.TIMESERIES:
+            # correlation matrices are symmetric with a unit diagonal
+            mirrored = True
+            self.values = np.empty((n, lower.size))
+            for k, r in enumerate(_correlations(sample)):
+                np.take(r, lower, out=self.values[k], mode="clip")
+        else:
+            mats = sample.values
+            diagonal = np.diagonal(mats, axis1=1, axis2=2)
+            mirrored = bool((diagonal == diagonal[0]).all()) and all(
+                np.array_equal(m, m.T) for m in mats
+            )
+            flat = mats.reshape(n, p * p)
+            self.values = np.take(flat, lower, axis=1) if mirrored else flat
+        if mirrored:
+            self.off_diagonal = np.ones(lower.size, dtype=bool)
+            self.lower = None  # every column
+        else:
+            self.off_diagonal = ~np.eye(p, dtype=bool).ravel()
+            self.lower = lower
+        self.weight = 2.0 if mirrored else 1.0
+        high, low = self.values.max(axis=0), self.values.min(axis=0)
+        self.peak = np.maximum(high, -low)
+        self.varies = high != low
+        self.metric, self.p, self.sizes = metric, p, sample.group_sizes
+        self.buffer = np.empty(0)
+
+    def rows(self, level=None):
+        """The stack's rows at soft-threshold ``level``, and their zero fractions.
+
+        Returns the rows, which the next call may overwrite (the lower
+        triangles for correlation of correlations), and, for a level,
+        each payload's fraction of off-diagonal entries that are exactly
+        zero after thresholding, as :func:`~dbicc.distances.soft_threshold`
+        counts them.  No level takes level 0's columns, unthresholded,
+        and no fractions.
+        """
+        if level is not None and self.p < 2:
+            raise DegenerateInputError("a 1x1 matrix has no off-diagonal entries")
+        t = 0.0 if level is None else level
+        n, width = self.values.shape
+        cut = self.off_diagonal & (self.peak <= t)  # zero in every payload
+        corr = self.metric is Metric.CORR_OF_CORR
+        if not corr:
+            keep = np.flatnonzero(self.varies & ~cut)
+        elif level is None and self.lower is not None:
+            keep = self.lower  # no zeros to count beyond the triangle
+        else:
+            keep = np.arange(width)
+        size = n * keep.size
+        if self.buffer.size < size:
+            self.buffer = np.empty(size)
+        rows = self.buffer[:size].reshape(n, keep.size)
+        diagonal = np.flatnonzero(~self.off_diagonal[keep])
+        # every index is in range; mode "clip" lets take write straight to out
+        if t == 0.0:  # the shrink would change no bit but the sign of zero
+            np.take(self.values, keep, axis=1, out=rows, mode="clip")
+        else:
+            scratch = np.empty((min(n, _chunk_rows(keep.size)), keep.size))
+            for c in _chunks(n, keep.size):
+                part = scratch[: len(rows[c])]
+                np.take(self.values[c], keep, axis=1, out=part, mode="clip")
+                _shrink(part, t, out=rows[c])
+            rows[:, diagonal] = self.values[:, keep[diagonal]]
+        if level is None:
+            return rows, None
+        zeros = np.count_nonzero(rows == 0.0, axis=1)
+        zeros -= np.count_nonzero(rows[:, diagonal] == 0.0, axis=1)
+        zeros += np.count_nonzero(cut) - np.count_nonzero(cut[keep])
+        if corr and self.lower is not None:  # counted on every entry, compared below
+            rows = np.take(rows, self.lower, axis=1)
+        return rows, self.weight * zeros / (self.p * (self.p - 1))
+
+    def block_stats(self, rows) -> BlockStats:
+        """Block sums of the distances between the payloads that ``rows`` hold.
+
+        ``rows`` comes from :meth:`rows` and is overwritten.  Rows of no
+        columns give zero sums, without a pass over them.
+        """
+        if self.metric is Metric.CORR_OF_CORR:
+            return _payload_block_stats(_standardized(rows), self.metric, self.sizes)
+        if rows.shape[1] == 0:  # every payload is equal: all distances are zero
+            zero = np.zeros(self.sizes.size)
+            return BlockStats(self.sizes, zero, None, np.zeros((zero.size, 0)))
+        return _payload_block_stats(rows, self.metric, self.sizes, self.weight)
+
+
 def block_stats(sample: GroupedSample, metric) -> BlockStats:
     """Block sums of the squared distances of a sample, under any metric.
 
     The payload pipeline is that of :func:`compute_distance_matrix`, and
     the sums equal those of its distance matrix, but no n-by-n matrix is
-    built.  For n payloads of p values and I individuals:
+    built.  Matrix and series payloads go through the column pipeline
+    (:class:`_MatrixColumns`), so ``l1`` and ``l2`` compare only the
+    columns that differ between payloads, and a symmetric stack only its
+    lower triangle, at double weight.  For n payloads of p compared
+    values and I individuals:
 
     * ``l1`` reads the distance matrix in row chunks of about 2 MiB and
-      keeps the I-by-I ``cross``, equal bit for bit to that of the
-      matrix, in O(n^2*p) time and O(n*p + I^2) memory beyond the chunk.
+      keeps the I-by-I ``cross``, in O(n^2*p) time and O(n*p + I^2)
+      memory beyond the chunk.  On vector payloads it equals that of
+      the matrix bit for bit.
     * ``l2`` and correlation of correlations, equal up to rounding, keep
       the I-by-p means when p <= I, in O(n*p) time, and the I-by-I
       ``cross`` when p > I, in O(n*p + I^2*p) time (see
@@ -666,4 +813,8 @@ def block_stats(sample: GroupedSample, metric) -> BlockStats:
     metric : DistanceSpec, Metric, or str
     """
     spec = metric if isinstance(metric, DistanceSpec) else DistanceSpec(kind=metric)
-    return _payload_block_stats(_payload_rows(sample, spec), spec.kind, sample)
+    if sample.payload_kind is PayloadKind.VECTOR:
+        rows = _payload_rows(sample, spec)
+        return _payload_block_stats(rows, spec.kind, sample.group_sizes)
+    columns = _MatrixColumns(sample, spec.kind)
+    return columns.block_stats(columns.rows(spec.threshold)[0])

@@ -115,26 +115,33 @@ def _metric_rows(mats, metric: Metric) -> np.ndarray:
     """The rows ``metric`` compares, one per payload of the stack ``mats``.
 
     Rows are the flattened payloads for ``l2``/``l1``, a view of
-    ``mats``.  For correlation of correlations, which needs matrices of
-    3x3 or larger with a non-constant triangle, they are a new array of
-    the strict lower triangles, each centred at 0 and scaled to norm 1:
-    for such rows ``z``, one minus the Pearson correlation of two rows is
-    ``||z_a - z_b||^2 / 2``.  A triangle whose largest magnitude lies
-    outside ``[1e-100, 1e100]`` is divided by it first, so that its sum
-    and squares neither overflow nor underflow; the correlation does not
-    depend on scale.
+    ``mats``.  For correlation of correlations they are a new array of
+    the strict lower triangles, standardized by :func:`_standardized`.
     """
     flat = mats.reshape(len(mats), -1)
     if metric is not Metric.CORR_OF_CORR:
         return flat
     p = mats.shape[1]
-    if p < 3:
+    i, j = np.tril_indices(p, k=-1)
+    # take keeps the rows C-contiguous, so row reductions sum as before
+    return _standardized(np.take(flat, i * p + j, axis=1))
+
+
+def _standardized(rows) -> np.ndarray:
+    """Strict lower triangles, one per row, centred at 0 and scaled to norm 1.
+
+    Works in place on ``rows`` and returns it.  Correlation of
+    correlations needs matrices of 3x3 or larger, so triangles of 3 or
+    more entries, and a non-constant triangle: for such rows ``z``, one
+    minus the Pearson correlation of two rows is ``||z_a - z_b||^2 / 2``.
+    A triangle whose largest magnitude lies outside ``[1e-100, 1e100]``
+    is divided by it first, so that its sum and squares neither overflow
+    nor underflow; the correlation does not depend on scale.
+    """
+    if rows.shape[1] < 3:
         raise DegenerateInputError(
             "correlation-of-correlations needs matrices of size 3x3 or larger"
         )
-    i, j = np.tril_indices(p, k=-1)
-    # take keeps the rows C-contiguous, so row reductions sum as before
-    rows = np.take(flat, i * p + j, axis=1)
     high, low = rows.max(axis=1), rows.min(axis=1)
     flat_ptp = high - low
     if np.any(flat_ptp == 0.0):
@@ -183,7 +190,8 @@ def correlation_from_timeseries(x) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n_channels, n_channels)
-        Symmetric, unit diagonal, entries clipped to [-1, 1].
+        Symmetric bit for bit (the strict lower triangle is mirrored into
+        the upper one), unit diagonal, entries clipped to [-1, 1].
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -202,7 +210,22 @@ def correlation_from_timeseries(x) -> np.ndarray:
     r = np.atleast_2d(np.corrcoef(x, rowvar=False))
     r = np.clip(r, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
+    # corrcoef's two halves differ in their last bits; the upper one reads the lower
+    p = r.shape[0]
+    np.copyto(r, r.T, where=np.tri(p, k=-1, dtype=bool).T)
     return r
+
+
+def _shrink(v, level, out):
+    """Write ``sign(v) * max(|v| - level, 0)`` to ``out``, which must not overlap ``v``.
+
+    The one soft-threshold formula, of :func:`soft_threshold` and of the
+    column pipeline (:class:`dbicc.core._MatrixColumns`).
+    """
+    np.abs(v, out=out)
+    np.subtract(out, level, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.multiply(np.sign(v), out, out=out)
 
 
 def soft_threshold(r, level, out=None):
@@ -239,10 +262,7 @@ def soft_threshold(r, level, out=None):
     zeros = np.empty(len(src), dtype=np.int64)
     # one matrix at a time, so it stays in cache through every pass
     for k, (v, m) in enumerate(zip(src, dst)):
-        np.abs(v, out=m)
-        np.subtract(m, level, out=m)
-        np.maximum(m, 0.0, out=m)
-        np.multiply(np.sign(v), m, out=m)
+        _shrink(v, level, out=m)
         np.fill_diagonal(m, np.diagonal(v))
         diagonal_zeros = np.count_nonzero(np.diagonal(m) == 0.0)
         zeros[k] = np.count_nonzero(m == 0.0) - diagonal_zeros

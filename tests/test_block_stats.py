@@ -1,5 +1,6 @@
 """Block sums straight from payloads against the distance-matrix path."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from dbicc import (
     DegenerateDistancesError,
     DegenerateInputError,
     DistanceMatrix,
+    DistanceSpec,
     GroupedSample,
     Metric,
     PayloadKind,
@@ -23,6 +25,7 @@ from dbicc import (
     compute_distance_matrix,
     corr_of_corr_distance,
     dbicc_point,
+    soft_threshold,
 )
 from dbicc.bootstrap import (
     _block_sums,
@@ -30,7 +33,7 @@ from dbicc.bootstrap import (
     _estimates_for_indices,
     _replicate_components,
 )
-from dbicc.core import _between_sum
+from dbicc.core import _between_sum, _MatrixColumns
 
 RTOL = 1e-10
 
@@ -521,3 +524,155 @@ def test_estimate_and_bootstrap_allocate_less_than_one_matrix():
         assert peak < 8 * n * n, metric
         if metric is Metric.L2_VEC:
             assert peak < 8 * n_individuals * n_individuals
+
+
+def draw_matrix_stack(rng, sizes, p, kind, constants, at_level, level):
+    """Matrix payloads of one of the stack kinds the column pipeline tells apart.
+
+    ``symmetric``: exactly symmetric with a unit diagonal (correlations);
+    ``varying diagonal``: symmetric, with a diagonal that differs between
+    payloads (covariances); ``asymmetric``.  ``constants`` entries (with
+    their mirrors) hold one value, 0 among them, in every payload, and
+    ``at_level`` entries lie exactly at plus or minus ``level``.
+    """
+    mats = np.concatenate([
+        rng.uniform(-1.0, 1.0, (p, p)) + 0.3 * rng.standard_normal((size, p, p))
+        for size in sizes
+    ])
+    cells = [tuple(rng.integers(p, size=2)) for _ in range(constants + at_level)]
+    for k, (i, j) in enumerate(cells):
+        if k < constants:
+            mats[:, i, j] = rng.choice([0.0, 0.3, -0.7])
+        else:
+            mats[rng.integers(len(mats)), i, j] = rng.choice([level, -level])
+    if kind != "asymmetric":
+        lower = np.tri(p, k=-1, dtype=bool)
+        mats[:, lower.T] = mats.transpose(0, 2, 1)[:, lower.T]
+        diag = np.arange(p)
+        if kind == "symmetric":
+            mats[:, diag, diag] = 1.0
+        else:
+            mats[:, diag, diag] = rng.uniform(0.5, 2.0, (len(mats), p))
+    return mats
+
+
+def pipeline_columns(mats, metric, level):
+    """The flat columns that the pipeline's rows must hold, by its stated rule."""
+    n, p = mats.shape[:2]
+    flat = mats.reshape(n, -1)
+    diagonal = np.diagonal(mats, axis1=1, axis2=2)
+    symmetric = (diagonal == diagonal[0]).all() and all(
+        np.array_equal(m, m.T) for m in mats
+    )
+    lower = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
+    if metric is Metric.CORR_OF_CORR:
+        return lower, symmetric
+    cols = lower if symmetric else np.arange(p * p)
+    off = ~np.eye(p, dtype=bool).ravel()[cols]
+    v = flat[:, cols]
+    live = (v.max(axis=0) != v.min(axis=0)) & ~(
+        off & (np.abs(v).max(axis=0) <= (level or 0.0))
+    )
+    return cols[live], symmetric
+
+
+def same_stats(a, b):
+    return all(
+        (x is None and y is None) or np.array_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+class TestColumnPipeline:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=group_sizes,
+        p=st.integers(2, 5),
+        kind=st.sampled_from(["symmetric", "varying diagonal", "asymmetric"]),
+        metric=st.sampled_from([Metric.L2_VEC, Metric.L1_VEC, Metric.CORR_OF_CORR]),
+        level=st.sampled_from([None, 0.0, 0.1, 0.3, 0.6, "above"])
+        | st.floats(0.0, 1.0),
+        constants=st.integers(0, 3),
+        at_level=st.integers(0, 3),
+        seed=seeds,
+    )
+    def test_against_soft_threshold_and_the_matrix_path(
+        self, sizes, p, kind, metric, level, constants, at_level, seed
+    ):
+        rng = np.random.default_rng(seed)
+        above = level == "above"
+        level = 0.95 if above else level
+        mats = draw_matrix_stack(rng, sizes, p, kind, constants, at_level, level or 0.0)
+        if above:  # every off-diagonal entry below the level
+            off = ~np.eye(p, dtype=bool)
+            mats[:, off] *= 0.9 / max(np.abs(mats[:, off]).max(), 1.0)
+        labels = tuple(f"x{i}" for i in range(len(sizes)))
+        sample = GroupedSample(mats, sizes, labels, PayloadKind.MATRIX)
+        n = len(mats)
+
+        columns = _MatrixColumns(sample, metric)
+        rows, fractions = columns.rows(level)
+        shrunk, want_fractions = soft_threshold(mats, level or 0.0)
+        cols, symmetric = pipeline_columns(mats, metric, level)
+        assert columns.weight == (2.0 if symmetric else 1.0)
+        # bit for bit up to the sign of zero, which array_equal ignores
+        assert np.array_equal(rows, shrunk.reshape(n, -1)[:, cols])
+        if level is None:
+            assert fractions is None
+        else:
+            assert fractions.tolist() == want_fractions.tolist()
+
+        spec = DistanceSpec(metric, threshold=level)
+        try:
+            exact = _block_sums(compute_distance_matrix(sample, spec))
+        except DegenerateInputError as exc:  # corr of 2x2 or constant triangles
+            message = f"^{re.escape(str(exc))}$"
+            with pytest.raises(DegenerateInputError, match=message):
+                columns.block_stats(rows)
+            with pytest.raises(DegenerateInputError, match=message):
+                block_stats(sample, spec)
+            return
+        fast = columns.block_stats(rows)
+        # the sweep's level and the estimate's threshold give the same bits
+        assert same_stats(fast, block_stats(sample, spec))
+        if level in (None, 0.0):
+            other = DistanceSpec(metric, threshold=0.0 if level is None else None)
+            assert same_stats(fast, block_stats(sample, other))
+        if _between_sum(exact) == 0.0:
+            assert _between_sum(fast) == 0.0
+            assert not np.any(fast.within)
+            with pytest.raises(DegenerateDistancesError):
+                dbicc_point(fast)
+            return
+        assert_same_analysis(fast, exact)
+
+    @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.L1_VEC])
+    def test_a_level_that_leaves_no_column_runs_no_pass(self, rng, monkeypatch, metric):
+        mats = np.array([rand_symmetric(rng, 4, 0.2) for _ in range(6)])
+        sample = GroupedSample(mats, [2, 2, 2], ("a", "b", "c"), PayloadKind.MATRIX)
+
+        def no_pass(*args):
+            raise AssertionError("a pass over no columns")
+
+        monkeypatch.setattr(dbicc.core, "_rows_block_sums", no_pass)
+        monkeypatch.setattr(dbicc.core, "_distance_block_sums", no_pass)
+        stats = block_stats(sample, DistanceSpec(metric, threshold=0.5))
+        assert not np.any(stats.within) and stats.means.shape == (3, 0)
+        with pytest.raises(DegenerateDistancesError,
+                           match="^all between-individual distances are zero"):
+            dbicc_point(stats)
+
+    def test_series_compare_only_their_lower_triangle(self, rng):
+        series = rng.standard_normal((4, 30, 5))
+        sample = GroupedSample(series, [2, 2], ("a", "b"), PayloadKind.TIMESERIES)
+        columns = _MatrixColumns(sample, Metric.L2_VEC)
+        assert columns.weight == 2.0
+        assert columns.values.shape == (4, 10)
+
+
+def rand_symmetric(rng, p, scale):
+    """A symmetric matrix of unit diagonal, off-diagonal entries below ``scale``."""
+    m = rng.uniform(-scale, scale, (p, p))
+    m = np.tril(m, -1)
+    m = m + m.T
+    np.fill_diagonal(m, 1.0)
+    return m

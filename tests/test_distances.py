@@ -92,6 +92,14 @@ class TestCorrOfCorr:
         with pytest.raises(DegenerateInputError):
             corr_of_corr_distance(r, r)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (2, 3, 3)])
+    def test_needs_square_matrices(self, shape):
+        m = np.arange(float(np.prod(shape))).reshape(shape)
+        message = "^corr_of_corr_distance needs square matrices, got shape "
+        message += rf"\({shape[0]},"
+        with pytest.raises(InputShapeError, match=message):
+            corr_of_corr_distance(m, m)
+
     def test_constant_triangle(self):
         # an equicorrelation matrix has zero variance below the diagonal
         r1 = np.full((3, 3), 0.5)
@@ -149,6 +157,39 @@ class TestCorrelationFromTimeseries:
         with pytest.raises(DegenerateInputError, match="^column 2 is constant; "):
             correlation_from_timeseries(x)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        p=st.integers(1, 12),
+        collinear=st.integers(0, 4),
+        noise=st.sampled_from([0.0, 1e-15, 1e-12, 1e-6, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_symmetric_bit_for_bit(self, n, p, collinear, noise, seed):
+        # near-collinear columns: a scaled copy of another column plus noise
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p)
+        for _ in range(collinear if p > 1 else 0):
+            a, b = rng.choice(p, size=2, replace=False)
+            x[:, a] = rng.uniform(-3.0, 3.0) * x[:, b] + noise * rng.standard_normal(n)
+        if np.any(x.max(axis=0) == x.min(axis=0)):
+            return  # a constant column has no correlation
+        r = correlation_from_timeseries(x)
+        assert r.tobytes() == np.ascontiguousarray(r.T).tobytes()
+        assert np.all(np.diagonal(r) == 1.0)
+        # the lower triangle is corrcoef's, clipped, as before the mirroring
+        want = np.clip(np.atleast_2d(np.corrcoef(x, rowvar=False)), -1.0, 1.0)
+        lower = np.tri(p, k=-1, dtype=bool)
+        assert r[lower].tobytes() == want[lower].tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_series_must_be_2d(self, shape):
+        with pytest.raises(
+            InputShapeError,
+            match=r"^time series must be 2-D \(time x channels\), got shape",
+        ):
+            correlation_from_timeseries(np.arange(float(np.prod(shape))).reshape(shape))
+
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             correlation_from_timeseries(np.ones((2, 3)) + np.eye(2, 3))
@@ -178,6 +219,22 @@ class TestSoftThreshold:
         for level in (-0.1, 1.5):
             with pytest.raises(ParameterError):
                 soft_threshold(r, level)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (4,), (2, 2, 3, 3)])
+    def test_needs_square_matrices(self, shape):
+        with pytest.raises(
+            InputShapeError,
+            match=r"^expected a square matrix or a stack of them, got shape",
+        ):
+            soft_threshold(np.zeros(shape), 0.1)
+
+    @pytest.mark.parametrize("out_shape", [(3, 3), (2, 4, 4), (6, 3)])
+    def test_out_of_another_shape(self, out_shape):
+        with pytest.raises(
+            InputShapeError,
+            match=rf"^out has shape \({out_shape[0]}, .*\), expected \(2, 3, 3\)$",
+        ):
+            soft_threshold(np.zeros((2, 3, 3)), 0.1, out=np.empty(out_shape))
 
     def test_fraction_monotone_and_contractive(self, rng):
         r = rand_corr(rng, 6)
