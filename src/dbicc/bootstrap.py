@@ -15,8 +15,19 @@ Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
 individuals; payload distances are never recomputed.  A replicate
 costs O(I*p) from the means and O(I^2) from ``cross`` (see
-:func:`_replicate_components`).  The point estimate reads
+:meth:`_ReplicateTerms.components`).  The point estimate reads
 the same sums (:func:`~dbicc.core._between_sum`).
+
+Memory is bounded in the replicate count B.  The (B, I) draw is drawn,
+counted and reduced in blocks of rows, each holding about 1 MiB of
+indices (``_REPLICATE_BYTES``, or one row when I is larger), so a call
+holds the block sums, one block's temporaries (a few times the budget,
+plus the rows' products with ``cross`` or the means) and O(B) outputs:
+the estimates and validity flags.  The blocks together are the draw of
+one ``(B, I)`` call, bit for bit.  Where the draw fits one block, every
+replicate is as one whole-draw pass computes it; where it spans several,
+the matrix products round per block, so replicates can move in their
+last bits.
 
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
@@ -97,80 +108,96 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     return _distance_block_sums(dm.group_sizes, lambda a, b: dm.values[a:b])
 
 
-def _replicate_components(sizes, within, cross, means, indices):
-    """Vectorized per-replicate MSD components for resampled index rows.
+class _ReplicateTerms:
+    """Per-replicate MSD components and estimates from one set of block sums.
 
-    Takes the fields of a :class:`BlockStats`; ``indices`` has one row per
-    bootstrap replicate.  Returns a dict of arrays over replicates:
-    within-mean numerator/denominator and the naive and corrected
-    between-mean numerators/denominators.  Each numerator derives from
-    ``c^T cross c`` for the replicate's counts ``c``
-    (:func:`~dbicc.core._resampled_sums`): O(I^2) from ``cross``,
-    O(I*p) from the means.
+    The terms of the block sums alone are computed once, here; the methods
+    take a block of resampled index rows, one row per replicate, and
+    return arrays over those replicates.
     """
-    n_groups = sizes.shape[0]
-    n_rep = indices.shape[0]
-    flat = (np.arange(n_rep)[:, None] * n_groups + indices).ravel()
-    # float counts: every count and count product below is an integer
-    # under 2**53, so float matmuls give the integer results exactly
-    counts = np.bincount(flat, minlength=n_rep * n_groups).reshape(n_rep, n_groups)
-    counts = counts.astype(float)
 
-    pairs_within = sizes * (sizes - 1) // 2
-    within_num = counts @ within
-    within_den = counts @ pairs_within
+    def __init__(self, stats: BlockStats):
+        sizes, within, _, _ = stats
+        self.sizes = sizes
+        self.within = within
+        self.pairs_within = sizes * (sizes - 1) // 2
+        self.diag_cross = 2.0 * within  # np.diag(cross), bit for bit
+        self.sq_sizes = sizes * sizes
+        self.resampled_sums = _resampled_sums(stats)
 
-    total = counts @ sizes
-    diag_cross = 2.0 * within  # np.diag(cross), bit for bit
-    quad = _resampled_sums(sizes, within, cross, means, counts, indices[:, 0])
-    naive_num = (quad - counts @ diag_cross) / 2.0
-    corrected_num = (quad - (counts * counts) @ diag_cross) / 2.0
+    def components(self, indices):
+        """Numerators and denominators of the within and between means.
 
-    sq_sizes = sizes * sizes
-    naive_den = (total * total - counts @ sq_sizes) / 2
-    corrected_den = (total * total - (counts * counts) @ sq_sizes) / 2
+        Returns a dict of arrays over the rows of ``indices``: the
+        within mean's and the naive and corrected between means'.  Each
+        between numerator derives from ``c^T cross c`` for the replicate's
+        counts ``c`` (:func:`~dbicc.core._resampled_sums`): O(I^2) from
+        ``cross``, O(I*p) from the means.
+        """
+        n_rep, n_groups = indices.shape
+        flat = (np.arange(n_rep)[:, None] * n_groups + indices).ravel()
+        # float counts: every count and count product below is an integer
+        # under 2**53, so float matmuls give the integer results exactly
+        counts = np.bincount(flat, minlength=n_rep * n_groups).reshape(n_rep, n_groups)
+        counts = counts.astype(float)
+        squares = counts * counts
+        total = counts @ self.sizes
+        quad = self.resampled_sums(counts, total, indices[:, 0])
+        return {
+            "within_num": counts @ self.within,
+            "within_den": counts @ self.pairs_within,
+            "naive_num": (quad - counts @ self.diag_cross) / 2.0,
+            "naive_den": (total * total - counts @ self.sq_sizes) / 2,
+            "corrected_num": (quad - squares @ self.diag_cross) / 2.0,
+            "corrected_den": (total * total - squares @ self.sq_sizes) / 2,
+        }
 
-    return {
-        "within_num": within_num,
-        "within_den": within_den,
-        "naive_num": naive_num,
-        "naive_den": naive_den,
-        "corrected_num": corrected_num,
-        "corrected_den": corrected_den,
-    }
+    def estimates(self, indices):
+        """Naive and corrected replicate estimates for the rows of ``indices``.
+
+        Returns (naive, corrected, naive_valid, corrected_valid);
+        estimates are NaN where the corresponding validity flag is False.
+        """
+        comp = self.components(indices)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            msd_w = comp["within_num"] / comp["within_den"]
+            naive_b = comp["naive_num"] / comp["naive_den"]
+            corrected_b = comp["corrected_num"] / comp["corrected_den"]
+            naive = 1.0 - msd_w / naive_b
+            corrected = 1.0 - msd_w / corrected_b
+
+        naive_valid = (comp["within_den"] > 0) & (comp["naive_num"] > 0.0)
+        corrected_valid = (
+            (comp["within_den"] > 0)
+            & (comp["corrected_den"] > 0)
+            & (comp["corrected_num"] > 0.0)
+        )
+        naive[~naive_valid] = np.nan
+        corrected[~corrected_valid] = np.nan
+        return naive, corrected, naive_valid, corrected_valid
 
 
-def _estimates_for_indices(sizes, within, cross, means, indices):
-    """Naive and corrected replicate estimates for given resample rows.
-
-    Takes the fields of a :class:`BlockStats`.  Returns (naive,
-    corrected, naive_valid, corrected_valid); estimates are NaN where the
-    corresponding validity flag is False.
-    """
-    comp = _replicate_components(sizes, within, cross, means, indices)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        msd_w = comp["within_num"] / comp["within_den"]
-        naive_b = comp["naive_num"] / comp["naive_den"]
-        corrected_b = comp["corrected_num"] / comp["corrected_den"]
-        naive = 1.0 - msd_w / naive_b
-        corrected = 1.0 - msd_w / corrected_b
-
-    naive_valid = (comp["within_den"] > 0) & (comp["naive_num"] > 0.0)
-    corrected_valid = (
-        (comp["within_den"] > 0)
-        & (comp["corrected_den"] > 0)
-        & (comp["corrected_num"] > 0.0)
-    )
-    naive[~naive_valid] = np.nan
-    corrected[~corrected_valid] = np.nan
-    return naive, corrected, naive_valid, corrected_valid
+# Bytes of the indices in one block of the (n_boot, I) draw.  Replicates
+# are drawn, counted and reduced one block at a time, each block's
+# temporaries a few times this size, so memory does not grow with n_boot.
+_REPLICATE_BYTES = 1 << 20
 
 
 def _draw_indices(n_individuals, n_boot, seed):
-    """``n_boot`` rows of individual indices drawn with replacement."""
+    """Blocks of rows of individual indices drawn with replacement.
+
+    Yields ``n_boot`` rows in all, as many per block as fill
+    ``_REPLICATE_BYTES`` with 8-byte indices (at least one); the last
+    block may be shorter.  One generator draws every block in turn, so
+    the blocks are the rows of one ``(n_boot, n_individuals)`` draw, bit
+    for bit.
+    """
     rng = np.random.default_rng(seed)
-    return rng.integers(0, n_individuals, size=(n_boot, n_individuals))
+    step = max(1, _REPLICATE_BYTES // (8 * n_individuals))
+    for start in range(0, n_boot, step):
+        rows = min(step, n_boot - start)
+        yield rng.integers(0, n_individuals, size=(rows, n_individuals))
 
 
 # Replicate counts below this draw a warning.
@@ -209,13 +236,18 @@ def _resolve_seed(seed):
 def _replicates(source, n_boot, level, seed):
     """Check the arguments, seed the draw and estimate every replicate.
 
-    Returns the seed and, keyed by ``corrected`` (``False`` or ``True``),
-    each method's ``(estimates, valid)`` arrays.
+    Replicates are estimated one block of the draw at a time
+    (:func:`_draw_indices`); only the ``n_boot``-long estimates and
+    validity flags outlive a block.  Returns the seed and, keyed by
+    ``corrected`` (``False`` or ``True``), each method's
+    ``(estimates, valid)`` arrays.
     """
     stats = _checked_block_sums(source, n_boot, level)
     seed = _resolve_seed(seed)
-    indices = _draw_indices(stats.sizes.size, n_boot, seed)
-    naive, corr, naive_valid, corr_valid = _estimates_for_indices(*stats, indices)
+    terms = _ReplicateTerms(stats)
+    draw = _draw_indices(stats.sizes.size, n_boot, seed)
+    blocks = [terms.estimates(indices) for indices in draw]
+    naive, corr, naive_valid, corr_valid = map(np.concatenate, zip(*blocks))
     return seed, {False: (naive, naive_valid), True: (corr, corr_valid)}
 
 

@@ -568,7 +568,15 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _parse_grid(text):
-    """The levels of ``start:stop:step``, each checked as ``--threshold`` is."""
+    """The levels of ``start:stop:step``, each checked as ``--threshold`` is.
+
+    The grid is taken in decimals: ``start``, ``stop`` and ``step`` stand
+    for the shortest decimals of their floats, and level k is the float
+    nearest ``start + k * step``, so ``0:0.9:0.1`` gives 0.3, not
+    0.30000000000000004.
+    """
+    from fractions import Fraction  # here, so that importing the CLI stays lean
+
     parts = text.split(":")
     if len(parts) != 3:
         raise _ConfigFailure(f"--threshold-grid expects 'start:stop:step', got {text!r}")
@@ -579,10 +587,11 @@ def _parse_grid(text):
     if not (0.0 < step < math.inf and stop >= start):  # NaN fails too
         raise _ConfigFailure("--threshold-grid needs step > 0 and stop >= start")
     _threshold_level(start)
+    start, step = Fraction(repr(start)), Fraction(repr(step))
     # the last level is within one step of stop, or of 1, so a bad grid fails fast
-    count = int(math.floor((min(stop, 1.0 + step) - start) / step + 1e-9)) + 1
-    # a level that rounds past stop is stop
-    return [_threshold_level(min(start + k * step, stop)) for k in range(count)]
+    last = 1 + step if stop == math.inf else min(Fraction(repr(stop)), 1 + step)
+    count = math.floor((last - start) / step) + 1
+    return [_threshold_level(float(start + k * step)) for k in range(count)]
 
 
 def _cmd_sweep_threshold(args) -> int:

@@ -577,48 +577,62 @@ def _two_pass_spread(means, weights, picks):
     return out
 
 
-def _spread_of_means(sizes, means, counts, total, picks):
-    """Weighted spread of the individual means, one value per row of ``counts``.
+def _spread_of_means(sizes, means):
+    """Weighted spread of the individual means, as a function of count rows.
 
-    For the weights ``w = c * sizes`` of each row ``c`` of ``counts``,
-    whose sum is ``total``, the spread is ``S(w) = sum_g w_g ||means[g] -
-    mu_w||^2`` with ``mu_w`` the ``w``-weighted mean.  One pass,
-    ``w.q - ||M^T w||^2 / sum(w)``, on the I-by-p means ``M`` centred at
-    their ``sizes``-weighted mean, with ``q`` their squared norms:
-    O(I*p) per row.  Rows where the subtraction cancels more than half of
-    ``w.q`` are redone by :func:`_two_pass_spread` about ``picks``.
+    Returns ``spread(counts, total, picks)``, one value per row ``c`` of
+    ``counts``: for the weights ``w = c * sizes``, whose sum is
+    ``total``, the spread ``S(w) = sum_g w_g ||means[g] - mu_w||^2`` with
+    ``mu_w`` the ``w``-weighted mean.  One pass, ``w.q - ||M^T w||^2 /
+    sum(w)``, on the I-by-p means ``M`` centred at their ``sizes``-weighted
+    mean, with ``q`` their squared norms: O(I*p) per row.  The centred
+    means and their norms are computed here, once for every call.  Rows
+    where the subtraction cancels more than half of ``w.q`` are redone by
+    :func:`_two_pass_spread` about ``picks``.
     """
     centred = means - (sizes @ means) / sizes.sum()
     norms = np.einsum("ij,ij->i", centred, centred)
     centred *= sizes[:, None]
-    proj = counts @ centred
-    weighted = counts @ (sizes * norms)
-    spread = weighted - np.einsum("ij,ij->i", proj, proj) / total
-    redo = np.flatnonzero(spread < 0.5 * weighted)
-    if redo.size:
-        weights = counts[redo] * sizes
-        spread[redo] = _two_pass_spread(means, weights, picks[redo])
+    weighted_norms = sizes * norms
+
+    def spread(counts, total, picks):
+        proj = counts @ centred
+        weighted = counts @ weighted_norms
+        out = weighted - np.einsum("ij,ij->i", proj, proj) / total
+        redo = np.flatnonzero(out < 0.5 * weighted)
+        if redo.size:
+            out[redo] = _two_pass_spread(means, counts[redo] * sizes, picks[redo])
+        return out
+
     return spread
 
 
-def _resampled_sums(sizes, within, cross, means, counts, picks):
-    """``c^T cross c`` for each row ``c`` of ``counts``, from either form.
+def _resampled_sums(stats: BlockStats):
+    """``c^T cross c`` for resamples, as a function of count rows.
 
-    Takes the fields of a :class:`BlockStats`.  A row of ``counts`` says
-    how often a resample draws each individual, and ``picks[r]`` is an
+    Returns ``sums(counts, total, picks)``, one value per row ``c`` of
+    ``counts``.  A row says how often a resample draws each individual,
+    ``total[r]`` is ``counts[r] @ sizes`` and ``picks[r]`` is an
     individual that row ``r`` draws.  ``c^T cross c`` sums the squared
     distances over all ordered pairs of the resample's payloads.  From
     ``cross`` it is the O(I^2) product.  From the means, for
     ``w = c * sizes`` it is ``2 sum(w) (S(w) + c . (within / sizes))``,
     where ``S(w)`` is the ``w``-weighted spread of the means
-    (:func:`_spread_of_means`), in O(I*p).
+    (:func:`_spread_of_means`), in O(I*p).  Terms of the block sums alone
+    are computed here, once for every call.
     """
+    sizes, within, cross, means = stats
     if means is None:
-        return ((counts @ cross) * counts).sum(axis=1)
-    total = counts @ sizes
-    spread = _spread_of_means(sizes, means, counts, total, picks)
-    spread += counts @ (within / sizes)
-    return 2.0 * total * spread
+        return lambda counts, total, picks: ((counts @ cross) * counts).sum(axis=1)
+    spread_of = _spread_of_means(sizes, means)
+    per_payload = within / sizes
+
+    def sums(counts, total, picks):
+        spread = spread_of(counts, total, picks)
+        spread += counts @ per_payload
+        return 2.0 * total * spread
+
+    return sums
 
 
 def _between_sum(stats: BlockStats):
@@ -637,7 +651,7 @@ def _between_sum(stats: BlockStats):
         return np.sum(cross, where=off_diagonal) / 2.0
     ones = np.ones((1, sizes.size))
     every = np.zeros(1, dtype=np.intp)  # individual 0 is drawn
-    quad = _resampled_sums(sizes, within, None, means, ones, every)
+    quad = _resampled_sums(stats)(ones, ones @ sizes, every)
     return (quad[0] - ones[0] @ (2.0 * within)) / 2.0
 
 

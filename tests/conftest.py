@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from dbicc import GroupedSample, PayloadKind
+from dbicc.bootstrap import _draw_indices
 
 # HYPOTHESIS_PROFILE=ci: a failing property test also prints the blob that
 # reproduces it (@reproduce_failure); everything else is the default profile.
@@ -32,6 +33,11 @@ def vector_sample(rng, sizes, dim):
         labels=tuple(f"x{i}" for i in range(len(sizes))),
         payload_kind=PayloadKind.VECTOR,
     )
+
+
+def bootstrap_draw(n_individuals, n_boot, seed):
+    """The bootstrap's ``(n_boot, n_individuals)`` draw, its blocks stacked."""
+    return np.concatenate(list(_draw_indices(n_individuals, n_boot, seed)))
 
 
 @pytest.fixture

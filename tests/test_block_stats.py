@@ -29,11 +29,10 @@ from dbicc import (
 )
 from dbicc.bootstrap import (
     _block_sums,
-    _draw_indices,
-    _estimates_for_indices,
-    _replicate_components,
+    _ReplicateTerms,
 )
 from dbicc.core import _between_sum, _MatrixColumns
+from conftest import bootstrap_draw
 
 RTOL = 1e-10
 
@@ -118,10 +117,10 @@ def assert_same_analysis(fast, exact):
         want.n_within_pairs, want.n_between_pairs
     )
     assert_rho_close(got.rho_hat, want.rho_hat)
-    picks = _draw_indices(fast.sizes.size, 60, 11)
+    picks = bootstrap_draw(fast.sizes.size, 60, 11)
     assert_same_replicates(fast, exact, picks)
     for a, b in zip(
-        _estimates_for_indices(*fast, picks), _estimates_for_indices(*exact, picks)
+        _ReplicateTerms(fast).estimates(picks), _ReplicateTerms(exact).estimates(picks)
     ):
         if a.dtype == bool:
             assert np.array_equal(a, b)
@@ -369,14 +368,14 @@ def dense(stats):
 
 def assert_same_replicates(stats, reference, picks):
     """Replicate components of two sets of block sums agree, with the same flags."""
-    fast = _replicate_components(*stats, picks)
-    exact = _replicate_components(*reference, picks)
+    fast = _ReplicateTerms(stats).components(picks)
+    exact = _ReplicateTerms(reference).components(picks)
     for key in ("within_den", "naive_den", "corrected_den"):
         assert np.array_equal(fast[key], exact[key])
     np.testing.assert_allclose(fast["within_num"], exact["within_num"], rtol=RTOL, atol=0)
     flags = zip(
-        _estimates_for_indices(*stats, picks)[2:],
-        _estimates_for_indices(*reference, picks)[2:],
+        _ReplicateTerms(stats).estimates(picks)[2:],
+        _ReplicateTerms(reference).estimates(picks)[2:],
     )
     for (got, want), kind in zip(flags, ("naive", "corrected")):
         assert np.array_equal(got, want)
@@ -406,15 +405,15 @@ class TestFactoredReplicates:
         sample = draw_clustered(rng, sizes, dim, *regime, clusters)
         stats = block_stats(sample, Metric.L2_VEC)
         assert_one_form(stats)
-        picks = _draw_indices(len(sizes), 60, seed)
+        picks = bootstrap_draw(len(sizes), 60, seed)
         # numerators against the dense product on the same sums: at a 1e4
         # offset, individuals 1e-6 apart in a cluster a unit from the first
         # payload have means, and so sums, that differ from the distance
         # matrix's by up to about 2e-10 (already so in cross)
         assert_same_replicates(stats, dense(stats), picks)
         flags = zip(
-            _estimates_for_indices(*stats, picks)[2:],
-            _estimates_for_indices(*oracle(sample, Metric.L2_VEC), picks)[2:],
+            _ReplicateTerms(stats).estimates(picks)[2:],
+            _ReplicateTerms(oracle(sample, Metric.L2_VEC)).estimates(picks)[2:],
         )
         for got, want in flags:
             assert np.array_equal(got, want)
@@ -428,7 +427,7 @@ class TestFactoredReplicates:
         sample = grouped(payloads, PayloadKind.MATRIX)
         stats = block_stats(sample, Metric.CORR_OF_CORR)
         assert_one_form(stats)
-        picks = _draw_indices(len(sizes), 60, seed)
+        picks = bootstrap_draw(len(sizes), 60, seed)
         assert_same_replicates(stats, oracle(sample, Metric.CORR_OF_CORR), picks)
 
     @settings(max_examples=40, deadline=None)
@@ -443,9 +442,9 @@ class TestFactoredReplicates:
         sample = draw_clustered(rng, sizes, dim, *regime, 2)
         stats = block_stats(sample, Metric.L2_VEC)
         picks = np.array([rng.permutation(len(sizes)) for _ in range(20)])
-        naive, corrected, naive_valid, corrected_valid = _estimates_for_indices(
-            *stats, picks
-        )
+        naive, corrected, naive_valid, corrected_valid = _ReplicateTerms(
+            stats
+        ).estimates(picks)
         assert np.array_equal(naive_valid, corrected_valid)
         assert np.array_equal(naive, corrected, equal_nan=True)
 
@@ -474,8 +473,8 @@ class TestFactoredReplicates:
                 + [[1, 2, 1, 2, 2], [1, 2, 2, 2, 2], [2, 1, 1, 1, 1]]
                 + [[0, 0, 0, 4, 4], [3, 3, 3, 3, 1]]
             )
-            fast = _replicate_components(*stats, picks)
-            exact = _replicate_components(*reference, picks)
+            fast = _ReplicateTerms(stats).components(picks)
+            exact = _ReplicateTerms(reference).components(picks)
             for kind in ("naive_num", "corrected_num"):
                 zero = exact[kind] == 0.0
                 assert zero[[0, 1, 2, 4, 5, 6, 7]].all()
@@ -485,7 +484,7 @@ class TestFactoredReplicates:
     def test_two_pass_chunks_do_not_change_the_bits(self, rng, monkeypatch):
         sample = draw_clustered(rng, [2, 3, 1, 2, 2, 3], 4, 1e4, 1e-6, 1e-9, 2)
         stats = block_stats(sample, Metric.L2_VEC)
-        picks = _draw_indices(6, 200, 7)
+        picks = bootstrap_draw(6, 200, 7)
         two_pass = dbicc.core._two_pass_spread
         rows = []
 
@@ -494,11 +493,11 @@ class TestFactoredReplicates:
             return two_pass(means, weights, picks)
 
         monkeypatch.setattr(dbicc.core, "_two_pass_spread", counting)
-        whole = _replicate_components(*stats, picks)
+        whole = _ReplicateTerms(stats).components(picks)
         assert 0 < rows[0] < 200  # both paths run
         for budget in (1, 3 * 16 * stats.means.size):
             monkeypatch.setattr(dbicc.core, "_TWO_PASS_BYTES", budget)
-            chunked = _replicate_components(*stats, picks)
+            chunked = _ReplicateTerms(stats).components(picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
 

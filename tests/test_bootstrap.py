@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from dbicc import (
     InsufficientDataError,
     InsufficientGroupsError,
     InsufficientReplicatesError,
+    GroupedSample,
     Metric,
     NonFiniteError,
+    PayloadKind,
     ParameterError,
     TrueScorePopulation,
     bootstrap_dbicc,
     bootstrap_dbicc_pair,
+    block_stats,
     build_grouped_sample,
     compute_distance_matrix,
     dbicc_point,
@@ -24,10 +29,10 @@ from dbicc import (
 from dbicc.bootstrap import (
     _block_sums,
     _draw_indices,
-    _estimates_for_indices,
-    _replicate_components,
+    _replicates,
+    _ReplicateTerms,
 )
-from conftest import vector_sample
+from conftest import bootstrap_draw, vector_sample
 
 
 def three_individual_matrix():
@@ -74,10 +79,10 @@ def oracle_replicate(dm, picks):
 
 class TestResampleIndividuals:
     def test_pinned_sequence(self):
-        assert _draw_indices(6, 1, 20240717)[0].tolist() == [5, 0, 0, 4, 5, 0]
+        assert bootstrap_draw(6, 1, 20240717)[0].tolist() == [5, 0, 0, 4, 5, 0]
 
     def test_frequencies_uniform(self):
-        draws = _draw_indices(4, 25000, 99).ravel()
+        draws = bootstrap_draw(4, 25000, 99).ravel()
         freq = np.bincount(draws, minlength=4) / draws.size
         assert np.all(np.abs(freq - 0.25) < 0.005)  # 2% of 0.25
 
@@ -109,7 +114,7 @@ class TestReplicateMechanics:
     def test_distinct_picks_make_correction_a_noop(self):
         dm = three_individual_matrix()
         picks = np.array([[2, 0, 1]])
-        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
+        naive, corrected, nv, cv = _ReplicateTerms(_block_sums(dm)).estimates(picks)
         assert nv[0] and cv[0]
         assert naive[0] == corrected[0]  # bitwise: same sums, no excluded pairs
 
@@ -118,7 +123,7 @@ class TestReplicateMechanics:
         # cross entries {0,4,4,0} drag the between mean down
         dm = three_individual_matrix()
         picks = np.array([[0, 0, 2]])
-        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
+        naive, corrected, nv, cv = _ReplicateTerms(_block_sums(dm)).estimates(picks)
         assert nv[0] and cv[0]
         assert naive[0] == pytest.approx(97.0 / 103.0, rel=1e-12)
         assert corrected[0] == pytest.approx(49.0 / 51.0, rel=1e-12)
@@ -129,7 +134,7 @@ class TestReplicateMechanics:
     def test_matches_definitional_oracle_on_random_instances(self, rng):
         dm = compute_distance_matrix(vector_sample(rng, [2, 3, 1, 2], 3), Metric.L2_VEC)
         picks = rng.integers(0, 4, size=(40, 4))
-        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
+        naive, corrected, nv, cv = _ReplicateTerms(_block_sums(dm)).estimates(picks)
         for r in range(40):
             oracle = oracle_replicate(dm, picks[r].tolist())
             for vals, valid, key in ((naive, nv, False), (corrected, cv, True)):
@@ -142,7 +147,7 @@ class TestReplicateMechanics:
     def test_all_identical_picks_degenerate_for_corrected_only(self):
         dm = three_individual_matrix()
         picks = np.array([[1, 1, 1]])
-        naive, corrected, nv, cv = _estimates_for_indices(*_block_sums(dm), picks)
+        naive, corrected, nv, cv = _ReplicateTerms(_block_sums(dm)).estimates(picks)
         assert nv[0] and not cv[0]
         assert np.isnan(corrected[0])
 
@@ -276,9 +281,8 @@ class TestBootstrapDbicc:
         pop = TrueScorePopulation(np.eye(2), 0.25 * np.eye(2), 10, 4)
         sample = gen_gaussian_sample(pop, np.random.default_rng(321))
         dm = compute_distance_matrix(sample, Metric.L2_VEC)
-        sizes, within, cross, means = _block_sums(dm)
         picks = np.random.default_rng(654).integers(0, 10, size=(500, 10))
-        comp = _replicate_components(sizes, within, cross, means, picks)
+        comp = _ReplicateTerms(_block_sums(dm)).components(picks)
         has_dupes = np.array([len(set(row)) < len(row) for row in picks])
         msd_w = comp["within_num"] / comp["within_den"]
         naive_b = comp["naive_num"] / comp["naive_den"]
@@ -286,3 +290,90 @@ class TestBootstrapDbicc:
         eligible = has_dupes & (msd_w < naive_b) & (comp["corrected_den"] > 0)
         assert eligible.any()
         assert np.all(corrected_b[eligible] >= naive_b[eligible])
+
+
+class TestReplicateBlocks:
+    """The bootstrap draws, counts and reduces its replicates in blocks of rows."""
+
+    @staticmethod
+    def stats(dim, metric):
+        """41 individuals (an odd count) of 3 and 2 replicates."""
+        sample = vector_sample(np.random.default_rng(3), [3, 2] * 20 + [2], dim)
+        return block_stats(sample, metric)
+
+    # The means when p = 5, the I-by-I cross when p = 60 or under l1.  Of
+    # 100 replicates: blocks of 1 row, blocks of 7 rows with a last block
+    # of 2, and one block of all rows.
+    @pytest.mark.parametrize(
+        "dim, metric",
+        [(5, Metric.L2_VEC), (60, Metric.L2_VEC), (5, Metric.L1_VEC)],
+        ids=["means", "cross", "l1"],
+    )
+    @pytest.mark.parametrize(
+        "rows, lengths", [(1, [1] * 100), (7, [7] * 14 + [2]), (100, [100])],
+        ids=["1", "7", "all"],
+    )
+    def test_blocks_draw_the_same_indices_and_estimates(
+        self, monkeypatch, dim, metric, rows, lengths
+    ):
+        n_individuals, n_boot, seed = 41, 100, 2024
+        stats = self.stats(dim, metric)
+        assert (stats.cross is None) == (dim == 5 and metric is Metric.L2_VEC)
+        whole_draw = np.random.default_rng(seed).integers(
+            0, n_individuals, size=(n_boot, n_individuals)
+        )
+        terms = _ReplicateTerms(stats)
+        whole = terms.components(whole_draw)
+        whole_estimates = terms.estimates(whole_draw)
+
+        budget = 8 * n_individuals * rows
+        monkeypatch.setattr(dbicc.bootstrap, "_REPLICATE_BYTES", budget)
+        blocks = list(_draw_indices(n_individuals, n_boot, seed))
+        assert [len(block) for block in blocks] == lengths
+        assert np.array_equal(np.concatenate(blocks), whole_draw)
+
+        got_seed, replicates = _replicates(stats, n_boot, 0.95, seed)
+        assert got_seed == seed
+        (naive, naive_valid), (corrected, corrected_valid) = replicates.values()
+        # in the order of estimates()
+        got = (naive, corrected, naive_valid, corrected_valid)
+        if len(blocks) == 1:  # exactly the whole draw's pass
+            for values, want in zip(got, whole_estimates):
+                assert np.array_equal(values, want, equal_nan=True)
+        # the loop keeps each block's estimates as they are, bit for bit
+        per_block = [terms.estimates(block) for block in blocks]
+        for values, parts in zip(got, zip(*per_block)):
+            assert np.array_equal(values, np.concatenate(parts), equal_nan=True)
+        # the products round per block: numerators move by a few ulps at
+        # most, the integer denominators and every validity flag not at all
+        for values, want in zip(got[2:], whole_estimates[2:]):
+            assert np.array_equal(values, want)
+        blocked = [terms.components(block) for block in blocks]
+        for key, want in whole.items():
+            values = np.concatenate([comp[key] for comp in blocked])
+            if key.endswith("_den"):
+                assert np.array_equal(values, want)
+            else:
+                np.testing.assert_allclose(values, want, rtol=1e-13, atol=0)
+
+    def test_memory_does_not_grow_with_the_replicate_count(self):
+        # 3,000 individuals of 2 replicates, p = 20: the means form.  The
+        # whole (B, I) draw alone would take 229 MiB at B = 10,000; the
+        # block loop peaks at about 4.7 MiB.
+        rng = np.random.default_rng(5)
+        values = np.repeat(rng.standard_normal((3000, 20)), 2, axis=0)
+        values += rng.standard_normal(values.shape)
+        sample = GroupedSample(
+            values=values, group_sizes=[2] * 3000, labels=tuple(range(3000)),
+            payload_kind=PayloadKind.VECTOR,
+        )
+        stats = block_stats(sample, Metric.L2_VEC)
+        assert stats.cross is None
+        tracemalloc.start()
+        try:
+            result = bootstrap_dbicc(stats, 10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_boot == 10_000
+        assert peak < 16 * 2**20

@@ -1274,8 +1274,28 @@ class TestSweepCommand:
             assert rc == 0
             assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
 
+    def test_default_grid_levels_are_decimals_that_estimate_reproduces(
+        self, tmp_path, rng
+    ):
+        # in floats, 3 * 0.1 is 0.30000000000000004; the grid is in decimals
+        manifest = self._manifest(tmp_path, rng)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-threshold", str(manifest), "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["threshold"] for row in rows] == [f"0.{k}" for k in range(10)]
+        for row in rows:
+            est_out = tmp_path / "est.json"
+            rc = main(["estimate", str(manifest), "--threshold", row["threshold"],
+                       "--out", str(est_out)])
+            if row["rho_hat"] == "":
+                assert rc == 3
+                continue
+            assert rc == 0
+            assert float(row["rho_hat"]) == json.loads(est_out.read_text())["rho_hat"]
+
     def test_a_level_that_rounds_past_stop_is_stop(self, tmp_path, rng):
-        # 0.09 + 13 * 0.07 is 1.0000000000000002
+        # in floats 0.09 + 13 * 0.07 is 1.0000000000000002; in decimals, stop
         out = tmp_path / "sweep.csv"
         argv = ["sweep-threshold", str(self._manifest(tmp_path, rng)),
                 "--threshold-grid", "0.09:1:0.07", "--out", str(out)]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -67,6 +68,26 @@ class TestBuildGroupedSample:
     def test_single_individual(self):
         with pytest.raises(InsufficientGroupsError):
             build_grouped_sample([("A", 0, [1.0]), ("A", 1, [2.0])])
+
+    @pytest.mark.parametrize(
+        "kind, shape, error",
+        [
+            (PayloadKind.VECTOR, (2, 2), "vector payloads must be 1-D, got shape (2, 2)"),
+            (PayloadKind.MATRIX, (3,), "matrix payloads must be 2-D, got shape (3,)"),
+            (PayloadKind.MATRIX, (2, 3), "matrix payloads must be square, got shape (2, 3)"),
+        ],
+    )
+    def test_payload_dimension_fits_its_kind(self, kind, shape, error):
+        with pytest.raises(InputShapeError, match=re.escape(error)):
+            GroupedSample(
+                values=np.ones((4, *shape)), group_sizes=[2, 2], labels=("A", "B"),
+                payload_kind=kind,
+            )
+
+    def test_three_dimensional_payloads_need_a_kind(self):
+        rows = [(ind, rep, np.ones((2, 2, 2))) for ind in "AB" for rep in (0, 1)]
+        with pytest.raises(InputShapeError, match=re.escape("from shape (2, 2, 2)")):
+            build_grouped_sample(rows)
 
     def test_mixed_dimensions(self):
         rows = [("A", 0, [1.0, 2.0]), ("A", 1, [1.0]), ("B", 0, [3.0, 4.0])]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -38,6 +39,10 @@ class TestTrueScorePopulation:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ParameterError):
             TrueScorePopulation(np.eye(2), np.eye(3), 10, 2)
+
+    def test_rejects_no_replicates(self):
+        with pytest.raises(ParameterError, match="need at least 1 replicate per individual"):
+            TrueScorePopulation(np.eye(2), np.eye(2), 10, 0)
 
     def test_population_icc(self):
         pop = TrueScorePopulation(np.eye(2), 4.0 * np.eye(2), 10, 4)
@@ -116,6 +121,11 @@ class TestGenSampleCov:
         with pytest.raises(InsufficientDataError):
             gen_sample_cov(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 3)])
+    def test_rejects_other_than_two_dimensions(self, shape):
+        with pytest.raises(ParameterError, match=re.escape(f"2-D array, got shape {shape}")):
+            gen_sample_cov(np.ones(shape))
+
 
 class TestSpdPopulation:
     def test_properties(self):
@@ -136,6 +146,10 @@ class TestSpdPopulation:
     def test_df_too_small(self):
         with pytest.raises(ParameterError):
             gen_spd_population(2, 5, np.random.default_rng(0), wishart_df=3)
+
+    def test_rejects_no_matrices(self):
+        with pytest.raises(ParameterError, match="need at least 1 matrix, got 0"):
+            gen_spd_population(0, 5, np.random.default_rng(0))
 
 
 class TestCovErrorSpread:
@@ -182,6 +196,16 @@ class TestConnectivitySample:
         for mat in sample.values:
             assert np.all(np.diag(mat) == 1.0)
             assert np.all(np.abs(mat) <= 1.0)
+
+    @pytest.mark.parametrize(
+        "n_replicates, kind, error",
+        [(2, "precision", "unknown matrix kind 'precision'"),
+         (0, "covariance", "need at least 1 replicate per individual")],
+    )
+    def test_sample_arguments(self, n_replicates, kind, error):
+        pop = ConnectivityPopulation(sigmas=(np.eye(3), np.eye(3)), n_timepoints=40)
+        with pytest.raises(ParameterError, match=re.escape(error)):
+            gen_connectivity_sample(pop, n_replicates, np.random.default_rng(1), kind)
 
     def test_covariance_kind_matches_gen_sample_cov(self):
         rng = np.random.default_rng(9)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ class TestSnr:
         for bad in (1.0, 1.5, -0.2):
             with pytest.raises(ParameterError):
                 snr(bad)
+
+    def test_inverse_domain(self):
+        with pytest.raises(ParameterError, match=r"snr is nonnegative, got -0.5"):
+            snr_inverse(-0.5)
 
     def test_round_trip(self, rng):
         for rho in rng.uniform(0.0, 0.999, size=50):
@@ -124,6 +130,11 @@ class TestFitLoglog:
     def test_too_few_points(self):
         with pytest.raises(InsufficientDataError):
             fit_loglog([(1.0, 2.0)])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2, 2)])
+    def test_points_must_be_pairs(self, shape):
+        with pytest.raises(ParameterError, match=re.escape(f"got array of shape {shape}")):
+            fit_loglog(np.ones(shape))
 
 
 class TestBuildSbCurve:
