@@ -29,6 +29,14 @@ replicate is as one whole-draw pass computes it; where it spans several,
 the matrix products round per block, so replicates can move in their
 last bits.
 
+A block's flat indices, float counts and squared counts are computed in
+a :class:`_Workspace` whose buffers are reused: by every block of one
+call, and by every run of one coverage experiment (each worker process
+its own), which passes one workspace to all its calls.  It is freed with
+the call or the experiment, never kept for the process.  Fresh
+temporaries of this size would hand the heap top back to the OS after
+each call and page it in again in the next.
+
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
 diagonal), which biases the between-individual mean squared distance
@@ -42,6 +50,7 @@ Results are a deterministic function of (block sums, n_boot,
 corrected, level, seed).
 """
 
+import math
 import secrets
 import warnings
 from dataclasses import dataclass
@@ -108,15 +117,39 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     return _distance_block_sums(dm.group_sizes, lambda a, b: dm.values[a:b])
 
 
+class _Workspace:
+    """Buffers that replicate blocks are computed in, reused from block to block.
+
+    One workspace serves one bootstrap call, or every call of one coverage
+    experiment.  A buffer is allocated when a block first needs more than
+    it holds, and blocks take C-contiguous views of its front.
+    ``rho_hat`` is the point estimate that the last call's checks computed.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self.rho_hat = None
+
+    def array(self, name, shape, dtype=float):
+        """A ``shape`` view of buffer ``name``, grown first if it is too small."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
 class _ReplicateTerms:
     """Per-replicate MSD components and estimates from one set of block sums.
 
     The terms of the block sums alone are computed once, here; the methods
     take a block of resampled index rows, one row per replicate, and
-    return arrays over those replicates.
+    return arrays over those replicates.  The block's counts are computed
+    in ``workspace`` (a fresh :class:`_Workspace` if None); the returned
+    arrays are new, and ``indices`` is only read.
     """
 
-    def __init__(self, stats: BlockStats):
+    def __init__(self, stats: BlockStats, workspace=None):
         sizes, within, _, _ = stats
         self.sizes = sizes
         self.within = within
@@ -124,6 +157,7 @@ class _ReplicateTerms:
         self.diag_cross = 2.0 * within  # np.diag(cross), bit for bit
         self.sq_sizes = sizes * sizes
         self.resampled_sums = _resampled_sums(stats)
+        self.workspace = _Workspace() if workspace is None else workspace
 
     def components(self, indices):
         """Numerators and denominators of the within and between means.
@@ -135,12 +169,15 @@ class _ReplicateTerms:
         ``cross``, O(I*p) from the means.
         """
         n_rep, n_groups = indices.shape
-        flat = (np.arange(n_rep)[:, None] * n_groups + indices).ravel()
+        flat = self.workspace.array("flat", indices.shape, np.intp)
+        np.add(np.arange(n_rep)[:, None] * n_groups, indices, out=flat)
         # float counts: every count and count product below is an integer
         # under 2**53, so float matmuls give the integer results exactly
-        counts = np.bincount(flat, minlength=n_rep * n_groups).reshape(n_rep, n_groups)
-        counts = counts.astype(float)
-        squares = counts * counts
+        counts = self.workspace.array("counts", indices.shape)
+        np.copyto(counts.reshape(-1), np.bincount(flat.ravel(), minlength=flat.size))
+        # the flat indices are spent: their buffer takes the squared counts,
+        # so a block holds four arrays of its size at once, not five
+        squares = np.multiply(counts, counts, out=flat.view(float))
         total = counts @ self.sizes
         quad = self.resampled_sums(counts, total, indices[:, 0])
         return {
@@ -220,31 +257,37 @@ def _check_n_boot(n_boot, stacklevel):
         )
 
 
-def _checked_block_sums(source, n_boot, level) -> BlockStats:
-    """Validate the arguments, then return the block sums of ``source``."""
+def _checked_block_sums(source, n_boot, level):
+    """Validate the arguments; return the block sums of ``source`` and their ρ̂.
+
+    The point estimate checks its own preconditions, which are the
+    bootstrap's too.
+    """
     _check_level(level)
     _check_n_boot(n_boot, stacklevel=4)  # the caller of the public function
     stats = source if isinstance(source, BlockStats) else _block_sums(source)
-    dbicc_point(stats)  # the point estimate's preconditions
-    return stats
+    return stats, dbicc_point(stats).rho_hat
 
 
 def _resolve_seed(seed):
     return secrets.randbits(63) if seed is None else int(seed)
 
 
-def _replicates(source, n_boot, level, seed):
+def _replicates(source, n_boot, level, seed, workspace=None):
     """Check the arguments, seed the draw and estimate every replicate.
 
     Replicates are estimated one block of the draw at a time
-    (:func:`_draw_indices`); only the ``n_boot``-long estimates and
+    (:func:`_draw_indices`), every block in ``workspace`` (a fresh
+    :class:`_Workspace` if None), whose ``rho_hat`` is then the point
+    estimate of ``source``; only the ``n_boot``-long estimates and
     validity flags outlive a block.  Returns the seed and, keyed by
     ``corrected`` (``False`` or ``True``), each method's
     ``(estimates, valid)`` arrays.
     """
-    stats = _checked_block_sums(source, n_boot, level)
+    stats, rho_hat = _checked_block_sums(source, n_boot, level)
     seed = _resolve_seed(seed)
-    terms = _ReplicateTerms(stats)
+    terms = _ReplicateTerms(stats, workspace)
+    terms.workspace.rho_hat = rho_hat
     draw = _draw_indices(stats.sizes.size, n_boot, seed)
     blocks = [terms.estimates(indices) for indices in draw]
     naive, corr, naive_valid, corr_valid = map(np.concatenate, zip(*blocks))
@@ -296,13 +339,18 @@ def bootstrap_dbicc(
     return _result(replicates, bool(corrected), level, seed, n_boot)
 
 
-def bootstrap_dbicc_pair(source, n_boot: int, level: float = 0.95, seed=None):
+def bootstrap_dbicc_pair(
+    source, n_boot: int, level: float = 0.95, seed=None, *, _workspace=None
+):
     """Naive and corrected bootstrap results from one set of resamples.
 
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
-    seed, at half the cost.  Returns ``(naive, corrected)``.
+    seed, at half the cost.  Returns ``(naive, corrected)``.  The private
+    ``_workspace`` lets a caller that bootstraps many samples in turn (the
+    coverage experiment) reuse one :class:`_Workspace` across its calls
+    and read each call's point estimate from it.
     """
-    seed, replicates = _replicates(source, n_boot, level, seed)
+    seed, replicates = _replicates(source, n_boot, level, seed, _workspace)
     return (
         _result(replicates, False, level, seed, n_boot),
         _result(replicates, True, level, seed, n_boot),

@@ -567,13 +567,18 @@ def _cmd_bootstrap(args) -> int:
     return 0
 
 
+# The most levels a --threshold-grid may have; each level is a full dbICC.
+_MAX_GRID_LEVELS = 100_000
+
+
 def _parse_grid(text):
     """The levels of ``start:stop:step``, each checked as ``--threshold`` is.
 
     The grid is taken in decimals: ``start``, ``stop`` and ``step`` stand
     for the shortest decimals of their floats, and level k is the float
     nearest ``start + k * step``, so ``0:0.9:0.1`` gives 0.3, not
-    0.30000000000000004.
+    0.30000000000000004.  A grid of more than ``_MAX_GRID_LEVELS`` levels
+    is refused before any level is built.
     """
     from fractions import Fraction  # here, so that importing the CLI stays lean
 
@@ -591,6 +596,10 @@ def _parse_grid(text):
     # the last level is within one step of stop, or of 1, so a bad grid fails fast
     last = 1 + step if stop == math.inf else min(Fraction(repr(stop)), 1 + step)
     count = math.floor((last - start) / step) + 1
+    if count > _MAX_GRID_LEVELS:
+        raise _ConfigFailure(
+            f"--threshold-grid has {count} levels, more than {_MAX_GRID_LEVELS}"
+        )
     return [_threshold_level(float(start + k * step)) for k in range(count)]
 
 

@@ -19,13 +19,20 @@ processes, forked on Linux while no other Python thread runs and
 spawned otherwise (``dbicc._children``).
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._children import can_fork, run_in_children
-from .bootstrap import _check_level, _check_n_boot, _resolve_seed, bootstrap_dbicc_pair
+from .bootstrap import (
+    _check_level,
+    _check_n_boot,
+    _resolve_seed,
+    _Workspace,
+    bootstrap_dbicc_pair,
+)
 from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
 from .distances import Metric
@@ -431,19 +438,21 @@ def run_point_experiment(
     }
 
 
-def _coverage_worker(task):
+def _coverage_worker(workspace, task):
+    """One coverage run, its replicate blocks computed in ``workspace``."""
     pop, seed, run, n_boot, level = task
     rng = np.random.default_rng([seed, run])
     sample = gen_gaussian_sample(pop, rng)
     stats = block_stats(sample, Metric.L2_VEC)
-    point = dbicc_point(stats).rho_hat
     boot_seed = int(rng.integers(0, 2**62))
     with warnings.catch_warnings():
         # the runner warned once of a small n_boot, the bootstrap's one warning
         warnings.simplefilter("ignore", UserWarning)
-        naive, corrected = bootstrap_dbicc_pair(stats, n_boot, level=level, seed=boot_seed)
+        naive, corrected = bootstrap_dbicc_pair(
+            stats, n_boot, level=level, seed=boot_seed, _workspace=workspace
+        )
     return {
-        "point": float(point),
+        "point": float(workspace.rho_hat),  # the estimate the bootstrap checked
         "naive": [naive.ci_low, naive.ci_high],
         "corrected": [corrected.ci_low, corrected.ci_high],
         "median_naive": float(np.median(naive.replicate_estimates)),
@@ -477,7 +486,8 @@ def run_coverage_experiment(
     _check_n_boot(n_boot, stacklevel=2)
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run, n_boot, level) for run in range(n_runs)]
-    rows = _run_tasks(_coverage_worker, tasks, workers)
+    # one workspace for every run of a process; each child process gets its own copy
+    rows = _run_tasks(functools.partial(_coverage_worker, _Workspace()), tasks, workers)
     covered_naive = sum(r["naive"][0] <= icc <= r["naive"][1] for r in rows)
     covered_corr = sum(r["corrected"][0] <= icc <= r["corrected"][1] for r in rows)
     return {

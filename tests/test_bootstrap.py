@@ -31,6 +31,7 @@ from dbicc.bootstrap import (
     _draw_indices,
     _replicates,
     _ReplicateTerms,
+    _Workspace,
 )
 from conftest import bootstrap_draw, vector_sample
 
@@ -377,3 +378,75 @@ class TestReplicateBlocks:
             tracemalloc.stop()
         assert result.n_boot == 10_000
         assert peak < 16 * 2**20
+
+
+class TestReplicateWorkspace:
+    """Replicate blocks are computed in one reused workspace of buffers."""
+
+    @staticmethod
+    def stats(sizes, dim, metric=Metric.L2_VEC):
+        sample = vector_sample(np.random.default_rng(len(sizes)), sizes, dim)
+        return block_stats(sample, metric)
+
+    # 41 individuals take blocks of 7 rows and a last block of 2, 5
+    # individuals a block of 57 rows and a last block of 43: narrow first,
+    # the buffers grow for the wide calls; wide first, they stay.
+    @pytest.mark.parametrize("first", ["wide", "narrow"])
+    def test_shared_workspace_gives_the_bits_of_fresh_ones(self, monkeypatch, first):
+        wide = [self.stats([3, 2] * 20 + [2], 5), self.stats([3, 2] * 20 + [2], 60)]
+        narrow = [self.stats([2, 3, 2, 2, 4], 3), self.stats([2, 3, 2, 2, 4], 3, Metric.L1_VEC)]
+        calls = [*wide, *narrow] if first == "wide" else [*narrow, *wide]
+        calls += calls  # alternate once more, on buffers already grown
+        monkeypatch.setattr(dbicc.bootstrap, "_REPLICATE_BYTES", 8 * 41 * 7)
+        workspace = _Workspace()
+        shared = [_replicates(stats, 100, 0.95, 9, workspace) for stats in calls]
+        # every result is kept until the last call: none is a buffer view
+        for stats, (seed, replicates) in zip(calls, shared):
+            fresh_seed, fresh = _replicates(stats, 100, 0.95, 9)
+            assert seed == fresh_seed
+            for corrected in (False, True):
+                for values, want in zip(replicates[corrected], fresh[corrected]):
+                    assert np.array_equal(values, want, equal_nan=True)
+
+    def test_components_of_a_shared_workspace_are_new_arrays(self):
+        stats = [self.stats([3, 2] * 20 + [2], 5), self.stats([2, 3, 2, 2, 4], 3)]
+        picks = [bootstrap_draw(41, 9, 1), bootstrap_draw(5, 70, 2)]
+        workspace = _Workspace()
+        shared = [_ReplicateTerms(s, workspace).components(p) for s, p in zip(stats, picks)]
+        shared.append(_ReplicateTerms(stats[0], workspace).components(picks[0][:4]))
+        for comp, s, p in zip(shared, stats + stats[:1], picks + [picks[0][:4]]):
+            fresh = _ReplicateTerms(s).components(p)
+            assert comp.keys() == fresh.keys()
+            for key, want in fresh.items():
+                assert np.array_equal(comp[key], want)
+
+    def test_index_rows_are_only_read(self):
+        stats = self.stats([3, 2] * 20 + [2], 5)
+        picks = bootstrap_draw(41, 50, 4)
+        want = picks.copy()
+        picks.flags.writeable = False  # a write into them raises
+        workspace = _Workspace()
+        for terms in (_ReplicateTerms(stats, workspace), _ReplicateTerms(stats, workspace),
+                      _ReplicateTerms(stats)):
+            terms.components(picks)
+            terms.estimates(picks)
+        assert np.array_equal(picks, want)
+
+    def test_a_warmed_workspace_allocates_no_block_buffers(self):
+        # 40 individuals, B = 1,200: one block of 375 KiB of indices.  The
+        # second call allocates its draw and bincount's counts, about 0.74
+        # MiB; allocating the flat indices, the float counts and the
+        # squares afresh took 1.56 MiB.
+        pop = TrueScorePopulation(np.eye(2), np.eye(2), 40, 4)
+        stats = block_stats(gen_gaussian_sample(pop, np.random.default_rng(1)), Metric.L2_VEC)
+        workspace = _Workspace()
+        bootstrap_dbicc_pair(stats, 1200, seed=1, _workspace=workspace)
+        tracemalloc.start()
+        try:
+            naive, corrected = bootstrap_dbicc_pair(stats, 1200, seed=2, _workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert naive.n_boot == corrected.n_boot == 1200
+        assert workspace.rho_hat == dbicc_point(stats).rho_hat
+        assert peak < 2**20

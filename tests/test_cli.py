@@ -727,6 +727,23 @@ class TestInputChecks:
         assert main(argv) == 4
         assert capsys.readouterr().err == f"configuration error: {error}\n"
 
+    def test_grid_of_too_many_levels_fails_before_any_level(self, tmp_path, capsys):
+        # 10**12 + 1 levels would exhaust memory before the input is read
+        argv = ["sweep-threshold", str(tmp_path / "missing.csv"), "--threshold-grid=0:1:1e-12"]
+        started = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - started < 5.0
+        assert capsys.readouterr().err == (
+            "configuration error: --threshold-grid has 1000000000001 levels, more than 100000\n"
+        )
+
+    @pytest.mark.parametrize("grid, code", [("0:0.9:0.1", 2), ("0:1:0.1", 4)])
+    def test_grid_level_cap_is_inclusive(self, monkeypatch, tmp_path, grid, code):
+        # 10 levels are read on to the missing input; 11 are refused
+        monkeypatch.setattr(dbicc.cli, "_MAX_GRID_LEVELS", 10)
+        argv = ["sweep-threshold", str(tmp_path / "missing.csv"), f"--threshold-grid={grid}"]
+        assert main(argv) == code
+
     @pytest.mark.parametrize(
         "text, fmt, error",
         [("\n\n\n", [], "no data rows"), ("", ["--format", "distances"], "file is empty")],

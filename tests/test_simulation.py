@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbicc.bootstrap
 import dbicc.simulation
 
 from dbicc import (
     ConnectivityPopulation,
     FactorizationError,
     InsufficientDataError,
+    Metric,
     ParameterError,
     PayloadKind,
     TrueScorePopulation,
+    block_stats,
     cov_error_spread,
+    dbicc_point,
     default_m_grid,
     gen_connectivity_sample,
     gen_gaussian_sample,
@@ -355,6 +359,22 @@ class TestExperimentRunners:
         for row in r1["runs"]:
             assert row["naive"][0] <= row["naive"][1]
             assert row["corrected"][0] <= row["corrected"][1]
+
+    def test_coverage_runs_estimate_each_sample_once(self, monkeypatch):
+        calls = []
+
+        def counted(stats):
+            calls.append(stats)
+            return dbicc_point(stats)
+
+        monkeypatch.setattr(dbicc.simulation, "dbicc_point", counted)
+        monkeypatch.setattr(dbicc.bootstrap, "dbicc_point", counted)
+        report = run_coverage_experiment(7, 3, n_boot=100, n_runs=4, seed=3, workers=1)
+        assert len(calls) == 4  # the bootstrap's check, and nothing besides
+        pop = dbicc.simulation._gaussian_population(7, 3, 0.5, 2)
+        for run, row in enumerate(report["runs"]):
+            sample = gen_gaussian_sample(pop, np.random.default_rng([3, run]))
+            assert row["point"] == dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
 
     def test_sb_experiment_fields_and_determinism(self):
         kwargs = dict(
