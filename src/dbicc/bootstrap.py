@@ -150,7 +150,7 @@ class _ReplicateTerms:
     """
 
     def __init__(self, stats: BlockStats, workspace=None):
-        sizes, within, _, _ = stats
+        sizes, within = stats.sizes, stats.within
         self.sizes = sizes
         self.within = within
         self.pairs_within = sizes * (sizes - 1) // 2

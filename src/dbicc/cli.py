@@ -316,9 +316,9 @@ def _numeric_rows(path, numbered, skip):
     return rows, np.array(values, dtype=float)
 
 
-def _vector_sample(individuals, keys, values) -> GroupedSample:
-    """The sample of vector rows, row ``k`` labelled ``individuals[k]``, ``keys[k]``."""
-    order, sizes, labels = _group_order(individuals, keys)
+def _vector_sample(grouping, values) -> GroupedSample:
+    """The sample of vector rows ``values`` in ``grouping``'s ``(order, sizes, labels)``."""
+    order, sizes, labels = grouping
     return GroupedSample(
         values=values[order],
         group_sizes=sizes,
@@ -327,15 +327,38 @@ def _vector_sample(individuals, keys, values) -> GroupedSample:
     )
 
 
+def _label_order(individuals, replicates):
+    """:func:`_group_order` of labelled rows from integer codes, or None.
+
+    Row ``k`` is replicate ``replicates[k]`` of individual
+    ``individuals[k]``.  Returns what ``_group_order`` returns for the
+    replicates' :func:`_replicate_sort_key`: each distinct label gets one
+    key and the rank of that key, and one ``np.lexsort`` orders the rows
+    by individual code, then rank.  Returns None if an individual has two
+    rows of equal key (``"1"`` and ``"01"`` are equal), which the csv path
+    reports; without such ties the order is unique.
+    """
+    n = len(individuals)
+    codes = {label: k for k, label in enumerate(dict.fromkeys(individuals))}
+    keys = {label: _replicate_sort_key(label) for label in dict.fromkeys(replicates)}
+    rank_of_key = {key: r for r, key in enumerate(sorted(set(keys.values())))}
+    ranks = {label: rank_of_key[key] for label, key in keys.items()}
+    individual = np.fromiter(map(codes.__getitem__, individuals), np.intp, n)
+    rank = np.fromiter(map(ranks.__getitem__, replicates), np.intp, n)
+    order = np.lexsort((rank, individual))
+    individual, rank = individual[order], rank[order]
+    if ((individual[1:] == individual[:-1]) & (rank[1:] == rank[:-1])).any():
+        return None
+    return order, np.bincount(individual), tuple(codes)
+
+
 def _load_vector_csv(path) -> GroupedSample:
     table = _bulk_table(path)
     if table is not None and _is_vector_header(table[0]):
         _, rows, values = table
-        individuals, replicates = zip(*rows)
-        keys = [_replicate_sort_key(rep) for rep in replicates]
-        # a repeated label is reported by the csv path
-        if len(set(zip(individuals, keys))) == len(keys):
-            return _vector_sample(individuals, keys, values)
+        grouping = _label_order(*zip(*rows))
+        if grouping is not None:
+            return _vector_sample(grouping, values)
     return _parse_vector_csv(path)
 
 
@@ -354,7 +377,7 @@ def _parse_vector_csv(path) -> GroupedSample:
     if not numbered:
         raise _ParseFailure(path, "no data rows")
     _, data_rows, keys = zip(*numbered)
-    return _vector_sample([row[0] for row in data_rows], keys, values)
+    return _vector_sample(_group_order([row[0] for row in data_rows], keys), values)
 
 
 def _equal_width_rows(path, rows):

@@ -17,6 +17,13 @@ it goes through the column pipeline (:class:`_MatrixColumns`), which
 only its lower triangle, and ``l1`` and ``l2`` compare only the columns
 that a level leaves different between payloads.
 
+The block sums are numpy work, group sums included, except where a
+distance kernel is needed: ``l1``'s ``cdist`` row chunks, the ``pdist``
+of the means when a payload row has more values than there are
+individuals, and :func:`compute_distance_matrix`.  Those kernels are
+scipy's, imported on their first call (:func:`dbicc.distances.load_kernels`),
+so importing this module loads no scipy module.
+
 Samples and distance matrices share one grouping model: rows in group
 order, described by ``group_sizes`` (the first individual's rows, then
 the second's, and so on) and optional ``labels`` naming the
@@ -31,8 +38,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .distances import (
     DistanceSpec,
@@ -40,8 +45,11 @@ from .distances import (
     _metric_rows,
     _shrink,
     _standardized,
+    cdist,
     correlation_from_timeseries,
+    pdist,
     soft_threshold,
+    squareform,
 )
 from .errors import (
     DbiccError,
@@ -440,12 +448,17 @@ class BlockStats(NamedTuple):
       and ``cross`` is ``None``.
 
     :func:`_between_sum` and :func:`_resampled_sums` read either form.
+    ``between`` is the sum over the unordered between-individual pairs
+    once known, else None: :func:`block_stats` computes it to check that
+    the sums are finite and keeps it, so :func:`_between_sum` returns it
+    without a second pass.
     """
 
     sizes: np.ndarray
     within: np.ndarray
     cross: np.ndarray | None
     means: np.ndarray | None = None
+    between: float | None = None
 
 
 # Bytes of squared distance rows _distance_block_sums holds at a time (a
@@ -495,6 +508,51 @@ def _chunks(n_rows, width):
     return (slice(a, a + step) for a in range(0, n_rows, step))
 
 
+def _means_suffice(width, n_groups):
+    """Whether ``l2`` block sums of ``width``-value rows keep the group means.
+
+    They do for no more values per row than groups, and need no kernel;
+    otherwise they take the I-by-I ``cross`` from a ``pdist`` of the means.
+    """
+    return width <= n_groups
+
+
+# Row positions _later_row_sums adds across all groups at once; the rows
+# of taller groups beyond them are added group by group.
+_ROW_PASSES = 64
+
+
+def _later_row_sums(rows, sizes, starts):
+    """Each group's rows after its first, added in row order to a zero row.
+
+    Groups are ``sizes`` rows long and start at rows ``starts``; a group
+    of one row sums to zero.  Pass ``j`` adds the ``j``-th row of every
+    group that has one, through a strided view when all groups are the
+    same size.  After ``_ROW_PASSES`` passes, each taller group adds its
+    remaining rows in turn with ``np.add.accumulate``, in row chunks, so
+    a few tall groups cost no pass per row.  Every sum is that of the
+    sparse 0/1 indicator product over the later rows, bit for bit, the
+    sign of zero included.
+    """
+    sums = np.zeros((sizes.size, rows.shape[1]))
+    passes = min(int(sizes.max()), _ROW_PASSES)
+    if (sizes == sizes[0]).all():
+        by_group = rows.reshape(sizes.size, int(sizes[0]), rows.shape[1])
+        for j in range(1, passes):
+            sums += by_group[:, j]
+    else:
+        tallest_first = np.argsort(-sizes, kind="stable")
+        taller = sizes.size - np.cumsum(np.bincount(sizes))  # groups of more than j rows
+        for j in range(1, passes):
+            g = tallest_first[: taller[j]]
+            sums[g] += rows[starts[g] + j]
+    for g in np.flatnonzero(sizes > passes):
+        rest = rows[starts[g] + passes : starts[g] + sizes[g]]
+        for c in _chunks(len(rest), rows.shape[1]):
+            sums[g] = np.add.accumulate(np.vstack((sums[g], rest[c])))[-1]
+    return sums
+
+
 def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     """Block sums of ``scale`` times the squared Euclidean row distances.
 
@@ -520,14 +578,7 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     first = starts[group]
     for c in _chunks(n, width):
         np.subtract(rows[c], rows[first[c]], out=rows[c], where=later[c, None])
-    # group means of the offsets (a first row's is 0), from one sparse
-    # indicator product over the later rows
-    indicator = scipy.sparse.csr_array(
-        (np.ones(n - n_groups), np.flatnonzero(later),
-         np.concatenate(([0], np.cumsum(sizes - 1)))),
-        shape=(n_groups, n),
-    )
-    means = indicator @ rows
+    means = _later_row_sums(rows, sizes, starts)  # of the offsets; a first row's is 0
     means /= sizes[:, None]
     for c in _chunks(n, width):
         np.subtract(rows[c], means[group[c]], out=rows[c], where=later[c, None])
@@ -537,7 +588,7 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     for c in _chunks(n_groups, width):
         means[c] += rows[starts[c]] - rows[0]
     within = scale * sizes * spread
-    if width <= n_groups:
+    if _means_suffice(width, n_groups):
         if scale != 1.0:
             means *= np.sqrt(scale)
         return BlockStats(sizes, within, None, means)
@@ -621,7 +672,7 @@ def _resampled_sums(stats: BlockStats):
     (:func:`_spread_of_means`), in O(I*p).  Terms of the block sums alone
     are computed here, once for every call.
     """
-    sizes, within, cross, means = stats
+    sizes, within, cross, means = stats[:4]
     if means is None:
         return lambda counts, total, picks: ((counts @ cross) * counts).sum(axis=1)
     spread_of = _spread_of_means(sizes, means)
@@ -643,9 +694,12 @@ def _between_sum(stats: BlockStats):
     less its diagonal, for ``c`` all ones, which is
     ``N S(J) + sum_g W_g (N - J_g)`` with ``W = within / sizes``, ``N``
     the payload count and ``S(J)`` the ``sizes``-weighted spread of the
-    means.  Bitwise-equal means and zero ``within`` give exactly 0.
+    means.  Bitwise-equal means and zero ``within`` give exactly 0.  A
+    sum the block sums already hold (``stats.between``) is returned as is.
     """
-    sizes, within, cross, means = stats
+    if stats.between is not None:
+        return stats.between
+    sizes, within, cross, means = stats[:4]
     if means is None:
         off_diagonal = ~np.eye(sizes.size, dtype=bool)
         return np.sum(cross, where=off_diagonal) / 2.0
@@ -666,7 +720,8 @@ def _payload_block_stats(rows, metric: Metric, sizes, weight=1.0) -> BlockStats:
     of correlations overwrite ``rows``; the latter's rows are
     standardized, so it is ``l2`` on them at half scale.  Raises
     :class:`NonFiniteError` where the distance matrix would hold NaN or
-    Inf, or its squares overflow.
+    Inf, or its squares overflow.  The between sum this check takes is
+    kept in the result's ``between``.
     """
 
     def distance_rows(a, b):
@@ -682,10 +737,11 @@ def _payload_block_stats(rows, metric: Metric, sizes, weight=1.0) -> BlockStats:
         else:
             scale = 0.5 if metric is Metric.CORR_OF_CORR else weight
             stats = _rows_block_sums(rows, sizes, scale)
+        between = _between_sum(stats)
         # the sum over all ordered pairs, diagonal blocks included
-        total = 2.0 * (_between_sum(stats) + np.sum(stats.within))
+        total = 2.0 * (between + np.sum(stats.within))
     _require_finite(total)
-    return stats
+    return stats._replace(between=between)
 
 
 class _MatrixColumns:

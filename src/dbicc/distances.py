@@ -18,13 +18,18 @@ safe for concurrent use.  The scalar distance
 functions evaluate the same compiled kernels as the pairwise path in
 :func:`dbicc.core.compute_distance_matrix`, so a single pair and the
 corresponding matrix entry agree bit for bit.
+
+Those kernels are scipy's ``cdist``, ``pdist`` and ``squareform``,
+reached through the functions of the same names here, which import
+:mod:`scipy.spatial.distance` on their first call (:func:`load_kernels`).
+Importing it loads over 170 scipy modules, so a command whose path calls
+no kernel never pays for them.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateInputError,
@@ -42,6 +47,32 @@ __all__ = [
     "correlation_from_timeseries",
     "soft_threshold",
 ]
+
+
+def load_kernels():
+    """Import :mod:`scipy.spatial.distance`, once per process, and return it.
+
+    A runner that forks workers whose runs call a kernel loads them first,
+    so the children share the parent's import instead of each paying it.
+    """
+    import scipy.spatial.distance
+
+    return scipy.spatial.distance
+
+
+def cdist(a, b, metric):
+    """scipy's ``cdist``, imported on first use."""
+    return load_kernels().cdist(a, b, metric)
+
+
+def pdist(rows, metric):
+    """scipy's ``pdist``, imported on first use."""
+    return load_kernels().pdist(rows, metric)
+
+
+def squareform(condensed):
+    """scipy's ``squareform``, imported on first use."""
+    return load_kernels().squareform(condensed)
 
 
 class Metric(str, Enum):

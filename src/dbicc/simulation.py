@@ -34,8 +34,8 @@ from .bootstrap import (
     bootstrap_dbicc_pair,
 )
 from .core import GroupedSample, PayloadKind, block_stats
-from .core import _between_pair_count, _within_pair_count
-from .distances import Metric
+from .core import _between_pair_count, _means_suffice, _within_pair_count
+from .distances import Metric, load_kernels
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
 from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
@@ -372,8 +372,16 @@ def default_m_grid(low: int = 25, high: int = 197, count: int = 8) -> list:
     return [int(m) for m in grid]
 
 
-def _run_tasks(worker, tasks, workers):
-    # a spawned child imports the package again, which a set of runs pays back
+def _run_tasks(worker, tasks, workers, kernels):
+    """``worker`` of each task, in order, in up to ``workers`` child processes.
+
+    ``kernels`` says whether the runs call a distance kernel; if so it is
+    loaded here, once, so forked children share it rather than each
+    importing scipy.  A spawned child imports the package again, and
+    scipy on its first kernel call, which a set of runs pays back.
+    """
+    if kernels:
+        load_kernels()
     method = "fork" if can_fork() else "spawn"
     return list(run_in_children(worker, tasks, workers, method))
 
@@ -422,7 +430,8 @@ def run_point_experiment(
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run) for run in range(n_runs)]
-    estimates = _run_tasks(_point_worker, tasks, workers)
+    kernels = not _means_suffice(dim, n_individuals)  # pdist of the means
+    estimates = _run_tasks(_point_worker, tasks, workers, kernels)
     arr = np.asarray(estimates)
     return {
         "experiment": "point",
@@ -487,7 +496,9 @@ def run_coverage_experiment(
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run, n_boot, level) for run in range(n_runs)]
     # one workspace for every run of a process; each child process gets its own copy
-    rows = _run_tasks(functools.partial(_coverage_worker, _Workspace()), tasks, workers)
+    worker = functools.partial(_coverage_worker, _Workspace())
+    kernels = not _means_suffice(dim, n_individuals)  # pdist of the means
+    rows = _run_tasks(worker, tasks, workers, kernels)
     covered_naive = sum(r["naive"][0] <= icc <= r["naive"][1] for r in rows)
     covered_corr = sum(r["corrected"][0] <= icc <= r["corrected"][1] for r in rows)
     return {
@@ -568,7 +579,8 @@ def run_sb_experiment(
         (seed, run, n_individuals, n_replicates, dim, tuple(m_grid), ar_coeff, wishart_df)
         for run in range(n_runs)
     ]
-    per_run = _run_tasks(_sb_worker, tasks, workers)
+    # the matrices' lower triangles usually outnumber the individuals
+    per_run = _run_tasks(_sb_worker, tasks, workers, kernels=True)
 
     report = {
         "experiment": "sb",

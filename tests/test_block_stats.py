@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ def dense(stats):
     """The same block sums as the I-by-I cross sums, built from the means."""
     if stats.means is None:
         return stats
-    sizes, within, _, means = stats
+    sizes, within, _, means = stats[:4]
     spread = within / sizes
     cross = squareform(pdist(means, "sqeuclidean")) * sizes[:, None] * sizes[None, :]
     cross += sizes[None, :] * spread[:, None] + sizes[:, None] * spread[None, :]
@@ -675,3 +676,45 @@ def rand_symmetric(rng, p, scale):
     m = m + m.T
     np.fill_diagonal(m, 1.0)
     return m
+
+
+def _indicator_product(rows, sizes):
+    """Each group's later rows summed as the sparse 0/1 indicator product."""
+    import scipy.sparse
+
+    n, n_groups = rows.shape[0], sizes.size
+    later = np.ones(n, dtype=bool)
+    later[np.concatenate(([0], np.cumsum(sizes)[:-1]))] = False
+    indicator = scipy.sparse.csr_array(
+        (np.ones(n - n_groups), np.flatnonzero(later),
+         np.concatenate(([0], np.cumsum(sizes - 1)))),
+        shape=(n_groups, n),
+    )
+    return indicator @ rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    equal=st.booleans(),
+    width=st.integers(1, 4),
+    offset=st.floats(-1e4, 1e4),
+    zero_columns=st.integers(0, 2),
+    passes=st.sampled_from([2, 3, 5, dbicc.core._ROW_PASSES]),
+    chunk_bytes=st.sampled_from([8, 80, dbicc.core._ROW_CHUNK_BYTES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_later_row_sums_are_the_indicator_product_bit_for_bit(
+    sizes, equal, width, offset, zero_columns, passes, chunk_bytes, seed
+):
+    sizes = np.array(sizes[:1] * len(sizes) if equal else sizes)
+    rng = np.random.default_rng(seed)
+    rows = offset + rng.standard_normal((int(sizes.sum()), width + zero_columns))
+    # columns of +0.0 and -0.0 only: a sum that starts from a zero row is +0.0
+    rows[:, width:] = rng.choice([0.0, -0.0], (rows.shape[0], zero_columns))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    # few passes and small chunks send the taller groups' rows through accumulate
+    with mock.patch.object(dbicc.core, "_ROW_PASSES", passes), \
+            mock.patch.object(dbicc.core, "_ROW_CHUNK_BYTES", chunk_bytes):
+        got = dbicc.core._later_row_sums(rows, sizes, starts)
+    assert got.tobytes() == _indicator_product(rows, sizes).tobytes()

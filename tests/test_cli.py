@@ -1739,3 +1739,107 @@ class TestFuzzMain:
                 code = main([*argv, "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+_LOADS = """
+import json, sys
+import dbicc, dbicc.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+report = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    report.append([dbicc.cli.main(argv), scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def _package_env():
+    """This process's environment, with the package first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(dbicc.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+
+
+def _fresh_main(argv_list):
+    """Import the package, then run ``main`` on each argv, in a fresh interpreter.
+
+    Returns the scipy modules loaded after the import, then each call's
+    exit code and the scipy modules loaded after it.
+    """
+    done = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv_list)],
+                          capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _write_vectors(path, rng, individuals=30, replicates=3, dim=4):
+    lines = ["individual,replicate," + ",".join(f"f{k}" for k in range(dim))]
+    for i in range(individuals):
+        center = rng.standard_normal(dim)
+        for j in range(replicates):
+            row = center + rng.standard_normal(dim)
+            lines.append(f"s{i},{j}," + ",".join(format(v, ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestScipyLoadsOnlyForItsKernels:
+    """scipy's distance kernels load on their first use, not with the package."""
+
+    def test_import_and_the_kernel_free_commands_load_no_scipy(self, tmp_path, rng):
+        vectors = tmp_path / "vectors.csv"
+        _write_vectors(vectors, rng)  # p = 4 <= I = 30: l2 keeps the means
+        runs = [
+            ["estimate", str(vectors), "--out", str(tmp_path / "e.json")],
+            ["bootstrap", str(vectors), "--boot", "200", "--seed", "1",
+             "--out", str(tmp_path / "b.json")],
+            ["simulate", "--experiment", "point", "--runs", "3", "--seed", "1",
+             "--out", str(tmp_path / "p.json")],
+            ["simulate", "--experiment", "coverage", "--runs", "2", "--boot", "200",
+             "--individuals", "8", "--seed", "1", "--out", str(tmp_path / "c.json")],
+        ]
+        assert _fresh_main(runs) == [[], *[[0, []] for _ in runs]]
+
+    def test_kernel_commands_load_scipy_and_write_the_same_bytes(self, tmp_path, rng):
+        vectors = tmp_path / "vectors.csv"
+        _write_vectors(vectors, rng)
+        lines = ["individual,replicate,path"]
+        for i in range(4):  # 10 channels: 45 correlations > 4 individuals
+            mix = rng.standard_normal((10, 10))
+            for j in range(2):
+                series = rng.standard_normal((40, 10)) @ mix
+                np.savetxt(tmp_path / f"s{i}_{j}.csv", series, delimiter=",", fmt="%.17g")
+                lines.append(f"sub{i},{j},s{i}_{j}.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = {
+            "l1": ["bootstrap", str(vectors), "--distance", "l1", "--boot", "200",
+                   "--seed", "3"],
+            "series": ["bootstrap", str(manifest), "--distance", "l2", "--boot", "200",
+                       "--seed", "3"],
+        }
+        for name, argv in calls.items():
+            fresh, here = tmp_path / f"{name}_fresh.json", tmp_path / f"{name}_here.json"
+            [imported, (code, loaded)] = _fresh_main([[*argv, "--out", str(fresh)]])
+            assert imported == [] and code == 0
+            assert "scipy.spatial.distance" in loaded
+            assert main([*argv, "--out", str(here)]) == 0  # scipy is loaded here
+            assert fresh.read_bytes() == here.read_bytes()
+
+    @needs_fork
+    def test_the_sb_runner_loads_the_kernels_before_it_forks(self):
+        script = """
+import sys
+import dbicc.simulation
+seen = []
+run_in_children = dbicc.simulation.run_in_children
+def spy(fn, items, workers, start_method):
+    seen.append((workers, start_method, "scipy.spatial.distance" in sys.modules))
+    return run_in_children(fn, items, workers, start_method)
+dbicc.simulation.run_in_children = spy
+dbicc.simulation.run_sb_experiment(
+    n_individuals=5, dim=4, m_grid=[20, 40, 80], n_runs=2, seed=1, workers=2)
+print(seen)
+"""
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=_package_env(), timeout=120)
+        assert (done.stdout, done.stderr) == ("[(2, 'fork', True)]\n", "")

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbicc.cli
+import dbicc.core
 from dbicc.cli import main
 
 
@@ -201,3 +202,26 @@ def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch, ne
     assert sample.labels == tuple(f"s{i:05d}" for i in range(3000))
     assert sample.group_sizes.tolist() == [3] * 3000
     assert sample.values.tobytes() == obs.reshape(9000, 20).tobytes()
+
+
+class TestLabelOrder:
+    """The bulk read's one-pass grouping against ``_group_order``'s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c", " a", "0"]),
+                  st.sampled_from(["1", "01", " 1", "+1", "١", "2", "10", "-1",
+                                   "r", "R", "", "s 1"])),
+        min_size=1, max_size=12,
+    ))
+    def test_matches_group_order_or_finds_the_repeat(self, rows):
+        individuals, replicates = zip(*rows)
+        keys = [dbicc.cli._replicate_sort_key(rep) for rep in replicates]
+        got = dbicc.cli._label_order(individuals, replicates)
+        if len(set(zip(individuals, keys))) < len(rows):  # "1" and "01" collide
+            assert got is None
+            return
+        order, sizes, labels = dbicc.core._group_order(individuals, keys)
+        assert got[0].tolist() == order.tolist()
+        assert got[1].tolist() == sizes.tolist()
+        assert got[2] == labels

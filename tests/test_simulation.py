@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dbicc.bootstrap
+import dbicc.core
 import dbicc.simulation
 
 from dbicc import (
@@ -375,6 +376,20 @@ class TestExperimentRunners:
         for run, row in enumerate(report["runs"]):
             sample = gen_gaussian_sample(pop, np.random.default_rng([3, run]))
             assert row["point"] == dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
+
+    def test_coverage_runs_take_each_between_sum_once(self, monkeypatch):
+        calls = []
+        spread_of_means = dbicc.core._spread_of_means
+
+        def counted(sizes, means):
+            calls.append(sizes)
+            return spread_of_means(sizes, means)
+
+        monkeypatch.setattr(dbicc.core, "_spread_of_means", counted)
+        run_coverage_experiment(7, 3, n_boot=100, n_runs=4, seed=3, workers=1)
+        # per run: block_stats' between sum, kept for the point estimate, and
+        # the replicates' terms
+        assert len(calls) == 2 * 4
 
     def test_sb_experiment_fields_and_determinism(self):
         kwargs = dict(
