@@ -46,8 +46,18 @@ and denominator of the between-individual mean.
 
 Confidence intervals are percentile intervals using linearly
 interpolated order statistics (the common "type 7" quantile scheme).
-Results are a deterministic function of (block sums, n_boot,
-corrected, level, seed).
+:func:`percentile_ci` sorts the estimates once and reads both bounds
+off the sorted array with numpy's ``linear`` rule, which gives
+``np.quantile``'s bits: the virtual index is ``(n - 1) * q`` with
+fractional part ``g``, and the bound between order statistics ``a`` and
+``b`` is ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` when
+``g >= 0.5``.  A sample that holds a NaN gives NaN for both bounds.  The
+one difference from ``np.quantile`` is the sign of a zero bound from a
+sample that holds both ``0.0`` and ``-0.0``: ``np.sort`` and numpy's
+partition can order the two zeros differently.  :func:`_median` reads
+the coverage runs' medians off one ``np.partition``, as ``np.median``
+does, bit for bit.  Results are a deterministic function of (block
+sums, n_boot, corrected, level, seed).
 """
 
 import math
@@ -95,21 +105,70 @@ def _check_level(level):
         raise ParameterError(f"level must lie in (0, 1), got {level}")
 
 
+def _check_estimate_count(n):
+    """Raise unless ``n`` estimates, at least 2, can give an interval."""
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 estimates for an interval, got {n}")
+
+
 def percentile_ci(replicate_estimates, level: float):
     """Equal-tailed percentile interval of a sample of estimates.
 
-    Quantiles at (1-level)/2 and 1-(1-level)/2 with linear interpolation
-    between order statistics.
+    The bounds are the quantiles at q = (1-level)/2 and 1-q of the
+    flattened sample under numpy's ``linear`` (type 7) rule, read off
+    one ``np.sort``.  Quantile q sits at virtual index ``(n - 1) * q``
+    between order statistics ``a`` and ``b``, with fractional part
+    ``g``; it is ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` when
+    ``g >= 0.5``.  An index at ``n - 1`` or beyond reads the largest
+    value, as ``np.quantile`` does.  Both bounds are NaN when the sample
+    holds a NaN.  The bounds are ``np.quantile(vals, [q, 1 - q])`` bit
+    for bit, except that a zero bound may differ in sign when the sample
+    holds both ``0.0`` and ``-0.0``: ``np.sort`` and numpy's partition
+    can order the two zeros differently.
     """
     vals = np.asarray(replicate_estimates, dtype=float)
-    if vals.size < 2:
-        raise InsufficientDataError(
-            f"need at least 2 estimates for an interval, got {vals.size}"
-        )
+    _check_estimate_count(vals.size)
     _check_level(level)
     q = (1.0 - level) / 2.0
-    low, high = np.quantile(vals, [q, 1.0 - q])
-    return float(low), float(high)
+    ordered = np.sort(vals, axis=None)
+    if np.isnan(ordered[-1]):  # NaNs sort last
+        return float(ordered[-1]), float(ordered[-1])
+    return _type7(ordered, q), _type7(ordered, 1.0 - q)
+
+
+def _type7(ordered, q):
+    """Quantile ``q`` of sorted, NaN-free ``ordered`` by numpy's ``linear`` rule."""
+    last = ordered.size - 1
+    index = last * q
+    if index >= last:
+        # numpy reads the last value at both ends and weighs it from index -1
+        below = above = last
+        g = index + 1.0
+    else:
+        below = math.floor(index)
+        above = below + 1
+        g = index - below
+    a, b = float(ordered[below]), float(ordered[above])
+    diff = b - a
+    return b - diff * (1.0 - g) if g >= 0.5 else a + diff * g
+
+
+def _median(vals):
+    """``np.median`` of a non-empty 1-D sample, bit for bit, from one partition.
+
+    The partition places the middle value (odd n) or the middle two (even
+    n), and the largest value, which is NaN if the sample holds one.  The
+    middle values are summed from 0.0 as numpy's mean sums them, so a
+    median of negative zeros is ``0.0``.
+    """
+    half = vals.size // 2
+    middle = [half] if vals.size % 2 else [half - 1, half]
+    part = np.partition(vals, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    if vals.size % 2:
+        return 0.0 + float(part[half])
+    return (0.0 + float(part[half - 1]) + float(part[half])) / 2.0
 
 
 def _block_sums(dm: DistanceMatrix) -> BlockStats:
@@ -242,12 +301,16 @@ _FEW_REPLICATES = 100
 
 
 def _check_n_boot(n_boot, stacklevel):
-    """Raise unless ``n_boot`` is positive; warn if it is below ``_FEW_REPLICATES``.
+    """Raise unless ``n_boot`` replicates can give an interval; warn if few.
 
+    ``n_boot`` below 1 is a :class:`ParameterError`, 1 the
+    :class:`InsufficientDataError` of :func:`percentile_ci`, both before
+    the warning of an ``n_boot`` below ``_FEW_REPLICATES``.
     ``stacklevel`` counts frames from the caller, as ``warnings.warn`` does.
     """
     if n_boot < 1:
         raise ParameterError(f"n_boot must be positive, got {n_boot}")
+    _check_estimate_count(n_boot)
     if n_boot < _FEW_REPLICATES:
         warnings.warn(
             f"n_boot={n_boot} is small; percentile intervals are unstable "

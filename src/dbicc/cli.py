@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from ._children import fork_workers, run_in_children
-from .bootstrap import _check_level, bootstrap_dbicc
+from .bootstrap import _check_estimate_count, _check_level, bootstrap_dbicc
 from .core import (
     DistanceMatrix,
     GroupedSample,
@@ -569,6 +569,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     _check_level(args.level)
+    _check_estimate_count(args.boot)
     source, doc = _estimate_doc(args, _load_input(args))
     result = bootstrap_dbicc(
         source, args.boot, corrected=args.corrected, level=args.level, seed=args.seed

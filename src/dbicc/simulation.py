@@ -29,6 +29,7 @@ from ._children import can_fork, run_in_children
 from .bootstrap import (
     _check_level,
     _check_n_boot,
+    _median,
     _resolve_seed,
     _Workspace,
     bootstrap_dbicc_pair,
@@ -82,6 +83,7 @@ class TrueScorePopulation:
     Observations are ``score_i + noise_ij`` with independent zero-mean
     Gaussian scores and noises.  Both covariances must be SPD; this is
     verified by factorization at construction (no jitter is applied).
+    The samples' labels are formatted once, here.
     """
 
     score_cov: np.ndarray
@@ -102,6 +104,7 @@ class TrueScorePopulation:
         object.__setattr__(self, "noise_cov", np.asarray(self.noise_cov, dtype=float))
         object.__setattr__(self, "_score_chol", score_chol)
         object.__setattr__(self, "_noise_chol", noise_chol)
+        object.__setattr__(self, "_labels", _sim_labels(self.n_individuals))
 
     @property
     def dim(self) -> int:
@@ -171,7 +174,7 @@ def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     return GroupedSample(
         values=obs.reshape(n * k, p),
         group_sizes=np.full(n, k),
-        labels=_sim_labels(n),
+        labels=pop._labels,
         payload_kind=PayloadKind.VECTOR,
     )
 
@@ -267,13 +270,16 @@ def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     return list(_corr_scale_batch(wisharts))
 
 
-def _matrix_sample(mats, n_replicates):
-    """The stacked matrices as a sample, ``n_replicates`` per individual."""
-    n = mats.shape[0] // n_replicates
+def _matrix_sample(mats, labels):
+    """The stacked matrices as a sample of the individuals ``labels``, in order.
+
+    Every individual has the same number of matrices.
+    """
+    n = len(labels)
     return GroupedSample(
         values=mats,
-        group_sizes=np.full(n, n_replicates),
-        labels=_sim_labels(n),
+        group_sizes=np.full(n, mats.shape[0] // n),
+        labels=labels,
         payload_kind=PayloadKind.MATRIX,
     )
 
@@ -324,7 +330,7 @@ def gen_connectivity_sample(
     mats = _sample_covs(pop, pop.n_timepoints, n_replicates, rng)
     if matrix_kind == "correlation":
         mats = _corr_scale_batch(mats)
-    return _matrix_sample(mats, n_replicates)
+    return _matrix_sample(mats, _sim_labels(pop.n_individuals))
 
 
 def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
@@ -464,8 +470,8 @@ def _coverage_worker(workspace, task):
         "point": float(workspace.rho_hat),  # the estimate the bootstrap checked
         "naive": [naive.ci_low, naive.ci_high],
         "corrected": [corrected.ci_low, corrected.ci_high],
-        "median_naive": float(np.median(naive.replicate_estimates)),
-        "median_corrected": float(np.median(corrected.replicate_estimates)),
+        "median_naive": _median(naive.replicate_estimates),
+        "median_corrected": _median(corrected.replicate_estimates),
         "n_degenerate_naive": naive.n_degenerate,
         "n_degenerate_corrected": corrected.n_degenerate,
     }
@@ -524,13 +530,14 @@ def _sb_worker(task):
     sigmas = gen_spd_population(n_individuals, dim, rng, wishart_df=df)
     # one factorization per run; the shortest length is the one to check
     pop = ConnectivityPopulation(sigmas, min(m_grid), ar_coeff)
+    labels = _sim_labels(n_individuals)  # one set for all the run's samples
     rows = []
     for m in m_grid:
         covs = _sample_covs(pop, m, n_replicates, rng)
         row = {"m": int(m)}
         corrs = _corr_scale_batch(covs)
         for kind, mats in (("covariance", covs), ("correlation", corrs)):
-            sample = _matrix_sample(mats, n_replicates)
+            sample = _matrix_sample(mats, labels)
             row[kind] = dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
         rows.append(row)
     return rows

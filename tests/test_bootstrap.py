@@ -1,7 +1,11 @@
+import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dbicc.bootstrap
 import dbicc.core
@@ -29,6 +33,7 @@ from dbicc import (
 from dbicc.bootstrap import (
     _block_sums,
     _draw_indices,
+    _median,
     _replicates,
     _ReplicateTerms,
     _Workspace,
@@ -109,6 +114,100 @@ class TestPercentileCi:
             percentile_ci([1.0], 0.95)
         with pytest.raises(ParameterError):
             percentile_ci([1.0, 2.0], 1.5)
+
+    @pytest.mark.parametrize(
+        "n, level, index, g",
+        [
+            (5, 0.5, 1.0, 0.0),  # (n - 1) * q is an integer
+            (9, 0.75, 1.0, 0.0),
+            (5, 0.25, 1.5, 0.5),  # the weight is 0.5 exactly
+            (1200, 0.95, 29.975, 0.975),  # the coverage runs' weights
+        ],
+    )
+    def test_integral_index_and_upper_weight_match_numpy(self, rng, n, level, index, g):
+        q = (1.0 - level) / 2.0
+        assert ((n - 1) * q, (n - 1) * q - math.floor((n - 1) * q)) == pytest.approx(
+            (index, g), abs=1e-9
+        )
+        for vals in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1)):
+            assert_quantile_bits(vals, level)
+
+
+_SPECIALS = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]
+
+
+def bits(x):
+    """The float's bit pattern; every NaN is one pattern."""
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def assert_quantile_bits(vals, level):
+    """percentile_ci is np.quantile bit for bit, up to the sign of a zero bound.
+
+    A zero bound may differ in sign where the sample holds both 0.0 and
+    -0.0: np.sort and numpy's partition order the two zeros differently.
+    """
+    q = (1.0 - level) / 2.0
+    with np.errstate(all="ignore"):  # numpy's (b - a) * g of infinities
+        expected = np.quantile(vals, [q, 1.0 - q]).tolist()
+    got = percentile_ci(vals, level)
+    flat = np.ravel(vals)
+    both_zeros = np.any((flat == 0) & np.signbit(flat)) and np.any(
+        (flat == 0) & ~np.signbit(flat)
+    )
+    for bound, want in zip(got, expected):
+        if both_zeros and want == 0.0:
+            assert bound == 0.0
+        else:
+            assert bits(bound) == bits(want)
+
+
+@st.composite
+def _estimates(draw):
+    """Samples of 2 to 2,500 values: ties, infinities, NaNs and signed zeros."""
+    n = draw(st.integers(2, 2500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal(n) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):  # ties
+        vals = np.round(vals, draw(st.integers(0, 2)))
+    specials = draw(st.lists(st.sampled_from(_SPECIALS), max_size=6))
+    at = rng.integers(0, n, size=len(specials))
+    vals[at] = specials
+    if draw(st.booleans()) and n % 2 == 0:  # 2-D input is flattened
+        vals = vals.reshape(2, n // 2)
+    return vals
+
+
+_LEVELS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 1.0 - 2.0**-53, 2.0**-30]),
+    # dyadic levels: (n - 1) * q is an integer wherever 2**k divides n - 1
+    st.integers(1, 2**10 - 1).map(lambda k: k / 2**10),
+)
+
+
+class TestOrderStatisticBits:
+    @settings(max_examples=300, deadline=None)
+    @given(vals=_estimates(), level=_LEVELS)
+    @example(vals=np.array([0.0, 1.0, math.inf]), level=0.5)
+    @example(vals=np.array([-math.inf, 0.0, 1.0]), level=0.9)
+    @example(vals=np.array([1.0, 2.0, math.nan, 3.0]), level=0.95)
+    @example(vals=np.array([-0.0, -0.0, 1.0]), level=1.0 - 2.0**-53)
+    @example(vals=np.array([0.1, 0.1, 0.7]), level=0.5)  # g = 0.75: 0.39999999999999997
+    def test_percentile_ci_is_np_quantile(self, vals, level):
+        assert_quantile_bits(vals, level)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vals=_estimates())
+    @example(vals=np.array([-0.0]))
+    @example(vals=np.array([-0.0, -0.0]))
+    @example(vals=np.array([-math.inf, math.inf, 1.0, 2.0]))
+    @example(vals=np.array([1.0, math.nan, 2.0]))
+    def test_median_is_np_median(self, vals):
+        vals = vals.ravel()
+        with np.errstate(all="ignore"):  # numpy's mean of -inf and inf, or 1e308s
+            expected = float(np.median(vals))
+        assert bits(_median(vals)) == bits(expected)
 
 
 class TestReplicateMechanics:
@@ -268,6 +367,17 @@ class TestBootstrapDbicc:
     def test_invalid_replicate_count(self):
         with pytest.raises(ParameterError):
             bootstrap_dbicc(three_individual_matrix(), 0, seed=1)
+
+    @pytest.mark.filterwarnings("error")  # no small-B warning before the error
+    def test_one_replicate_fails_before_the_block_sums(self, monkeypatch):
+        def no_sums(*args):
+            raise AssertionError("block sums were taken")
+
+        monkeypatch.setattr(dbicc.bootstrap, "_block_sums", no_sums)
+        for call in (bootstrap_dbicc, bootstrap_dbicc_pair):
+            with pytest.raises(InsufficientDataError) as err:
+                call(three_individual_matrix(), 1, seed=1)
+            assert str(err.value) == "need at least 2 estimates for an interval, got 1"
 
     def test_result_invariants(self):
         dm = three_individual_matrix()

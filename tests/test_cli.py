@@ -512,6 +512,26 @@ class TestExitCodes:
         err = f"ParameterError: level must lie in (0, 1), got {level}\n"
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bootstrap", "{v}", "--boot", "1", "--seed", "1"],
+            ["bootstrap", "{missing}", "--boot", "1"],
+            ["simulate", "--experiment", "coverage", "--boot", "1", "--runs", "4",
+             "--threads", "2", "--seed", "1"],
+        ],
+        ids=["bootstrap", "bootstrap unread input", "coverage"],
+    )
+    def test_one_replicate_fails_before_any_work(self, tmp_path, no_pool, capsys, argv):
+        src = tmp_path / "v.csv"
+        write_hand_csv(src)
+        argv = [a.format(v=src, missing=tmp_path / "missing.csv") for a in argv]
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+        assert capsys.readouterr().err == (
+            "InsufficientDataError: need at least 2 estimates for an interval, got 1\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
 
     @pytest.mark.parametrize(
         "argv, flag, path, error",
@@ -1673,7 +1693,7 @@ _INPUT_FLAGS = {
 _COMMAND_FLAGS = {
     "estimate": {},
     "bootstrap": {
-        "--boot": ["-1", "0", "5", "150", "x"],
+        "--boot": ["-1", "0", "1", "5", "150", "x"],
         "--level": ["0", "0.95", "1.5", "nan"],
         "--seed": ["-1", "3", "x"],
     },
@@ -1692,7 +1712,7 @@ _SIMULATE_FLAGS = {
 _SIMULATE_OPTIONAL = {
     "--rho": ["0", "0.5", "1", "nan", "-1"],
     "--phi": ["0", "0.5", "1", "nan"],
-    "--boot": ["-1", "0", "20", "150"],
+    "--boot": ["-1", "0", "1", "20", "150"],
     "--level": ["0", "0.9", "1.5"],
     "--m-grid": ["5,5,5", "10,20,40", "1,2,3", "1,2", "x"],
     "--sb-offset": ["0", "1", "2"],

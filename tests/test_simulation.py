@@ -55,6 +55,12 @@ class TestTrueScorePopulation:
 
 
 class TestGenGaussianSample:
+    def test_samples_share_the_populations_labels(self):
+        pop = TrueScorePopulation(np.eye(2), np.eye(2), 12, 2)
+        samples = [gen_gaussian_sample(pop, seed) for seed in (1, 2)]
+        assert pop._labels == tuple(f"sim{i:04d}" for i in range(12))
+        assert all(sample.labels is pop._labels for sample in samples)
+
     def test_structure(self):
         pop = TrueScorePopulation(np.eye(3), np.eye(3), 5, 2)
         sample = gen_gaussian_sample(pop, np.random.default_rng(0))
@@ -448,6 +454,43 @@ class TestExperimentRunners:
         monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
         with pytest.raises(ParameterError, match=r"level must lie in \(0, 1\)"):
             run_coverage_experiment(4, 2, 0.5, n_boot=100, n_runs=2, level=1.5, seed=1)
+
+    @pytest.mark.filterwarnings("error")  # no small-B warning before the error
+    def test_coverage_experiment_refuses_one_replicate_before_any_run(self, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a Monte Carlo run started")
+
+        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        with pytest.raises(InsufficientDataError) as err:
+            run_coverage_experiment(4, 2, 0.5, n_boot=1, n_runs=2, seed=1, workers=2)
+        assert str(err.value) == "need at least 2 estimates for an interval, got 1"
+
+    @pytest.mark.parametrize(
+        "n_individuals, n_replicates, n_boot", [(10, 4, 300), (2, 2, 150)]
+    )
+    def test_coverage_rows_are_np_quantile_and_np_median(
+        self, monkeypatch, n_individuals, n_replicates, n_boot
+    ):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(bootstrap_pair(*args, **kwargs))
+            return calls[-1]
+
+        bootstrap_pair = dbicc.simulation.bootstrap_dbicc_pair
+        monkeypatch.setattr(dbicc.simulation, "bootstrap_dbicc_pair", recorded)
+        level = 0.9
+        report = run_coverage_experiment(
+            n_individuals, n_replicates, 0.5, n_boot=n_boot, n_runs=6, level=level, seed=3
+        )
+        q = (1.0 - level) / 2.0
+        for row, results in zip(report["runs"], calls, strict=True):
+            for name, result in zip(("naive", "corrected"), results):
+                kept = result.replicate_estimates
+                assert row[name] == np.quantile(kept, [q, 1.0 - q]).tolist()
+                assert row[f"median_{name}"] == float(np.median(kept))
+        if n_individuals == 2:  # half the replicates draw one individual twice over
+            assert all(row["n_degenerate_corrected"] > 0 for row in report["runs"])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_small_n_boot_warns_once(self, workers):
