@@ -28,9 +28,10 @@ Samples and distance matrices share one grouping model: rows in group
 order, described by ``group_sizes`` (the first individual's rows, then
 the second's, and so on) and optional ``labels`` naming the
 individuals.  :func:`_grouping` checks it for both types, and
-:func:`_group_order` puts labelled rows into it: individuals in order of
-first appearance, replicates in ascending label order within each.  All
-types are immutable after construction and safe to share across workers.
+:func:`_group_order` puts labelled rows into it, with one ``np.lexsort``:
+individuals in order of first appearance, replicates in ascending key
+order within each.  All types are immutable after construction and safe
+to share across workers.
 """
 
 from dataclasses import dataclass
@@ -140,24 +141,27 @@ def _owner(sizes, labels, row):
 
 
 def _group_order(individuals, replicate_keys):
-    """Order rows by individual, then by replicate: ``(order, sizes, labels)``.
+    """Order rows by individual, then by replicate.
 
     Row ``k`` belongs to individual ``individuals[k]`` and sorts by
-    ``replicate_keys[k]``.  Individuals come in order of first appearance,
-    and each one's rows in ascending key order, ties in row order;
-    ``order`` lists the row numbers in that order, ``sizes`` counts each
-    individual's rows and ``labels`` names the individuals.
+    ``replicate_keys[k]``; keys are hashable and orderable against each
+    other.  Individuals come in order of first appearance, and each one's
+    rows in ascending key order, ties in row order.  Returns ``(order,
+    sizes, labels, repeated)``: ``order`` lists the row numbers in that
+    order, ``sizes`` counts each individual's rows, ``labels`` names the
+    individuals and ``repeated`` is True if an individual has two rows of
+    equal key.  Each individual gets a code and each distinct key a rank,
+    and one stable ``np.lexsort`` orders the rows by code, then rank.
     """
-    members: dict = {}
-    for row, individual in enumerate(individuals):
-        members.setdefault(individual, []).append(row)
-    order = [
-        row
-        for rows in members.values()
-        for row in sorted(rows, key=replicate_keys.__getitem__)
-    ]
-    sizes = [len(rows) for rows in members.values()]
-    return np.array(order, dtype=np.intp), np.array(sizes), tuple(members)
+    n = len(individuals)
+    codes = {label: k for k, label in enumerate(dict.fromkeys(individuals))}
+    ranks = {key: r for r, key in enumerate(sorted(set(replicate_keys)))}
+    individual = np.fromiter(map(codes.__getitem__, individuals), np.intp, n)
+    rank = np.fromiter(map(ranks.__getitem__, replicate_keys), np.intp, n)
+    order = np.lexsort((rank, individual))
+    individual, rank = individual[order], rank[order]
+    same = (individual[1:] == individual[:-1]) & (rank[1:] == rank[:-1])
+    return order, np.bincount(individual), tuple(codes), bool(same.any())
 
 
 @dataclass(frozen=True)
@@ -231,13 +235,16 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
     records : iterable of (individual_id, replicate_id, payload)
         Payloads are array-likes of one common shape.  Individuals are
         ordered by first appearance, replicates by ``replicate_id``
-        within each individual.
+        within each individual, equal ids in record order.  Replicate ids
+        must be hashable and orderable against every other id in the
+        sample, not only those of the same individual: all ints, or all
+        strings (which order lexically, ``"10"`` before ``"2"``).
     payload_kind : PayloadKind or str, optional
         Defaults to ``vector`` for 1-D payloads and ``matrix`` for 2-D;
         pass ``timeseries`` explicitly for non-square series payloads.
     """
     records = list(records)
-    order, sizes, labels = _group_order(
+    order, sizes, labels, _ = _group_order(
         [str(ind_id) for ind_id, _, _ in records], [rep for _, rep, _ in records]
     )
     # before the payloads: no records leave no payload shape to check

@@ -115,13 +115,10 @@ def dbicc_point(source) -> DbiccEstimate:
     n_between = _between_pair_count(sizes)
     n_within = _within_pair_count(sizes)
     if matrix:
-        between_sum = np.sum(_squared_upper(source, between=True))
-        within_sum = np.sum(_squared_upper(source, between=False))
+        between, within = msd_between(source), msd_within(source)
     else:
-        between_sum = _between_sum(source)
-        within_sum = np.sum(source.within)
-    between = float(between_sum / n_between)
-    within = float(within_sum / n_within)
+        between = float(_between_sum(source) / n_between)
+        within = float(np.sum(source.within) / n_within)
     _require_finite(between, within)
     if between == 0.0:
         raise DegenerateDistancesError(

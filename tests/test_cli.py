@@ -1863,3 +1863,31 @@ print(seen)
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=_package_env(), timeout=120)
         assert (done.stdout, done.stderr) == ("[(2, 'fork', True)]\n", "")
+
+
+def _library_example(readme):
+    """The python block under ``## Library example``, as the README shows it."""
+    found = inside = False
+    block = []
+    for line in readme.splitlines():
+        if inside:
+            if line.startswith("```"):
+                break
+            block.append(line)
+        elif found and line.startswith("```python"):
+            inside = True
+        elif line.startswith("## Library example"):
+            found = True
+    return "".join(f"{line}\n" for line in block)
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The README's library example runs as written, in a fresh interpreter."""
+    readme = Path(__file__).parents[1] / "README.md"
+    example = _library_example(readme.read_text(encoding="utf-8"))
+    assert example.strip()
+    script = tmp_path / "readme_example.py"
+    script.write_text(example, encoding="utf-8")
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=_package_env(), timeout=120)
+    assert done.returncode == 0, done.stderr

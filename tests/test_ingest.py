@@ -204,24 +204,45 @@ def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch, ne
     assert sample.values.tobytes() == obs.reshape(9000, 20).tobytes()
 
 
-class TestLabelOrder:
-    """The bulk read's one-pass grouping against ``_group_order``'s."""
+def _reference_order(individuals, keys):
+    """Rows by individual (first appearance), then by key, ties in row order."""
+    members = {}
+    for row, individual in enumerate(individuals):
+        members.setdefault(individual, []).append(row)
+    order = [row for rows in members.values()
+             for row in sorted(rows, key=keys.__getitem__)]
+    return order, [len(rows) for rows in members.values()], tuple(members)
+
+
+_LABEL_KEYS = st.sampled_from(["1", "01", " 1", "+1", "١", "2", "10", "-1",
+                               "r", "R", "", "s 1"]).map(dbicc.cli._replicate_sort_key)
+
+
+class TestGroupOrder:
+    """``core._group_order``, the one row order of every labelled input."""
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c", " a", "0"]),
-                  st.sampled_from(["1", "01", " 1", "+1", "١", "2", "10", "-1",
-                                   "r", "R", "", "s 1"])),
-        min_size=1, max_size=12,
-    ))
-    def test_matches_group_order_or_finds_the_repeat(self, rows):
-        individuals, replicates = zip(*rows)
-        keys = [dbicc.cli._replicate_sort_key(rep) for rep in replicates]
-        got = dbicc.cli._label_order(individuals, replicates)
-        if len(set(zip(individuals, keys))) < len(rows):  # "1" and "01" collide
-            assert got is None
-            return
-        order, sizes, labels = dbicc.core._group_order(individuals, keys)
-        assert got[0].tolist() == order.tolist()
-        assert got[1].tolist() == sizes.tolist()
-        assert got[2] == labels
+    @given(individuals=st.lists(st.sampled_from(["a", "b", "c", " a", "0"]),
+                                min_size=1, max_size=12),
+           data=st.data())
+    def test_matches_the_reference_and_flags_repeats(self, individuals, data):
+        # replicate labels' keys as the csv readers make them, or raw integer
+        # ids as build_grouped_sample takes them; both tie often
+        key = data.draw(st.sampled_from([_LABEL_KEYS, st.integers(-2, 3)]))
+        n = len(individuals)
+        keys = data.draw(st.lists(key, min_size=n, max_size=n))
+        order, sizes, labels, repeated = dbicc.core._group_order(individuals, keys)
+        want_order, want_sizes, want_labels = _reference_order(individuals, keys)
+        assert order.tolist() == want_order
+        assert sizes.tolist() == want_sizes
+        assert labels == want_labels
+        assert repeated == (len(set(zip(individuals, keys))) < n)
+
+    def test_build_grouped_sample_orders_raw_ids(self):
+        build = dbicc.core.build_grouped_sample
+        ints = build([("A", 10, [0.0]), ("A", 2, [1.0]),
+                      ("C", 7, [2.0]), ("C", 7, [3.0])])
+        # 2 before 10, and the tied 7s in record order
+        assert ints.values[:, 0].tolist() == [1.0, 0.0, 2.0, 3.0]
+        strings = build([("B", "2", [0.0]), ("B", "10", [1.0]), ("C", "1", [2.0])])
+        assert strings.values[:, 0].tolist() == [1.0, 0.0, 2.0]  # "10" before "2"
