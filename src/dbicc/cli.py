@@ -36,9 +36,11 @@ lexically, so ``"1"`` and ``"01"`` are one replicate.
 JSON and CSV output write each float as Python's shortest repr, which
 parses back to exactly the same value; all randomized commands record
 their seed, and re-running with that seed reproduces the output byte for
-byte on one machine with one BLAS kernel.  Under another OpenBLAS kernel
-float fields can move in their last bits; a coverage run under five
-kernels moved them by at most 1.0e-15 relative and changed no verdict.
+byte on one machine with one BLAS kernel and one BLAS thread count.
+Under another OpenBLAS kernel float fields can move in their last bits; a
+coverage run under five kernels moved them by at most 1.0e-15 relative
+and changed no verdict.  Series correlations are BLAS products whose bits
+also depend on the number of BLAS threads.
 
 Exit codes: 0 success, 2 input parse error, 3 computation error
 (message names the error class; any unexpected error exits 3 the same

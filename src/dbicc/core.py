@@ -17,12 +17,14 @@ it goes through the column pipeline (:class:`_MatrixColumns`), which
 only its lower triangle, and ``l1`` and ``l2`` compare only the columns
 that a level leaves different between payloads.
 
-The block sums are numpy work, group sums included, except where a
-distance kernel is needed: ``l1``'s ``cdist`` row chunks, the ``pdist``
-of the means when a payload row has more values than there are
-individuals, and :func:`compute_distance_matrix`.  Those kernels are
-scipy's, imported on their first call (:func:`dbicc.distances.load_kernels`),
-so importing this module loads no scipy module.
+The block sums are numpy work, group sums included, and so is the
+squared-distance table of the means that ``l2`` and correlation of
+correlations take when a payload row has more values than there are
+individuals.  Only ``l1``'s ``cdist`` row chunks and
+:func:`compute_distance_matrix` call a scipy kernel, imported on its
+first call (:func:`dbicc.distances.load_kernels`), so importing this
+module, or taking ``l2`` or correlation-of-correlations block sums,
+loads no scipy module.
 
 Samples and distance matrices share one grouping model: rows in group
 order, described by ``group_sizes`` (the first individual's rows, then
@@ -518,8 +520,9 @@ def _chunks(n_rows, width):
 def _means_suffice(width, n_groups):
     """Whether ``l2`` block sums of ``width``-value rows keep the group means.
 
-    They do for no more values per row than groups, and need no kernel;
-    otherwise they take the I-by-I ``cross`` from a ``pdist`` of the means.
+    They do for no more values per row than groups; otherwise they take
+    the I-by-I ``cross`` from the squared distances of the means, numpy's
+    ``pdist(means, "sqeuclidean")`` (:func:`dbicc.distances.pdist`).
     """
     return width <= n_groups
 
@@ -573,8 +576,9 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     cancels exactly and identical payloads give exact zeros.  With I
     groups of p-value rows, the result holds the means, scaled by
     ``sqrt(scale)``, when p <= I, and otherwise the I-by-I ``cross``
-    taken from them.  Besides ``rows`` the temporaries are the I-by-p
-    means, row chunks and, when p > I, the I-by-I result.
+    taken from their squared distances (numpy's ``pdist``).  Besides
+    ``rows`` the temporaries are the I-by-p means, row chunks and, when
+    p > I, the I-by-p centred means and a few I-by-I arrays.
     """
     n, width = rows.shape
     n_groups = sizes.size
@@ -786,8 +790,8 @@ class _MatrixColumns:
         else:
             mats = sample.values
             diagonal = np.diagonal(mats, axis1=1, axis2=2)
-            mirrored = bool((diagonal == diagonal[0]).all()) and all(
-                np.array_equal(m, m.T) for m in mats
+            mirrored = bool((diagonal == diagonal[0]).all()) and np.array_equal(
+                mats, mats.transpose(0, 2, 1)
             )
             flat = mats.reshape(n, p * p)
             self.values = np.take(flat, lower, axis=1) if mirrored else flat

@@ -661,6 +661,18 @@ class TestColumnPipeline:
                            match="^all between-individual distances are zero"):
             dbicc_point(stats)
 
+    def test_one_asymmetric_entry_keeps_every_entry(self, rng):
+        mats = np.array([rand_symmetric(rng, 4, 0.5) for _ in range(6)])
+        sample = GroupedSample(mats, [2, 2, 2], ("a", "b", "c"), PayloadKind.MATRIX)
+        assert _MatrixColumns(sample, Metric.L2_VEC).weight == 2.0
+        mats[3, 0, 2] += 0.25  # one entry of one matrix loses its mirror image
+        sample = GroupedSample(mats, [2, 2, 2], ("a", "b", "c"), PayloadKind.MATRIX)
+        columns = _MatrixColumns(sample, Metric.L2_VEC)
+        assert columns.weight == 1.0
+        assert columns.values.shape == (6, 16)
+        exact = _block_sums(compute_distance_matrix(sample, Metric.L2_VEC))
+        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
+
     def test_series_compare_only_their_lower_triangle(self, rng):
         series = rng.standard_normal((4, 30, 5))
         sample = GroupedSample(series, [2, 2], ("a", "b"), PayloadKind.TIMESERIES)

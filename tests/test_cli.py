@@ -1802,67 +1802,86 @@ def _write_vectors(path, rng, individuals=30, replicates=3, dim=4):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_manifest(tmp_path, rng):
+    """A series manifest of 4 individuals x 2 scans of 40 x 10 series.
+
+    Their correlations' 45 lower-triangle entries outnumber the
+    individuals, so ``l2`` and ``corr`` block sums take the I-by-I table.
+    """
+    lines = ["individual,replicate,path"]
+    for i in range(4):
+        mix = rng.standard_normal((10, 10))
+        for j in range(2):
+            series = rng.standard_normal((40, 10)) @ mix
+            np.savetxt(tmp_path / f"s{i}_{j}.csv", series, delimiter=",", fmt="%.17g")
+            lines.append(f"sub{i},{j},s{i}_{j}.csv")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
+
+
 class TestScipyLoadsOnlyForItsKernels:
     """scipy's distance kernels load on their first use, not with the package."""
 
     def test_import_and_the_kernel_free_commands_load_no_scipy(self, tmp_path, rng):
         vectors = tmp_path / "vectors.csv"
         _write_vectors(vectors, rng)  # p = 4 <= I = 30: l2 keeps the means
+        manifest = _write_manifest(tmp_path, rng)  # p = 45 > I = 4: the I-by-I table
         runs = [
             ["estimate", str(vectors), "--out", str(tmp_path / "e.json")],
             ["bootstrap", str(vectors), "--boot", "200", "--seed", "1",
              "--out", str(tmp_path / "b.json")],
+            ["bootstrap", str(manifest), "--distance", "l2", "--boot", "200",
+             "--seed", "3", "--out", str(tmp_path / "l2.json")],
+            ["bootstrap", str(manifest), "--distance", "corr", "--boot", "200",
+             "--seed", "3", "--out", str(tmp_path / "corr.json")],
+            ["sweep-threshold", str(manifest), "--out", str(tmp_path / "sweep.csv")],
             ["simulate", "--experiment", "point", "--runs", "3", "--seed", "1",
              "--out", str(tmp_path / "p.json")],
             ["simulate", "--experiment", "coverage", "--runs", "2", "--boot", "200",
              "--individuals", "8", "--seed", "1", "--out", str(tmp_path / "c.json")],
+            ["simulate", "--experiment", "sb", "--individuals", "5", "--dim", "4",
+             "--m-grid", "20,40,80", "--runs", "2", "--seed", "1",
+             "--out", str(tmp_path / "sb.json")],
         ]
         assert _fresh_main(runs) == [[], *[[0, []] for _ in runs]]
 
     def test_kernel_commands_load_scipy_and_write_the_same_bytes(self, tmp_path, rng):
         vectors = tmp_path / "vectors.csv"
         _write_vectors(vectors, rng)
-        lines = ["individual,replicate,path"]
-        for i in range(4):  # 10 channels: 45 correlations > 4 individuals
-            mix = rng.standard_normal((10, 10))
-            for j in range(2):
-                series = rng.standard_normal((40, 10)) @ mix
-                np.savetxt(tmp_path / f"s{i}_{j}.csv", series, delimiter=",", fmt="%.17g")
-                lines.append(f"sub{i},{j},s{i}_{j}.csv")
-        manifest = tmp_path / "manifest.csv"
-        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        calls = {
-            "l1": ["bootstrap", str(vectors), "--distance", "l1", "--boot", "200",
-                   "--seed", "3"],
-            "series": ["bootstrap", str(manifest), "--distance", "l2", "--boot", "200",
-                       "--seed", "3"],
-        }
-        for name, argv in calls.items():
-            fresh, here = tmp_path / f"{name}_fresh.json", tmp_path / f"{name}_here.json"
-            [imported, (code, loaded)] = _fresh_main([[*argv, "--out", str(fresh)]])
-            assert imported == [] and code == 0
-            assert "scipy.spatial.distance" in loaded
-            assert main([*argv, "--out", str(here)]) == 0  # scipy is loaded here
-            assert fresh.read_bytes() == here.read_bytes()
+        argv = ["bootstrap", str(vectors), "--distance", "l1", "--boot", "200",
+                "--seed", "3"]
+        fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+        [imported, (code, loaded)] = _fresh_main([[*argv, "--out", str(fresh)]])
+        assert imported == [] and code == 0
+        assert "scipy.spatial.distance" in loaded
+        assert main([*argv, "--out", str(here)]) == 0  # scipy is loaded here
+        assert fresh.read_bytes() == here.read_bytes()
 
     @needs_fork
-    def test_the_sb_runner_loads_the_kernels_before_it_forks(self):
+    def test_the_forked_sb_runner_imports_no_scipy(self):
         script = """
 import sys
 import dbicc.simulation
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = []
 run_in_children = dbicc.simulation.run_in_children
 def spy(fn, items, workers, start_method):
-    seen.append((workers, start_method, "scipy.spatial.distance" in sys.modules))
-    return run_in_children(fn, items, workers, start_method)
+    seen.append((workers, start_method))
+    def run(item):  # in the child: the run, then the scipy modules it has
+        return fn(item), scipy_modules()
+    for result, loaded in run_in_children(run, items, workers, start_method):
+        seen.append(loaded)
+        yield result
 dbicc.simulation.run_in_children = spy
 dbicc.simulation.run_sb_experiment(
     n_individuals=5, dim=4, m_grid=[20, 40, 80], n_runs=2, seed=1, workers=2)
-print(seen)
+print(seen, scipy_modules())
 """
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=_package_env(), timeout=120)
-        assert (done.stdout, done.stderr) == ("[(2, 'fork', True)]\n", "")
+        assert (done.stdout, done.stderr) == ("[(2, 'fork'), [], []] []\n", "")
 
 
 def _library_example(readme):

@@ -1,14 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dbicc.distances
 from dbicc import (
     DegenerateInputError,
     DistanceSpec,
+    GroupedSample,
     InputShapeError,
     InsufficientDataError,
+    Metric,
+    NonFiniteError,
     ParameterError,
+    PayloadKind,
+    block_stats,
     corr_of_corr_distance,
     correlation_from_timeseries,
     l1_distance,
@@ -290,3 +302,132 @@ class TestDistanceSpec:
         assert spec.kind.value == "corr_of_corr"
         with pytest.raises(ValueError):
             DistanceSpec(kind="nope")
+
+
+# Relative error allowed against scipy's squared Euclidean pdist.  Pairs
+# kept from the BLAS product cancel at most half of q_g + q_h, so their
+# error is a few times that of a 300-term dot product; 20,000 random
+# draws from clustered_rows gave at most 2.5e-15.
+SQEUCLIDEAN_RTOL = 1e-13
+
+
+def clustered_rows(n, p, offset, clusters, spread, duplicates, seed):
+    """``n`` rows of ``p`` values around ``clusters`` centres far apart.
+
+    Every row is ``offset`` plus a centre (scale 1e4) plus ``spread``
+    times noise; ``duplicates`` rows are then copies of others.
+    """
+    rng = np.random.default_rng(seed)
+    centres = 1e4 * rng.standard_normal((clusters, p))
+    rows = offset + centres[rng.integers(clusters, size=n)]
+    rows += spread * rng.standard_normal((n, p))
+    for _ in range(duplicates):
+        a, b = rng.integers(n, size=2)
+        rows[a] = rows[b]
+    return rows
+
+
+class TestSquaredEuclideanKernel:
+    """numpy's pdist(rows, "sqeuclidean") and squareform, against scipy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.integers(1, 300),
+        offset=st.sampled_from([0.0, 1.0, -3.5, 1e4, 1e8, -1e8]),
+        clusters=st.integers(1, 4),
+        spread=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy(self, n, p, offset, clusters, spread, duplicates, seed):
+        rows = clustered_rows(n, p, offset, clusters, spread, duplicates, seed)
+        got = dbicc.distances.pdist(rows, "sqeuclidean")
+        want = scipy.spatial.distance.pdist(rows, "sqeuclidean")
+        assert got.shape == want.shape and got.dtype == want.dtype
+        first, second = np.triu_indices(n, k=1)
+        equal = (rows[first] == rows[second]).all(axis=1)
+        assert np.all(got[equal] == 0.0)
+        assert np.all(got[~equal] > 0.0)
+        err = np.abs(got - want)
+        assert np.all(err <= SQEUCLIDEAN_RTOL * want)
+
+    def test_cancelling_pairs_are_recomputed_from_differences(self, monkeypatch):
+        # three tight clusters at 1e8: within a cluster q_g + q_h cancels.
+        # Each holds a row, its copy, a row an ulp away in a few entries
+        # and a row 1e-3 away.
+        rng = np.random.default_rng(5)
+        centres = 1e8 + 1e3 * rng.standard_normal((3, 50))
+        rows = np.repeat(centres, 4, axis=0)
+        rows[2::4, :5] = np.nextafter(rows[2::4, :5], np.inf)
+        rows[3::4] += 1e-3 * rng.standard_normal((3, 50))
+        recomputed = []
+        pair_sqeuclidean = dbicc.distances._pair_sqeuclidean
+
+        def spy(rows, first, second):
+            recomputed.extend(zip(first.tolist(), second.tolist()))
+            return pair_sqeuclidean(rows, first, second)
+
+        monkeypatch.setattr(dbicc.distances, "_pair_sqeuclidean", spy)
+        got = dbicc.distances.pdist(rows, "sqeuclidean")
+        want = scipy.spatial.distance.pdist(rows, "sqeuclidean")
+        first, second = np.triu_indices(len(rows), k=1)
+        within = {(a, b) for a, b in zip(first, second) if a // 4 == b // 4}
+        assert within <= set(recomputed)
+        np.testing.assert_allclose(got, want, rtol=SQEUCLIDEAN_RTOL, atol=0)
+        assert np.count_nonzero(got == 0.0) == 3  # each row and its copy
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS product of 100 rows gave other bits with 2 OpenBLAS threads than with 1
+        script = (
+            "import hashlib, numpy as np, dbicc.distances as d\n"
+            "rows = np.random.default_rng(2).standard_normal((100, 120))\n"
+            "print(hashlib.sha256(d.pdist(rows, 'sqeuclidean').tobytes()).hexdigest())\n"
+        )
+        package = str(Path(dbicc.distances.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package)
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout)
+        assert len(digests) == 1
+
+    def test_recompute_chunks_do_not_change_the_bits(self, monkeypatch):
+        rows = clustered_rows(30, 40, 1e8, 2, 1e-3, 3, seed=7)
+        whole = dbicc.distances.pdist(rows, "sqeuclidean")
+        monkeypatch.setattr(dbicc.distances, "_PAIR_CHUNK_BYTES", 1)  # one pair each
+        assert dbicc.distances.pdist(rows, "sqeuclidean").tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_squareform_is_scipys_bit_for_bit(self, rng, n):
+        condensed = rng.standard_normal(n * (n - 1) // 2)
+        condensed[::3] = -0.0
+        got = dbicc.distances.squareform(condensed)
+        want = scipy.spatial.distance.squareform(condensed)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [2, 4, 11])
+    def test_squareform_rejects_a_non_triangular_length(self, size):
+        with pytest.raises(InputShapeError, match="not n\\*\\(n-1\\)/2"):
+            dbicc.distances.squareform(np.zeros(size))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_gives_scipys_infinities_without_a_warning(self, rng):
+        rows = 1e200 * rng.standard_normal((5, 4))
+        got = dbicc.distances.pdist(rows, "sqeuclidean")
+        assert np.isinf(got).all()
+        assert got.tobytes() == scipy.spatial.distance.pdist(rows, "sqeuclidean").tobytes()
+
+    @pytest.mark.parametrize("kind", ["vector", "matrix"])
+    def test_overflowing_means_raise_non_finite(self, rng, kind):
+        # replicates of one individual are equal, so only the means overflow
+        payloads = 1e200 * rng.standard_normal((3, 9))
+        values = np.repeat(payloads, 2, axis=0)
+        if kind == "matrix":
+            values = values.reshape(6, 3, 3)
+        sample = GroupedSample(values, [2, 2, 2], ("a", "b", "c"), PayloadKind(kind))
+        with pytest.raises(NonFiniteError, match="^squared distances overflow float64$"):
+            block_stats(sample, Metric.L2_VEC)
