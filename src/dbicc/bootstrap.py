@@ -16,7 +16,8 @@ re-evaluates the dbICC from the block sums of the resampled
 individuals; payload distances are never recomputed.  A replicate
 costs O(I*p) from the means and O(I^2) from ``cross`` (see
 :meth:`_ReplicateTerms.components`).  The point estimate reads
-the same sums (:func:`~dbicc.core._between_sum`).
+the same sums (:func:`~dbicc.core._between_sum`), and every
+:class:`BootstrapResult` carries it as ``rho_hat``.
 
 Memory is bounded in the replicate count B.  The (B, I) draw is drawn,
 counted and reduced in blocks of rows, each holding about 1 MiB of
@@ -32,10 +33,10 @@ last bits.
 A block's flat indices, float counts and squared counts are computed in
 a :class:`_Workspace` whose buffers are reused: by every block of one
 call, and by every run of one coverage experiment (each worker process
-its own), which passes one workspace to all its calls.  It is freed with
-the call or the experiment, never kept for the process.  Fresh
-temporaries of this size would hand the heap top back to the OS after
-each call and page it in again in the next.
+its own), which passes one workspace to all its calls.  It holds only
+buffers, and is freed with the call or the experiment, never kept for
+the process.  Fresh temporaries of this size would hand the heap top
+back to the OS after each call and page it in again in the next.
 
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
@@ -68,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockStats, DistanceMatrix, _distance_block_sums, _resampled_sums
+from .distances import _chunks
 from .errors import InsufficientDataError, ParameterError
 from .estimator import dbicc_point
 
@@ -86,10 +88,14 @@ class BootstrapResult:
     ``replicate_estimates`` holds the kept replicates, in replicate
     order; ``n_degenerate`` counts replicates whose estimate was
     undefined (for the corrected method: every resampled slot drew the
-    same individual) and which were therefore excluded.
+    same individual) and which were therefore excluded.  ``rho_hat`` is
+    the point estimate of the block sums that the replicates resample;
+    for a :class:`~dbicc.core.DistanceMatrix` source it equals
+    ``dbicc_point(dm).rho_hat`` up to rounding.
     """
 
     replicate_estimates: np.ndarray
+    rho_hat: float
     ci_low: float
     ci_high: float
     level: float
@@ -180,14 +186,13 @@ class _Workspace:
     """Buffers that replicate blocks are computed in, reused from block to block.
 
     One workspace serves one bootstrap call, or every call of one coverage
-    experiment.  A buffer is allocated when a block first needs more than
-    it holds, and blocks take C-contiguous views of its front.
-    ``rho_hat`` is the point estimate that the last call's checks computed.
+    experiment, and holds only buffers.  A buffer is allocated when a block
+    first needs more than it holds, and blocks take C-contiguous views of
+    its front.
     """
 
     def __init__(self):
         self._buffers = {}
-        self.rho_hat = None
 
     def array(self, name, shape, dtype=float):
         """A ``shape`` view of buffer ``name``, grown first if it is too small."""
@@ -290,10 +295,8 @@ def _draw_indices(n_individuals, n_boot, seed):
     for bit.
     """
     rng = np.random.default_rng(seed)
-    step = max(1, _REPLICATE_BYTES // (8 * n_individuals))
-    for start in range(0, n_boot, step):
-        rows = min(step, n_boot - start)
-        yield rng.integers(0, n_individuals, size=(rows, n_individuals))
+    for c in _chunks(n_boot, 8 * n_individuals, _REPLICATE_BYTES):
+        yield rng.integers(0, n_individuals, size=(c.stop - c.start, n_individuals))
 
 
 # Replicate counts below this draw a warning.
@@ -320,18 +323,6 @@ def _check_n_boot(n_boot, stacklevel):
         )
 
 
-def _checked_block_sums(source, n_boot, level):
-    """Validate the arguments; return the block sums of ``source`` and their ρ̂.
-
-    The point estimate checks its own preconditions, which are the
-    bootstrap's too.
-    """
-    _check_level(level)
-    _check_n_boot(n_boot, stacklevel=4)  # the caller of the public function
-    stats = source if isinstance(source, BlockStats) else _block_sums(source)
-    return stats, dbicc_point(stats).rho_hat
-
-
 def _resolve_seed(seed):
     return secrets.randbits(63) if seed is None else int(seed)
 
@@ -339,30 +330,34 @@ def _resolve_seed(seed):
 def _replicates(source, n_boot, level, seed, workspace=None):
     """Check the arguments, seed the draw and estimate every replicate.
 
+    ``source`` is reduced to its block sums, whose point estimate ρ̂
+    checks its own preconditions, which are the bootstrap's too.
     Replicates are estimated one block of the draw at a time
     (:func:`_draw_indices`), every block in ``workspace`` (a fresh
-    :class:`_Workspace` if None), whose ``rho_hat`` is then the point
-    estimate of ``source``; only the ``n_boot``-long estimates and
-    validity flags outlive a block.  Returns the seed and, keyed by
+    :class:`_Workspace` if None); only the ``n_boot``-long estimates and
+    validity flags outlive a block.  Returns the seed, ρ̂ and, keyed by
     ``corrected`` (``False`` or ``True``), each method's
     ``(estimates, valid)`` arrays.
     """
-    stats, rho_hat = _checked_block_sums(source, n_boot, level)
+    _check_level(level)
+    _check_n_boot(n_boot, stacklevel=3)  # the caller of the public function
+    stats = source if isinstance(source, BlockStats) else _block_sums(source)
+    rho_hat = dbicc_point(stats).rho_hat
     seed = _resolve_seed(seed)
     terms = _ReplicateTerms(stats, workspace)
-    terms.workspace.rho_hat = rho_hat
     draw = _draw_indices(stats.sizes.size, n_boot, seed)
     blocks = [terms.estimates(indices) for indices in draw]
     naive, corr, naive_valid, corr_valid = map(np.concatenate, zip(*blocks))
-    return seed, {False: (naive, naive_valid), True: (corr, corr_valid)}
+    return seed, rho_hat, {False: (naive, naive_valid), True: (corr, corr_valid)}
 
 
-def _result(replicates, corrected, level, seed, n_boot):
+def _result(rho_hat, replicates, corrected, level, seed, n_boot):
     estimates, valid = replicates[corrected]
     kept = estimates[valid]
     low, high = percentile_ci(kept, level)
     return BootstrapResult(
         replicate_estimates=kept,
+        rho_hat=rho_hat,
         ci_low=low,
         ci_high=high,
         level=level,
@@ -398,8 +393,8 @@ def bootstrap_dbicc(
         64-bit seed; drawn from the OS entropy pool when omitted and
         recorded in the result either way.
     """
-    seed, replicates = _replicates(source, n_boot, level, seed)
-    return _result(replicates, bool(corrected), level, seed, n_boot)
+    seed, rho_hat, replicates = _replicates(source, n_boot, level, seed)
+    return _result(rho_hat, replicates, bool(corrected), level, seed, n_boot)
 
 
 def bootstrap_dbicc_pair(
@@ -408,13 +403,13 @@ def bootstrap_dbicc_pair(
     """Naive and corrected bootstrap results from one set of resamples.
 
     Equivalent to calling :func:`bootstrap_dbicc` twice with the same
-    seed, at half the cost.  Returns ``(naive, corrected)``.  The private
-    ``_workspace`` lets a caller that bootstraps many samples in turn (the
-    coverage experiment) reuse one :class:`_Workspace` across its calls
-    and read each call's point estimate from it.
+    seed, at half the cost.  Returns ``(naive, corrected)``, which carry
+    the same ``rho_hat``.  The private ``_workspace`` lets a caller that
+    bootstraps many samples in turn (the coverage experiment) reuse one
+    :class:`_Workspace`'s buffers across its calls.
     """
-    seed, replicates = _replicates(source, n_boot, level, seed, _workspace)
+    seed, rho_hat, replicates = _replicates(source, n_boot, level, seed, _workspace)
     return (
-        _result(replicates, False, level, seed, n_boot),
-        _result(replicates, True, level, seed, n_boot),
+        _result(rho_hat, replicates, False, level, seed, n_boot),
+        _result(rho_hat, replicates, True, level, seed, n_boot),
     )

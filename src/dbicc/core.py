@@ -45,6 +45,8 @@ import numpy as np
 from .distances import (
     DistanceSpec,
     Metric,
+    _chunk_rows,
+    _chunks,
     _metric_rows,
     _shrink,
     _standardized,
@@ -274,8 +276,10 @@ def build_grouped_sample(records, payload_kind=None) -> GroupedSample:
     )
 
 
-# Rows per block of the validation pass; its temporaries are O(rows * n).
-_VALIDATE_ROWS = 256
+# Bytes of rows of an n-by-n matrix that _check_values and
+# _distance_block_sums hold at a time (a chunk is at least one row, and
+# for the block sums one whole block); chunks that stay in cache are fastest.
+_BLOCK_SUM_BYTES = 1 << 21
 
 
 def _check_values(vals):
@@ -286,15 +290,17 @@ def _check_values(vals):
     ``np.allclose(v, v.T, atol=tol, rtol=0)`` and
     ``np.allclose(np.diag(v), 0, atol=tol)`` with
     ``tol = 1e-8 * max(abs(v).max(), 1)``, but in one pass over row
-    blocks.  Block ``[r0, r1)`` is compared with its mirror in rows
-    ``< r1``, which are already known to be finite.
+    blocks of about ``_BLOCK_SUM_BYTES`` (:func:`~dbicc.distances._chunks`),
+    whose temporaries are the size of a block.  Block ``[r0, r1)`` is
+    compared with its mirror in rows ``< r1``, which are already known
+    to be finite.
     """
     n = vals.shape[0]
     negative = False
     scale = asym = diag = 0.0
-    for r0 in range(0, n, _VALIDATE_ROWS):
-        r1 = min(r0 + _VALIDATE_ROWS, n)
-        blk = vals[r0:r1]
+    for c in _chunks(n, 8 * n, _BLOCK_SUM_BYTES):
+        r0, r1 = c.start, c.stop
+        blk = vals[c]
         lo, hi = blk.min(), blk.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFiniteError("distance matrix contains NaN or Inf")
@@ -470,24 +476,21 @@ class BlockStats(NamedTuple):
     between: float | None = None
 
 
-# Bytes of squared distance rows _distance_block_sums holds at a time (a
-# chunk is at least one whole block); chunks that stay in cache sum fastest.
-_BLOCK_SUM_BYTES = 1 << 21
-
-
 def _distance_block_sums(sizes, distance_rows) -> BlockStats:
     """Block sums of a distance matrix read in row chunks, exactly.
 
     ``distance_rows(a, b)`` returns rows ``a:b`` of the n-by-n matrix,
-    whose rows are grouped by ``sizes``; only one chunk of whole blocks
-    exists at a time.  Every sum adds the same values in the same order
-    as ``reduceat`` over the whole squared matrix would, so the bits are
-    the same without an n-by-n squared copy.
+    whose rows are grouped by ``sizes``.  Only one chunk exists at a time:
+    the whole blocks that fit ``_BLOCK_SUM_BYTES`` of rows
+    (:func:`~dbicc.distances._chunk_rows`), or one block.  Every sum adds
+    the same values in the same order as ``reduceat`` over the whole
+    squared matrix would, so the bits are the same without an n-by-n
+    squared copy.
     """
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     starts = bounds[:-1]
     cross = np.empty((sizes.size, sizes.size))
-    chunk_rows = _BLOCK_SUM_BYTES // (8 * max(int(bounds[-1]), 1))
+    chunk_rows = _chunk_rows(8 * int(bounds[-1]), _BLOCK_SUM_BYTES)
     g0 = 0
     while g0 < sizes.size:
         limit = bounds[g0] + chunk_rows
@@ -499,32 +502,6 @@ def _distance_block_sums(sizes, distance_rows) -> BlockStats:
         g0 = g1
     within = np.diag(cross) / 2.0
     return BlockStats(sizes, within, cross)
-
-
-# Bytes of rows the payload block-sum kernel holds in a temporary at a
-# time; chunks that stay in cache are fastest.
-_ROW_CHUNK_BYTES = 1 << 16
-
-
-def _chunk_rows(width):
-    """Rows per chunk: ``_ROW_CHUNK_BYTES`` of ``width`` floats, or one row."""
-    return max(1, _ROW_CHUNK_BYTES // (8 * max(width, 1)))
-
-
-def _chunks(n_rows, width):
-    """Slices of rows, each of :func:`_chunk_rows` rows of ``width`` floats."""
-    step = _chunk_rows(width)
-    return (slice(a, a + step) for a in range(0, n_rows, step))
-
-
-def _means_suffice(width, n_groups):
-    """Whether ``l2`` block sums of ``width``-value rows keep the group means.
-
-    They do for no more values per row than groups; otherwise they take
-    the I-by-I ``cross`` from the squared distances of the means, numpy's
-    ``pdist(means, "sqeuclidean")`` (:func:`dbicc.distances.pdist`).
-    """
-    return width <= n_groups
 
 
 # Row positions _later_row_sums adds across all groups at once; the rows
@@ -558,7 +535,7 @@ def _later_row_sums(rows, sizes, starts):
             sums[g] += rows[starts[g] + j]
     for g in np.flatnonzero(sizes > passes):
         rest = rows[starts[g] + passes : starts[g] + sizes[g]]
-        for c in _chunks(len(rest), rows.shape[1]):
+        for c in _chunks(len(rest), 8 * rows.shape[1]):
             sums[g] = np.add.accumulate(np.vstack((sums[g], rest[c])))[-1]
     return sums
 
@@ -587,19 +564,19 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     later = np.ones(n, dtype=bool)
     later[starts] = False
     first = starts[group]
-    for c in _chunks(n, width):
+    for c in _chunks(n, 8 * width):
         np.subtract(rows[c], rows[first[c]], out=rows[c], where=later[c, None])
     means = _later_row_sums(rows, sizes, starts)  # of the offsets; a first row's is 0
     means /= sizes[:, None]
-    for c in _chunks(n, width):
+    for c in _chunks(n, 8 * width):
         np.subtract(rows[c], means[group[c]], out=rows[c], where=later[c, None])
     squares = np.einsum("ij,ij->i", rows, rows)
     squares[starts] = np.einsum("ij,ij->i", means, means)  # first rows: -mean
     spread = np.bincount(group, weights=squares)
-    for c in _chunks(n_groups, width):
+    for c in _chunks(n_groups, 8 * width):
         means[c] += rows[starts[c]] - rows[0]
     within = scale * sizes * spread
-    if _means_suffice(width, n_groups):
+    if width <= n_groups:  # the means are the smaller form
         if scale != 1.0:
             means *= np.sqrt(scale)
         return BlockStats(sizes, within, None, means)
@@ -613,29 +590,25 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     return BlockStats(sizes, within, cross)
 
 
-# Bytes of temporaries per chunk of two-pass spreads (a chunk holds at
-# least one row of weights).
-_TWO_PASS_BYTES = 1 << 22
-
-
 def _two_pass_spread(means, weights, picks):
     """Weighted spread of the means in two passes, one per row of ``weights``.
 
     Computes ``sum_g w_g ||means[g] - mu_w||^2`` for each row ``w``.  Each
     row's means are taken relative to ``means[picks[r]]``, an
     individual the row weights, and so is its weighted mean ``mu_w``: a
-    row whose weighted means are bitwise equal gets exactly 0.  Each row
-    is computed on its own, so the chunking does not change the bits.
+    row whose weighted means are bitwise equal gets exactly 0.  Rows are
+    taken a chunk at a time (:func:`~dbicc.distances._chunks`), each
+    holding two temporaries of the means' size per row; each row is
+    computed on its own, so the chunking does not change the bits.
     """
     out = np.empty(weights.shape[0])
-    step = max(1, _TWO_PASS_BYTES // (16 * means.size))
-    for a in range(0, weights.shape[0], step):
-        w = weights[a : a + step]
-        diff = means[None, :, :] - means[picks[a : a + step], None, :]
+    for c in _chunks(weights.shape[0], 16 * means.size):
+        w = weights[c]
+        diff = means[None, :, :] - means[picks[c], None, :]
         centre = (diff * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
         diff -= centre[:, None, :]
         diff *= diff
-        out[a : a + step] = (diff.sum(axis=2) * w).sum(axis=1)
+        out[c] = (diff.sum(axis=2) * w).sum(axis=1)
     return out
 
 
@@ -839,8 +812,8 @@ class _MatrixColumns:
         if t == 0.0:  # the shrink would change no bit but the sign of zero
             np.take(self.values, keep, axis=1, out=rows, mode="clip")
         else:
-            scratch = np.empty((min(n, _chunk_rows(keep.size)), keep.size))
-            for c in _chunks(n, keep.size):
+            scratch = np.empty((min(n, _chunk_rows(8 * keep.size)), keep.size))
+            for c in _chunks(n, 8 * keep.size):
                 part = scratch[: len(rows[c])]
                 np.take(self.values[c], keep, axis=1, out=part, mode="clip")
                 _shrink(part, t, out=rows[c])

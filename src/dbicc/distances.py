@@ -79,22 +79,36 @@ def pdist(rows, metric):
     return load_kernels().pdist(rows, metric)
 
 
-# Bytes of row differences _sqeuclidean holds at a time when it recomputes
-# pairs (a chunk is at least one pair).
-_PAIR_CHUNK_BYTES = 1 << 20
+# Bytes of rows a scratch loop holds in a temporary at a time, unless it
+# passes its own budget; chunks that stay in cache are fastest.
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunk_rows(row_bytes, budget=None):
+    """Rows per chunk: as many ``row_bytes`` rows as fit ``budget``, or one row.
+
+    ``budget`` is ``_CHUNK_BYTES`` when None.
+    """
+    budget = _CHUNK_BYTES if budget is None else budget
+    return max(1, budget // max(row_bytes, 1))
+
+
+def _chunks(n_rows, row_bytes, budget=None):
+    """Slices of ``range(n_rows)`` in order, :func:`_chunk_rows` rows each but the last."""
+    step = _chunk_rows(row_bytes, budget)
+    return (slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step))
 
 
 def _pair_sqeuclidean(rows, first, second):
     """``||rows[a] - rows[b]||^2`` for each pair ``(a, b)`` of ``zip(first, second)``.
 
-    Takes the row differences in chunks of about ``_PAIR_CHUNK_BYTES``;
+    Takes the row differences a chunk of pairs at a time (:func:`_chunks`);
     each pair is summed on its own, so the chunking does not change the bits.
     """
     out = np.empty(first.size)
-    step = max(1, _PAIR_CHUNK_BYTES // (8 * max(rows.shape[1], 1)))
-    for a in range(0, first.size, step):
-        diff = rows[first[a : a + step]] - rows[second[a : a + step]]
-        out[a : a + step] = np.einsum("ij,ij->i", diff, diff)
+    for c in _chunks(first.size, 8 * rows.shape[1]):
+        diff = rows[first[c]] - rows[second[c]]
+        out[c] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 

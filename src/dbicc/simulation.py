@@ -36,7 +36,7 @@ from .bootstrap import (
 )
 from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
-from .distances import Metric
+from .distances import Metric, _chunk_rows, _chunks
 from .errors import FactorizationError, InsufficientDataError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
 from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
@@ -179,8 +179,9 @@ def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     )
 
 
-# Bytes of series gen_connectivity_sample holds at a time (a chunk is at
-# least one individual's series); one AR(1) recursion runs per chunk.
+# Bytes of series held at a time: by gen_connectivity_sample, whose chunk
+# is at least one individual's series and gets one AR(1) recursion, and
+# by cov_error_spread, whose chunk is at least one pair of draws.
 _SERIES_CHUNK_BYTES = 1 << 19
 
 
@@ -292,7 +293,7 @@ def _sample_covs(pop, n_timepoints, n_replicates, rng):
     population (and one factorization) serves every length.
     """
     n, k, m, p = pop.n_individuals, n_replicates, n_timepoints, pop.dim
-    step = max(1, _SERIES_CHUNK_BYTES // (8 * k * m * p))
+    step = _chunk_rows(8 * k * m * p, _SERIES_CHUNK_BYTES)
     # time-major, so each AR(1) step updates one contiguous row of the chunk
     series = np.empty((m, min(step, n) * k, p))
     draws = np.empty((k, m, p))
@@ -357,15 +358,11 @@ def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
         raise ParameterError(f"need at least 1000 replications, got {n_rep}")
     rng = np.random.default_rng(rng)
     total = 0.0
-    done = 0
-    batch = max(1, 2_000_000 // max(2 * n_obs * p, 1))
-    while done < n_rep:
-        b = min(batch, n_rep - done)
-        draws = rng.standard_normal((2 * b, n_obs, p)) @ chol.T
+    for c in _chunks(n_rep, 16 * n_obs * p, _SERIES_CHUNK_BYTES):  # pairs of draws
+        draws = rng.standard_normal((2 * (c.stop - c.start), n_obs, p)) @ chol.T
         covs = _sample_cov_batch(draws)
         diff = covs[0::2] - covs[1::2]
         total += float(np.sum(diff * diff))
-        done += b
     trace = float(np.trace(sigma))
     trace_sq = float(np.trace(sigma @ sigma))
     analytic = 2.0 * (trace * trace + trace_sq) / (n_obs - 1)
@@ -462,7 +459,7 @@ def _coverage_worker(workspace, task):
             stats, n_boot, level=level, seed=boot_seed, _workspace=workspace
         )
     return {
-        "point": float(workspace.rho_hat),  # the estimate the bootstrap checked
+        "point": float(naive.rho_hat),  # the estimate the bootstrap checked
         "naive": [naive.ci_low, naive.ci_high],
         "corrected": [corrected.ci_low, corrected.ci_high],
         "median_naive": _median(naive.replicate_estimates),

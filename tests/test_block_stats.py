@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 import dbicc.core
+import dbicc.distances
 from dbicc import (
     BlockStats,
     DegenerateDistancesError,
@@ -254,7 +255,7 @@ class TestAgainstMatrixPath:
         payloads = draw_payloads(rng, [3, 1, 4, 2, 2, 1, 3], (5,), 10.0, 1.0, 0.1)
         sample = grouped(payloads, PayloadKind.VECTOR)
         whole = block_stats(sample, Metric.L2_VEC)
-        monkeypatch.setattr(dbicc.core, "_ROW_CHUNK_BYTES", 8 * 5 * rows_per_chunk)
+        monkeypatch.setattr(dbicc.distances, "_CHUNK_BYTES", 8 * 5 * rows_per_chunk)
         for a, b in zip(block_stats(sample, Metric.L2_VEC), whole):
             assert np.array_equal(a, b)
 
@@ -497,7 +498,7 @@ class TestFactoredReplicates:
         whole = _ReplicateTerms(stats).components(picks)
         assert 0 < rows[0] < 200  # both paths run
         for budget in (1, 3 * 16 * stats.means.size):
-            monkeypatch.setattr(dbicc.core, "_TWO_PASS_BYTES", budget)
+            monkeypatch.setattr(dbicc.distances, "_CHUNK_BYTES", budget)
             chunked = _ReplicateTerms(stats).components(picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
@@ -713,7 +714,7 @@ def _indicator_product(rows, sizes):
     offset=st.floats(-1e4, 1e4),
     zero_columns=st.integers(0, 2),
     passes=st.sampled_from([2, 3, 5, dbicc.core._ROW_PASSES]),
-    chunk_bytes=st.sampled_from([8, 80, dbicc.core._ROW_CHUNK_BYTES]),
+    chunk_bytes=st.sampled_from([8, 80, dbicc.distances._CHUNK_BYTES]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_later_row_sums_are_the_indicator_product_bit_for_bit(
@@ -727,6 +728,6 @@ def test_later_row_sums_are_the_indicator_product_bit_for_bit(
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     # few passes and small chunks send the taller groups' rows through accumulate
     with mock.patch.object(dbicc.core, "_ROW_PASSES", passes), \
-            mock.patch.object(dbicc.core, "_ROW_CHUNK_BYTES", chunk_bytes):
+            mock.patch.object(dbicc.distances, "_CHUNK_BYTES", chunk_bytes):
         got = dbicc.core._later_row_sums(rows, sizes, starts)
     assert got.tobytes() == _indicator_product(rows, sizes).tobytes()

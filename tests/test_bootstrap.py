@@ -1,6 +1,8 @@
+import inspect
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -361,8 +363,25 @@ class TestBootstrapDbicc:
 
     def test_small_replicate_count_warns(self):
         dm = three_individual_matrix()
-        with pytest.warns(UserWarning):
-            bootstrap_dbicc(dm, 50, seed=1)
+        for call in (bootstrap_dbicc, bootstrap_dbicc_pair):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = inspect.currentframe().f_lineno + 1  # the warning points here
+                call(dm, 50, seed=1)
+            sites = [(w.category, w.filename, w.lineno) for w in caught]
+            assert sites == [(UserWarning, __file__, line)]
+
+    def test_rho_hat_is_the_point_estimate_of_the_resampled_sums(self, rng):
+        sample = vector_sample(rng, [3, 2, 4, 2, 3], 3)
+        stats = block_stats(sample, Metric.L2_VEC)
+        dm = compute_distance_matrix(sample, Metric.L2_VEC)
+        for source, sums in ((stats, stats), (dm, _block_sums(dm))):
+            want = dbicc_point(sums).rho_hat
+            single = bootstrap_dbicc(source, 200, seed=3)
+            naive, corrected = bootstrap_dbicc_pair(source, 200, seed=3)
+            assert single.rho_hat == naive.rho_hat == corrected.rho_hat == want
+        # a matrix's ρ̂ from its block sums is the matrix path's up to rounding
+        assert math.isclose(single.rho_hat, dbicc_point(dm).rho_hat, rel_tol=1e-12)
 
     def test_invalid_replicate_count(self):
         with pytest.raises(ParameterError):
@@ -443,8 +462,8 @@ class TestReplicateBlocks:
         assert [len(block) for block in blocks] == lengths
         assert np.array_equal(np.concatenate(blocks), whole_draw)
 
-        got_seed, replicates = _replicates(stats, n_boot, 0.95, seed)
-        assert got_seed == seed
+        got_seed, rho_hat, replicates = _replicates(stats, n_boot, 0.95, seed)
+        assert got_seed == seed and rho_hat == dbicc_point(stats).rho_hat
         (naive, naive_valid), (corrected, corrected_valid) = replicates.values()
         # in the order of estimates()
         got = (naive, corrected, naive_valid, corrected_valid)
@@ -511,9 +530,9 @@ class TestReplicateWorkspace:
         workspace = _Workspace()
         shared = [_replicates(stats, 100, 0.95, 9, workspace) for stats in calls]
         # every result is kept until the last call: none is a buffer view
-        for stats, (seed, replicates) in zip(calls, shared):
-            fresh_seed, fresh = _replicates(stats, 100, 0.95, 9)
-            assert seed == fresh_seed
+        for stats, (seed, rho_hat, replicates) in zip(calls, shared):
+            fresh_seed, fresh_rho_hat, fresh = _replicates(stats, 100, 0.95, 9)
+            assert (seed, rho_hat) == (fresh_seed, fresh_rho_hat)
             for corrected in (False, True):
                 for values, want in zip(replicates[corrected], fresh[corrected]):
                     assert np.array_equal(values, want, equal_nan=True)
@@ -558,5 +577,5 @@ class TestReplicateWorkspace:
         finally:
             tracemalloc.stop()
         assert naive.n_boot == corrected.n_boot == 1200
-        assert workspace.rho_hat == dbicc_point(stats).rho_hat
+        assert naive.rho_hat == corrected.rho_hat == dbicc_point(stats).rho_hat
         assert peak < 2**20

@@ -1910,3 +1910,34 @@ def test_readme_library_example_runs(tmp_path):
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           env=_package_env(), timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_warnings_and_errors_print_one_line_under_w_error(tmp_path):
+    """Under ``-W error`` a small ``--boot`` still exits 0 with one warning line.
+
+    pytest installs its own warning capture, so no in-process test sees the
+    interpreter's ``-W`` filters: each command runs in a fresh one.  The
+    coverage experiment runs in worker processes.  ``--boot 1`` can give no
+    interval: both commands exit 3 with the one error line, raised before
+    the warning and before any work.
+    """
+    hand = tmp_path / "hand.csv"
+    write_hand_csv(hand)
+    boot = ["bootstrap", str(hand), "--seed", "1"]
+    coverage = ["simulate", "--experiment", "coverage", "--individuals", "6",
+                "--runs", "4", "--seed", "1", "--threads", "2"]
+    no_interval = "InsufficientDataError: need at least 2 estimates for an interval, got 1\n"
+    runs = [
+        ([*boot, "--boot", "50"], 0, FEW_REPLICATES.format(50)),
+        ([*coverage, "--boot", "20"], 0, FEW_REPLICATES.format(20)),
+        ([*boot, "--boot", "1"], 3, no_interval),
+        ([*coverage, "--boot", "1"], 3, no_interval),
+    ]
+    env = dict(_package_env(), OPENBLAS_NUM_THREADS="1")
+    for k, (argv, code, stderr) in enumerate(runs):
+        out = tmp_path / f"out_{k}.json"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dbicc.cli", *argv, "--out", str(out)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (code, stderr.encode()), argv

@@ -331,7 +331,7 @@ class TestBlockedValidation:
         elif defect == "two":  # a later defect must not mask an earlier check
             vals[i, j] = -factor * tol
             vals[k, m] = np.nan if factor > 1.0 else vals[k, m] + factor * tol
-        with mock.patch.object(core, "_VALIDATE_ROWS", block_rows):
+        with mock.patch.object(core, "_BLOCK_SUM_BYTES", 8 * n * block_rows):
             try:
                 DistanceMatrix(values=vals, group_sizes=np.ones(n, dtype=np.int64))
                 verdict = None

@@ -397,7 +397,7 @@ class TestSquaredEuclideanKernel:
     def test_recompute_chunks_do_not_change_the_bits(self, monkeypatch):
         rows = clustered_rows(30, 40, 1e8, 2, 1e-3, 3, seed=7)
         whole = dbicc.distances.pdist(rows, "sqeuclidean")
-        monkeypatch.setattr(dbicc.distances, "_PAIR_CHUNK_BYTES", 1)  # one pair each
+        monkeypatch.setattr(dbicc.distances, "_CHUNK_BYTES", 1)  # one pair each
         assert dbicc.distances.pdist(rows, "sqeuclidean").tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
@@ -431,3 +431,16 @@ class TestSquaredEuclideanKernel:
         sample = GroupedSample(values, [2, 2, 2], ("a", "b", "c"), PayloadKind(kind))
         with pytest.raises(NonFiniteError, match="^squared distances overflow float64$"):
             block_stats(sample, Metric.L2_VEC)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(0, 300),
+    row_bytes=st.integers(1, 2000),
+    budget=st.one_of(st.none(), st.integers(0, 4000)),
+)
+def test_chunks_cover_the_rows_in_order(n_rows, row_bytes, budget):
+    chunks = [range(n_rows)[c] for c in dbicc.distances._chunks(n_rows, row_bytes, budget)]
+    assert [row for chunk in chunks for row in chunk] == list(range(n_rows))
+    most = max(1, (dbicc.distances._CHUNK_BYTES if budget is None else budget) // row_bytes)
+    assert all(1 <= len(chunk) <= most for chunk in chunks)

@@ -1,3 +1,4 @@
+import inspect
 import re
 import warnings
 
@@ -473,9 +474,9 @@ class TestExperimentRunners:
     ):
         calls = []
 
-        def recorded(*args, **kwargs):
-            calls.append(bootstrap_pair(*args, **kwargs))
-            return calls[-1]
+        def recorded(stats, *args, **kwargs):
+            calls.append((stats, bootstrap_pair(stats, *args, **kwargs)))
+            return calls[-1][1]
 
         bootstrap_pair = dbicc.simulation.bootstrap_dbicc_pair
         monkeypatch.setattr(dbicc.simulation, "bootstrap_dbicc_pair", recorded)
@@ -484,8 +485,10 @@ class TestExperimentRunners:
             n_individuals, n_replicates, 0.5, n_boot=n_boot, n_runs=6, level=level, seed=3
         )
         q = (1.0 - level) / 2.0
-        for row, results in zip(report["runs"], calls, strict=True):
+        for row, (stats, results) in zip(report["runs"], calls, strict=True):
+            assert row["point"] == dbicc_point(stats).rho_hat
             for name, result in zip(("naive", "corrected"), results):
+                assert result.rho_hat == row["point"]
                 kept = result.replicate_estimates
                 assert row[name] == np.quantile(kept, [q, 1.0 - q]).tolist()
                 assert row[f"median_{name}"] == float(np.median(kept))
@@ -496,12 +499,15 @@ class TestExperimentRunners:
     def test_small_n_boot_warns_once(self, workers):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1  # the warning points here
             run_coverage_experiment(6, 2, n_boot=50, n_runs=3, seed=1, workers=workers)
-        assert [(w.category, str(w.message)) for w in caught] == [
+        assert [(w.category, str(w.message), w.filename, w.lineno) for w in caught] == [
             (
                 UserWarning,
                 "n_boot=50 is small; percentile intervals are unstable below a few "
                 "hundred replicates",
+                __file__,
+                line,
             )
         ]
 
