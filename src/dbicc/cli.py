@@ -24,8 +24,10 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
 
 Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
 series files, those of one manifest in forked processes where
-``dbicc._children.fork_workers`` allows; other CSVs are split by the
-``csv`` module, numbers by ``float``.  ``simulate --threads N`` runs in
+``dbicc._children.fork_workers`` allows.  Plain vector and distance-matrix
+CSVs are read in blocks of whole lines, one ``numpy.loadtxt`` call each;
+any other CSV, and one that fails a check of the block read, is split by
+the ``csv`` module, numbers by ``float``.  ``simulate --threads N`` runs in
 ``min(N, runs)`` child processes, forked by the same rule or else spawned.
 ``--out`` and ``--csv`` are checked before any input is read.
 
@@ -71,7 +73,7 @@ from .core import (
     block_stats,
     build_grouped_sample,
 )
-from .distances import DistanceSpec, Metric, _threshold_level
+from .distances import DistanceSpec, Metric, _chunk_rows, _threshold_level
 from .errors import DbiccError, DegenerateDistancesError, DegenerateInputError
 from .estimator import dbicc_point
 from .simulation import run_coverage_experiment, run_point_experiment, run_sb_experiment
@@ -210,53 +212,88 @@ def _sniff_format(path) -> str:
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _bulk_table(path):
-    """A vector CSV read in one pass and one ``np.loadtxt`` call, or None.
+def _line_blocks(fh):
+    """The text of ``fh`` in blocks of whole lines.
 
-    Returns ``(head, labels, values)``: the first line's fields, the
-    individual and replicate fields of each later non-blank line, and
-    the rest of those lines as one float array.
+    Each read takes the characters of one scratch chunk
+    (:func:`~dbicc.distances._chunk_rows` of one-byte rows, 64 Ki).
+
+    Every block but the last ends at a ``\\n``; the rest of a read, a
+    ``\\r`` before the next read's ``\\n`` included, is carried into the
+    next block, so a line longer than one read stays whole.
+    """
+    carry, size = [], _chunk_rows(1)
+    while chunk := fh.read(size):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*carry, chunk[:cut]])
+            carry = []
+        carry.append(chunk[cut:])
+    yield "".join(carry)
+
+
+def _bulk_table(path, label_cols):
+    """A numeric CSV read in blocks of lines, one ``np.loadtxt`` call each, or None.
+
+    Returns ``(head, labels, values)``.  With ``label_cols`` label
+    columns, ``head`` is the first line's fields and ``labels`` holds one
+    list per label column of that field of each later non-blank line;
+    with none, the file has no header, ``head`` is None and ``labels``
+    empty.  ``values`` is the rest of those lines as one float array.
 
     These are the rows and numbers that ``csv.reader`` and ``float``
     would give, but only the plain case is taken: UTF-8 text without the
     characters in ``_NOT_PLAIN``, no field over ``csv.field_size_limit()``,
-    lines as wide as the header and cells that ``np.loadtxt`` reads (it
-    accepts a subset of ``float``'s spellings, to the same values).
-    Anything else returns None, and the caller parses the file with
-    :func:`_read_csv_rows`, the path that locates each error.
+    lines as wide as the header, or as the first line when there is none,
+    and cells that ``np.loadtxt`` reads (it accepts a subset of
+    ``float``'s spellings, to the same values).  Anything else returns
+    None, and the caller parses the file with :func:`_read_csv_rows`, the
+    path that locates each error.  Only the labels and one float array
+    per block (:func:`_line_blocks`) outlive their block.
     """
+    limit = csv.field_size_limit()
+    head, width, labels, blocks = None, None, [[] for _ in range(label_cols)], []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
+            for text in _line_blocks(fh):
+                if "\r" in text:  # \r\n is one line end to csv.reader, as \n is
+                    text = text.replace("\r\n", "\n")
+                if any(c in text for c in _NOT_PLAIN):
+                    return None
+                # csv.reader ends lines at \n and \r alone, not at all of splitlines' breaks
+                lines = text.split("\n")
+                del text
+                long_lines = (line for line in lines if len(line) > limit)
+                if any(len(f) > limit for line in long_lines for f in line.split(",")):
+                    return None
+                if label_cols and head is None:
+                    head = lines.pop(0).split(",")
+                    width = len(head) - label_cols
+                rows = [line.split(",", label_cols) for line in lines if line]
+                del lines
+                if not rows:
+                    continue
+                if any(len(row) != label_cols + 1 for row in rows):
+                    return None
+                rests = [row.pop() for row in rows]
+                if "" in rests:  # an empty cell; np.loadtxt would skip the line
+                    return None
+                try:
+                    # raises, among others, on a line whose cell count differs from the first's
+                    values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    return None
+                width = values.shape[1] if width is None else width
+                if values.shape[1] != width:
+                    return None
+                blocks.append(values)
+                for column, fields in zip(labels, zip(*rows)):
+                    column.extend(fields)
     except (OSError, UnicodeDecodeError):
         return None
-    if "\r" in text:  # \r\n is one line end to csv.reader, as \n is
-        text = text.replace("\r\n", "\n")
-    if any(c in text for c in _NOT_PLAIN):
+    if not blocks:
         return None
-    # csv.reader ends lines at \n and \r alone, not at all of splitlines' breaks
-    lines = text.split("\n")
-    del text
-    limit = csv.field_size_limit()
-    long_lines = (line for line in lines if len(line) > limit)
-    if any(len(f) > limit for line in long_lines for f in line.split(",")):
-        return None
-    head = lines[0].split(",")
-    labels = [line.split(",", 2) for line in lines[1:] if line]
-    del lines
-    if not labels or any(len(row) != 3 for row in labels):
-        return None
-    rests = [row.pop() for row in labels]
-    if "" in rests:  # an empty cell; np.loadtxt would skip the line
-        return None
-    try:
-        # raises, among others, on a line whose cell count differs from the first's
-        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape[1] != len(head) - 2:
-        return None
-    return head, labels, values
+    return head, labels, np.concatenate(blocks)
 
 
 def _replicate_sort_key(label: str):
@@ -336,10 +373,9 @@ def _vector_sample(grouping, values) -> GroupedSample:
 
 
 def _load_vector_csv(path) -> GroupedSample:
-    table = _bulk_table(path)
+    table = _bulk_table(path, 2)
     if table is not None and _is_vector_header(table[0]):
-        _, rows, values = table
-        individuals, replicates = zip(*rows)
+        _, (individuals, replicates), values = table
         keys = {label: _replicate_sort_key(label) for label in dict.fromkeys(replicates)}
         *grouping, repeated = _group_order(individuals, [keys[r] for r in replicates])
         if not repeated:  # "1" and "01" are one replicate: the csv path reports it
@@ -381,7 +417,8 @@ def _equal_width_rows(path, rows):
         yield lineno, row
 
 
-def _load_distance_input(path, groups_path) -> DistanceMatrix:
+def _parse_distance_csv(path):
+    """The distance matrix CSV through ``csv.reader``: every case, every located error."""
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
@@ -396,6 +433,16 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
             f"got {values.shape[1]}",
             line=numbered[0][0],
         )
+    return values
+
+
+def _load_distance_input(path, groups_path) -> DistanceMatrix:
+    table = _bulk_table(path, 0)
+    if table is not None and table[2].shape[0] == table[2].shape[1]:
+        values = table[2]
+    else:  # the csv path reports a matrix that is not square
+        values = _parse_distance_csv(path)
+    n = values.shape[0]
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
     if gheader != ["row", "individual", "replicate"]:

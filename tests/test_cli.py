@@ -80,21 +80,35 @@ class TestEstimate:
         assert doc["distance"] == "l2"
         assert doc["threshold"] is None
 
-    def test_vector_csv_is_parsed_once(self, tmp_path, monkeypatch):
-        # whole-file reads: the bulk read, and the csv path it falls back to
-        src = tmp_path / "hand.csv"
-        write_hand_csv(src)
+    @staticmethod
+    def _count_reads(monkeypatch):
+        # whole-file reads: the block read, and the csv path it falls back to
         calls = []
         for name in ("_bulk_table", "_read_csv_rows"):
             read = getattr(dbicc.cli, name)
 
-            def counting(path, *args, read=read, **kwargs):
-                calls.append(path)
+            def counting(path, *args, read=read, name=name, **kwargs):
+                calls.append((name, path))
                 return read(path, *args, **kwargs)
 
             monkeypatch.setattr(dbicc.cli, name, counting)
+        return calls
+
+    def test_vector_csv_is_parsed_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "hand.csv"
+        write_hand_csv(src)
+        calls = self._count_reads(monkeypatch)
         run_json(tmp_path, ["estimate", str(src)])
-        assert calls == [str(src)]
+        assert calls == [("_bulk_table", str(src))]
+
+    def test_matrix_csv_is_parsed_once(self, tmp_path, monkeypatch):
+        # the matrix by the block read; only the groups file by the csv module
+        src, groups = tmp_path / "dm.csv", tmp_path / "groups.csv"
+        src.write_text("0,1,4,5\n1,0,3,4\n4,3,0,1\n5,4,1,0\n")
+        groups.write_text("row,individual,replicate\n0,a,0\n1,a,1\n2,b,0\n3,b,1\n")
+        calls = self._count_reads(monkeypatch)
+        run_json(tmp_path, ["estimate", str(src), "--groups", str(groups)])
+        assert calls == [("_bulk_table", str(src)), ("_read_csv_rows", str(groups))]
 
     def test_distance_matrix_path_equivalence(self, tmp_path, rng):
         rows = [(f"s{i}", j, rng.standard_normal(3)) for i in range(3) for j in range(2)]

@@ -1,16 +1,18 @@
-"""The bulk CSV read against the csv-module path it falls back to.
+"""The block read of numeric CSVs against the csv-module path it falls back to.
 
-``dbicc.cli._bulk_table`` reads a plain vector CSV with one ``np.loadtxt``
-call and returns None for anything it cannot prove it reads as
-``csv.reader`` and ``float`` do; the loader then takes the csv path,
-which reports every error with its location.  Forcing that path must
-never change a result, an exit code or a message.
+``dbicc.cli._bulk_table`` reads a plain vector or distance-matrix CSV in
+blocks of lines, one ``np.loadtxt`` call each, and returns None for
+anything it cannot prove it reads as ``csv.reader`` and ``float`` do; the
+loader then takes the csv path, which reports every error with its
+location.  Forcing that path must never change a result, an exit code or
+a message, whatever the block size.
 """
 
 import contextlib
 import csv
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import dbicc.cli
 import dbicc.core
+import dbicc.distances
 from dbicc.cli import main
 
 
@@ -47,6 +50,16 @@ def _field_size_limit(limit):
         csv.field_size_limit(old)
 
 
+@contextlib.contextmanager
+def _block_budget(chars):
+    """Reads of ``chars`` characters (None: the default chunk budget)."""
+    if chars is None:
+        yield
+    else:
+        with mock.patch.object(dbicc.distances, "_CHUNK_BYTES", chars):
+            yield
+
+
 def _outcome(load, path):
     try:
         return "ok", load(path)
@@ -54,10 +67,10 @@ def _outcome(load, path):
         return type(exc).__name__, str(exc)
 
 
-def _through_main(path, out):
+def _through_main(argv, out):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["estimate", str(path), "--format", "vectors", "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
     text = out.read_bytes() if code == 0 else None
     return code, err.getvalue(), text
 
@@ -134,21 +147,64 @@ def _vector_csvs(draw, flaw):
     return (bom + text).encode("utf-8")
 
 
-def _both_paths(content, limit=None):
+def _both_paths(content, limit=None, budget=None):
     """Sample or error, and ``main()``'s run, from the bulk read and the csv path."""
-    with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit):
+    with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit), \
+            _block_budget(budget):
         path = Path(tmp) / "v.csv"
         path.write_bytes(content)
         results = []
         for forced in (False, True):
             with _csv_path_only(forced):
                 kind, sample = _outcome(dbicc.cli._load_vector_csv, str(path))
-                run = _through_main(path, Path(tmp) / f"out{forced}.json")
+                run = _through_main(["estimate", str(path), "--format", "vectors"],
+                                    Path(tmp) / f"out{forced}.json")
             if kind == "ok":
                 sample = (sample.values.shape, sample.values.tobytes(),
                           sample.labels, sample.group_sizes.tolist())
             results.append((kind, sample, run))
     return results
+
+
+# Read sizes, in characters, that the block-read tests patch in
+_BUDGETS = [1, 2, 7, 64]
+_ROWS = [f"s{i},{j},{i + j / 10}" for i in range(10) for j in range(2)]
+
+
+def _edge_header(budget):
+    """A vector CSV header whose line end is the last character of a read."""
+    head = "individual,replicate,f"
+    return head + "0" * (-(len(head) + 1) % budget)
+
+
+def _last_row(text, limit=None):
+    """``_ROWS`` with its last line replaced, so a flaw sits in the last block."""
+    def case(budget):
+        lines = ["individual,replicate,f0", *_ROWS[:-1], text]
+        return "\n".join(lines) + "\n", limit
+    return case
+
+
+# Files that put a line end, a header or a fallback trigger at a block edge;
+# each is a function of the read size.
+_EDGE_CASES = {
+    "bom": lambda b: ("\ufeff" + "\n".join([_edge_header(b), *_ROWS]) + "\n", None),
+    "crlf across a read": lambda b: ("\r\n".join([_edge_header(b), *_ROWS]) + "\r\n", None),
+    "header longer than a read": lambda b: (
+        "\n".join(["individual,replicate," + "f" * 3 * b, *_ROWS]) + "\n", None),
+    "no final line end": lambda b: ("\n".join([_edge_header(b), *_ROWS]), None),
+    "blank lines at a read's start": lambda b: (
+        _edge_header(b) + "\n\n\n" + "\n\n".join(_ROWS) + "\n\n", None),
+    "last block: quote": _last_row('s9,1,"1.5"'),
+    "last block: NUL": _last_row("s9,1,1\x00"),
+    "last block: \\x1c": _last_row("s9,1,\x1c1"),
+    "last block: lone \\r": _last_row("s9,1,1\r2"),
+    "last block: empty cell": _last_row("s9,1,"),
+    "last block: ragged row": _last_row("s9,1,1,2"),
+    "last block: bad number": _last_row("s9,1,x"),
+    "last block: field over the limit": _last_row("s9,1," + "1" * 25, 20),
+    "last block: long number, no limit": _last_row("s9,1," + "1" * 25),
+}
 
 
 class TestBulkReadMatchesCsvPath:
@@ -157,6 +213,16 @@ class TestBulkReadMatchesCsvPath:
     @given(data=st.data(), limit=st.sampled_from([None, None, None, 20]))
     def test_vector_csv(self, flaw, data, limit):
         bulk, csv_path = _both_paths(data.draw(_vector_csvs(flaw)), limit)
+        assert bulk == csv_path
+
+    # the same files read a few characters at a time: every line end, \r\n
+    # and header meets a block edge somewhere
+    @pytest.mark.parametrize("flaw", _FLAWS, ids=repr)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), limit=st.sampled_from([None, None, None, 20]),
+           budget=st.sampled_from(_BUDGETS))
+    def test_vector_csv_in_small_blocks(self, flaw, data, limit, budget):
+        bulk, csv_path = _both_paths(data.draw(_vector_csvs(flaw)), limit, budget)
         assert bulk == csv_path
 
     # files each of the bulk read's own checks must send to the csv path
@@ -174,9 +240,155 @@ class TestBulkReadMatchesCsvPath:
             b"individual,replicate,f1\na\r,0,1\na,1,2\nb,0,3\nb,1,4\n",
         ],
     )
-    def test_vector_csv_case(self, content):
-        bulk, csv_path = _both_paths(content)
+    @pytest.mark.parametrize("budget", [None, *_BUDGETS])
+    def test_vector_csv_case(self, content, budget):
+        bulk, csv_path = _both_paths(content, budget=budget)
         assert bulk == csv_path
+
+    @pytest.mark.parametrize("budget", _BUDGETS)
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_block_edge(self, case, budget):
+        text, limit = _EDGE_CASES[case](budget)
+        content = text.encode("utf-8")
+        bulk, csv_path = _both_paths(content, limit, budget)
+        assert bulk == csv_path
+        # the case reaches what it names: the edge, or the trigger in a later block
+        if case == "crlf across a read":
+            assert text.index("\r\n") % budget == budget - 1
+        if case == "blank lines at a read's start":
+            assert text.index("\n\n") % budget == budget - 1
+        if case.startswith("last block:"):
+            assert text.rstrip("\n").rindex("\n") + 1 >= 2 * budget
+        with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit), \
+                _block_budget(budget):
+            path = Path(tmp) / "v.csv"
+            path.write_bytes(content)
+            table = dbicc.cli._bulk_table(str(path), 2)
+        plain = not case.startswith("last block:") or case.endswith("no limit")
+        assert (table is not None) == plain
+        if plain:
+            assert table[2].shape == (20, 1)
+
+
+# Flaws of a distance-matrix CSV, one per generated file
+_MATRIX_CELLS = ["nan", "inf", "-inf", "1_0", '"1"', '"1,2"', '""', "", " ", "x",
+                 "\x1c6", "1e400", "-0", "\u0661"]
+_MATRIX_FLAWS = [
+    None, ("narrow",), ("tall",), ("ragged row",),
+    *(("cell", cell) for cell in _MATRIX_CELLS),
+    *(("character", c) for c in '"\r\x00\x1c'),
+    *(("line break", c) for c in "\x0b\x0c\x85\u2028"),
+]
+
+
+@st.composite
+def _distance_csvs(draw, flaw):
+    """``(bytes, n)``: a plain n-by-n distance-matrix CSV, with ``flaw`` if given."""
+    kind, *odd = flaw or [None]
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(
+        st.floats(0, 1e3).map(repr),
+        st.floats(0, 1e3).map(lambda v: format(v, ".17g")),
+        st.sampled_from(["+.5", "1.", " 2.5 ", "\t3", "\xa04", "1E5", "0",
+                         "4.9406564584124654e-324", "1e-400"]),
+    )
+    upper = {(i, j): draw(cell) for i in range(n) for j in range(i + 1, n)}
+    rows = [["0" if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
+            for i in range(n)]
+    k = draw(st.integers(0, n - 1))
+    if kind == "narrow":  # n rows of n - 1 fields, or of n + 1
+        rows = [row[:-1] if draw(st.booleans()) else [*row, "0"] for row in rows[:1]] * n
+    elif kind == "tall":
+        rows.append(rows[k])
+    elif kind == "ragged row":
+        rows[k] = rows[k][:-1] if draw(st.booleans()) else [*rows[k], "0"]
+    elif kind == "cell":
+        rows[k][draw(st.integers(0, n - 1))] = odd[0]
+    lines = [",".join(row) for row in rows]
+    if kind == "line break" and n > 1:  # joins two lines for csv.reader
+        at = draw(st.integers(1, n - 1))
+        lines[at - 1: at + 1] = [lines[at - 1] + odd[0] + lines[at]]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, the first line too
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    if kind == "character":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + odd[0] + text[at:]
+    bom = "\ufeff" if draw(st.integers(0, 4)) == 0 else ""
+    return (bom + text).encode("utf-8"), n
+
+
+def _groups_csv(n):
+    """Rows 0..n-1 as individuals of two replicates each."""
+    return "row,individual,replicate\n" + "".join(
+        f"{k},p{k // 2},{k % 2}\n" for k in range(n))
+
+
+def _both_matrix_paths(content, n, budget=None):
+    """Matrix or error, and ``main()``'s bootstrap, by the block read and the csv path."""
+    with tempfile.TemporaryDirectory() as tmp, _block_budget(budget):
+        path, groups = Path(tmp) / "dm.csv", Path(tmp) / "g.csv"
+        path.write_bytes(content)
+        groups.write_text(_groups_csv(n), encoding="utf-8")
+        results = []
+        for forced in (False, True):
+            with _csv_path_only(forced):
+                kind, dm = _outcome(
+                    lambda p: dbicc.cli._load_distance_input(p, str(groups)), str(path))
+                run = _through_main(
+                    ["bootstrap", str(path), "--groups", str(groups), "--boot", "20",
+                     "--seed", "1"], Path(tmp) / f"out{forced}.json")
+            if kind == "ok":
+                dm = (dm.values.shape, dm.values.tobytes(), dm.labels,
+                      dm.group_sizes.tolist())
+            results.append((kind, dm, run))
+    return results
+
+
+class TestMatrixBlockReadMatchesCsvPath:
+    @pytest.mark.parametrize("flaw", _MATRIX_FLAWS, ids=repr)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), budget=st.sampled_from([None, None, *_BUDGETS]))
+    def test_distance_csv(self, flaw, data, budget):
+        content, n = data.draw(_distance_csvs(flaw))
+        bulk, csv_path = _both_matrix_paths(content, n, budget)
+        assert bulk == csv_path
+
+    @pytest.mark.parametrize("budget", [None, *_BUDGETS])
+    @pytest.mark.parametrize(
+        "content, n, plain",
+        [
+            (b"0,1\n1,0\n", 2, True),
+            (b"0,1,2\n1,0,3\n", 2, False),  # wider than tall
+            (b"0,1,2\n1,0,3\n", 3, False),
+            (b"0,1\n1,0\n2,3\n", 3, False),  # taller than wide
+            (b"0,1\n1,0\n2,3\n", 2, False),
+            (b"0,1,2,3\n1,0,3,4\n2,3,0,5\n3,4,5,0\n", 4, True),
+            (b"0,1,2,3\n1,0,3\n2,3,0,5\n3,4,5,0\n", 4, False),  # ragged
+            (b"0,1,2,3\n1,0,3,4,5\n2,3,0,5\n3,4,5,0\n", 4, False),
+            (b"\n0,1\n\n\n1,0\n\n", 2, True),  # blank lines
+            (b"\xef\xbb\xbf0,1\r\n1,0\r\n", 2, True),  # BOM and CRLF
+            (b"\xef\xbb\xbf0,1\r\n\r\n1,0", 2, True),
+            (b"0,nan\nnan,0\n", 2, True),
+            (b"0,inf\ninf,0\n", 2, True),
+            (b"0,1_0\n1_0,0\n", 2, False),
+            (b'0,"1"\n"1",0\n', 2, False),  # quoted cells
+            (b'"0","1"\n"1","0"\n', 2, False),
+            (b'0,"1,2"\n1,0\n', 2, False),
+            (b"\n\n", 2, False),  # no data rows
+            (b"", 2, False),
+        ],
+    )
+    def test_distance_csv_case(self, content, n, plain, budget):
+        bulk, csv_path = _both_matrix_paths(content, n, budget)
+        assert bulk == csv_path
+        with tempfile.TemporaryDirectory() as tmp, _block_budget(budget):
+            path = Path(tmp) / "dm.csv"
+            path.write_bytes(content)
+            table = dbicc.cli._bulk_table(str(path), 0)
+        square = table is not None and table[2].shape[0] == table[2].shape[1]
+        assert square == plain
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -198,7 +410,15 @@ def test_workload_sized_vector_csv_takes_the_bulk_read(tmp_path, monkeypatch, ne
 
     monkeypatch.setattr(dbicc.cli, "_parse_vector_csv", fail)
     monkeypatch.setattr(dbicc.cli, "_read_csv_rows", fail)
-    sample = dbicc.cli._load_vector_csv(str(src))
+    # only the labels and one block's floats live past their block: the
+    # whole-file read held the text, its lines, labels and cells at once (9.2 MiB)
+    tracemalloc.start()
+    try:
+        sample = dbicc.cli._load_vector_csv(str(src))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
     assert sample.labels == tuple(f"s{i:05d}" for i in range(3000))
     assert sample.group_sizes.tolist() == [3] * 3000
     assert sample.values.tobytes() == obs.reshape(9000, 20).tobytes()
