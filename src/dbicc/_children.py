@@ -1,10 +1,11 @@
 """Child processes that compute a function of each item, read back in item order.
 
 The manifest's series read and the simulations' runs both go through
-:func:`run_in_children`.
+:func:`run_in_children`.  ``multiprocessing`` is imported only where a
+fork is weighed or a child started, so a command that runs everything in
+its own process does not load it.
 """
 
-import multiprocessing
 import os
 import signal
 import threading
@@ -25,6 +26,8 @@ def can_fork():
     not checked: OpenBLAS's pool stops in its own fork handler and restarts
     in a child that calls BLAS.
     """
+    import multiprocessing
+
     forks = "fork" in multiprocessing.get_all_start_methods()
     return forks and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
 
@@ -60,13 +63,16 @@ def run_in_children(fn, items, workers, start_method):
     Child ``k`` of ``n = min(workers, len(items))``, started by
     ``start_method``, computes items ``k``, ``k + n``, ...; this thread
     reads the pipes in item order, each array into one it allocates.  With
-    ``n`` below 2 this process computes them.  Every child is killed and
-    reaped before this generator ends, however it ends.
+    ``n`` below 2 this process computes them, and ``start_method`` is not
+    read.  Every child is killed and reaped before this generator ends,
+    however it ends.
     """
     workers = min(workers, len(items))
     if workers < 2:
         yield from map(fn, items)
         return
+    import multiprocessing
+
     context = multiprocessing.get_context(start_method)
     pipes, children = [], []
     try:

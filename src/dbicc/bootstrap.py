@@ -30,13 +30,17 @@ replicate is as one whole-draw pass computes it; where it spans several,
 the matrix products round per block, so replicates can move in their
 last bits.
 
-A block's flat indices, float counts and squared counts are computed in
-a :class:`_Workspace` whose buffers are reused: by every block of one
-call, and by every run of one coverage experiment (each worker process
-its own), which passes one workspace to all its calls.  It holds only
-buffers, and is freed with the call or the experiment, never kept for
-the process.  Fresh temporaries of this size would hand the heap top
-back to the OS after each call and page it in again in the next.
+A block's flat indices and then its float counts are computed in the
+one buffer of a :class:`_Workspace`, reused by every block of one call,
+and by every run of one coverage experiment (each worker process its
+own), which passes one workspace to all its calls.  ``np.bincount``'s
+own array takes the squared counts, so a block holds three arrays of
+its size at once, the draw, the workspace buffer and bincount's, not
+four; each spent block is released before the next is drawn.  The
+workspace holds only its buffer, and is freed with the call or the
+experiment, never kept for the process.  A fresh temporary of this size
+would hand the heap top back to the OS after each call and page it in
+again in the next.
 
 When an individual is drawn twice, the blocks between its copies are
 nominally between-individual but really within-individual (with a zero
@@ -62,7 +66,6 @@ sums, n_boot, corrected, level, seed).
 """
 
 import math
-import secrets
 import warnings
 from dataclasses import dataclass
 
@@ -183,24 +186,23 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
 
 
 class _Workspace:
-    """Buffers that replicate blocks are computed in, reused from block to block.
+    """The buffer that replicate blocks are computed in, reused from block to block.
 
     One workspace serves one bootstrap call, or every call of one coverage
-    experiment, and holds only buffers.  A buffer is allocated when a block
-    first needs more than it holds, and blocks take C-contiguous views of
-    its front.
+    experiment, and holds only one float64 buffer.  It is allocated anew
+    when a block first needs more than it holds, and blocks take
+    C-contiguous views of its front.
     """
 
     def __init__(self):
-        self._buffers = {}
+        self._buffer = np.empty(0)
 
-    def array(self, name, shape, dtype=float):
-        """A ``shape`` view of buffer ``name``, grown first if it is too small."""
+    def array(self, shape):
+        """A float64 ``shape`` view of the buffer, grown first if it is too small."""
         size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return self._buffer[:size].reshape(shape)
 
 
 class _ReplicateTerms:
@@ -233,15 +235,17 @@ class _ReplicateTerms:
         ``cross``, O(I*p) from the means.
         """
         n_rep, n_groups = indices.shape
-        flat = self.workspace.array("flat", indices.shape, np.intp)
+        # one buffer takes the flat indices, then the float counts: every
+        # count and count product below is an integer under 2**53, so float
+        # matmuls give the integer results exactly
+        counts = self.workspace.array(indices.shape)
+        flat = counts.view(np.int64)
         np.add(np.arange(n_rep)[:, None] * n_groups, indices, out=flat)
-        # float counts: every count and count product below is an integer
-        # under 2**53, so float matmuls give the integer results exactly
-        counts = self.workspace.array("counts", indices.shape)
-        np.copyto(counts.reshape(-1), np.bincount(flat.ravel(), minlength=flat.size))
-        # the flat indices are spent: their buffer takes the squared counts,
-        # so a block holds four arrays of its size at once, not five
-        squares = np.multiply(counts, counts, out=flat.view(float))
+        tally = np.bincount(flat.ravel(), minlength=flat.size)
+        np.copyto(counts.reshape(-1), tally)
+        # bincount's array takes the squared counts, so a block holds three
+        # arrays of its size at once (the draw, the buffer and it), not four
+        squares = np.multiply(counts, counts, out=tally.view(float).reshape(indices.shape))
         total = counts @ self.sizes
         quad = self.resampled_sums(counts, total, indices[:, 0])
         return {
@@ -324,7 +328,18 @@ def _check_n_boot(n_boot, stacklevel):
 
 
 def _resolve_seed(seed):
-    return secrets.randbits(63) if seed is None else int(seed)
+    """``seed`` as an int, or 63 bits from the OS entropy pool if it is None.
+
+    ``secrets`` is imported only for a None seed.  ``numpy.random``
+    imports it, and with it OpenSSL's ``_hashlib``, when it is itself
+    first loaded, which every draw does; so this saves the import only
+    where nothing is drawn.
+    """
+    if seed is not None:
+        return int(seed)
+    import secrets
+
+    return secrets.randbits(63)
 
 
 def _replicates(source, n_boot, level, seed, workspace=None):
@@ -345,8 +360,10 @@ def _replicates(source, n_boot, level, seed, workspace=None):
     rho_hat = dbicc_point(stats).rho_hat
     seed = _resolve_seed(seed)
     terms = _ReplicateTerms(stats, workspace)
-    draw = _draw_indices(stats.sizes.size, n_boot, seed)
-    blocks = [terms.estimates(indices) for indices in draw]
+    blocks = []
+    for indices in _draw_indices(stats.sizes.size, n_boot, seed):
+        blocks.append(terms.estimates(indices))
+        del indices  # the spent block is freed before the next is drawn
     naive, corr, naive_valid, corr_valid = map(np.concatenate, zip(*blocks))
     return seed, rho_hat, {False: (naive, naive_valid), True: (corr, corr_valid)}
 

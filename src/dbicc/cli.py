@@ -28,7 +28,8 @@ series files, those of one manifest in forked processes where
 CSVs are read in blocks of whole lines, one ``numpy.loadtxt`` call each;
 any other CSV, and one that fails a check of the block read, is split by
 the ``csv`` module, numbers by ``float``.  ``simulate --threads N`` runs in
-``min(N, runs)`` child processes, forked by the same rule or else spawned.
+``min(N, runs)`` child processes, forked by the same rule or else spawned;
+``dbicc.simulation`` is imported when ``simulate`` runs, not with this module.
 ``--out`` and ``--csv`` are checked before any input is read.
 
 Rows are ordered by individual, in order of first appearance, then by
@@ -76,7 +77,6 @@ from .core import (
 from .distances import DistanceSpec, Metric, _chunk_rows, _threshold_level
 from .errors import DbiccError, DegenerateDistancesError, DegenerateInputError
 from .estimator import dbicc_point
-from .simulation import run_coverage_experiment, run_point_experiment, run_sb_experiment
 
 __all__ = ["main", "main_entry"]
 
@@ -697,6 +697,17 @@ _RUNNERS = {
     "sb": "run_sb_experiment",
 }
 _ALL = tuple(_RUNNERS)
+
+
+def __getattr__(name):
+    """The runners, from ``dbicc.simulation``, imported on first use (PEP 562)."""
+    if name in _RUNNERS.values():
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # Each simulate flag: the runner parameter it sets (its argparse dest), the
 # experiments that take it, its help and its parser options.  An absent flag
 # stays None and is not passed on, so every default lives in the runner's
@@ -749,8 +760,9 @@ def _cmd_simulate(args) -> int:
                 f"{flag} does not apply to --experiment {args.experiment}"
             )
         kwargs[param] = value
-    # looked up when the command runs, so that a replaced attribute is called
-    report = globals()[_RUNNERS[args.experiment]](**kwargs)
+    # looked up on this module when the command runs, so that a replaced
+    # attribute is called
+    report = getattr(sys.modules[__name__], _RUNNERS[args.experiment])(**kwargs)
     if args.csv:
         _write_csv(*_simulation_csv(args.experiment, report), args.csv)
     _write_output(dumps_json(report), args.out)

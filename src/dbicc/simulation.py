@@ -379,9 +379,13 @@ def _run_tasks(worker, tasks, workers):
     """``worker`` of each task, in order, in up to ``workers`` child processes.
 
     No run calls a scipy kernel (their block sums are numpy's), so a
-    forked or spawned child imports no scipy module.
+    forked or spawned child imports no scipy module.  Fork or spawn is
+    weighed only when children will start: runs in this process load no
+    ``multiprocessing``.
     """
-    method = "fork" if can_fork() else "spawn"
+    method = None
+    if min(workers, len(tasks)) > 1:
+        method = "fork" if can_fork() else "spawn"
     return list(run_in_children(worker, tasks, workers, method))
 
 

@@ -371,6 +371,16 @@ class TestBootstrapDbicc:
             sites = [(w.category, w.filename, w.lineno) for w in caught]
             assert sites == [(UserWarning, __file__, line)]
 
+    @pytest.mark.parametrize("n_boot, warned", [(99, 1), (100, 0)])
+    def test_the_warning_starts_below_100_replicates(self, n_boot, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bootstrap_dbicc(three_individual_matrix(), n_boot, seed=1)
+        assert [str(w.message) for w in caught] == [
+            f"n_boot={n_boot} is small; percentile intervals are unstable below a few "
+            "hundred replicates"
+        ] * warned
+
     def test_rho_hat_is_the_point_estimate_of_the_resampled_sums(self, rng):
         sample = vector_sample(rng, [3, 2, 4, 2, 3], 3)
         stats = block_stats(sample, Metric.L2_VEC)
@@ -579,3 +589,19 @@ class TestReplicateWorkspace:
         assert naive.n_boot == corrected.n_boot == 1200
         assert naive.rho_hat == corrected.rho_hat == dbicc_point(stats).rho_hat
         assert peak < 2**20
+
+    def test_a_block_holds_three_arrays_of_its_size(self):
+        # 3,000 individuals, B = 200: five blocks of about 1 MiB of indices.
+        # A block holds its draw, the workspace's buffer and bincount's array,
+        # and is freed before the next is drawn.  The flat indices in a buffer
+        # of their own, and the spent block kept while the next was drawn,
+        # took 4.52 MiB.
+        stats = self.stats([3] * 3000, 20)
+        _replicates(stats, 200, 0.95, 1)
+        tracemalloc.start()
+        try:
+            _replicates(stats, 200, 0.95, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import multiprocessing
@@ -1778,11 +1779,12 @@ class TestFuzzMain:
 _LOADS = """
 import json, sys
 import dbicc, dbicc.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-report = [scipy_modules()]
+watched = json.loads(sys.argv[2])
+def loaded():
+    return sorted(m for m in sys.modules if m in watched or m.split(".")[0] in watched)
+report = [loaded()]
 for argv in json.loads(sys.argv[1]):
-    report.append([dbicc.cli.main(argv), scipy_modules()])
+    report.append([dbicc.cli.main(argv), loaded()])
 print(json.dumps(report))
 """
 
@@ -1794,14 +1796,17 @@ def _package_env():
     ))
 
 
-def _fresh_main(argv_list):
+def _fresh_main(argv_list, watched=("scipy",)):
     """Import the package, then run ``main`` on each argv, in a fresh interpreter.
 
-    Returns the scipy modules loaded after the import, then each call's
-    exit code and the scipy modules loaded after it.
+    Returns the ``watched`` modules and packages (with their submodules)
+    loaded after the import, then each call's exit code and the watched
+    modules loaded after it.
     """
-    done = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(argv_list)],
-                          capture_output=True, text=True, env=_package_env(), timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS, json.dumps(argv_list), json.dumps(watched)],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -1896,6 +1901,61 @@ print(seen, scipy_modules())
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=_package_env(), timeout=120)
         assert (done.stdout, done.stderr) == ("[(2, 'fork'), [], []] []\n", "")
+
+
+# The names the package exported when it imported every module eagerly
+_EXPORTS = {
+    "bootstrap": "BootstrapResult bootstrap_dbicc bootstrap_dbicc_pair percentile_ci",
+    "core": "BlockStats DistanceMatrix GroupedSample PayloadKind block_stats "
+            "build_grouped_sample compute_distance_matrix",
+    "distances": "DistanceSpec Metric corr_of_corr_distance correlation_from_timeseries "
+                 "l1_distance l2_distance soft_threshold",
+    "errors": "DbiccError DegenerateDistancesError DegenerateInputError FactorizationError "
+              "InputShapeError InsufficientDataError InsufficientGroupsError "
+              "InsufficientReplicatesError MetricMismatchError NonFiniteError ParameterError",
+    "estimator": "DbiccEstimate dbicc_point msd_between msd_within population_dbicc_gaussian",
+    "simulation": "ConnectivityPopulation TrueScorePopulation cov_error_spread default_m_grid "
+                  "gen_connectivity_sample gen_gaussian_sample gen_mvn_timeseries "
+                  "gen_sample_cov gen_spd_population run_coverage_experiment "
+                  "run_point_experiment run_sb_experiment",
+    "spearman_brown": "LineFit SbCurve SbPoint build_sb_curve classical_sb fit_loglog snr "
+                      "snr_inverse",
+}
+
+
+class TestLeanImport:
+    """A command loads the simulation modules, ``multiprocessing`` and
+    ``secrets`` only where it runs them."""
+
+    WATCHED = ("dbicc.simulation", "dbicc.spearman_brown", "multiprocessing", "secrets")
+
+    def test_estimate_loads_none_and_simulate_in_process_no_multiprocessing(
+        self, tmp_path, rng
+    ):
+        vectors = tmp_path / "vectors.csv"
+        _write_vectors(vectors, rng)
+        runs = [
+            ["estimate", str(vectors), "--out", str(tmp_path / "e.json")],
+            ["simulate", "--experiment", "point", "--runs", "3", "--seed", "1",
+             "--threads", "1", "--out", str(tmp_path / "p.json")],
+        ]
+        imported, (code, estimated), (sim_code, simulated) = _fresh_main(runs, self.WATCHED)
+        assert imported == estimated == [] and code == sim_code == 0
+        assert "dbicc.simulation" in simulated
+        assert not [m for m in simulated if m.split(".")[0] == "multiprocessing"]
+
+    def test_the_cli_runners_are_the_simulation_objects(self):
+        for name in ("run_point_experiment", "run_coverage_experiment", "run_sb_experiment"):
+            assert getattr(dbicc.cli, name) is getattr(dbicc.simulation, name)
+        with pytest.raises(AttributeError, match="has no attribute 'run_nothing'"):
+            dbicc.cli.run_nothing
+
+    def test_all_lists_the_exported_names_each_its_modules_object(self):
+        exported = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+        assert sorted(dbicc.__all__) == sorted(exported)
+        assert set(dbicc.__all__) <= set(dir(dbicc))
+        for name, module in exported.items():
+            assert getattr(dbicc, name) is getattr(importlib.import_module(f"dbicc.{module}"), name)
 
 
 def _library_example(readme):

@@ -196,6 +196,9 @@ class TestPopulationDbicc:
     def test_balanced(self):
         assert population_dbicc_gaussian(1.0, 1.0) == 0.5
 
+    def test_no_score_spread(self):
+        assert population_dbicc_gaussian(0.0, 2.0) == 0.0
+
     def test_both_zero(self):
         with pytest.raises(ParameterError):
             population_dbicc_gaussian(0.0, 0.0)

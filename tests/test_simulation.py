@@ -511,6 +511,16 @@ class TestExperimentRunners:
             )
         ]
 
+    @pytest.mark.parametrize("n_boot, warned", [(99, 1), (100, 0)])
+    def test_the_warning_starts_below_100_replicates(self, n_boot, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_coverage_experiment(6, 2, n_boot=n_boot, n_runs=2, seed=1)
+        assert [str(w.message) for w in caught] == [
+            f"n_boot={n_boot} is small; percentile intervals are unstable below a few "
+            "hundred replicates"
+        ] * warned
+
     def test_point_experiment_icc_domain(self):
         with pytest.raises(ParameterError):
             run_point_experiment(10, 4, 1.5, 4, seed=0)
