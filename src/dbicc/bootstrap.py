@@ -7,14 +7,14 @@ and the sums over the pairs between individuals.  For a precomputed
 the between sums as the I-by-I ``cross``.  From payloads,
 :func:`~dbicc.core.block_stats` builds no n-by-n matrix under any
 metric: ``l1`` reads the same rows in chunks of ``cdist``, and ``l2``
-and correlation of correlations take the smaller of two forms for the
-between sums, the I individual means of p values when p <= I, the I-by-I
-``cross`` when p > I.
+and correlation of correlations keep the I individual means of p values
+in place of the between sums.
 
 Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
 individuals; payload distances are never recomputed.  A replicate
-costs O(I*p) from the means and O(I^2) from ``cross`` (see
+costs O(I*min(I, p)) from the means, through their I-by-I Gram when
+p > I, and O(I^2) from ``cross`` (see
 :meth:`_ReplicateTerms.components`).  The point estimate reads
 the same sums (:func:`~dbicc.core._between_sum`), and every
 :class:`BootstrapResult` carries it as ``rho_hat``.
@@ -23,12 +23,12 @@ Memory is bounded in the replicate count B.  The (B, I) draw is drawn,
 counted and reduced in blocks of rows, each holding about 1 MiB of
 indices (``_REPLICATE_BYTES``, or one row when I is larger), so a call
 holds the block sums, one block's temporaries (a few times the budget,
-plus the rows' products with ``cross`` or the means) and O(B) outputs:
-the estimates and validity flags.  The blocks together are the draw of
-one ``(B, I)`` call, bit for bit.  Where the draw fits one block, every
-replicate is as one whole-draw pass computes it; where it spans several,
-the matrix products round per block, so replicates can move in their
-last bits.
+plus the rows' products with ``cross``, the means or their Gram) and
+O(B) outputs: the estimates and validity flags.  The blocks together are
+the draw of one ``(B, I)`` call, bit for bit.  Where the draw fits one
+block, every replicate is as one whole-draw pass computes it; where it
+spans several, the matrix products round per block, so replicates can
+move in their last bits.
 
 A block's flat indices and then its float counts are computed in the
 one buffer of a :class:`_Workspace`, reused by every block of one call,
@@ -232,7 +232,7 @@ class _ReplicateTerms:
         within mean's and the naive and corrected between means'.  Each
         between numerator derives from ``c^T cross c`` for the replicate's
         counts ``c`` (:func:`~dbicc.core._resampled_sums`): O(I^2) from
-        ``cross``, O(I*p) from the means.
+        ``cross``, O(I*min(I, p)) from the means.
         """
         n_rep, n_groups = indices.shape
         # one buffer takes the flat indices, then the float counts: every

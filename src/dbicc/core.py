@@ -17,11 +17,10 @@ it goes through the column pipeline (:class:`_MatrixColumns`), which
 only its lower triangle, and ``l1`` and ``l2`` compare only the columns
 that a level leaves different between payloads.
 
-The block sums are numpy work, group sums included, and so is the
-squared-distance table of the means that ``l2`` and correlation of
-correlations take when a payload row has more values than there are
-individuals.  Only ``l1``'s ``cdist`` row chunks and
-:func:`compute_distance_matrix` call a scipy kernel, imported on its
+``l2`` and correlation-of-correlations block sums are numpy work,
+group sums included, and keep the individual means, whatever the
+number of values in a payload row.  Only ``l1``'s ``cdist`` row chunks
+and :func:`compute_distance_matrix` call a scipy kernel, imported on its
 first call (:func:`dbicc.distances.load_kernels`), so importing this
 module, or taking ``l2`` or correlation-of-correlations block sums,
 loads no scipy module.
@@ -452,15 +451,14 @@ class BlockStats(NamedTuple):
       ``within[g]``, the duplicated-block sum including its zero
       diagonal.  Sums read off distance rows (by
       :func:`_distance_block_sums`: a :class:`DistanceMatrix`, or ``l1``
-      payloads) take this form, and so do ``l2`` and
-      correlation-of-correlations sums from payload rows of p values when
-      p > I, the number of individuals.
+      payloads) take this form.
     * ``means``, one row per individual: the group means relative to the
       first payload, scaled so that ``cross[g, h]`` would be
       ``J_g J_h ||means[g] - means[h]||^2 + J_h within[g] / J_g +
       J_g within[h] / J_h`` with ``J = sizes``.  ``l2`` and
-      correlation-of-correlations sums take this I-by-p form when p <= I,
-      and ``cross`` is ``None``.
+      correlation-of-correlations sums from payload rows of p values take
+      this I-by-p form, whatever p and the number I of individuals, and
+      ``cross`` is ``None``.
 
     :func:`_between_sum` and :func:`_resampled_sums` read either form.
     ``between`` is the sum over the unordered between-individual pairs
@@ -550,12 +548,10 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     sums-of-squares decomposition behind PERMANOVA).  Each later row is
     first taken relative to its group's first row, which stays as it is,
     and the means relative to the very first row, so a common offset
-    cancels exactly and identical payloads give exact zeros.  With I
-    groups of p-value rows, the result holds the means, scaled by
-    ``sqrt(scale)``, when p <= I, and otherwise the I-by-I ``cross``
-    taken from their squared distances (numpy's ``pdist``).  Besides
-    ``rows`` the temporaries are the I-by-p means, row chunks and, when
-    p > I, the I-by-p centred means and a few I-by-I arrays.
+    cancels exactly and identical payloads give exact zeros.  The result
+    holds the I-by-p means of I groups of p-value rows, scaled by
+    ``sqrt(scale)``, and no ``cross``.  Besides ``rows`` the temporaries
+    are the means and row chunks.
     """
     n, width = rows.shape
     n_groups = sizes.size
@@ -575,19 +571,9 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     spread = np.bincount(group, weights=squares)
     for c in _chunks(n_groups, 8 * width):
         means[c] += rows[starts[c]] - rows[0]
-    within = scale * sizes * spread
-    if width <= n_groups:  # the means are the smaller form
-        if scale != 1.0:
-            means *= np.sqrt(scale)
-        return BlockStats(sizes, within, None, means)
-    cross = squareform(pdist(means, "sqeuclidean"))
-    per_replicate = spread / sizes
-    cross += per_replicate[:, None]
-    cross += per_replicate[None, :]
-    cross *= scale * sizes[:, None]
-    cross *= sizes[None, :]
-    np.fill_diagonal(cross, 2.0 * within)
-    return BlockStats(sizes, within, cross)
+    if scale != 1.0:
+        means *= np.sqrt(scale)
+    return BlockStats(sizes, scale * sizes * spread, None, means)
 
 
 def _two_pass_spread(means, weights, picks):
@@ -620,26 +606,49 @@ def _spread_of_means(sizes, means):
     ``total``, the spread ``S(w) = sum_g w_g ||means[g] - mu_w||^2`` with
     ``mu_w`` the ``w``-weighted mean.  One pass, ``w.q - ||M^T w||^2 /
     sum(w)``, on the I-by-p means ``M`` centred at their ``sizes``-weighted
-    mean, with ``q`` their squared norms: O(I*p) per row.  The centred
-    means and their norms are computed here, once for every call.  Rows
-    where the subtraction cancels more than half of ``w.q`` are redone by
-    :func:`_two_pass_spread` about ``picks``.
+    mean, with ``q`` their squared norms.  The centred means and their
+    norms are computed here, once for every call.  A row's
+    ``||M^T w||^2`` is taken from ``M^T w`` in O(I*p), unless p > I and
+    the call has at least I rows: then it is ``w^T G w`` in O(I^2), with
+    ``G = M M^T`` the I-by-I Gram of the weighted means, built by
+    :func:`_gram` on the first such call and kept for the later ones.
+    Rows where the subtraction cancels more than half of ``w.q`` are
+    redone by :func:`_two_pass_spread` about ``picks``: the two-pass
+    algorithm, which Chan, Golub and LeVeque (Am. Stat. 37(3), 1983)
+    recommend where the one-pass formula cancels.
     """
     centred = means - (sizes @ means) / sizes.sum()
     norms = np.einsum("ij,ij->i", centred, centred)
     centred *= sizes[:, None]
     weighted_norms = sizes * norms
+    gram = None
 
     def spread(counts, total, picks):
-        proj = counts @ centred
+        nonlocal gram
+        if means.shape[1] > sizes.size and len(counts) >= sizes.size:
+            if gram is None:
+                gram = _gram(centred)
+            projected = np.einsum("ij,ij->i", counts @ gram, counts)
+        else:
+            proj = counts @ centred
+            projected = np.einsum("ij,ij->i", proj, proj)
         weighted = counts @ weighted_norms
-        out = weighted - np.einsum("ij,ij->i", proj, proj) / total
+        out = weighted - projected / total
         redo = np.flatnonzero(out < 0.5 * weighted)
         if redo.size:
             out[redo] = _two_pass_spread(means, counts[redo] * sizes, picks[redo])
         return out
 
     return spread
+
+
+def _gram(rows):
+    """``rows @ rows.T`` from numpy's own ``einsum`` loop, not a BLAS product.
+
+    A BLAS product's bits can depend on the number of BLAS threads; these
+    do not.
+    """
+    return np.einsum("ik,jk->ij", rows, rows)
 
 
 def _resampled_sums(stats: BlockStats):
@@ -653,8 +662,8 @@ def _resampled_sums(stats: BlockStats):
     ``cross`` it is the O(I^2) product.  From the means, for
     ``w = c * sizes`` it is ``2 sum(w) (S(w) + c . (within / sizes))``,
     where ``S(w)`` is the ``w``-weighted spread of the means
-    (:func:`_spread_of_means`), in O(I*p).  Terms of the block sums alone
-    are computed here, once for every call.
+    (:func:`_spread_of_means`), in O(I*min(I, p)) per row.  Terms of the
+    block sums alone are computed here, once for every call.
     """
     sizes, within, cross, means = stats[:4]
     if means is None:
@@ -857,9 +866,8 @@ def block_stats(sample: GroupedSample, metric) -> BlockStats:
       memory beyond the chunk.  On vector payloads it equals that of
       the matrix bit for bit.
     * ``l2`` and correlation of correlations, equal up to rounding, keep
-      the I-by-p means when p <= I, in O(n*p) time, and the I-by-I
-      ``cross`` when p > I, in O(n*p + I^2*p) time (see
-      :class:`BlockStats`); either way memory is O(n*p + I*min(I, p)).
+      the I-by-p means (see :class:`BlockStats`), in O(n*p) time and
+      memory.
 
     Parameters
     ----------

@@ -19,14 +19,12 @@ functions evaluate the same compiled kernels as the pairwise path in
 :func:`dbicc.core.compute_distance_matrix`, so a single pair and the
 corresponding matrix entry agree bit for bit.
 
-Those kernels are scipy's ``cdist`` and ``pdist``, reached through the
-functions of the same names here, which import
+Those kernels are scipy's ``cdist``, ``pdist`` and ``squareform``,
+reached through the functions of the same names here, which import
 :mod:`scipy.spatial.distance` on their first call (:func:`load_kernels`).
 Importing it loads over 170 scipy modules, so a command whose path calls
-no scipy kernel never pays for them.  ``pdist(rows, "sqeuclidean")``,
-which the ``l2`` and correlation-of-correlations block sums take of the
-individual means, and ``squareform`` are numpy code and load no scipy
-module.
+no scipy kernel never pays for them.  The ``l2`` and
+correlation-of-correlations block sums call none of them.
 """
 
 from dataclasses import dataclass
@@ -55,8 +53,8 @@ __all__ = [
 def load_kernels():
     """Import :mod:`scipy.spatial.distance`, once per process, and return it.
 
-    :func:`cdist`, and :func:`pdist` for every metric but
-    ``"sqeuclidean"``, call it on each call; the first call pays the import.
+    :func:`cdist`, :func:`pdist` and :func:`squareform` call it on each
+    call; the first call pays the import.
     """
     import scipy.spatial.distance
 
@@ -69,14 +67,13 @@ def cdist(a, b, metric):
 
 
 def pdist(rows, metric):
-    """Condensed pairwise distances between ``rows``, pairs in ``triu_indices`` order.
-
-    ``"sqeuclidean"`` is :func:`_sqeuclidean`, in numpy; any other metric
-    is scipy's ``pdist``, imported on first use.
-    """
-    if metric == "sqeuclidean":
-        return _sqeuclidean(rows)
+    """scipy's ``pdist``, imported on first use."""
     return load_kernels().pdist(rows, metric)
+
+
+def squareform(condensed):
+    """scipy's ``squareform``, imported on first use."""
+    return load_kernels().squareform(condensed)
 
 
 # Bytes of rows a scratch loop holds in a temporary at a time, unless it
@@ -97,79 +94,6 @@ def _chunks(n_rows, row_bytes, budget=None):
     """Slices of ``range(n_rows)`` in order, :func:`_chunk_rows` rows each but the last."""
     step = _chunk_rows(row_bytes, budget)
     return (slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step))
-
-
-def _pair_sqeuclidean(rows, first, second):
-    """``||rows[a] - rows[b]||^2`` for each pair ``(a, b)`` of ``zip(first, second)``.
-
-    Takes the row differences a chunk of pairs at a time (:func:`_chunks`);
-    each pair is summed on its own, so the chunking does not change the bits.
-    """
-    out = np.empty(first.size)
-    for c in _chunks(first.size, 8 * rows.shape[1]):
-        diff = rows[first[c]] - rows[second[c]]
-        out[c] = np.einsum("ij,ij->i", diff, diff)
-    return out
-
-
-def _sqeuclidean(rows) -> np.ndarray:
-    """Condensed squared Euclidean distances between ``rows``, as scipy's ``pdist``.
-
-    With the rows ``c`` centred at their mean and ``q`` their squared
-    norms, pair ``(g, h)`` is ``q_g + q_h - 2 c_g . c_h``.  The products
-    of each row with the rows after it are one ``einsum``, numpy's own
-    loop, whose bits, unlike a BLAS product's, do not depend on the
-    number of BLAS threads.  Pairs where the subtraction cancels
-    more than half of ``q_g + q_h`` (or that are not finite) are
-    recomputed from the row differences by :func:`_pair_sqeuclidean`, so
-    equal rows give exactly 0 and near-equal ones keep their digits.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise InputShapeError(f"pdist needs a 2-D array of rows, got shape {rows.shape}")
-    n = len(rows)
-    first, second = np.triu_indices(n, k=1)
-    cross = np.empty(first.size)
-    # overflow and NaN propagate as in scipy's loop, with no warning
-    with np.errstate(all="ignore"):
-        centred = rows - rows.mean(axis=0)
-        start = 0
-        for a in range(n - 1):  # row a's pairs, in triu_indices order
-            stop = start + n - 1 - a
-            cross[start:stop] = np.einsum("ij,j->i", centred[a + 1 :], centred[a])
-            start = stop
-        norms = np.einsum("ij,ij->i", centred, centred)
-        bound = norms[first] + norms[second]
-        out = bound - 2.0 * cross
-        redo = np.flatnonzero(~(out >= 0.5 * bound))
-        if redo.size:
-            out[redo] = _pair_sqeuclidean(rows, first[redo], second[redo])
-    return out
-
-
-def squareform(condensed):
-    """The symmetric square matrix of condensed distances, zero on its diagonal.
-
-    The inverse of :func:`pdist`'s layout, as scipy's ``squareform`` of a
-    vector: pair ``(a, b)``, ``a < b``, in ``triu_indices`` order, is
-    copied to entries ``[a, b]`` and ``[b, a]``, in the input's dtype.  An
-    empty vector gives a 1-by-1 zero matrix.
-    """
-    condensed = np.asarray(condensed)
-    if condensed.ndim != 1:
-        raise InputShapeError(
-            f"squareform needs a condensed vector, got shape {condensed.shape}"
-        )
-    n = int(np.ceil(np.sqrt(2 * condensed.size))) if condensed.size else 1
-    if n * (n - 1) != 2 * condensed.size:
-        raise InputShapeError(
-            f"{condensed.size} distances are not n*(n-1)/2 for any integer n"
-        )
-    out = np.zeros((n, n), dtype=condensed.dtype)
-    upper = ~np.tri(n, dtype=bool)  # its True entries in row order are the pairs
-    out[upper] = condensed
-    out.T[upper] = condensed
-    return out
 
 
 class Metric(str, Enum):

@@ -1,7 +1,11 @@
 """Block sums straight from payloads against the distance-matrix path."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -70,8 +74,9 @@ def dim_and_sizes(draw, dims, width=lambda dim: dim, max_individuals=6):
     """A payload dimension and replicate counts of I individuals.
 
     The rows compared have ``width(dim)`` values, p; I is 2, p - 1, p or
-    p + 1, or up to ``max_individuals``, so the sums from payload rows
-    take both forms (means when p <= I, ``cross`` when p > I).
+    p + 1, or up to ``max_individuals``, so replicate blocks of I or more
+    rows take both projections of the means (each row's own when
+    p <= I, the I-by-I Gram when p > I).
     """
     dim = draw(dims)
     p = width(dim)
@@ -97,17 +102,18 @@ regimes = st.sampled_from(
 )
 
 
-def assert_one_form(stats):
-    """Sums from payload rows hold the smaller between form, never both."""
-    assert (stats.cross is None) != (stats.means is None)
-    if stats.means is not None:
-        assert stats.means.shape[1] <= stats.sizes.size
+def assert_one_form(stats, metric):
+    """Payload rows give one between form: ``cross`` under l1, else the means."""
+    if metric is Metric.L1_VEC:
+        assert stats.cross is not None and stats.means is None
+    else:
+        assert stats.cross is None and stats.means.shape[0] == stats.sizes.size
 
 
-def assert_same_analysis(fast, exact):
+def assert_same_analysis(fast, exact, metric):
     """Block sums, point estimate and bootstrap replicates agree to RTOL."""
     assert np.array_equal(fast.sizes, exact.sizes)
-    assert_one_form(fast)
+    assert_one_form(fast, metric)
     np.testing.assert_allclose(fast.within, exact.within, rtol=RTOL, atol=0)
     assert _between_sum(fast) == pytest.approx(_between_sum(exact), rel=RTOL, abs=0)
     if fast.cross is not None and exact.cross is not None:
@@ -147,7 +153,7 @@ class TestAgainstMatrixPath:
         payloads = draw_payloads(rng, sizes, (dim,), *regime)
         sample = grouped(payloads, PayloadKind.VECTOR)
         exact = _block_sums(compute_distance_matrix(sample, Metric.L2_VEC))
-        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
+        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact, Metric.L2_VEC)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -161,7 +167,7 @@ class TestAgainstMatrixPath:
         payloads = draw_payloads(rng, sizes, (dim, dim), *regime)
         sample = grouped(payloads, PayloadKind.MATRIX)
         exact = _block_sums(compute_distance_matrix(sample, Metric.L2_VEC))
-        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
+        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact, Metric.L2_VEC)
 
     @settings(max_examples=40, deadline=None)
     @given(grouping=dim_and_sizes(st.integers(3, 6), width=tril_width), seed=seeds)
@@ -171,7 +177,8 @@ class TestAgainstMatrixPath:
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
         sample = grouped(payloads, PayloadKind.MATRIX)
         exact = _block_sums(compute_distance_matrix(sample, Metric.CORR_OF_CORR))
-        assert_same_analysis(block_stats(sample, Metric.CORR_OF_CORR), exact)
+        fast = block_stats(sample, Metric.CORR_OF_CORR)
+        assert_same_analysis(fast, exact, Metric.CORR_OF_CORR)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -196,7 +203,7 @@ class TestAgainstMatrixPath:
         half = DistanceMatrix(np.sqrt(0.5) * dm.values, dm.group_sizes)
         sample = grouped(payloads, PayloadKind.MATRIX)
         fast = block_stats(sample, Metric.CORR_OF_CORR)
-        assert_same_analysis(fast, _block_sums(half))
+        assert_same_analysis(fast, _block_sums(half), Metric.CORR_OF_CORR)
 
     @pytest.mark.parametrize("noise", [1e-5, 1e-3])
     def test_corr_matrix_keeps_its_digits_near_r_one(self, rng, noise):
@@ -227,6 +234,7 @@ class TestAgainstMatrixPath:
         assert_same_analysis(
             block_stats(big, Metric.CORR_OF_CORR),
             block_stats(plain, Metric.CORR_OF_CORR),
+            Metric.CORR_OF_CORR,
         )
         assert corr_of_corr_distance(*scaled[0][:2]) == pytest.approx(
             corr_of_corr_distance(*payloads[0][:2]), rel=1e-12
@@ -278,13 +286,13 @@ class TestAgainstMatrixPath:
 class TestExactCases:
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
     def test_identical_replicates_give_exactly_one(self, rng, metric):
-        # 4 individuals of 4x4 payloads give cross (p = 16 or 6), 20 the means
+        # 4x4 payloads (p = 16 or 6) of 4 individuals (p > I) and of 20
         for n_individuals in (4, 20):
             centers = [rng.standard_normal((4, 4)) + 1e4 for _ in range(n_individuals)]
             payloads = [[c.copy() for _ in range(3)] for c in centers]
             sample = grouped(payloads, PayloadKind.MATRIX)
             stats = block_stats(sample, metric)
-            assert (stats.cross is None) == (n_individuals == 20)
+            assert_one_form(stats, metric)
             assert np.all(stats.within == 0.0)
             est = dbicc_point(stats)
             assert est.msd_within == 0.0
@@ -298,11 +306,8 @@ class TestExactCases:
                 [[payload.copy()] * 2 for _ in range(n_individuals)], PayloadKind.MATRIX
             )
             stats = block_stats(sample, metric)
-            if n_individuals == 3:
-                assert not np.any(stats.cross)
-            else:
-                assert stats.cross is None
-                assert not np.any(stats.means)
+            assert_one_form(stats, metric)
+            assert not np.any(stats.means)
             assert not np.any(stats.within)
             with pytest.raises(DegenerateDistancesError):
                 dbicc_point(stats)
@@ -317,7 +322,7 @@ class TestExactCases:
             block_stats(sample, Metric.CORR_OF_CORR)
 
     def test_block_stats_fields(self, rng):
-        # 3 individuals: p = 2 gives the means, p = 4 the cross sums
+        # 3 individuals: p < I, p = I and p > I all give the means
         for dim in (2, 3, 4):
             payloads = draw_payloads(rng, [2, 1, 3], (dim,), 0.0, 1.0, 0.5)
             sample = grouped(payloads, PayloadKind.VECTOR)
@@ -329,13 +334,8 @@ class TestExactCases:
             assert _between_sum(stats) == pytest.approx(
                 _between_sum(exact), rel=RTOL, abs=0
             )
-            if dim <= 3:
-                assert stats.cross is None
-                assert stats.means.shape == (3, dim)
-            else:
-                assert stats.means is None
-                assert np.array_equal(np.diagonal(stats.cross), 2.0 * stats.within)
-                assert np.array_equal(stats.cross, stats.cross.T)
+            assert stats.cross is None
+            assert stats.means.shape == (3, dim)
 
 
 def draw_clustered(rng, sizes, dim, offset, spread, noise, clusters):
@@ -406,12 +406,12 @@ class TestFactoredReplicates:
         rng = np.random.default_rng(seed)
         sample = draw_clustered(rng, sizes, dim, *regime, clusters)
         stats = block_stats(sample, Metric.L2_VEC)
-        assert_one_form(stats)
+        assert_one_form(stats, Metric.L2_VEC)
         picks = bootstrap_draw(len(sizes), 60, seed)
         # numerators against the dense product on the same sums: at a 1e4
         # offset, individuals 1e-6 apart in a cluster a unit from the first
         # payload have means, and so sums, that differ from the distance
-        # matrix's by up to about 2e-10 (already so in cross)
+        # matrix's by up to about 2e-10
         assert_same_replicates(stats, dense(stats), picks)
         flags = zip(
             _ReplicateTerms(stats).estimates(picks)[2:],
@@ -428,7 +428,7 @@ class TestFactoredReplicates:
         payloads = draw_payloads(rng, sizes, (dim, dim), 0.0, 1.0, 0.3)
         sample = grouped(payloads, PayloadKind.MATRIX)
         stats = block_stats(sample, Metric.CORR_OF_CORR)
-        assert_one_form(stats)
+        assert_one_form(stats, Metric.CORR_OF_CORR)
         picks = bootstrap_draw(len(sizes), 60, seed)
         assert_same_replicates(stats, oracle(sample, Metric.CORR_OF_CORR), picks)
 
@@ -453,8 +453,9 @@ class TestFactoredReplicates:
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.CORR_OF_CORR])
     def test_exact_zeros_and_flags(self, rng, metric):
         # 0: identical replicates; 1 and 2: bitwise-identical payloads, zero
-        # spread; 3: ordinary; 4: a singleton.  The smaller payloads give
-        # the means (p <= 5), the larger the cross sums.
+        # spread; 3: ordinary; 4: a singleton.  The smaller payloads have
+        # p <= I = 5, the larger p > I; the 10 replicate rows take the
+        # Gram when p > I.
         for side in (2 if metric is Metric.L2_VEC else 3, 4):
             shape = (side, side)
             twin = rng.standard_normal(shape) + 1e4
@@ -468,7 +469,7 @@ class TestFactoredReplicates:
             ]
             sample = grouped(payloads, PayloadKind.MATRIX)
             stats = block_stats(sample, metric)
-            assert (stats.cross is None) == (side < 4)
+            assert_one_form(stats, metric)
             reference = oracle(sample, metric)
             picks = np.array(
                 [[g] * 5 for g in range(5)]
@@ -502,6 +503,123 @@ class TestFactoredReplicates:
             chunked = _ReplicateTerms(stats).components(picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
+
+
+class TestGramProjection:
+    """With p > I, a call of at least I count rows projects through the Gram."""
+
+    @staticmethod
+    def stats(dim, regime=(0.0, 1.0, 0.5), seed=4):
+        """8 individuals (I = 8) of 1-3 replicates, p = ``dim``."""
+        rng = np.random.default_rng(seed)
+        sample = draw_clustered(rng, [3, 1, 2, 2, 3, 2, 1, 2], dim, *regime, 3)
+        return block_stats(sample, Metric.L2_VEC)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the shape of every Gram that ``dbicc.core`` builds."""
+        built = []
+        gram = dbicc.core._gram
+
+        def recording(rows):
+            built.append(rows.shape)
+            return gram(rows)
+
+        monkeypatch.setattr(dbicc.core, "_gram", recording)
+        return built
+
+    @pytest.mark.parametrize("regime", [(0.0, 1.0, 0.5), (1e4, 1e-6, 1e-9)],
+                             ids=["ordinary", "clustered"])
+    @pytest.mark.parametrize("n_rows", [3, 8, 50])
+    def test_gram_and_direct_projections_agree(self, monkeypatch, regime, n_rows):
+        stats = self.stats(30, regime)
+        built = self.spy(monkeypatch)
+        picks = bootstrap_draw(8, n_rows, n_rows)
+        # padded to at least I rows, the call takes the Gram for every row
+        padded = np.vstack([picks, bootstrap_draw(8, 8, 1)])
+        gram = _ReplicateTerms(stats).components(padded)
+        assert built == [(8, 30)]
+        direct = [_ReplicateTerms(stats).components(row[None]) for row in picks]
+        assert built == [(8, 30)]
+        # every product rounds by its number of rows: only the integer
+        # denominators are exact; numerators agree where they are valid
+        naive_valid, corrected_valid = _ReplicateTerms(stats).estimates(picks)[2:]
+        kept = {"within_num": slice(None), "naive_num": naive_valid,
+                "corrected_num": corrected_valid}
+        for key, values in gram.items():
+            one_by_one = np.concatenate([comp[key] for comp in direct])
+            if key.endswith("_den"):
+                assert np.array_equal(values[:n_rows], one_by_one)
+            else:
+                np.testing.assert_allclose(
+                    values[:n_rows][kept[key]], one_by_one[kept[key]], rtol=RTOL, atol=0
+                )
+
+    @pytest.mark.parametrize("n_rows", [5, 60])
+    def test_cancelling_rows_are_redone_on_either_projection(self, n_rows):
+        # two clusters 1e3 apart of individuals 0.1 apart: a replicate that
+        # draws from one cluster only cancels all but about 1e-8 of w.q, so
+        # its one pass alone would keep about 8 digits.  5 rows project
+        # each row, 60 take the Gram.
+        rng = np.random.default_rng(9)
+        centres = 1e3 * rng.standard_normal((2, 30))
+        payloads = []
+        for g in range(12):
+            centre = centres[g % 2] + 0.1 * rng.standard_normal(30)
+            payloads.append([centre + 0.01 * rng.standard_normal(30) for _ in range(2)])
+        sample = grouped(payloads, PayloadKind.VECTOR)
+        picks = 2 * rng.integers(0, 6, size=(n_rows, 12))  # the first cluster
+        picks[1::2] = rng.integers(0, 12, size=picks[1::2].shape)
+        stats = block_stats(sample, Metric.L2_VEC)
+        assert_same_replicates(stats, oracle(sample, Metric.L2_VEC), picks)
+
+    def test_the_gram_is_built_once_per_replicate_terms(self, monkeypatch):
+        wide, narrow = self.stats(30), self.stats(8)  # p > I, p = I
+        built = self.spy(monkeypatch)
+        terms = _ReplicateTerms(wide)
+        for row in bootstrap_draw(8, 5, 1):  # one-row calls project each row
+            terms.components(row[None])
+        terms.components(bootstrap_draw(8, 7, 2))  # fewer rows than individuals
+        dbicc_point(wide._replace(between=None))  # the between sum is one row
+        assert built == []
+        terms.components(bootstrap_draw(8, 8, 3))
+        terms.components(bootstrap_draw(8, 40, 4))
+        assert built == [(8, 30)]
+        _ReplicateTerms(narrow).components(bootstrap_draw(8, 40, 4))
+        assert built == [(8, 30)]
+        # a bootstrap of ten blocks of ten rows builds one more
+        monkeypatch.setattr(dbicc.bootstrap, "_REPLICATE_BYTES", 8 * 8 * 10)
+        bootstrap_dbicc(wide, 100, seed=5)
+        assert built == [(8, 30)] * 2
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # 100 individuals, p = 150: a BLAS product of 100 rows gave other
+        # bits with 2 OpenBLAS threads than with 1
+        script = (
+            "import hashlib, numpy as np, dbicc.core as core\n"
+            "from dbicc import GroupedSample, PayloadKind, block_stats\n"
+            "from dbicc.bootstrap import _ReplicateTerms\n"
+            "rng = np.random.default_rng(2)\n"
+            "values = rng.standard_normal((200, 150))\n"
+            "sample = GroupedSample(values, [2] * 100, tuple(range(100)),\n"
+            "                       PayloadKind.VECTOR)\n"
+            "stats = block_stats(sample, 'l2_vec')\n"
+            "grams, gram = [], core._gram\n"
+            "core._gram = lambda rows: grams.append(gram(rows)) or grams[-1]\n"
+            "_ReplicateTerms(stats).components(rng.integers(0, 100, (100, 100)))\n"
+            "digest = hashlib.sha256(np.float64(stats.between).tobytes())\n"
+            "digest.update(grams[0].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        package = str(Path(dbicc.core.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package)
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 def test_estimate_and_bootstrap_allocate_less_than_one_matrix():
@@ -644,7 +762,7 @@ class TestColumnPipeline:
             with pytest.raises(DegenerateDistancesError):
                 dbicc_point(fast)
             return
-        assert_same_analysis(fast, exact)
+        assert_same_analysis(fast, exact, metric)
 
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.L1_VEC])
     def test_a_level_that_leaves_no_column_runs_no_pass(self, rng, monkeypatch, metric):
@@ -672,7 +790,7 @@ class TestColumnPipeline:
         assert columns.weight == 1.0
         assert columns.values.shape == (6, 16)
         exact = _block_sums(compute_distance_matrix(sample, Metric.L2_VEC))
-        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact)
+        assert_same_analysis(block_stats(sample, Metric.L2_VEC), exact, Metric.L2_VEC)
 
     def test_series_compare_only_their_lower_triangle(self, rng):
         series = rng.standard_normal((4, 30, 5))

@@ -441,13 +441,14 @@ class TestReplicateBlocks:
         sample = vector_sample(np.random.default_rng(3), [3, 2] * 20 + [2], dim)
         return block_stats(sample, metric)
 
-    # The means when p = 5, the I-by-I cross when p = 60 or under l1.  Of
+    # The means when p = 5 and when p = 60, the I-by-I cross under l1.  Of
     # 100 replicates: blocks of 1 row, blocks of 7 rows with a last block
-    # of 2, and one block of all rows.
+    # of 2, and one block of all rows, which at p = 60 > I takes the
+    # means' Gram where the smaller blocks project each row.
     @pytest.mark.parametrize(
         "dim, metric",
         [(5, Metric.L2_VEC), (60, Metric.L2_VEC), (5, Metric.L1_VEC)],
-        ids=["means", "cross", "l1"],
+        ids=["means", "wide", "l1"],
     )
     @pytest.mark.parametrize(
         "rows, lengths", [(1, [1] * 100), (7, [7] * 14 + [2]), (100, [100])],
@@ -458,7 +459,7 @@ class TestReplicateBlocks:
     ):
         n_individuals, n_boot, seed = 41, 100, 2024
         stats = self.stats(dim, metric)
-        assert (stats.cross is None) == (dim == 5 and metric is Metric.L2_VEC)
+        assert (stats.cross is None) == (metric is Metric.L2_VEC)
         whole_draw = np.random.default_rng(seed).integers(
             0, n_individuals, size=(n_boot, n_individuals)
         )

@@ -1,8 +1,8 @@
 """Peak RSS of whole commands on large inputs, each in a fresh interpreter.
 
-Block sums from l2 payloads keep the I-by-p means when p <= I, so a
-bootstrap of 30,000 individuals (J = 3, p = 20) builds no I-by-I array,
-which alone would take 7 GB; l1 block sums read the distance matrix in
+Block sums from l2 payloads keep the I-by-p means, so a bootstrap of
+30,000 individuals (J = 3, p = 20) builds no I-by-I array, which alone
+would take 7 GB; l1 block sums read the distance matrix in
 cdist row chunks, so one of 3,000 individuals builds no n-by-n matrix,
 which alone would take 648 MB.  The bootstrap draws, counts and reduces
 its replicates in blocks of about 1 MiB of indices, where the whole
