@@ -13,8 +13,9 @@ in place of the between sums.
 Each bootstrap replicate resamples individuals with replacement and
 re-evaluates the dbICC from the block sums of the resampled
 individuals; payload distances are never recomputed.  A replicate
-costs O(I*min(I, p)) from the means, through their I-by-I Gram when
-p > I, and O(I^2) from ``cross`` (see
+costs O(I*p) from the means, O(I^2) from ``cross``, and O(I^2) from the
+means too when p > I and B >= I: their I-by-I Gram, built once per call
+in O(I^2*p), then serves every block (see
 :meth:`_ReplicateTerms.components`).  The point estimate reads
 the same sums (:func:`~dbicc.core._between_sum`), and every
 :class:`BootstrapResult` carries it as ``rho_hat``.
@@ -210,19 +211,21 @@ class _ReplicateTerms:
 
     The terms of the block sums alone are computed once, here; the methods
     take a block of resampled index rows, one row per replicate, and
-    return arrays over those replicates.  The block's counts are computed
+    return arrays over those replicates.  ``n_boot`` is the number of
+    rows the blocks hold in all, which picks how the means project
+    (:func:`~dbicc.core._resampled_sums`).  The block's counts are computed
     in ``workspace`` (a fresh :class:`_Workspace` if None); the returned
     arrays are new, and ``indices`` is only read.
     """
 
-    def __init__(self, stats: BlockStats, workspace=None):
+    def __init__(self, stats: BlockStats, workspace=None, n_boot=1):
         sizes, within = stats.sizes, stats.within
         self.sizes = sizes
         self.within = within
         self.pairs_within = sizes * (sizes - 1) // 2
         self.diag_cross = 2.0 * within  # np.diag(cross), bit for bit
         self.sq_sizes = sizes * sizes
-        self.resampled_sums = _resampled_sums(stats)
+        self.resampled_sums = _resampled_sums(stats, n_boot)
         self.workspace = _Workspace() if workspace is None else workspace
 
     def components(self, indices):
@@ -232,7 +235,7 @@ class _ReplicateTerms:
         within mean's and the naive and corrected between means'.  Each
         between numerator derives from ``c^T cross c`` for the replicate's
         counts ``c`` (:func:`~dbicc.core._resampled_sums`): O(I^2) from
-        ``cross``, O(I*min(I, p)) from the means.
+        ``cross``, O(I*p) from the means, or O(I^2) from their Gram.
         """
         n_rep, n_groups = indices.shape
         # one buffer takes the flat indices, then the float counts: every
@@ -359,7 +362,7 @@ def _replicates(source, n_boot, level, seed, workspace=None):
     stats = source if isinstance(source, BlockStats) else _block_sums(source)
     rho_hat = dbicc_point(stats).rho_hat
     seed = _resolve_seed(seed)
-    terms = _ReplicateTerms(stats, workspace)
+    terms = _ReplicateTerms(stats, workspace, n_boot)
     blocks = []
     for indices in _draw_indices(stats.sizes.size, n_boot, seed):
         blocks.append(terms.estimates(indices))

@@ -598,7 +598,7 @@ def _two_pass_spread(means, weights, picks):
     return out
 
 
-def _spread_of_means(sizes, means):
+def _spread_of_means(sizes, means, n_rows=1):
     """Weighted spread of the individual means, as a function of count rows.
 
     Returns ``spread(counts, total, picks)``, one value per row ``c`` of
@@ -607,31 +607,29 @@ def _spread_of_means(sizes, means):
     ``mu_w`` the ``w``-weighted mean.  One pass, ``w.q - ||M^T w||^2 /
     sum(w)``, on the I-by-p means ``M`` centred at their ``sizes``-weighted
     mean, with ``q`` their squared norms.  The centred means and their
-    norms are computed here, once for every call.  A row's
-    ``||M^T w||^2`` is taken from ``M^T w`` in O(I*p), unless p > I and
-    the call has at least I rows: then it is ``w^T G w`` in O(I^2), with
-    ``G = M M^T`` the I-by-I Gram of the weighted means, built by
-    :func:`_gram` on the first such call and kept for the later ones.
-    Rows where the subtraction cancels more than half of ``w.q`` are
-    redone by :func:`_two_pass_spread` about ``picks``: the two-pass
-    algorithm, which Chan, Golub and LeVeque (Am. Stat. 37(3), 1983)
-    recommend where the one-pass formula cancels.
+    norms are computed here, once for every call.  ``n_rows`` is the
+    number of count rows the calls take in all.  A row's ``||M^T w||^2``
+    is taken from ``M^T w`` in O(I*p), unless p > I and ``n_rows`` is at
+    least I: then every call takes it as ``w^T G w`` in O(I^2), with
+    ``G = M M^T`` the I-by-I Gram of the weighted means, built here by
+    :func:`_gram` in O(I^2*p).  Rows where the subtraction cancels more
+    than half of ``w.q`` are redone by :func:`_two_pass_spread` about
+    ``picks``: the two-pass algorithm, which Chan, Golub and LeVeque (Am.
+    Stat. 37(3), 1983) recommend where the one-pass formula cancels.
     """
     centred = means - (sizes @ means) / sizes.sum()
     norms = np.einsum("ij,ij->i", centred, centred)
     centred *= sizes[:, None]
     weighted_norms = sizes * norms
-    gram = None
+    wide = means.shape[1] > sizes.size and n_rows >= sizes.size
+    gram = _gram(centred) if wide else None
 
     def spread(counts, total, picks):
-        nonlocal gram
-        if means.shape[1] > sizes.size and len(counts) >= sizes.size:
-            if gram is None:
-                gram = _gram(centred)
-            projected = np.einsum("ij,ij->i", counts @ gram, counts)
-        else:
+        if gram is None:
             proj = counts @ centred
             projected = np.einsum("ij,ij->i", proj, proj)
+        else:
+            projected = np.einsum("ij,ij->i", counts @ gram, counts)
         weighted = counts @ weighted_norms
         out = weighted - projected / total
         redo = np.flatnonzero(out < 0.5 * weighted)
@@ -645,30 +643,39 @@ def _spread_of_means(sizes, means):
 def _gram(rows):
     """``rows @ rows.T`` from numpy's own ``einsum`` loop, not a BLAS product.
 
-    A BLAS product's bits can depend on the number of BLAS threads; these
-    do not.
+    A BLAS product's bits can depend on the number of BLAS threads (those
+    of 100 rows of 150 values did, between 1 and 2 OpenBLAS threads);
+    these do not.  Each row's products with the rows from it on are one
+    ``einsum`` and are mirrored below the diagonal, so the loop does half
+    the multiplications.
     """
-    return np.einsum("ik,jk->ij", rows, rows)
+    gram = np.empty((len(rows), len(rows)))
+    for a in range(len(rows)):
+        gram[a, a:] = np.einsum("ij,j->i", rows[a:], rows[a])
+        gram[a:, a] = gram[a, a:]
+    return gram
 
 
-def _resampled_sums(stats: BlockStats):
+def _resampled_sums(stats: BlockStats, n_rows=1):
     """``c^T cross c`` for resamples, as a function of count rows.
 
     Returns ``sums(counts, total, picks)``, one value per row ``c`` of
-    ``counts``.  A row says how often a resample draws each individual,
-    ``total[r]`` is ``counts[r] @ sizes`` and ``picks[r]`` is an
-    individual that row ``r`` draws.  ``c^T cross c`` sums the squared
+    ``counts``, for calls that take ``n_rows`` rows in all.  A row says
+    how often a resample draws each individual, ``total[r]`` is
+    ``counts[r] @ sizes`` and ``picks[r]`` is an individual that row
+    ``r`` draws.  ``c^T cross c`` sums the squared
     distances over all ordered pairs of the resample's payloads.  From
     ``cross`` it is the O(I^2) product.  From the means, for
     ``w = c * sizes`` it is ``2 sum(w) (S(w) + c . (within / sizes))``,
     where ``S(w)`` is the ``w``-weighted spread of the means
-    (:func:`_spread_of_means`), in O(I*min(I, p)) per row.  Terms of the
-    block sums alone are computed here, once for every call.
+    (:func:`_spread_of_means`): O(I*p) per row, or, when p > I and
+    ``n_rows`` is at least I, O(I^2) per row after an O(I^2*p) Gram.
+    Terms of the block sums alone are computed here, once for every call.
     """
     sizes, within, cross, means = stats[:4]
     if means is None:
         return lambda counts, total, picks: ((counts @ cross) * counts).sum(axis=1)
-    spread_of = _spread_of_means(sizes, means)
+    spread_of = _spread_of_means(sizes, means, n_rows)
     per_payload = within / sizes
 
     def sums(counts, total, picks):

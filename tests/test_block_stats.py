@@ -128,7 +128,8 @@ def assert_same_analysis(fast, exact, metric):
     picks = bootstrap_draw(fast.sizes.size, 60, 11)
     assert_same_replicates(fast, exact, picks)
     for a, b in zip(
-        _ReplicateTerms(fast).estimates(picks), _ReplicateTerms(exact).estimates(picks)
+        replicate_terms(fast, picks).estimates(picks),
+        replicate_terms(exact, picks).estimates(picks),
     ):
         if a.dtype == bool:
             assert np.array_equal(a, b)
@@ -368,16 +369,21 @@ def dense(stats):
     return BlockStats(sizes, within, cross)
 
 
+def replicate_terms(stats, picks):
+    """The replicate terms of a bootstrap that draws the rows of ``picks``."""
+    return _ReplicateTerms(stats, n_boot=len(picks))
+
+
 def assert_same_replicates(stats, reference, picks):
     """Replicate components of two sets of block sums agree, with the same flags."""
-    fast = _ReplicateTerms(stats).components(picks)
-    exact = _ReplicateTerms(reference).components(picks)
+    fast = replicate_terms(stats, picks).components(picks)
+    exact = replicate_terms(reference, picks).components(picks)
     for key in ("within_den", "naive_den", "corrected_den"):
         assert np.array_equal(fast[key], exact[key])
     np.testing.assert_allclose(fast["within_num"], exact["within_num"], rtol=RTOL, atol=0)
     flags = zip(
-        _ReplicateTerms(stats).estimates(picks)[2:],
-        _ReplicateTerms(reference).estimates(picks)[2:],
+        replicate_terms(stats, picks).estimates(picks)[2:],
+        replicate_terms(reference, picks).estimates(picks)[2:],
     )
     for (got, want), kind in zip(flags, ("naive", "corrected")):
         assert np.array_equal(got, want)
@@ -414,8 +420,8 @@ class TestFactoredReplicates:
         # matrix's by up to about 2e-10
         assert_same_replicates(stats, dense(stats), picks)
         flags = zip(
-            _ReplicateTerms(stats).estimates(picks)[2:],
-            _ReplicateTerms(oracle(sample, Metric.L2_VEC)).estimates(picks)[2:],
+            replicate_terms(stats, picks).estimates(picks)[2:],
+            replicate_terms(oracle(sample, Metric.L2_VEC), picks).estimates(picks)[2:],
         )
         for got, want in flags:
             assert np.array_equal(got, want)
@@ -444,8 +450,8 @@ class TestFactoredReplicates:
         sample = draw_clustered(rng, sizes, dim, *regime, 2)
         stats = block_stats(sample, Metric.L2_VEC)
         picks = np.array([rng.permutation(len(sizes)) for _ in range(20)])
-        naive, corrected, naive_valid, corrected_valid = _ReplicateTerms(
-            stats
+        naive, corrected, naive_valid, corrected_valid = replicate_terms(
+            stats, picks
         ).estimates(picks)
         assert np.array_equal(naive_valid, corrected_valid)
         assert np.array_equal(naive, corrected, equal_nan=True)
@@ -476,8 +482,8 @@ class TestFactoredReplicates:
                 + [[1, 2, 1, 2, 2], [1, 2, 2, 2, 2], [2, 1, 1, 1, 1]]
                 + [[0, 0, 0, 4, 4], [3, 3, 3, 3, 1]]
             )
-            fast = _ReplicateTerms(stats).components(picks)
-            exact = _ReplicateTerms(reference).components(picks)
+            fast = replicate_terms(stats, picks).components(picks)
+            exact = replicate_terms(reference, picks).components(picks)
             for kind in ("naive_num", "corrected_num"):
                 zero = exact[kind] == 0.0
                 assert zero[[0, 1, 2, 4, 5, 6, 7]].all()
@@ -496,17 +502,17 @@ class TestFactoredReplicates:
             return two_pass(means, weights, picks)
 
         monkeypatch.setattr(dbicc.core, "_two_pass_spread", counting)
-        whole = _ReplicateTerms(stats).components(picks)
+        whole = replicate_terms(stats, picks).components(picks)
         assert 0 < rows[0] < 200  # both paths run
         for budget in (1, 3 * 16 * stats.means.size):
             monkeypatch.setattr(dbicc.distances, "_CHUNK_BYTES", budget)
-            chunked = _ReplicateTerms(stats).components(picks)
+            chunked = replicate_terms(stats, picks).components(picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
 
 
 class TestGramProjection:
-    """With p > I, a call of at least I count rows projects through the Gram."""
+    """With p > I and at least I replicates in all, the means project through the Gram."""
 
     @staticmethod
     def stats(dim, regime=(0.0, 1.0, 0.5), seed=4):
@@ -517,50 +523,55 @@ class TestGramProjection:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the shape of every Gram that ``dbicc.core`` builds."""
-        built = []
+        """Record the shape of every Gram ``dbicc.core`` builds, and each product read off one."""
+        built, used = [], []
+
+        class Read(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                used.append(ufunc.__name__)
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
         gram = dbicc.core._gram
 
         def recording(rows):
             built.append(rows.shape)
-            return gram(rows)
+            return gram(rows).view(Read)
 
         monkeypatch.setattr(dbicc.core, "_gram", recording)
-        return built
+        return built, used
 
     @pytest.mark.parametrize("regime", [(0.0, 1.0, 0.5), (1e4, 1e-6, 1e-9)],
                              ids=["ordinary", "clustered"])
     @pytest.mark.parametrize("n_rows", [3, 8, 50])
     def test_gram_and_direct_projections_agree(self, monkeypatch, regime, n_rows):
         stats = self.stats(30, regime)
-        built = self.spy(monkeypatch)
+        built, used = self.spy(monkeypatch)
         picks = bootstrap_draw(8, n_rows, n_rows)
-        # padded to at least I rows, the call takes the Gram for every row
-        padded = np.vstack([picks, bootstrap_draw(8, 8, 1)])
-        gram = _ReplicateTerms(stats).components(padded)
-        assert built == [(8, 30)]
-        direct = [_ReplicateTerms(stats).components(row[None]) for row in picks]
-        assert built == [(8, 30)]
+        # a Gram built for a bootstrap of I rows or more serves a call of any length
+        gram = _ReplicateTerms(stats, n_boot=8).components(picks)
+        assert built == [(8, 30)] and used == ["matmul"]
+        direct = _ReplicateTerms(stats, n_boot=7).components(picks)
+        assert built == [(8, 30)] and used == ["matmul"]
         # every product rounds by its number of rows: only the integer
         # denominators are exact; numerators agree where they are valid
         naive_valid, corrected_valid = _ReplicateTerms(stats).estimates(picks)[2:]
         kept = {"within_num": slice(None), "naive_num": naive_valid,
                 "corrected_num": corrected_valid}
         for key, values in gram.items():
-            one_by_one = np.concatenate([comp[key] for comp in direct])
             if key.endswith("_den"):
-                assert np.array_equal(values[:n_rows], one_by_one)
+                assert np.array_equal(values, direct[key])
             else:
                 np.testing.assert_allclose(
-                    values[:n_rows][kept[key]], one_by_one[kept[key]], rtol=RTOL, atol=0
+                    values[kept[key]], direct[key][kept[key]], rtol=RTOL, atol=0
                 )
 
-    @pytest.mark.parametrize("n_rows", [5, 60])
-    def test_cancelling_rows_are_redone_on_either_projection(self, n_rows):
+    @pytest.mark.parametrize("n_boot", [5, 60])
+    def test_cancelling_rows_are_redone_on_either_projection(self, n_boot):
         # two clusters 1e3 apart of individuals 0.1 apart: a replicate that
         # draws from one cluster only cancels all but about 1e-8 of w.q, so
-        # its one pass alone would keep about 8 digits.  5 rows project
-        # each row, 60 take the Gram.
+        # its one pass alone would keep about 8 digits.  A bootstrap of 5
+        # replicates projects each row, one of 60 takes the Gram.
         rng = np.random.default_rng(9)
         centres = 1e3 * rng.standard_normal((2, 30))
         payloads = []
@@ -568,47 +579,57 @@ class TestGramProjection:
             centre = centres[g % 2] + 0.1 * rng.standard_normal(30)
             payloads.append([centre + 0.01 * rng.standard_normal(30) for _ in range(2)])
         sample = grouped(payloads, PayloadKind.VECTOR)
-        picks = 2 * rng.integers(0, 6, size=(n_rows, 12))  # the first cluster
+        picks = 2 * rng.integers(0, 6, size=(n_boot, 12))  # the first cluster
         picks[1::2] = rng.integers(0, 12, size=picks[1::2].shape)
         stats = block_stats(sample, Metric.L2_VEC)
         assert_same_replicates(stats, oracle(sample, Metric.L2_VEC), picks)
 
     def test_the_gram_is_built_once_per_replicate_terms(self, monkeypatch):
         wide, narrow = self.stats(30), self.stats(8)  # p > I, p = I
-        built = self.spy(monkeypatch)
-        terms = _ReplicateTerms(wide)
-        for row in bootstrap_draw(8, 5, 1):  # one-row calls project each row
-            terms.components(row[None])
-        terms.components(bootstrap_draw(8, 7, 2))  # fewer rows than individuals
+        built, used = self.spy(monkeypatch)
+        # fewer replicates than individuals in all project each row
+        terms = _ReplicateTerms(wide, n_boot=7)
+        terms.components(bootstrap_draw(8, 7, 2))
         dbicc_point(wide._replace(between=None))  # the between sum is one row
-        assert built == []
-        terms.components(bootstrap_draw(8, 8, 3))
+        _ReplicateTerms(narrow, n_boot=40).components(bootstrap_draw(8, 40, 4))
+        assert built == [] and used == []
+        # I replicates or more: one Gram, read by every call, one row too
+        terms = _ReplicateTerms(wide, n_boot=8)
+        assert built == [(8, 30)]
+        for row in bootstrap_draw(8, 5, 1):
+            terms.components(row[None])
         terms.components(bootstrap_draw(8, 40, 4))
-        assert built == [(8, 30)]
-        _ReplicateTerms(narrow).components(bootstrap_draw(8, 40, 4))
-        assert built == [(8, 30)]
-        # a bootstrap of ten blocks of ten rows builds one more
-        monkeypatch.setattr(dbicc.bootstrap, "_REPLICATE_BYTES", 8 * 8 * 10)
+        assert built == [(8, 30)] and used == ["matmul"] * 6
+        # a bootstrap of 100 replicates in blocks of 3 rows, each shorter
+        # than I: one more Gram, and every block reads it
+        monkeypatch.setattr(dbicc.bootstrap, "_REPLICATE_BYTES", 8 * 8 * 3)
+        used.clear()
         bootstrap_dbicc(wide, 100, seed=5)
-        assert built == [(8, 30)] * 2
+        assert built == [(8, 30)] * 2 and used == ["matmul"] * 34
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
-        # 100 individuals, p = 150: a BLAS product of 100 rows gave other
-        # bits with 2 OpenBLAS threads than with 1
+        # 300 individuals, p = 1000, B = 400: a BLAS Gram of the means gave
+        # other bits with 2 OpenBLAS threads than with 1, and so did the
+        # replicate numerators read off it.  The between sum, the Gram and
+        # the numerators must not.
         script = (
             "import hashlib, numpy as np, dbicc.core as core\n"
             "from dbicc import GroupedSample, PayloadKind, block_stats\n"
             "from dbicc.bootstrap import _ReplicateTerms\n"
-            "rng = np.random.default_rng(2)\n"
-            "values = rng.standard_normal((200, 150))\n"
-            "sample = GroupedSample(values, [2] * 100, tuple(range(100)),\n"
+            "rng = np.random.default_rng(6)\n"
+            "values = rng.standard_normal((600, 1000))\n"
+            "values += 3 * rng.standard_normal((300, 1000)).repeat(2, axis=0) + 10\n"
+            "sample = GroupedSample(values, [2] * 300, tuple(range(300)),\n"
             "                       PayloadKind.VECTOR)\n"
             "stats = block_stats(sample, 'l2_vec')\n"
             "grams, gram = [], core._gram\n"
             "core._gram = lambda rows: grams.append(gram(rows)) or grams[-1]\n"
-            "_ReplicateTerms(stats).components(rng.integers(0, 100, (100, 100)))\n"
+            "terms = _ReplicateTerms(stats, n_boot=400)\n"
+            "comp = terms.components(rng.integers(0, 300, (400, 300)))\n"
             "digest = hashlib.sha256(np.float64(stats.between).tobytes())\n"
             "digest.update(grams[0].tobytes())\n"
+            "for key in ('within_num', 'naive_num', 'corrected_num'):\n"
+            "    digest.update(comp[key].tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         package = str(Path(dbicc.core.__file__).parents[1])

@@ -443,8 +443,8 @@ class TestReplicateBlocks:
 
     # The means when p = 5 and when p = 60, the I-by-I cross under l1.  Of
     # 100 replicates: blocks of 1 row, blocks of 7 rows with a last block
-    # of 2, and one block of all rows, which at p = 60 > I takes the
-    # means' Gram where the smaller blocks project each row.
+    # of 2, and one block of all rows.  At p = 60 > I every block, however
+    # short, takes the Gram of the means that the 100 replicates call for.
     @pytest.mark.parametrize(
         "dim, metric",
         [(5, Metric.L2_VEC), (60, Metric.L2_VEC), (5, Metric.L1_VEC)],
@@ -463,7 +463,7 @@ class TestReplicateBlocks:
         whole_draw = np.random.default_rng(seed).integers(
             0, n_individuals, size=(n_boot, n_individuals)
         )
-        terms = _ReplicateTerms(stats)
+        terms = _ReplicateTerms(stats, n_boot=n_boot)
         whole = terms.components(whole_draw)
         whole_estimates = terms.estimates(whole_draw)
 

@@ -388,9 +388,9 @@ class TestExperimentRunners:
         calls = []
         spread_of_means = dbicc.core._spread_of_means
 
-        def counted(sizes, means):
+        def counted(sizes, means, n_rows=1):
             calls.append(sizes)
-            return spread_of_means(sizes, means)
+            return spread_of_means(sizes, means, n_rows)
 
         monkeypatch.setattr(dbicc.core, "_spread_of_means", counted)
         run_coverage_experiment(7, 3, n_boot=100, n_runs=4, seed=3, workers=1)
