@@ -13,11 +13,16 @@ needs_fork = pytest.mark.skipif(
 
 
 def _result(k):
-    """An array, a value or an error, by item, and the process that made it."""
+    """An array, a value or an error, by item, and the process that made it.
+
+    Item 6's array is a strided view of another, not C-contiguous.
+    """
     if k % 5 == 4:
         raise ValueError(f"item {k}")
     if k % 2:
         return {"item": k, "pid": os.getpid()}
+    if k == 6:
+        return np.arange(k * 6, dtype=np.int32)[::2].reshape(k, 3)
     return np.arange(k * 3, dtype=np.int32 if k % 4 else float).reshape(k, 3)
 
 

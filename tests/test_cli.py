@@ -643,6 +643,19 @@ class TestInputChecks:
             f"(No such file or directory) (listed at {manifest}:5)\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [("individual,replicate,f1\nA,1,0\n",
+          ":1: expected header 'individual,replicate,path'"),
+         ("individual,replicate,path\n", ": no data rows")],
+        ids=["header", "no rows"],
+    )
+    def test_malformed_manifest_is_parse_error(self, tmp_path, capsys, text, error):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(text)
+        assert main(["estimate", str(manifest), "--format", "timeseries"]) == 2
+        assert capsys.readouterr().err == f"input error: {manifest}{error}\n"
+
     def test_series_with_bom_and_crlf_reads_as_plain(self, tmp_path):
         manifest = _series_manifest(tmp_path)
         argv = ["estimate", str(manifest), "--distance", "corr", "--out"]
@@ -886,6 +899,19 @@ class TestParallelSeriesRead:
         assert not other.is_alive()
         monkeypatch.setattr(dbicc._children, "usable_cpus", lambda: 1)
         assert dbicc._children.fork_workers(paths) == 1
+        monkeypatch.undo()  # the CPUs this process may run on
+        if not dbicc._children.can_fork():
+            return
+        cpus = dbicc._children.usable_cpus()
+        if cpus < 2:
+            pytest.skip(f"{cpus} usable CPU: a forked read needs 2")
+        assert dbicc._children.fork_workers(paths[:2]) == 2
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})  # as under taskset -c
+        try:
+            assert dbicc._children.fork_workers(paths[:2]) == 1
+        finally:
+            os.sched_setaffinity(0, mask)
 
     def test_no_affinity_call_means_one_cpu(self, monkeypatch):
         # and no fork: macOS, say, spawns simulate's workers
@@ -1005,12 +1031,35 @@ class TestParallelSeriesRead:
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_a_reader_that_dies_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("closes_first", [False, True],
+                             ids=["exits", "closes its pipe, then exits"])
+    def test_a_reader_that_dies_is_an_internal_error(
+        self, tmp_path, monkeypatch, capsys, closes_first
+    ):
+        # the second reader, whose pipe was opened last, dies on its first series
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
         chosen = _reads_on(monkeypatch, 2)
-        monkeypatch.setattr(dbicc.cli, "_read_series",
-                            _in_children_only(lambda path: os._exit(3)))
-        assert main(["estimate", str(manifest)]) == 3
+        read = dbicc.cli._read_series
+
+        def dies_on_series1(path):
+            if path.name != "series1.csv":
+                return read(path)
+            if closes_first:  # the end of file reaches this process before the exit
+                os.closerange(3, 65536)
+                time.sleep(0.2)
+            os._exit(3)
+
+        def waited(signum, frame):  # ends a wait for an end of file that never comes
+            raise TimeoutError("no end of file")
+
+        monkeypatch.setattr(dbicc.cli, "_read_series", _in_children_only(dies_on_series1))
+        previous = signal.signal(signal.SIGALRM, waited)
+        signal.alarm(30)
+        try:
+            assert main(["estimate", str(manifest)]) == 3
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert capsys.readouterr().err == (
             "internal error: RuntimeError: worker process ended (exit code 3)\n"
         )
@@ -1045,9 +1094,21 @@ class TestParallelSeriesRead:
     def test_the_fork_sees_one_os_thread_with_numpys_blas_pool_running(self, tmp_path):
         # Python 3.12+ warns when it forks a process with other OS threads.
         # OpenBLAS's own fork handler stops its pool first, so none is left.
-        manifest = _listed_series(tmp_path, [(i, j, None) for i in "ab" for j in (0, 1)])
+        # Each forked command is then run serially in the same process, on
+        # the same BLAS pool: a series correlation's bits depend on the BLAS
+        # thread count, so only reads at one count can be compared.
+        rng = np.random.default_rng(1)
+        entries = []
+        for ind in "abc":  # each with its own 2 factors, so |r| > 0.9 occurs
+            loadings = rng.standard_normal((2, 8))
+            entries += [(ind, scan, "\n".join(
+                ",".join(repr(float(v)) for v in row)
+                for row in rng.standard_normal((40, 2)) @ loadings
+                + 0.3 * rng.standard_normal((40, 8))
+            )) for scan in (0, 1)]
+        manifest = _listed_series(tmp_path, entries)
         script = """
-import os, sys
+import json, os, sys
 import numpy as np
 import dbicc._children, dbicc.cli
 
@@ -1059,20 +1120,61 @@ a = np.ones((300, 300))
 a @ a  # the BLAS pool, if any, has run
 at_fork = []
 os.register_at_fork(after_in_parent=lambda: at_fork.append(os_threads()))
+manifest, out = sys.argv[1], sys.argv[2]
 dbicc._children.usable_cpus = lambda: 2
-code = dbicc.cli.main(["estimate", sys.argv[1]])
+code = dbicc.cli.main(["estimate", manifest])
 print(at_fork)
+
+def run(name, cpus, argv):
+    # the command's stderr, its forked children's included, goes to name.err
+    dbicc._children.usable_cpus = lambda: cpus
+    at_fork.clear()
+    sys.stderr.flush()
+    saved = os.dup(2)
+    with open(os.path.join(out, name + ".err"), "wb") as err:
+        os.dup2(err.fileno(), 2)
+    try:
+        status = dbicc.cli.main([*argv, "--out", os.path.join(out, name)])
+        sys.stderr.flush()
+    finally:
+        os.dup2(saved, 2)
+        os.close(saved)
+    return name, status, list(at_fork)
+
+boot = ["bootstrap", manifest, "--distance", "corr", "--seed", "1"]
+sweep = ["sweep-threshold", manifest]
+sim = ["simulate", "--experiment", "coverage", "--individuals", "6", "--boot", "20",
+       "--runs", "6", "--seed", "1", "--threads"]
+print(json.dumps([run("boot_forked", 2, boot), run("boot_serial", 1, boot),
+                  run("sweep_forked", 2, sweep), run("sweep_serial", 1, sweep),
+                  run("sim_forked", 2, [*sim, "2"]), run("sim_serial", 1, [*sim, "1"])]))
 sys.exit(code)
 """
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(dbicc.cli.__file__).parents[1]), env.get("PYTHONPATH", "")]
         )
-        done = subprocess.run([sys.executable, "-W", "error", "-c", script, str(manifest)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, str(manifest), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
         assert done.stderr == ""
         assert done.returncode == 0
-        assert done.stdout.endswith("}\n[1, 1]\n")
+        estimate, runs = done.stdout.rsplit("\n", 2)[:2]
+        assert estimate.endswith("}\n[1, 1]")
+        for name, status, at_fork in json.loads(runs):
+            assert status == 0, name
+            if name.endswith("_forked"):
+                assert len(at_fork) >= 2, name
+                assert set(at_fork) == {1}, name  # one OS thread at each fork
+            else:
+                assert at_fork == [], name
+        for name in ("boot", "sweep", "sim"):
+            forked, serial = tmp_path / f"{name}_forked", tmp_path / f"{name}_serial"
+            assert forked.read_bytes() == serial.read_bytes(), name
+            err = Path(f"{serial}.err").read_text()
+            assert Path(f"{forked}.err").read_text() == err, name
+            assert err == (FEW_REPLICATES.format(20) if name == "sim" else ""), name
 
 
 def _in_children_only(action):
