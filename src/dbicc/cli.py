@@ -22,12 +22,14 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
   each path a headerless CSV of one series (rows are time points),
   resolved relative to the manifest.
 
-Files are UTF-8, with or without a byte-order mark.  ``numpy.loadtxt`` reads
-series files, those of one manifest in forked processes where
-``dbicc._children.fork_workers`` allows.  Plain vector and distance-matrix
-CSVs are read in blocks of whole lines, one ``numpy.loadtxt`` call each;
-any other CSV, and one that fails a check of the block read, is split by
-the ``csv`` module, numbers by ``float``.  ``simulate --threads N`` runs in
+Files are UTF-8, with or without a byte-order mark.  Every numeric cell
+is split as the ``csv`` module splits it and read as ``float`` reads it.
+Plain vector CSVs, distance matrices and series files are read in blocks
+of whole lines, one ``numpy.loadtxt`` call each, to the same values; any
+other file, and one that fails a check of the block read, goes through
+``csv`` and ``float`` cell by cell, which locate each error.  The series
+files of one manifest are read in forked processes where
+``dbicc._children.fork_workers`` allows.  ``simulate --threads N`` runs in
 ``min(N, runs)`` child processes, forked by the same rule or else spawned;
 ``dbicc.simulation`` is imported when ``simulate`` runs, not with this module.
 ``--out`` and ``--csv`` are checked before any input is read.
@@ -182,6 +184,12 @@ def _csv_rows(path):
     except OSError as exc:
         raise _ParseFailure(path, f"cannot read file ({exc.strerror})")
     except UnicodeDecodeError as exc:
+        # a read's error counts bytes from where that read began; the file
+        # decoded whole counts them from its start
+        try:
+            Path(path).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
     except csv.Error as exc:  # the line on which csv.reader stopped
         raise _ParseFailure(path, str(exc), line=reader.line_num)
@@ -234,6 +242,9 @@ def _line_blocks(fh):
 
 def _bulk_table(path, label_cols):
     """A numeric CSV read in blocks of lines, one ``np.loadtxt`` call each, or None.
+
+    It reads vector CSVs (two label columns), and distance matrices and
+    series files (none, through :func:`_read_table`).
 
     Returns ``(head, labels, values)``.  With ``label_cols`` label
     columns, ``head`` is the first line's fields and ``labels`` holds one
@@ -417,32 +428,37 @@ def _equal_width_rows(path, rows):
         yield lineno, row
 
 
-def _parse_distance_csv(path):
-    """The distance matrix CSV through ``csv.reader``: every case, every located error."""
+def _read_table(path):
+    """A headerless numeric CSV, a series or a distance matrix, as a 2-D float array.
+
+    :func:`_bulk_table` reads the plain case; any other file goes through
+    ``csv.reader`` and ``float``, which report the first error with its
+    line, and column for a cell.  The array has at least one row.
+    """
+    table = _bulk_table(path, 0)
+    if table is not None:
+        return table[2]
     rows = _read_csv_rows(path)
     if not rows:
         raise _ParseFailure(path, "file is empty")
     numbered, values = _numeric_rows(path, _equal_width_rows(path, rows), 0)
     if not numbered:
         raise _ParseFailure(path, "no data rows")
-    n = values.shape[0]
-    if values.shape[1] != n:
-        raise _ParseFailure(
-            path,
-            f"expected {n} fields for an {n}x{n} distance matrix, "
-            f"got {values.shape[1]}",
-            line=numbered[0][0],
-        )
     return values
 
 
 def _load_distance_input(path, groups_path) -> DistanceMatrix:
-    table = _bulk_table(path, 0)
-    if table is not None and table[2].shape[0] == table[2].shape[1]:
-        values = table[2]
-    else:  # the csv path reports a matrix that is not square
-        values = _parse_distance_csv(path)
+    values = _read_table(path)
     n = values.shape[0]
+    if values.shape[1] != n:
+        # the first row's line, which the block read does not count
+        first = next(line for line, row in enumerate(_csv_rows(path), start=1) if row)
+        raise _ParseFailure(
+            path,
+            f"expected {n} fields for an {n}x{n} distance matrix, "
+            f"got {values.shape[1]}",
+            line=first,
+        )
     grows = _read_csv_rows(groups_path)
     gheader = [f.strip() for f in grows[0]] if grows else []
     if gheader != ["row", "individual", "replicate"]:
@@ -473,42 +489,6 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
-def _read_series(path):
-    """One series CSV as a 2-D float array of at least one row.
-
-    ``np.loadtxt`` reads the file.  Only when it fails is the file read
-    again, line by line as ``np.loadtxt`` splits it (``#`` starts a
-    comment, blank lines are skipped), to report non-UTF-8 text, or the
-    first line of another width or cell that is not a number at its line
-    and column.  A failure found neither way keeps numpy's message.
-    """
-    try:
-        with warnings.catch_warnings():
-            # a file without rows is reported below, not as numpy's warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            series = np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-    except OSError as exc:
-        # numpy's text for a missing file gives no reason; the csv reader's does
-        next(_csv_rows(path), None)
-        raise _ParseFailure(path, f"cannot read file ({exc})")
-    except ValueError as exc:
-        failure = exc
-    else:
-        if series.size:
-            return series
-        raise _ParseFailure(path, "no data rows")
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise _ParseFailure(path, f"not a UTF-8 CSV file ({exc})")
-    except OSError:
-        text = ""
-    data = [line.split("#", 1)[0] for line in text.split("\n")]
-    rows = [cells.split(",") if cells.strip() else [] for cells in data]
-    _numeric_rows(path, _equal_width_rows(path, rows), 0)
-    raise _ParseFailure(path, f"not a numeric CSV ({failure})")
-
-
 def _load_timeseries_manifest(path) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
@@ -526,7 +506,7 @@ def _load_timeseries_manifest(path) -> GroupedSample:
         fault = exc
     series = []
     try:
-        series.extend(run_in_children(_read_series, paths, fork_workers(paths), "fork"))
+        series.extend(run_in_children(_read_table, paths, fork_workers(paths), "fork"))
     except _ParseFailure as exc:
         exc.args = (f"{exc} (listed at {path}:{listed[len(series)][0]})",)
         raise

@@ -55,6 +55,8 @@ COMMANDS = [
                           "200", "--seed", "4", "--emit-replicates"], False),
     ("sweep_threshold", ["sweep-threshold", "manifest.csv"], False),
     ("corr_of_vectors", ["estimate", "vectors.csv", "--distance", "corr"], False),
+    # a series with a malformed cell: exit 2, located in the series and the manifest
+    ("bad_series", ["estimate", "manifest_bad.csv", "--distance", "corr"], False),
     ("simulate_point", ["simulate", "--experiment", "point", "--individuals", "5",
                         "--runs", "4", "--seed", "1"], True),
     ("simulate_coverage", ["simulate", "--experiment", "coverage", "--individuals", "6",
@@ -65,7 +67,7 @@ COMMANDS = [
 
 
 def write_inputs():
-    """The vector CSV, the 12 x 12 matrix with its groups, and the manifest."""
+    """The vector CSV, the 12 x 12 matrix with its groups, and the two manifests."""
     rng = random.Random(20261020)
 
     def noise(scale):
@@ -111,6 +113,14 @@ def write_inputs():
             (INPUTS / name).write_text("\n".join(rows) + "\n")
             manifest.append(f"v{ind},{scan},{name}")
     (INPUTS / "manifest.csv").write_text("\n".join(manifest) + "\n")
+
+    # the same manifest, whose last series has a comment after a number on
+    # line 7: "#" starts no comment, so the cell is not a number
+    rows = (INPUTS / "series3.csv").read_text().splitlines()
+    rows[6] += " # checked"
+    (INPUTS / "series_bad.csv").write_text("\n".join(rows) + "\n")
+    manifest[-1] = "v1,1,series_bad.csv"
+    (INPUTS / "manifest_bad.csv").write_text("\n".join(manifest) + "\n")
 
 
 def output_name(name, argv):

@@ -669,12 +669,18 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "content, error",
         [
-            (b"", "no data rows"),
-            (b"# no rows\n\n", "no data rows"),
-            (b"1,2,3\n4,\xe9,6\n", "not a UTF-8 CSV file ('utf-8' codec can't decode "
+            (b"", ": file is empty"),
+            # "#" starts no comment: it is a cell that is not a number
+            (b"# no rows\n\n", ":1:1: expected a number, got '# no rows'"),
+            (b"\n\n", ": no data rows"),
+            (b"1,2,3\n4,\xe9,6\n", ": not a UTF-8 CSV file ('utf-8' codec can't decode "
              "byte 0xe9 in position 8: invalid continuation byte)"),
+            # the offset in the file, not in the read that met the byte
+            (b"1,2,3\n" * 2000 + b"4,\xe9,6\n", ": not a UTF-8 CSV file ('utf-8' codec "
+             "can't decode byte 0xe9 in position 12002: invalid continuation byte)"),
         ],
-        ids=["empty", "comments only", "not UTF-8"],
+        ids=["empty", "comments only", "blank lines only", "not UTF-8",
+             "not UTF-8 after the first read"],
     )
     def test_series_without_rows_or_not_utf8_is_parse_error(
         self, tmp_path, capsys, content, error
@@ -684,7 +690,7 @@ class TestInputChecks:
         manifest = _series_manifest(tmp_path, last="bad.csv")
         assert main(["estimate", str(manifest)]) == 2
         assert capsys.readouterr().err == (
-            f"input error: {tmp_path / 'bad.csv'}: {error} (listed at {manifest}:5)\n"
+            f"input error: {tmp_path / 'bad.csv'}{error} (listed at {manifest}:5)\n"
         )
 
     @pytest.mark.parametrize("command", ["estimate", "sweep-threshold"])
@@ -744,14 +750,16 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "text, error",
         [
-            ("# a,b,c\n1,2,3\n\n4,5,x # end\n7,8\n", "4:3: expected a number, got 'x '"),
-            ("1,2,3 # a,b\n\n4,5\n", "3: expected 3 fields, got 2"),
+            ("# a,b,c\n1,2,3\n\n4,5,x # end\n7,8\n", "1:1: expected a number, got '# a'"),
+            ("1,2,3 # a,b\n\n4,5\n", "1:3: expected a number, got '3 # a'"),
+            ("1,2,3\n\n4,5,6 # end\n", "3:3: expected a number, got '6 # end'"),
+            ("1,2,3\n\n4,5\n", "3: expected 3 fields, got 2"),
         ],
     )
-    def test_series_error_lines_count_as_loadtxt_reads_them(
+    def test_series_error_lines_count_as_the_csv_reader_reads_them(
         self, tmp_path, capsys, text, error
     ):
-        # a comment and a blank line are skipped, and still counted
+        # a blank line is skipped, and still counted; "#" is a cell's text
         (tmp_path / "bad.csv").write_text(text)
         manifest = _series_manifest(tmp_path, last="bad.csv")
         assert main(["estimate", str(manifest)]) == 2
@@ -1013,8 +1021,8 @@ class TestParallelSeriesRead:
                 time.sleep(60)
             return read(path)
 
-        read = dbicc.cli._read_series
-        monkeypatch.setattr(dbicc.cli, "_read_series", _in_children_only(slow_after_the_first))
+        read = dbicc.cli._read_table
+        monkeypatch.setattr(dbicc.cli, "_read_table", _in_children_only(slow_after_the_first))
         receive = multiprocessing.connection.Connection.recv_bytes_into
         monkeypatch.setattr(multiprocessing.connection.Connection, "recv_bytes_into",
                             fail_second)
@@ -1039,7 +1047,7 @@ class TestParallelSeriesRead:
         # the second reader, whose pipe was opened last, dies on its first series
         manifest = _listed_series(tmp_path, [(i, j, None) for i in "abc" for j in (0, 1)])
         chosen = _reads_on(monkeypatch, 2)
-        read = dbicc.cli._read_series
+        read = dbicc.cli._read_table
 
         def dies_on_series1(path):
             if path.name != "series1.csv":
@@ -1052,7 +1060,7 @@ class TestParallelSeriesRead:
         def waited(signum, frame):  # ends a wait for an end of file that never comes
             raise TimeoutError("no end of file")
 
-        monkeypatch.setattr(dbicc.cli, "_read_series", _in_children_only(dies_on_series1))
+        monkeypatch.setattr(dbicc.cli, "_read_table", _in_children_only(dies_on_series1))
         previous = signal.signal(signal.SIGALRM, waited)
         signal.alarm(30)
         try:
@@ -1074,13 +1082,13 @@ class TestParallelSeriesRead:
         _reads_on(monkeypatch, 1)
         assert main(argv) == 0
         serial = capfd.readouterr()
-        read = dbicc.cli._read_series
+        read = dbicc.cli._read_table
 
         def interrupted(path):  # runs in a reader only
             os.kill(os.getpid(), signal.SIGINT)
             return read(path)
 
-        monkeypatch.setattr(dbicc.cli, "_read_series", interrupted)
+        monkeypatch.setattr(dbicc.cli, "_read_table", interrupted)
         chosen = _reads_on(monkeypatch, 2)
         assert main(argv) == 0
         assert chosen == [2]

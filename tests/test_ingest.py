@@ -1,11 +1,11 @@
 """The block read of numeric CSVs against the csv-module path it falls back to.
 
-``dbicc.cli._bulk_table`` reads a plain vector or distance-matrix CSV in
-blocks of lines, one ``np.loadtxt`` call each, and returns None for
-anything it cannot prove it reads as ``csv.reader`` and ``float`` do; the
-loader then takes the csv path, which reports every error with its
-location.  Forcing that path must never change a result, an exit code or
-a message, whatever the block size.
+``dbicc.cli._bulk_table`` reads a plain vector CSV, distance matrix or
+series file in blocks of lines, one ``np.loadtxt`` call each, and returns
+None for anything it cannot prove it reads as ``csv.reader`` and
+``float`` do; the loader then takes the csv path, which reports every
+error with its location.  Forcing that path must never change a result,
+an exit code or a message, whatever the block size.
 """
 
 import contextlib
@@ -281,32 +281,41 @@ _MATRIX_FLAWS = [
 ]
 
 
+# Cells of a plain headerless table: nonnegative, so that they fit a distance matrix
+_TABLE_CELLS = st.one_of(
+    st.floats(0, 1e3).map(repr),
+    st.floats(0, 1e3).map(lambda v: format(v, ".17g")),
+    st.sampled_from(["+.5", "1.", " 2.5 ", "\t3", "\xa04", "1E5", "0",
+                     "4.9406564584124654e-324", "1e-400"]),
+)
+
+
 @st.composite
 def _distance_csvs(draw, flaw):
     """``(bytes, n)``: a plain n-by-n distance-matrix CSV, with ``flaw`` if given."""
-    kind, *odd = flaw or [None]
+    kind = (flaw or [None])[0]
     n = draw(st.integers(1, 6))
-    cell = st.one_of(
-        st.floats(0, 1e3).map(repr),
-        st.floats(0, 1e3).map(lambda v: format(v, ".17g")),
-        st.sampled_from(["+.5", "1.", " 2.5 ", "\t3", "\xa04", "1E5", "0",
-                         "4.9406564584124654e-324", "1e-400"]),
-    )
-    upper = {(i, j): draw(cell) for i in range(n) for j in range(i + 1, n)}
+    upper = {(i, j): draw(_TABLE_CELLS) for i in range(n) for j in range(i + 1, n)}
     rows = [["0" if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
             for i in range(n)]
-    k = draw(st.integers(0, n - 1))
     if kind == "narrow":  # n rows of n - 1 fields, or of n + 1
         rows = [row[:-1] if draw(st.booleans()) else [*row, "0"] for row in rows[:1]] * n
     elif kind == "tall":
-        rows.append(rows[k])
-    elif kind == "ragged row":
+        rows.append(rows[draw(st.integers(0, n - 1))])
+    return _headerless_csv(draw, rows, flaw), n
+
+
+def _headerless_csv(draw, rows, flaw):
+    """Bytes of the cell ``rows``, with a row, cell, character or line-break ``flaw``."""
+    kind, *odd = flaw or [None]
+    k = draw(st.integers(0, len(rows) - 1))
+    if kind == "ragged row":
         rows[k] = rows[k][:-1] if draw(st.booleans()) else [*rows[k], "0"]
     elif kind == "cell":
-        rows[k][draw(st.integers(0, n - 1))] = odd[0]
+        rows[k][draw(st.integers(0, len(rows[k]) - 1))] = odd[0]
     lines = [",".join(row) for row in rows]
-    if kind == "line break" and n > 1:  # joins two lines for csv.reader
-        at = draw(st.integers(1, n - 1))
+    if kind == "line break" and len(lines) > 1:  # joins two lines for csv.reader
+        at = draw(st.integers(1, len(lines) - 1))
         lines[at - 1: at + 1] = [lines[at - 1] + odd[0] + lines[at]]
     for _ in range(draw(st.integers(0, 2))):  # blank lines, the first line too
         lines.insert(draw(st.integers(0, len(lines))), "")
@@ -316,7 +325,7 @@ def _distance_csvs(draw, flaw):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + odd[0] + text[at:]
     bom = "\ufeff" if draw(st.integers(0, 4)) == 0 else ""
-    return (bom + text).encode("utf-8"), n
+    return (bom + text).encode("utf-8")
 
 
 def _groups_csv(n):
@@ -389,6 +398,117 @@ class TestMatrixBlockReadMatchesCsvPath:
             table = dbicc.cli._bulk_table(str(path), 0)
         square = table is not None and table[2].shape[0] == table[2].shape[1]
         assert square == plain
+
+
+# Flaws of a series file, one per generated file: the vector CSV's odd cells
+# among them
+_SERIES_FLAWS = [
+    None, ("ragged row",),
+    *(("cell", cell) for cell in _ODD_CELLS),
+    *(("character", c) for c in '"\r\x00\x1c'),
+    *(("line break", c) for c in "\x0b\x0c\x85\u2028"),
+]
+
+
+@st.composite
+def _series_csvs(draw, flaw):
+    """``(bytes, shape)``: a plain series CSV of ``shape``, with ``flaw`` if given."""
+    shape = (draw(st.integers(3, 6)), draw(st.integers(3, 4)))
+    rows = [[draw(_TABLE_CELLS) for _ in range(shape[1])] for _ in range(shape[0])]
+    return _headerless_csv(draw, rows, flaw), shape
+
+
+def _both_series_paths(folder, content, shape, budget=None):
+    """Sample or error, and ``main()``'s estimate, by the block read and the csv path.
+
+    The manifest in ``folder`` lists four series: three random ones of
+    ``shape``, then ``content`` as ``bad.csv``.
+    """
+    rng = np.random.default_rng(5)
+    for k in range(3):
+        np.savetxt(folder / f"s{k}.csv", rng.standard_normal(shape), delimiter=",")
+    (folder / "bad.csv").write_bytes(content)
+    manifest = folder / "m.csv"
+    manifest.write_text("individual,replicate,path\n"
+                        "a,0,s0.csv\na,1,s1.csv\nb,0,s2.csv\nb,1,bad.csv\n")
+    results = []
+    with _block_budget(budget):
+        for forced in (False, True):
+            with _csv_path_only(forced):
+                kind, sample = _outcome(dbicc.cli._load_timeseries_manifest, str(manifest))
+                run = _through_main(["estimate", str(manifest), "--distance", "corr"],
+                                    folder / f"out{forced}.json")
+            if kind == "ok":
+                sample = (sample.values.shape, sample.values.tobytes(), sample.labels,
+                          sample.group_sizes.tolist())
+            results.append((kind, sample, run))
+    return results
+
+
+_SERIES = ["0.5,1.5,-2", "1,-0.25,3", "2.5,0.75,-1", "-1,2,0.5"]
+
+
+def _series_text(cell=None):
+    """``_SERIES`` as a file, the second cell of its second line replaced by ``cell``."""
+    lines = list(_SERIES)
+    if cell is not None:
+        cells = lines[1].split(",")
+        cells[1] = cell
+        lines[1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestSeriesBlockReadMatchesCsvPath:
+    """Series files, read through a manifest, by the one reader of headerless tables."""
+
+    @pytest.mark.parametrize("flaw", _SERIES_FLAWS, ids=repr)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data(), budget=st.sampled_from([None, None, *_BUDGETS]))
+    def test_series_csv(self, flaw, data, budget):
+        content, shape = data.draw(_series_csvs(flaw))
+        # read in this process: test_series_case reads in forked children
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dbicc.cli, "fork_workers", lambda paths: 1):
+            bulk, csv_path = _both_series_paths(Path(tmp), content, shape, budget)
+        assert bulk == csv_path
+
+    @pytest.mark.parametrize(
+        "text, want, plain",
+        [
+            (_series_text(), -0.25, True),
+            (_series_text("1_0"), 10.0, False),
+            (_series_text("\u0661\u0662"), 12.0, False),
+            (_series_text("\uff11"), 1.0, False),
+            (_series_text('"8"'), 8.0, False),
+            (_series_text("\x1c6"), ":2:2: expected a number, got '\\x1c6'", False),
+            (_series_text("1#2"), ":2:2: expected a number, got '1#2'", False),
+            ("# c\n" + _series_text(), ":1:1: expected a number, got '# c'", False),
+            (_series_text().replace("3\n", "3 # end\n"),
+             ":2:3: expected a number, got '3 # end'", False),
+            (_series_text().replace("\n", "\n \n", 1), ":2: expected 3 fields, got 1", False),
+            (_series_text('""'), ":2:2: expected a number, got ''", False),
+            (_series_text('"9,1"'), ":2:2: expected a number, got '9,1'", False),
+            ("", ": file is empty", False),
+        ],
+        ids=["plain", "1_0", "arabic-indic digits", "fullwidth digit", "quoted",
+             "\\x1c", "1#2", "comment line", "trailing comment", "white space line",
+             "empty quoted", "quoted comma", "empty file"],
+    )
+    def test_series_case(self, tmp_path, text, want, plain):
+        # one grammar: what float() reads is read, and every other cell, "#"
+        # or white-space-only line is a located error
+        bulk, csv_path = _both_series_paths(tmp_path, text.encode("utf-8"), (4, 3))
+        assert bulk == csv_path
+        kind, sample, (code, err, _) = bulk
+        if isinstance(want, float):
+            assert (kind, code, err) == ("ok", 0, "")
+            shape, values, *_ = sample
+            assert np.frombuffer(values).reshape(shape)[3, 1, 1] == want
+        else:
+            message = f"{tmp_path / 'bad.csv'}{want} (listed at {tmp_path / 'm.csv'}:5)"
+            assert (kind, code, err) == ("_ParseFailure", 2, f"input error: {message}\n")
+            assert sample == message
+        assert (dbicc.cli._bulk_table(str(tmp_path / "bad.csv"), 0) is not None) == plain
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
