@@ -10,50 +10,12 @@ simulation tooling, and reliability-versus-intensity curve fits.
 
 import importlib
 
-from .bootstrap import (
-    BootstrapResult,
-    bootstrap_dbicc,
-    bootstrap_dbicc_pair,
-    percentile_ci,
-)
-from .core import (
-    BlockStats,
-    DistanceMatrix,
-    GroupedSample,
-    PayloadKind,
-    block_stats,
-    build_grouped_sample,
-    compute_distance_matrix,
-)
-from .distances import (
-    DistanceSpec,
-    Metric,
-    corr_of_corr_distance,
-    correlation_from_timeseries,
-    l1_distance,
-    l2_distance,
-    soft_threshold,
-)
-from .errors import (
-    DbiccError,
-    DegenerateDistancesError,
-    DegenerateInputError,
-    FactorizationError,
-    InputShapeError,
-    InsufficientDataError,
-    InsufficientGroupsError,
-    InsufficientReplicatesError,
-    MetricMismatchError,
-    NonFiniteError,
-    ParameterError,
-)
-from .estimator import (
-    DbiccEstimate,
-    dbicc_point,
-    msd_between,
-    msd_within,
-    population_dbicc_gaussian,
-)
+from . import bootstrap, core, distances, errors, estimator
+from .bootstrap import *
+from .core import *
+from .distances import *
+from .errors import *
+from .estimator import *
 
 __version__ = "0.1.0"
 
@@ -89,40 +51,11 @@ _LAZY = {
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "BootstrapResult",
-    "bootstrap_dbicc",
-    "bootstrap_dbicc_pair",
-    "percentile_ci",
-    "BlockStats",
-    "DistanceMatrix",
-    "GroupedSample",
-    "PayloadKind",
-    "block_stats",
-    "build_grouped_sample",
-    "compute_distance_matrix",
-    "DistanceSpec",
-    "Metric",
-    "corr_of_corr_distance",
-    "correlation_from_timeseries",
-    "l1_distance",
-    "l2_distance",
-    "soft_threshold",
-    "DbiccError",
-    "DegenerateDistancesError",
-    "DegenerateInputError",
-    "FactorizationError",
-    "InputShapeError",
-    "InsufficientDataError",
-    "InsufficientGroupsError",
-    "InsufficientReplicatesError",
-    "MetricMismatchError",
-    "NonFiniteError",
-    "ParameterError",
-    "DbiccEstimate",
-    "dbicc_point",
-    "msd_between",
-    "msd_within",
-    "population_dbicc_gaussian",
+    *bootstrap.__all__,
+    *core.__all__,
+    *distances.__all__,
+    *errors.__all__,
+    *estimator.__all__,
     *_LAZY_MODULE,
 ]
 

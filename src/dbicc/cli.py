@@ -32,7 +32,8 @@ files of one manifest are read in forked processes where
 ``dbicc._children.fork_workers`` allows.  ``simulate --threads N`` runs in
 ``min(N, runs)`` child processes, forked by the same rule or else spawned;
 ``dbicc.simulation`` is imported when ``simulate`` runs, not with this module.
-``--out`` and ``--csv`` are checked before any input is read.
+``--out`` and ``--csv`` are checked before any input is read; naming one
+file with both is refused.
 
 Rows are ordered by individual, in order of first appearance, then by
 replicate label: labels that ``int`` reads numerically and first, others
@@ -140,10 +141,12 @@ def dumps_json(obj) -> str:
 
 
 def _check_outputs(args):
-    """Raise unless ``--out`` and ``--csv`` each name a file in a directory.
+    """Raise unless ``--out`` and ``--csv`` each name a file in a directory,
+    and not the same file.
 
     Runs before any input is read; write permission is not checked.
     """
+    flag_of = {}
     for flag in ("--out", "--csv"):
         name = getattr(args, flag[2:], None)
         if name is None:
@@ -153,6 +156,10 @@ def _check_outputs(args):
             raise _ConfigFailure(f"{flag} {name!r}: is a directory")
         if not Path(folder).is_dir():
             raise _ConfigFailure(f"{flag} {name!r}: {folder!r} is not a directory")
+        resolved = Path(name).resolve()
+        if resolved in flag_of:
+            raise _ConfigFailure(f"{flag} {name!r}: same file as {flag_of[resolved]}")
+        flag_of[resolved] = flag
 
 
 def _write_output(text: str, out_path):
@@ -777,7 +784,7 @@ def _build_parser() -> _Parser:
         help="grouping CSV for --format distances (row,individual,replicate)",
     )
     io_parent.add_argument(
-        "--distance", choices=["l2", "l1", "corr"], help="distance (default l2)"
+        "--distance", choices=list(_METRIC_BY_FLAG), help="distance (default l2)"
     )
     io_parent.add_argument(
         "--threshold",

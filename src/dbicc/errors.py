@@ -5,6 +5,20 @@ Everything derives from :class:`DbiccError`, which itself derives from
 catch the usual builtin.
 """
 
+__all__ = [
+    "DbiccError",
+    "InputShapeError",
+    "InsufficientGroupsError",
+    "InsufficientReplicatesError",
+    "InsufficientDataError",
+    "NonFiniteError",
+    "MetricMismatchError",
+    "DegenerateInputError",
+    "DegenerateDistancesError",
+    "ParameterError",
+    "FactorizationError",
+]
+
 
 class DbiccError(ValueError):
     """Base class for all errors raised by this package."""

@@ -7,6 +7,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -560,18 +561,22 @@ class TestExitCodes:
              "{d}/nodir/y.csv", "'{d}/nodir' is not a directory"),
             (["simulate", "--experiment", "coverage", "--boot", "50", "--runs", "2",
               "--threads", "2", "--seed", "1"], "--out", "{d}", "is a directory"),
+            (["simulate", "--experiment", "point", "--runs", "3", "--seed", "1",
+              "--out", "{d}/f"], "--csv", "{d}/./f", "same file as --out"),
         ],
-        ids=["estimate", "bootstrap", "sweep-threshold", "simulate csv", "simulate out"],
+        ids=["estimate", "bootstrap", "sweep-threshold", "simulate csv", "simulate out",
+             "simulate out and csv one file"],
     )
     def test_output_path_fails_before_any_work(
         self, tmp_path, no_pool, capsys, argv, flag, path, error
     ):
         path = path.format(d=tmp_path)
-        argv = [a.format(missing=tmp_path / "missing.csv") for a in argv]
+        argv = [a.format(missing=tmp_path / "missing.csv", d=tmp_path) for a in argv]
         assert main([*argv, flag, path]) == 4
         assert capsys.readouterr().err == (
             f"configuration error: {flag} {path!r}: {error.format(d=tmp_path)}\n"
         )
+        assert not Path(path).is_file()
 
 
 _GROUPS = "row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n"
@@ -1886,6 +1891,94 @@ class TestFuzzMain:
         assert "Traceback" not in err.getvalue()
 
 
+# 3-6 individuals, each of 2-3 replicates, 2-4 features; rows shuffled.
+# Values lie near unit scale, where an absolute tolerance would show, and
+# far from the subnormal range, so that scaling by 2**k and squaring round
+# exactly as the unscaled values do.
+_VALUES = st.floats(-8, 8, allow_subnormal=False).filter(
+    lambda v: v == 0 or abs(v) > 1e-30
+)
+
+
+@st.composite
+def _vector_rows(draw):
+    """Rows ``(individual, replicate, values)`` of a small vector sample."""
+    dim = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=3, max_size=6))
+    rows = [(f"s{i}", j, draw(st.lists(_VALUES, min_size=dim, max_size=dim)))
+            for i, size in enumerate(sizes) for j in range(size)]
+    return draw(st.permutations(rows))
+
+
+def _write_rows(path, rows):
+    dim = len(rows[0][2])
+    lines = ["individual,replicate," + ",".join(f"f{k}" for k in range(dim))]
+    lines += [f"{who},{rep}," + ",".join(map(repr, values)) for who, rep, values in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _bootstrap_outputs(rows_list, distance, seed):
+    """``(exit code, stderr, output bytes)`` of ``bootstrap`` on each row set."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, rows in enumerate(rows_list):
+            src, out = Path(tmp) / f"v{n}.csv", Path(tmp) / f"out{n}.json"
+            _write_rows(src, rows)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["bootstrap", str(src), "--distance", distance, "--boot", "200",
+                             "--seed", str(seed), "--out", str(out)])
+            outcomes.append((code, err.getvalue(), out.read_bytes() if code == 0 else b""))
+    return outcomes
+
+
+class TestMetamorphicMain:
+    """Relations between whole ``bootstrap`` runs on transformed inputs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_vector_rows(), k=st.integers(-4, 4), distance=st.sampled_from(["l2", "l1"]),
+           seed=st.integers(0, 2**32))
+    def test_scaling_by_a_power_of_two(self, rows, k, distance, seed):
+        scaled = [(who, rep, [v * 2.0**k for v in values]) for who, rep, values in rows]
+        (code, err, out), (scaled_code, scaled_err, scaled_out) = _bootstrap_outputs(
+            [rows, scaled], distance, seed)
+        assert (code, err) == (scaled_code, scaled_err)
+        if code == 0:
+            # rho_hat, the interval and n_degenerate bit for bit; the MSDs by 4**k
+            report = json.loads(out)
+            for field in ("msd_within", "msd_between"):
+                report[field] *= 4.0**k
+            assert json.loads(scaled_out) == report
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_vector_rows(), distance=st.sampled_from(["l2", "l1"]),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_renaming_the_individuals(self, rows, distance, seed, data):
+        # new names, unordered, assigned in order of first appearance
+        order = list(dict.fromkeys(who for who, _, _ in rows))
+        names = data.draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3),
+                                   min_size=len(order), max_size=len(order), unique=True))
+        rename = dict(zip(order, names))
+        renamed = [(rename[who], rep, values) for who, rep, values in rows]
+        assert len(set(_bootstrap_outputs([rows, renamed], distance, seed))) == 1
+
+    @pytest.mark.parametrize("distance", ["corr", "l2"])
+    def test_scaled_series_give_the_same_bytes(self, tmp_path, distance):
+        golden = Path(__file__).parent / "golden" / "inputs"
+        shutil.copy(golden / "manifest.csv", tmp_path)
+        for n in range(4):
+            series = np.loadtxt(golden / f"series{n}.csv", delimiter=",")
+            np.savetxt(tmp_path / f"series{n}.csv", series * 2.0**-3, delimiter=",",
+                       fmt="%.17g")
+        outputs = []
+        for folder in (golden, tmp_path):
+            out = tmp_path / f"{folder.name}.json"
+            assert main(["bootstrap", str(folder / "manifest.csv"), "--distance", distance,
+                         "--boot", "200", "--seed", "5", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 _LOADS = """
 import json, sys
 import dbicc, dbicc.cli
@@ -2066,6 +2159,15 @@ class TestLeanImport:
         assert set(dbicc.__all__) <= set(dir(dbicc))
         for name, module in exported.items():
             assert getattr(dbicc, name) is getattr(importlib.import_module(f"dbicc.{module}"), name)
+
+    def test_errors_all_lists_every_error_class_it_defines(self):
+        # the package exports dbicc.errors.__all__, so a class left out of it
+        # would drop out of the package's names
+        errors = importlib.import_module("dbicc.errors")
+        defined = [name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, errors.DbiccError)
+                   and obj.__module__ == errors.__name__]
+        assert sorted(errors.__all__) == sorted(defined)
 
 
 def _library_example(readme):
