@@ -28,10 +28,8 @@ _LAZY = {
         "TrueScorePopulation",
         "cov_error_spread",
         "default_m_grid",
-        "gen_connectivity_sample",
         "gen_gaussian_sample",
         "gen_mvn_timeseries",
-        "gen_sample_cov",
         "gen_spd_population",
         "run_coverage_experiment",
         "run_point_experiment",

@@ -32,8 +32,8 @@ files of one manifest are read in forked processes where
 ``dbicc._children.fork_workers`` allows.  ``simulate --threads N`` runs in
 ``min(N, runs)`` child processes, forked by the same rule or else spawned;
 ``dbicc.simulation`` is imported when ``simulate`` runs, not with this module.
-``--out`` and ``--csv`` are checked before any input is read; naming one
-file with both is refused.
+Naming one file by ``--out`` and ``--csv``, or an input by ``--out``, exits 4
+before any input is read; a series the manifest lists, before any series is.
 
 Rows are ordered by individual, in order of first appearance, then by
 replicate label: labels that ``int`` reads numerically and first, others
@@ -140,9 +140,19 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def _check_out_is_not(out, path, what):
+    """Raise if ``--out`` and ``path``, which is ``what``, are one existing file."""
+    try:
+        same = None not in (out, path) and Path(out).samefile(path)
+    except OSError:  # one of them does not exist
+        same = False
+    if same:
+        raise _ConfigFailure(f"--out {out!r}: same file as {what}")
+
+
 def _check_outputs(args):
     """Raise unless ``--out`` and ``--csv`` each name a file in a directory,
-    and not the same file.
+    not the same file, and ``--out`` is neither the input nor ``--groups``.
 
     Runs before any input is read; write permission is not checked.
     """
@@ -160,6 +170,9 @@ def _check_outputs(args):
         if resolved in flag_of:
             raise _ConfigFailure(f"{flag} {name!r}: same file as {flag_of[resolved]}")
         flag_of[resolved] = flag
+    if args.command != "simulate":
+        _check_out_is_not(args.out, args.input, "the input")
+        _check_out_is_not(args.out, args.groups_csv, "--groups")
 
 
 def _write_output(text: str, out_path):
@@ -496,7 +509,7 @@ def _load_distance_input(path, groups_path) -> DistanceMatrix:
     return DistanceMatrix(values[np.ix_(order, order)], sizes, labels)
 
 
-def _load_timeseries_manifest(path) -> GroupedSample:
+def _load_timeseries_manifest(path, out=None) -> GroupedSample:
     rows = _read_csv_rows(path)
     header = [f.strip() for f in rows[0]] if rows else []
     if header != ["individual", "replicate", "path"]:
@@ -511,6 +524,8 @@ def _load_timeseries_manifest(path) -> GroupedSample:
             paths.append(base / row[2])  # an absolute path stays as it is
     except _ParseFailure as exc:
         fault = exc
+    for (lineno, _, _), series_path in zip(listed, paths):  # --out is none of them
+        _check_out_is_not(out, series_path, f"the series listed at {path}:{lineno}")
     series = []
     try:
         series.extend(run_in_children(_read_table, paths, fork_workers(paths), "fork"))
@@ -552,8 +567,10 @@ def _load_input(args):
     if args.groups_csv:
         raise _ConfigFailure("--groups applies only to a distance-matrix input")
     args.distance = args.distance or "l2"
-    load = _load_vector_csv if fmt == "vectors" else _load_timeseries_manifest
-    data = load(args.input)
+    if fmt == "vectors":
+        data = _load_vector_csv(args.input)
+    else:
+        data = _load_timeseries_manifest(args.input, args.out)
     if thresholded:
         _require_matrix_payloads(data)
     return data

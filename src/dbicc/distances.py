@@ -13,8 +13,7 @@ series into connectivity matrices: Pearson correlation across columns,
 and soft-thresholding of off-diagonal correlations (one matrix or a
 whole stack at a time).
 
-All functions are pure, apart from writing a given ``out`` array, and
-safe for concurrent use.  The scalar distance
+All functions are pure and safe for concurrent use.  The scalar distance
 functions evaluate the same compiled kernels as the pairwise path in
 :func:`dbicc.core.compute_distance_matrix`, so a single pair and the
 corresponding matrix entry agree bit for bit.
@@ -280,14 +279,13 @@ def _shrink(v, level, out):
     np.multiply(np.sign(v), out, out=out)
 
 
-def soft_threshold(r, level, out=None):
+def soft_threshold(r, level):
     """Shrink off-diagonal entries of correlation matrices toward zero.
 
     ``r`` is one square matrix or a stack of them, shape ``(n, p, p)``.
     Each off-diagonal entry ``v`` becomes ``sign(v) * max(|v| - level, 0)``;
-    the diagonal is left untouched.  The result is written to ``out``
-    when given, an array of ``r``'s shape that must not overlap ``r``;
-    a stack needs no temporary larger than one matrix.
+    the diagonal is left untouched.  A stack needs no temporary larger
+    than one matrix besides the result.
 
     Returns
     -------
@@ -306,10 +304,7 @@ def soft_threshold(r, level, out=None):
     if p < 2:
         raise DegenerateInputError("a 1x1 matrix has no off-diagonal entries")
     level = _threshold_level(level)
-    if out is None:
-        out = np.empty_like(r)
-    elif out.shape != r.shape:
-        raise InputShapeError(f"out has shape {out.shape}, expected {r.shape}")
+    out = np.empty_like(r)
     src, dst = r.reshape(-1, p, p), out.reshape(-1, p, p)
     zeros = np.empty(len(src), dtype=np.int64)
     # one matrix at a time, so it stays in cache through every pass

@@ -37,7 +37,7 @@ from .bootstrap import (
 from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
 from .distances import Metric, _chunk_rows, _chunks
-from .errors import FactorizationError, InsufficientDataError, ParameterError
+from .errors import FactorizationError, ParameterError
 from .estimator import dbicc_point, population_dbicc_gaussian
 from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
 
@@ -46,9 +46,7 @@ __all__ = [
     "ConnectivityPopulation",
     "gen_gaussian_sample",
     "gen_mvn_timeseries",
-    "gen_sample_cov",
     "gen_spd_population",
-    "gen_connectivity_sample",
     "cov_error_spread",
     "default_m_grid",
     "run_point_experiment",
@@ -179,9 +177,9 @@ def gen_gaussian_sample(pop: TrueScorePopulation, rng) -> GroupedSample:
     )
 
 
-# Bytes of series held at a time: by gen_connectivity_sample, whose chunk
-# is at least one individual's series and gets one AR(1) recursion, and
-# by cov_error_spread, whose chunk is at least one pair of draws.
+# Bytes of series held at a time: by _sample_covs, whose chunk is at
+# least one individual's series and gets one AR(1) recursion, and by
+# cov_error_spread, whose chunk is at least one pair of draws.
 _SERIES_CHUNK_BYTES = 1 << 19
 
 
@@ -216,17 +214,6 @@ def gen_mvn_timeseries(sigma, n_timepoints: int, ar_coeff: float, rng) -> np.nda
     series = rng.standard_normal((n_timepoints, chol.shape[0])) @ chol.T
     _ar1_in_place(series, ar_coeff)
     return series
-
-
-def gen_sample_cov(x) -> np.ndarray:
-    """Unbiased sample covariance of rows (divisor n - 1, columns centered)."""
-    x = np.array(x, dtype=float)  # a copy: the kernel centres in place
-    if x.ndim != 2:
-        raise ParameterError(f"expected a 2-D array, got shape {x.shape}")
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {n}")
-    return _sample_cov_batch(x[None])[0]
 
 
 def _sample_cov_batch(series, out=None):
@@ -271,20 +258,6 @@ def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     return list(_corr_scale_batch(wisharts))
 
 
-def _matrix_sample(mats, labels):
-    """The stacked matrices as a sample of the individuals ``labels``, in order.
-
-    Every individual has the same number of matrices.
-    """
-    n = len(labels)
-    return GroupedSample(
-        values=mats,
-        group_sizes=np.full(n, mats.shape[0] // n),
-        labels=labels,
-        payload_kind=PayloadKind.MATRIX,
-    )
-
-
 def _sample_covs(pop, n_timepoints, n_replicates, rng):
     """Sample covariances of ``n_replicates`` series per individual, stacked.
 
@@ -308,30 +281,6 @@ def _sample_covs(pop, n_timepoints, n_replicates, rng):
         _ar1_in_place(chunk, pop.ar_coeff)
         _sample_cov_batch(chunk.transpose(1, 0, 2), out=mats[i0 * k : i1 * k])
     return mats
-
-
-def gen_connectivity_sample(
-    pop: ConnectivityPopulation,
-    n_replicates: int,
-    rng,
-    matrix_kind: str = "covariance",
-) -> GroupedSample:
-    """Grouped sample of estimated connectivity matrices.
-
-    For every individual, generates ``n_replicates`` series from the
-    population's AR(1) law and summarizes each as a sample covariance
-    (``matrix_kind="covariance"``) or sample correlation
-    (``matrix_kind="correlation"``) matrix.
-    """
-    if matrix_kind not in ("covariance", "correlation"):
-        raise ParameterError(f"unknown matrix kind {matrix_kind!r}")
-    if n_replicates < 1:
-        raise ParameterError("need at least 1 replicate per individual")
-    rng = np.random.default_rng(rng)
-    mats = _sample_covs(pop, pop.n_timepoints, n_replicates, rng)
-    if matrix_kind == "correlation":
-        mats = _corr_scale_batch(mats)
-    return _matrix_sample(mats, _sim_labels(pop.n_individuals))
 
 
 def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
@@ -525,14 +474,15 @@ def _sb_worker(task):
     sigmas = gen_spd_population(n_individuals, dim, rng, wishart_df=df)
     # one factorization per run; the shortest length is the one to check
     pop = ConnectivityPopulation(sigmas, min(m_grid), ar_coeff)
-    labels = _sim_labels(n_individuals)  # one set for all the run's samples
+    # one grouping for all the run's samples
+    sizes, labels = np.full(n_individuals, n_replicates), _sim_labels(n_individuals)
     rows = []
     for m in m_grid:
         covs = _sample_covs(pop, m, n_replicates, rng)
         row = {"m": int(m)}
         corrs = _corr_scale_batch(covs)
         for kind, mats in (("covariance", covs), ("correlation", corrs)):
-            sample = _matrix_sample(mats, labels)
+            sample = GroupedSample(mats, sizes, labels, PayloadKind.MATRIX)
             row[kind] = dbicc_point(block_stats(sample, Metric.L2_VEC)).rho_hat
         rows.append(row)
     return rows

@@ -578,6 +578,41 @@ class TestExitCodes:
         )
         assert not Path(path).is_file()
 
+    @pytest.mark.parametrize(
+        "argv, out, what",
+        [
+            (["estimate", "{d}/v.csv"], "{d}/v.csv", "the input"),
+            (["bootstrap", "{d}/v.csv", "--boot", "100"], "{d}/./v.csv", "the input"),
+            (["estimate", "{d}/v.csv"], "{d}/link.csv", "the input"),
+            (["estimate", "{d}/dm.csv", "--groups", "{d}/groups.csv"], "{d}/groups.csv",
+             "--groups"),
+            (["sweep-threshold", "{d}/m.csv"], "{d}/m.csv", "the input"),
+            (["estimate", "{d}/m.csv", "--distance", "corr"], "{d}/s11.csv",
+             "the series listed at {d}/m.csv:5"),
+        ],
+        ids=["input", "input by another path", "input by a hard link", "groups",
+             "manifest", "listed series"],
+    )
+    def test_out_naming_an_input_fails_before_any_series_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, out, what
+    ):
+        write_hand_csv(tmp_path / "v.csv")
+        os.link(tmp_path / "v.csv", tmp_path / "link.csv")
+        _matrix_input(tmp_path)
+        _series_manifest(tmp_path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def no_read(*args):
+            raise AssertionError("a series was read")
+
+        monkeypatch.setattr(dbicc.cli, "run_in_children", no_read)
+        out = out.format(d=tmp_path)
+        assert main([*(a.format(d=tmp_path) for a in argv), "--out", out]) == 4
+        assert capsys.readouterr().err == (
+            f"configuration error: --out {out!r}: same file as {what.format(d=tmp_path)}\n"
+        )
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
 
 _GROUPS = "row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n"
 
@@ -1932,6 +1967,73 @@ def _bootstrap_outputs(rows_list, distance, seed):
     return outcomes
 
 
+def _keep_first_appearance(rows, rnd):
+    """``rows`` in a random order in which the individuals first appear as before."""
+    queues = {}
+    for row in rows:
+        queues.setdefault(row[0], []).append(row)
+    for queue in queues.values():
+        rnd.shuffle(queue)
+    unopened, opened, order = list(queues), [], []
+    while unopened or opened:
+        pick = rnd.randrange(len(opened) + bool(unopened))
+        if pick == len(opened):
+            opened.append(unopened.pop(0))
+        who = opened[pick]
+        order.append(queues[who].pop())
+        if not queues[who]:
+            opened.remove(who)
+    return order
+
+
+# Unit roundoff of a float64.
+_U = np.finfo(float).eps / 2
+
+
+def _rounding_bound(n_rows, scale, report):
+    """How far summing in another order may move a report's rho_hat.
+
+    ``scale`` bounds every payload row's squared norm, so each squared
+    distance is at most ``4 * scale``.  Each MSD averages at most
+    ``n_rows**2`` of them, and a sum of N terms taken in another order
+    moves by at most about ``N * u`` times the sum of their magnitudes:
+    each MSD moves by at most ``dM = 4 * n_rows**2 * u * scale``.  Then
+    ``rho_hat = 1 - W / B`` moves by at most ``dM / B * (1 + W / B)``.
+    """
+    within, between = report["msd_within"], report["msd_between"]
+    return 4 * n_rows**2 * _U * scale / between * (1.0 + within / between)
+
+
+def _assert_rho_hats_close(outcomes, n_rows, scale):
+    """Both runs' rho_hat within rounding of each other, or both failing alike.
+
+    A run may fail where the other does not only if the other's between
+    MSD is within rounding of 0.
+    """
+    (code, err, out), (other_code, other_err, other_out) = outcomes
+    reports = [json.loads(o) for c, o in ((code, out), (other_code, other_out)) if c == 0]
+    if code != other_code:
+        (report,) = reports
+        assert report["msd_between"] <= 4 * n_rows**2 * _U * scale
+    elif code != 0:
+        assert err == other_err
+    else:
+        first, second = reports
+        bound = max(_rounding_bound(n_rows, scale, r) for r in reports)
+        assert abs(first["rho_hat"] - second["rho_hat"]) <= bound
+
+
+def _random_manifest(folder, series, channels):
+    """A manifest of ``series`` (individual, replicate, array), each array's
+    columns taken in the order ``channels``."""
+    lines = ["individual,replicate,path"]
+    for n, (who, rep, values) in enumerate(series):
+        np.savetxt(folder / f"s{n}.csv", values[:, channels], delimiter=",", fmt="%.17g")
+        lines.append(f"{who},{rep},s{n}.csv")
+    (folder / "m.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return folder / "m.csv"
+
+
 class TestMetamorphicMain:
     """Relations between whole ``bootstrap`` runs on transformed inputs."""
 
@@ -1961,6 +2063,52 @@ class TestMetamorphicMain:
         rename = dict(zip(order, names))
         renamed = [(rename[who], rep, values) for who, rep, values in rows]
         assert len(set(_bootstrap_outputs([rows, renamed], distance, seed))) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=_vector_rows(), distance=st.sampled_from(["l2", "l1"]),
+           seed=st.integers(0, 2**32), rnd=st.randoms(use_true_random=False))
+    def test_reordering_rows_that_keeps_first_appearance(self, rows, distance, seed, rnd):
+        reordered = _keep_first_appearance(rows, rnd)
+        assert len(set(_bootstrap_outputs([rows, reordered], distance, seed))) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(rows=_vector_rows(), distance=st.sampled_from(["l2", "l1"]),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_any_row_shuffle_moves_rho_hat_by_rounding_only(self, rows, distance, seed, data):
+        # the individuals now come in another order, so the sums over them
+        # round differently, and the same seed resamples other individuals
+        shuffled = data.draw(st.permutations(rows))
+        scale = max(sum(map(abs, values)) for _, _, values in rows) ** 2
+        _assert_rho_hats_close(_bootstrap_outputs([rows, shuffled], distance, seed),
+                               len(rows), scale)
+
+    @settings(max_examples=8, deadline=None)
+    @given(individuals=st.integers(2, 4), m=st.integers(6, 20), p=st.integers(3, 5),
+           seed=st.integers(0, 2**32), data=st.data())
+    @pytest.mark.parametrize("distance", ["corr", "l2"])
+    def test_permuting_every_series_channels_alike(
+        self, distance, individuals, m, p, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        series = [(f"q{i}", j, rng.standard_normal((m, p)) + rng.standard_normal(p))
+                  for i in range(individuals) for j in range(2)]
+        channels = data.draw(st.permutations(range(p)))
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for order in (list(range(p)), channels):
+                folder = Path(tmp) / f"{len(outcomes)}"
+                folder.mkdir()
+                manifest = _random_manifest(folder, series, order)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(["estimate", str(manifest), "--distance", distance,
+                                 "--out", str(folder / "out.json")])
+                out = (folder / "out.json").read_bytes() if code == 0 else b""
+                outcomes.append((code, err.getvalue(), out))
+        # payload rows: standardized triangles of norm 1 under corr, and
+        # correlation matrices of at most p**2 squared norm under l2
+        scale = 1.0 if distance == "corr" else float(p * p)
+        _assert_rho_hats_close(outcomes, len(series), scale)
 
     @pytest.mark.parametrize("distance", ["corr", "l2"])
     def test_scaled_series_give_the_same_bytes(self, tmp_path, distance):
@@ -2106,7 +2254,7 @@ print(seen, scipy_modules())
         assert (done.stdout, done.stderr) == ("[(2, 'fork'), [], []] []\n", "")
 
 
-# The names the package exported when it imported every module eagerly
+# The names the package exports, by the module that defines each
 _EXPORTS = {
     "bootstrap": "BootstrapResult bootstrap_dbicc bootstrap_dbicc_pair percentile_ci",
     "core": "BlockStats DistanceMatrix GroupedSample PayloadKind block_stats "
@@ -2118,9 +2266,8 @@ _EXPORTS = {
               "InsufficientReplicatesError MetricMismatchError NonFiniteError ParameterError",
     "estimator": "DbiccEstimate dbicc_point msd_between msd_within population_dbicc_gaussian",
     "simulation": "ConnectivityPopulation TrueScorePopulation cov_error_spread default_m_grid "
-                  "gen_connectivity_sample gen_gaussian_sample gen_mvn_timeseries "
-                  "gen_sample_cov gen_spd_population run_coverage_experiment "
-                  "run_point_experiment run_sb_experiment",
+                  "gen_gaussian_sample gen_mvn_timeseries gen_spd_population "
+                  "run_coverage_experiment run_point_experiment run_sb_experiment",
     "spearman_brown": "LineFit SbCurve SbPoint build_sb_curve classical_sb fit_loglog snr "
                       "snr_inverse",
 }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.spatial.distance
@@ -235,14 +237,6 @@ class TestSoftThreshold:
         ):
             soft_threshold(np.zeros(shape), 0.1)
 
-    @pytest.mark.parametrize("out_shape", [(3, 3), (2, 4, 4), (6, 3)])
-    def test_out_of_another_shape(self, out_shape):
-        with pytest.raises(
-            InputShapeError,
-            match=rf"^out has shape \({out_shape[0]}, .*\), expected \(2, 3, 3\)$",
-        ):
-            soft_threshold(np.zeros((2, 3, 3)), 0.1, out=np.empty(out_shape))
-
     def test_fraction_monotone_and_contractive(self, rng):
         r = rand_corr(rng, 6)
         prev = -1.0
@@ -278,13 +272,23 @@ class TestSoftThreshold:
         want = np.sign(r) * np.maximum(np.abs(r) - level, 0.0)
         diag = np.arange(p)
         want[:, diag, diag] = r[:, diag, diag]
-        buf = np.full_like(r, np.nan)
-        for stacked, fractions in (soft_threshold(r, level),
-                                   soft_threshold(r, level, out=buf)):
-            assert stacked.tobytes() == want.tobytes()
-            assert stacked.tobytes() == np.stack([m for m, _ in singles]).tobytes()
-            assert fractions.tolist() == [f for _, f in singles]
-        assert soft_threshold(r, level, out=buf)[0] is buf
+        stacked, fractions = soft_threshold(r, level)
+        assert stacked.tobytes() == want.tobytes()
+        assert stacked.tobytes() == np.stack([m for m, _ in singles]).tobytes()
+        assert fractions.tolist() == [f for _, f in singles]
+
+    def test_a_stack_needs_no_temporary_larger_than_one_matrix(self):
+        n, p = 40, 60
+        r = np.random.default_rng(2).uniform(-1.0, 1.0, (n, p, p))
+        tracemalloc.start()
+        try:
+            out, _ = soft_threshold(r, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and a few p x p temporaries; a pass over the whole
+        # stack at once would add another stack of n matrices
+        assert peak < out.nbytes + 4 * p * p * 8
 
 
 class TestDistanceSpec:

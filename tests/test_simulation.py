@@ -1,5 +1,4 @@
 import inspect
-import re
 import warnings
 
 import numpy as np
@@ -23,15 +22,25 @@ from dbicc import (
     cov_error_spread,
     dbicc_point,
     default_m_grid,
-    gen_connectivity_sample,
     gen_gaussian_sample,
     gen_mvn_timeseries,
-    gen_sample_cov,
     gen_spd_population,
     run_coverage_experiment,
     run_point_experiment,
     run_sb_experiment,
 )
+
+
+def _sample_cov(x):
+    """Sample covariance of one series by the runners' kernel, which centres a copy."""
+    return dbicc.simulation._sample_cov_batch(np.array(x, dtype=float)[None])[0]
+
+
+def _sample_covs(pop, n_replicates, seed):
+    """The sample covariances that ``_sb_worker`` draws, at the population's length."""
+    return dbicc.simulation._sample_covs(
+        pop, pop.n_timepoints, n_replicates, np.random.default_rng(seed)
+    )
 
 
 class TestTrueScorePopulation:
@@ -81,7 +90,7 @@ class TestVarTimeseries:
     def test_iid_case_recovers_covariance(self):
         sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
         x = gen_mvn_timeseries(sigma, 100_000, 0.0, np.random.default_rng(7))
-        sample = gen_sample_cov(x)
+        sample = _sample_cov(x)
         rel = np.linalg.norm(sample - sigma, "fro") / np.linalg.norm(sigma, "fro")
         assert rel < 0.02
 
@@ -96,7 +105,7 @@ class TestVarTimeseries:
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
         x = gen_mvn_timeseries(sigma, 200_000, phi, np.random.default_rng(12))
         target = sigma / (1.0 - phi * phi)
-        rel = np.linalg.norm(gen_sample_cov(x) - target, "fro") / np.linalg.norm(
+        rel = np.linalg.norm(_sample_cov(x) - target, "fro") / np.linalg.norm(
             target, "fro"
         )
         assert rel < 0.03
@@ -110,33 +119,31 @@ class TestVarTimeseries:
             gen_mvn_timeseries(np.zeros((2, 2)), 10, 0.0, np.random.default_rng(0))
 
 
-class TestGenSampleCov:
+class TestSampleCovBatch:
     def test_identical_rows(self):
         x = np.tile([1.0, 2.0], (2, 1))
-        assert np.array_equal(gen_sample_cov(x), np.zeros((2, 2)))
+        assert np.array_equal(_sample_cov(x), np.zeros((2, 2)))
 
     def test_hand_example(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 10.0]])
         expected = np.array([[4.0, 8.0], [8.0, 52.0 / 3.0]])
-        assert np.allclose(gen_sample_cov(x), expected, atol=1e-12)
+        assert np.allclose(_sample_cov(x), expected, atol=1e-12)
 
     def test_unbiasedness_monte_carlo(self):
         sigma = np.array([[1.5, -0.4], [-0.4, 0.8]])
         chol = np.linalg.cholesky(sigma)
         rng = np.random.default_rng(31)
         draws = rng.standard_normal((10_000, 10, 2)) @ chol.T
-        mean_cov = np.mean([gen_sample_cov(d) for d in draws], axis=0)
+        mean_cov = dbicc.simulation._sample_cov_batch(draws).mean(axis=0)
         rel = np.linalg.norm(mean_cov - sigma, "fro") / np.linalg.norm(sigma, "fro")
         assert rel < 0.02
 
-    def test_too_few_rows(self):
-        with pytest.raises(InsufficientDataError):
-            gen_sample_cov(np.ones((1, 3)))
-
-    @pytest.mark.parametrize("shape", [(5,), (2, 5, 3)])
-    def test_rejects_other_than_two_dimensions(self, shape):
-        with pytest.raises(ParameterError, match=re.escape(f"2-D array, got shape {shape}")):
-            gen_sample_cov(np.ones(shape))
+    def test_each_of_a_stack_is_symmetric_and_close_to_np_cov(self):
+        x = np.random.default_rng(6).standard_normal((4, 20, 3))
+        covs = dbicc.simulation._sample_cov_batch(x.copy())
+        assert np.array_equal(covs, covs.transpose(0, 2, 1))
+        for cov, series in zip(covs, x):
+            assert np.allclose(cov, np.cov(series, rowvar=False), rtol=1e-12, atol=0.0)
 
 
 class TestSpdPopulation:
@@ -197,34 +204,16 @@ class TestConnectivitySample:
                 sigmas=(np.zeros((3, 3)),), n_timepoints=50, ar_coeff=0.0
             )
 
-    def test_sample_structure(self):
+    def test_correlations_have_a_unit_diagonal_and_lie_in_the_unit_interval(self):
         rng = np.random.default_rng(4)
         pop = ConnectivityPopulation(
             sigmas=tuple(gen_spd_population(4, 5, rng)), n_timepoints=60
         )
-        sample = gen_connectivity_sample(pop, 2, rng, matrix_kind="correlation")
-        assert sample.n_individuals == 4
-        assert sample.payload_kind is PayloadKind.MATRIX
-        for mat in sample.values:
+        corrs = dbicc.simulation._corr_scale_batch(_sample_covs(pop, 2, rng))
+        assert corrs.shape == (8, 5, 5)
+        for mat in corrs:
             assert np.all(np.diag(mat) == 1.0)
             assert np.all(np.abs(mat) <= 1.0)
-
-    @pytest.mark.parametrize(
-        "n_replicates, kind, error",
-        [(2, "precision", "unknown matrix kind 'precision'"),
-         (0, "covariance", "need at least 1 replicate per individual")],
-    )
-    def test_sample_arguments(self, n_replicates, kind, error):
-        pop = ConnectivityPopulation(sigmas=(np.eye(3), np.eye(3)), n_timepoints=40)
-        with pytest.raises(ParameterError, match=re.escape(error)):
-            gen_connectivity_sample(pop, n_replicates, np.random.default_rng(1), kind)
-
-    def test_covariance_kind_matches_gen_sample_cov(self):
-        rng = np.random.default_rng(9)
-        pop = ConnectivityPopulation(sigmas=(np.eye(3), np.eye(3)), n_timepoints=40)
-        sample = gen_connectivity_sample(pop, 2, rng, matrix_kind="covariance")
-        for mat in sample.values:
-            assert np.allclose(mat, mat.T)
 
 
 def _var1_reference(innov, ar_coeff):
@@ -239,13 +228,13 @@ def _var1_reference(innov, ar_coeff):
 
 class TestBatchedGenerator:
     @pytest.mark.parametrize("phi", [0.0, 0.6])
-    def test_bitwise_equal_to_public_generators(self, phi):
+    def test_bitwise_equal_to_the_one_series_generator(self, phi):
         sigmas = gen_spd_population(5, 6, np.random.default_rng(2))
         pop = ConnectivityPopulation(sigmas, 40, phi)
-        got = gen_connectivity_sample(pop, 3, np.random.default_rng(11)).values
+        got = _sample_covs(pop, 3, 11)
         ref_rng = np.random.default_rng(11)
         ref = [
-            gen_sample_cov(gen_mvn_timeseries(sigma, 40, phi, ref_rng))
+            _sample_cov(gen_mvn_timeseries(sigma, 40, phi, ref_rng))
             for sigma in sigmas
             for _ in range(3)
         ]
@@ -263,8 +252,7 @@ class TestBatchedGenerator:
         # one individual per chunk, chunks of 3 with a short last one, all at once
         for budget in (8, 3 * 2 * 30 * 5 * 8, 1 << 40):
             monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", budget)
-            sample = gen_connectivity_sample(pop, 2, np.random.default_rng(8))
-            results.append((sample.values, run_sb_experiment(**sb_kwargs)))
+            results.append((_sample_covs(pop, 2, 8), run_sb_experiment(**sb_kwargs)))
         for values, report in results[1:]:
             assert np.array_equal(values, results[0][0])
             assert report == results[0][1]
@@ -302,21 +290,13 @@ class TestBatchedGenerator:
         monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", 2 * 8 * k * m * p)
         sigmas = gen_spd_population(n, p, np.random.default_rng(12))
         pop = ConnectivityPopulation(sigmas, m, phi)
-        got = gen_connectivity_sample(pop, k, np.random.default_rng(13)).values
+        got = _sample_covs(pop, k, 13)
         ref_rng = np.random.default_rng(13)
         ref = []
         for sigma in sigmas:
             innov = ref_rng.standard_normal((k, m, p)) @ np.linalg.cholesky(sigma).T
-            ref.extend(gen_sample_cov(x) for x in _var1_reference(innov, phi))
+            ref.extend(_sample_cov(x) for x in _var1_reference(innov, phi))
         assert np.array_equal(got, np.array(ref))
-
-    def test_sample_cov_leaves_input_alone(self):
-        x = np.random.default_rng(6).standard_normal((20, 3))
-        before = x.copy()
-        cov = gen_sample_cov(x)
-        assert np.array_equal(x, before)
-        assert np.array_equal(cov, cov.T)
-        assert np.allclose(cov, np.cov(x, rowvar=False), rtol=1e-12, atol=0.0)
 
     def test_population_check_order(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
