@@ -24,16 +24,19 @@ Input formats (auto-detected from the first line, ``--format`` overrides):
 
 Files are UTF-8, with or without a byte-order mark.  Every numeric cell
 is split as the ``csv`` module splits it and read as ``float`` reads it.
-Plain vector CSVs, distance matrices and series files are read in blocks
-of whole lines, one ``numpy.loadtxt`` call each, to the same values; any
-other file, and one that fails a check of the block read, goes through
-``csv`` and ``float`` cell by cell, which locate each error.  The series
+Plain vector CSVs, distance matrices and series files are read in blocks,
+each one read of about 64 Ki characters plus the rest of its last line,
+with one ``numpy.loadtxt`` call per block, to the same values; any other
+file, and one that fails a check of the block read, goes through ``csv``
+and ``float`` cell by cell, which locate each error.  The series
 files of one manifest are read in forked processes where
 ``dbicc._children.fork_workers`` allows.  ``simulate --threads N`` runs in
 ``min(N, runs)`` child processes, forked by the same rule or else spawned;
 ``dbicc.simulation`` is imported when ``simulate`` runs, not with this module.
 Naming one file by ``--out`` and ``--csv``, or an input by ``--out``, exits 4
 before any input is read; a series the manifest lists, before any series is.
+Two paths name one file where ``Path.samefile`` says so, hard links
+included, or where either is missing and they resolve to one path.
 
 Rows are ordered by individual, in order of first appearance, then by
 replicate label: labels that ``int`` reads numerically and first, others
@@ -140,13 +143,21 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _check_out_is_not(out, path, what):
-    """Raise if ``--out`` and ``path``, which is ``what``, are one existing file."""
+def _same_file(a, b):
+    """Whether paths ``a`` and ``b`` name one file: by ``Path.samefile`` where
+    both exist, so that hard links count, else by their resolved paths."""
     try:
-        same = None not in (out, path) and Path(out).samefile(path)
+        return Path(a).samefile(b)
     except OSError:  # one of them does not exist
-        same = False
-    if same:
+        try:
+            return Path(a).resolve() == Path(b).resolve()
+        except RuntimeError:  # a symlink loop, which opening the path reports
+            return False
+
+
+def _check_out_is_not(out, path, what):
+    """Raise if ``--out`` and ``path``, which is ``what``, are one file."""
+    if None not in (out, path) and _same_file(out, path):
         raise _ConfigFailure(f"--out {out!r}: same file as {what}")
 
 
@@ -156,7 +167,6 @@ def _check_outputs(args):
 
     Runs before any input is read; write permission is not checked.
     """
-    flag_of = {}
     for flag in ("--out", "--csv"):
         name = getattr(args, flag[2:], None)
         if name is None:
@@ -166,11 +176,10 @@ def _check_outputs(args):
             raise _ConfigFailure(f"{flag} {name!r}: is a directory")
         if not Path(folder).is_dir():
             raise _ConfigFailure(f"{flag} {name!r}: {folder!r} is not a directory")
-        resolved = Path(name).resolve()
-        if resolved in flag_of:
-            raise _ConfigFailure(f"{flag} {name!r}: same file as {flag_of[resolved]}")
-        flag_of[resolved] = flag
-    if args.command != "simulate":
+    if args.command == "simulate":
+        if None not in (args.out, args.csv) and _same_file(args.csv, args.out):
+            raise _ConfigFailure(f"--csv {args.csv!r}: same file as --out")
+    else:
         _check_out_is_not(args.out, args.input, "the input")
         _check_out_is_not(args.out, args.groups_csv, "--groups")
 
@@ -240,26 +249,6 @@ def _sniff_format(path) -> str:
 _NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
-def _line_blocks(fh):
-    """The text of ``fh`` in blocks of whole lines.
-
-    Each read takes the characters of one scratch chunk
-    (:func:`~dbicc.distances._chunk_rows` of one-byte rows, 64 Ki).
-
-    Every block but the last ends at a ``\\n``; the rest of a read, a
-    ``\\r`` before the next read's ``\\n`` included, is carried into the
-    next block, so a line longer than one read stays whole.
-    """
-    carry, size = [], _chunk_rows(1)
-    while chunk := fh.read(size):
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            yield "".join([*carry, chunk[:cut]])
-            carry = []
-        carry.append(chunk[cut:])
-    yield "".join(carry)
-
-
 def _bulk_table(path, label_cols):
     """A numeric CSV read in blocks of lines, one ``np.loadtxt`` call each, or None.
 
@@ -279,14 +268,19 @@ def _bulk_table(path, label_cols):
     and cells that ``np.loadtxt`` reads (it accepts a subset of
     ``float``'s spellings, to the same values).  Anything else returns
     None, and the caller parses the file with :func:`_read_csv_rows`, the
-    path that locates each error.  Only the labels and one float array
-    per block (:func:`_line_blocks`) outlive their block.
+    path that locates each error.
+
+    A block is one read of a scratch chunk's characters
+    (:func:`~dbicc.distances._chunk_rows` of one-byte rows, 64 Ki) plus
+    the rest of its last line.  Only the labels and one float array per
+    block outlive their block.
     """
-    limit = csv.field_size_limit()
+    limit, size = csv.field_size_limit(), _chunk_rows(1)
     head, width, labels, blocks = None, None, [[] for _ in range(label_cols)], []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            for text in _line_blocks(fh):
+            while text := fh.read(size):
+                text += fh.readline()  # the rest of the block's last line
                 if "\r" in text:  # \r\n is one line end to csv.reader, as \n is
                     text = text.replace("\r\n", "\n")
                 if any(c in text for c in _NOT_PLAIN):

@@ -8,17 +8,22 @@ Writes the small inputs under ``inputs/`` (from ``random.Random``, whose
 writes its output under ``expected/`` and its exit code and stderr to
 ``commands.json``, and prints every field that moved against the files it
 replaces: path, old value, new value and relative change, with ``*`` where
-the move lies beyond the test's bound.
+the move lies beyond the test's bound.  It also runs the acceptance
+experiments of ``tests/test_acceptance.py`` and writes the summary of their
+results to ``expected/acceptance.json`` the same way.
 
-The test and this script share ``fields`` and ``moved``.
+The tests and this script share ``fields`` and ``moved``.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
 import random
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +185,33 @@ def moved(old, new):
     return rows
 
 
+def print_moved(name, before, after):
+    """Print each field of output ``name`` that moved from ``before`` to ``after``."""
+    for path, a, b, rel, beyond in moved(fields(before, name), fields(after, name)):
+        change = "" if rel is None else f" ({rel:.3g})"
+        print(f"{name}: {path} {a!r} -> {b!r}{change}{' *' if beyond else ''}")
+
+
+def write_acceptance():
+    """Run the acceptance experiments and write the summary of their results."""
+    sys.path.insert(0, str(HERE.parent))  # for the conftest it imports
+    spec = importlib.util.spec_from_file_location("acceptance", HERE.parent / "test_acceptance.py")
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    with tempfile.TemporaryDirectory() as folder:
+        summary = acceptance.summary(
+            acceptance.point_experiments(), acceptance.coverage_experiments(),
+            acceptance.median_comparison(), acceptance.sb_experiments(),
+            acceptance.spread_experiments(), acceptance.scan_pipeline(Path(folder)),
+        )
+    out = EXPECTED / "acceptance.json"
+    text = json.dumps({"numpy": np.__version__, "summary": summary}, indent=2) + "\n"
+    if out.exists():
+        before = json.dumps(json.loads(out.read_text())["summary"])
+        print_moved("acceptance.json", before, json.dumps(summary))
+    out.write_text(text)
+
+
 def main():
     INPUTS.mkdir(exist_ok=True)
     EXPECTED.mkdir(exist_ok=True)
@@ -206,14 +238,12 @@ def main():
                 if key in was and was[key] != case[key]:
                     print(f"{name}: {key} {was[key]!r} -> {case[key]!r} *")
             if before is not None and out.exists():
-                for path, a, b, rel, beyond in moved(fields(before, out.name),
-                                                     fields(out.read_text(), out.name)):
-                    change = "" if rel is None else f" ({rel:.3g})"
-                    print(f"{name}: {path} {a!r} -> {b!r}{change}{' *' if beyond else ''}")
+                print_moved(out.name, before, out.read_text())
     finally:
         os.chdir(home)
     record = {"numpy": np.__version__, "commands": cases}
     old_record.write_text(json.dumps(record, indent=2) + "\n")
+    write_acceptance()
 
 
 if __name__ == "__main__":

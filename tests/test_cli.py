@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import importlib
+import importlib.util
 import io
 import json
 import multiprocessing
@@ -578,6 +579,20 @@ class TestExitCodes:
         )
         assert not Path(path).is_file()
 
+    def test_out_and_csv_as_hard_links_of_one_file_fail_before_any_work(
+        self, tmp_path, no_pool, capsys
+    ):
+        out, csv_path = tmp_path / "f", tmp_path / "g"
+        out.write_text("kept\n")
+        os.link(out, csv_path)
+        argv = ["simulate", "--experiment", "point", "--individuals", "5", "--runs", "2",
+                "--seed", "1", "--out", str(out), "--csv", str(csv_path)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"configuration error: --csv {str(csv_path)!r}: same file as --out\n"
+        )
+        assert out.read_bytes() == csv_path.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize(
         "argv, out, what",
         [
@@ -589,9 +604,11 @@ class TestExitCodes:
             (["sweep-threshold", "{d}/m.csv"], "{d}/m.csv", "the input"),
             (["estimate", "{d}/m.csv", "--distance", "corr"], "{d}/s11.csv",
              "the series listed at {d}/m.csv:5"),
+            # neither file exists: refused before the read that would exit 2
+            (["estimate", "{d}/missing.csv"], "{d}/./missing.csv", "the input"),
         ],
         ids=["input", "input by another path", "input by a hard link", "groups",
-             "manifest", "listed series"],
+             "manifest", "listed series", "missing input"],
     )
     def test_out_naming_an_input_fails_before_any_series_is_read(
         self, tmp_path, monkeypatch, capsys, argv, out, what
@@ -681,6 +698,15 @@ class TestInputChecks:
         assert capsys.readouterr().err == (
             f"input error: {tmp_path / 'nope.csv'}: cannot read file "
             f"(No such file or directory) (listed at {manifest}:5)\n"
+        )
+
+    def test_input_in_a_symlink_loop_is_parse_error_with_out_given(self, tmp_path, capsys):
+        loop, other = tmp_path / "loop.csv", tmp_path / "other.csv"
+        loop.symlink_to(other)
+        other.symlink_to(loop)
+        assert main(["estimate", str(loop), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {loop}: cannot read file (Too many levels of symbolic links)\n"
         )
 
     @pytest.mark.parametrize(
@@ -2315,6 +2341,28 @@ class TestLeanImport:
                    if isinstance(obj, type) and issubclass(obj, errors.DbiccError)
                    and obj.__module__ == errors.__name__]
         assert sorted(errors.__all__) == sorted(defined)
+
+
+def test_benchmark_trace_names_resolve_but_four_stale_ones():
+    """The trace wraps each name in ``bench/spans.WRAPS`` and reports a missing
+    one only, so a refactor could unhook a traced layer unnoticed.  Four stay
+    missing until the benchmark drops them: ``dbicc.cli``'s ``soft_threshold``
+    (``core._MatrixColumns`` thresholds, in ``cli.main``'s self time) and
+    ``correlation_from_timeseries`` (sweep-threshold calls ``core``'s, wrapped
+    too), and ``compute_distance_matrix`` of ``cli`` and ``simulation``: block
+    sums come straight from the payloads, in the caller's self time."""
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = {f"{module}.{name}" for module, name, *_ in spans.WRAPS
+                  if not hasattr(importlib.import_module(module), name)}
+    assert unresolved == {
+        "dbicc.cli.correlation_from_timeseries",
+        "dbicc.cli.soft_threshold",
+        "dbicc.cli.compute_distance_matrix",
+        "dbicc.simulation.compute_distance_matrix",
+    }
 
 
 def _library_example(readme):
