@@ -24,10 +24,8 @@ __version__ = "0.1.0"
 # access to one of its names (PEP 562).
 _LAZY = {
     "simulation": (
-        "ConnectivityPopulation",
         "TrueScorePopulation",
         "cov_error_spread",
-        "default_m_grid",
         "gen_gaussian_sample",
         "gen_mvn_timeseries",
         "gen_spd_population",
@@ -43,7 +41,6 @@ _LAZY = {
         "classical_sb",
         "fit_loglog",
         "snr",
-        "snr_inverse",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}

@@ -62,6 +62,7 @@ import csv
 import io
 import json
 import math
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -163,7 +164,8 @@ def _check_out_is_not(out, path, what):
 
 def _check_outputs(args):
     """Raise unless ``--out`` and ``--csv`` each name a file in a directory,
-    not the same file, and ``--out`` is neither the input nor ``--groups``.
+    or nothing yet, not the same file, and ``--out`` is neither the input
+    nor ``--groups``.
 
     Runs before any input is read; write permission is not checked.
     """
@@ -171,8 +173,14 @@ def _check_outputs(args):
         name = getattr(args, flag[2:], None)
         if name is None:
             continue
+        try:
+            is_dir = stat.S_ISDIR(Path(name).stat().st_mode)
+        except (FileNotFoundError, NotADirectoryError):  # nothing there yet
+            is_dir = False
+        except OSError as exc:  # a symlink loop, say, which the write would meet
+            raise _ConfigFailure(f"{flag} {name!r}: {exc.strerror}") from None
         folder = str(Path(name).parent)
-        if Path(name).is_dir():
+        if is_dir:
             raise _ConfigFailure(f"{flag} {name!r}: is a directory")
         if not Path(folder).is_dir():
             raise _ConfigFailure(f"{flag} {name!r}: {folder!r} is not a directory")

@@ -41,6 +41,8 @@ from .errors import (
 __all__ = [
     "Metric",
     "DistanceSpec",
+    # no runner calls the pair functions: README documents them as the
+    # pair definitions, and tests check the matrix path against them
     "l2_distance",
     "l1_distance",
     "corr_of_corr_distance",

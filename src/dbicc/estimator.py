@@ -27,14 +27,13 @@ from .core import (
     _require_finite,
     _within_pair_count,
 )
-from .errors import DegenerateDistancesError, ParameterError
+from .errors import DegenerateDistancesError
 
 __all__ = [
     "DbiccEstimate",
     "msd_between",
     "msd_within",
     "dbicc_point",
-    "population_dbicc_gaussian",
 ]
 
 
@@ -131,20 +130,3 @@ def dbicc_point(source) -> DbiccEstimate:
         n_within_pairs=n_within,
         n_between_pairs=n_between,
     )
-
-
-def population_dbicc_gaussian(trace_sigma_score, trace_sigma_noise) -> float:
-    """Population dbICC for vector data under Euclidean distance.
-
-    For observations = score + noise with independent Gaussian score and
-    noise vectors, the dbICC equals
-    ``tr(score cov) / (tr(score cov) + tr(noise cov))``.  Used as the
-    ground truth in simulation experiments.
-    """
-    ts = float(trace_sigma_score)
-    te = float(trace_sigma_noise)
-    if ts < 0.0 or te < 0.0:
-        raise ParameterError("covariance traces must be nonnegative")
-    if ts + te == 0.0:
-        raise ParameterError("at least one trace must be positive")
-    return ts / (ts + te)

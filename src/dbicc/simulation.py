@@ -38,28 +38,22 @@ from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
 from .distances import Metric, _chunk_rows, _chunks
 from .errors import FactorizationError, ParameterError
-from .estimator import dbicc_point, population_dbicc_gaussian
+from .estimator import dbicc_point
 from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
 
 __all__ = [
     "TrueScorePopulation",
-    "ConnectivityPopulation",
     "gen_gaussian_sample",
+    # no runner calls it: the one-series reference that the runners'
+    # batched generator is tested against bit for bit
     "gen_mvn_timeseries",
     "gen_spd_population",
+    # no runner calls it: README and acceptance criterion 6 use it
     "cov_error_spread",
-    "default_m_grid",
     "run_point_experiment",
     "run_coverage_experiment",
     "run_sb_experiment",
 ]
-
-
-def _square(mat, what):
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise FactorizationError(f"{what} must be square, got shape {mat.shape}")
-    return mat
 
 
 def _factor(mats, what):
@@ -71,7 +65,11 @@ def _factor(mats, what):
 
 
 def _cholesky(mat, what):
-    return _factor(_square(mat, what), what)
+    """Lower Cholesky factor of one square SPD matrix."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise FactorizationError(f"{what} must be square, got shape {mat.shape}")
+    return _factor(mat, what)
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,6 @@ class TrueScorePopulation:
     def dim(self) -> int:
         return self.score_cov.shape[0]
 
-    @property
-    def icc(self) -> float:
-        """Population dbICC under Euclidean distance."""
-        return population_dbicc_gaussian(
-            np.trace(self.score_cov), np.trace(self.noise_cov)
-        )
-
 
 def _check_ar1(ar_coeff, n_timepoints):
     """Raise unless the AR(1) law is stationary and a series has 2+ time points."""
@@ -124,38 +115,6 @@ def _check_ar1(ar_coeff, n_timepoints):
         )
     if n_timepoints < 2:
         raise ParameterError(f"need at least 2 time points, got {n_timepoints}")
-
-
-@dataclass(frozen=True)
-class ConnectivityPopulation:
-    """Per-individual covariances plus a series length and AR(1) coefficient.
-
-    The covariances are checked in this order: each is square, all share
-    one shape, each is SPD (one batched factorization).
-    """
-
-    sigmas: tuple
-    n_timepoints: int
-    ar_coeff: float = 0.0
-
-    def __post_init__(self):
-        what = "individual covariance"
-        sigmas = tuple(_square(s, what) for s in self.sigmas)
-        dims = {s.shape for s in sigmas}
-        if len(dims) != 1:
-            raise ParameterError(f"covariances have mixed shapes: {sorted(dims)}")
-        chols = _factor(np.stack(sigmas), what)
-        _check_ar1(self.ar_coeff, self.n_timepoints)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "_chols", chols)
-
-    @property
-    def n_individuals(self) -> int:
-        return len(self.sigmas)
-
-    @property
-    def dim(self) -> int:
-        return self.sigmas[0].shape[0]
 
 
 def _sim_labels(n):
@@ -258,14 +217,14 @@ def gen_spd_population(n: int, dim: int, rng, wishart_df=None) -> list:
     return list(_corr_scale_batch(wisharts))
 
 
-def _sample_covs(pop, n_timepoints, n_replicates, rng):
+def _sample_covs(chols, ar_coeff, n_timepoints, n_replicates, rng):
     """Sample covariances of ``n_replicates`` series per individual, stacked.
 
-    Each series has ``n_timepoints`` rows drawn from the population's
-    AR(1) law, whatever the population's own series length, so one
-    population (and one factorization) serves every length.
+    Individual ``i``'s series are stationary AR(1) series of
+    ``n_timepoints`` rows whose innovations have the covariance
+    ``chols[i] @ chols[i].T``, so one factorization serves every length.
     """
-    n, k, m, p = pop.n_individuals, n_replicates, n_timepoints, pop.dim
+    n, k, m, p = len(chols), n_replicates, n_timepoints, chols.shape[-1]
     step = _chunk_rows(8 * k * m * p, _SERIES_CHUNK_BYTES)
     # time-major, so each AR(1) step updates one contiguous row of the chunk
     series = np.empty((m, min(step, n) * k, p))
@@ -275,10 +234,10 @@ def _sample_covs(pop, n_timepoints, n_replicates, rng):
         i1 = min(i0 + step, n)
         chunk = series[:, : (i1 - i0) * k]
         # innovations in individual order, so the RNG stream never depends on step
-        for c, chol in enumerate(pop._chols[i0:i1]):
+        for c, chol in enumerate(chols[i0:i1]):
             out = chunk[:, c * k : (c + 1) * k].transpose(1, 0, 2)
             np.matmul(rng.standard_normal(out=draws), chol.T, out=out)
-        _ar1_in_place(chunk, pop.ar_coeff)
+        _ar1_in_place(chunk, ar_coeff)
         _sample_cov_batch(chunk.transpose(1, 0, 2), out=mats[i0 * k : i1 * k])
     return mats
 
@@ -318,10 +277,14 @@ def cov_error_spread(sigma, n_obs: int, n_rep: int, rng):
     return total / n_rep, analytic
 
 
-def default_m_grid(low: int = 25, high: int = 197, count: int = 8) -> list:
-    """Integer grid approximately equally spaced on the log scale."""
-    grid = np.unique(np.rint(np.geomspace(low, high, count)).astype(int))
-    return [int(m) for m in grid]
+# run_sb_experiment's series lengths: 8 integers about equally spaced on
+# the log scale from 25 to 197
+_M_GRID = (25, 34, 45, 61, 81, 109, 147, 197)
+
+
+def _check_n_runs(n_runs):
+    if n_runs < 1:
+        raise ParameterError(f"need at least 1 run, got {n_runs}")
 
 
 def _run_tasks(worker, tasks, workers):
@@ -340,6 +303,10 @@ def _run_tasks(worker, tasks, workers):
 
 def _gaussian_population(n_individuals, n_replicates, icc, dim):
     """The point and coverage experiments' population, checked for their runs.
+
+    Its dbICC under Euclidean distance, ``tr(score cov) / (tr(score cov) +
+    tr(noise cov))``, is ``icc``, the truth the runs estimate: the noise
+    covariance is ``(1 - icc) / icc`` times the identity score covariance.
 
     Raises, before any run or worker pool starts, what every run would:
     besides the population's own checks, its samples need replicates.
@@ -379,6 +346,7 @@ def run_point_experiment(
     ``icc`` (identity score covariance, scaled-identity noise) and
     estimates each with Euclidean distance.
     """
+    _check_n_runs(n_runs)
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run) for run in range(n_runs)]
@@ -441,6 +409,7 @@ def run_coverage_experiment(
     contains the true value.  Every argument is checked before any run
     starts; an ``n_boot`` below 100 then warns once, not once per run.
     """
+    _check_n_runs(n_runs)
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     _check_level(level)
     _check_n_boot(n_boot, stacklevel=2)
@@ -472,13 +441,13 @@ def _sb_worker(task):
     (seed, run, n_individuals, n_replicates, dim, m_grid, ar_coeff, df) = task
     rng = np.random.default_rng([seed, run])
     sigmas = gen_spd_population(n_individuals, dim, rng, wishart_df=df)
-    # one factorization per run; the shortest length is the one to check
-    pop = ConnectivityPopulation(sigmas, min(m_grid), ar_coeff)
+    # one factorization per run, for every length
+    chols = _factor(np.stack(sigmas), "individual covariance")
     # one grouping for all the run's samples
     sizes, labels = np.full(n_individuals, n_replicates), _sim_labels(n_individuals)
     rows = []
     for m in m_grid:
-        covs = _sample_covs(pop, m, n_replicates, rng)
+        covs = _sample_covs(chols, ar_coeff, m, n_replicates, rng)
         row = {"m": int(m)}
         corrs = _corr_scale_batch(covs)
         for kind, mats in (("covariance", covs), ("correlation", corrs)):
@@ -508,19 +477,18 @@ def run_sb_experiment(
     sample covariance matrices and sample correlation matrices under
     Frobenius distance, and fits a line to
     ``[log(m - offset), log snr]``.  Reports per-run slopes plus the
-    across-run mean curve, for both matrix kinds.  ``m_grid`` needs 3 or
-    more distinct lengths above ``offset``, which is 0 or 1, and
-    ``ar_coeff`` must lie in [0, 1).  These and the population's
-    arguments are checked before any run, with the errors the runs would
-    raise.
+    across-run mean curve, for both matrix kinds.  ``m_grid``, by default
+    8 lengths from 25 to 197, needs 3 or more distinct lengths above
+    ``offset``, which is 0 or 1, and ``ar_coeff`` must lie in [0, 1).
+    These and the population's arguments are checked before any run,
+    with the errors the runs would raise.
     """
-    if m_grid is None:
-        m_grid = default_m_grid()
-    m_grid = [int(m) for m in m_grid]
+    _check_n_runs(n_runs)
+    m_grid = [int(m) for m in (_M_GRID if m_grid is None else m_grid)]
     if len(m_grid) < 3:
         raise ParameterError("m_grid needs at least 3 lengths to fit a curve")
     _check_lengths(m_grid, offset)
-    # what gen_spd_population, ConnectivityPopulation and each sample check
+    # what gen_spd_population, the series generator and each sample check
     _wishart_df(dim, wishart_df)
     _check_ar1(ar_coeff, min(m_grid))
     sizes = [n_replicates] * n_individuals
@@ -567,13 +535,14 @@ def run_sb_experiment(
             float(np.mean(log_snr_by_m[m])) if log_snr_by_m[m] else None
             for m in m_grid
         ]
-        # one line through the across-run mean curve, with its OLS errors
-        mean_pts = [
+        # one line through the across-run mean curve, with its OLS errors;
+        # each run has 3 or more usable points at distinct lengths, so
+        # the mean curve has too
+        mean_fit = fit_loglog([
             (float(np.log(m - offset)), y)
             for m, y in zip(m_grid, mean_log_snr)
             if y is not None
-        ]
-        mean_fit = fit_loglog(mean_pts) if len(mean_pts) >= 3 else None
+        ])
         report[kind] = {
             "slopes": [float(s) for s in slopes],
             "intercepts": [float(b) for b in intercepts],
@@ -581,9 +550,7 @@ def run_sb_experiment(
             "sd_slope": float(slopes_arr.std(ddof=1)) if n_runs > 1 else 0.0,
             "mean_intercept": float(np.mean(intercepts)),
             "mean_log_snr": mean_log_snr,
-            "mean_curve_fit": None
-            if mean_fit is None
-            else {
+            "mean_curve_fit": {
                 "slope": mean_fit.slope,
                 "intercept": mean_fit.intercept,
                 "slope_se": mean_fit.slope_se,

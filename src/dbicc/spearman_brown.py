@@ -21,7 +21,8 @@ __all__ = [
     "SbPoint",
     "SbCurve",
     "snr",
-    "snr_inverse",
+    # no runner calls it: README names the classical step-up formula that
+    # the log-log curve extends
     "classical_sb",
     "fit_loglog",
     "build_sb_curve",
@@ -30,18 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LineFit:
-    """OLS line fit with residual-based standard errors.
-
-    ``degenerate`` marks a saturated two-point fit, where the residual
-    degrees of freedom are zero and the standard errors are reported as
-    0 by convention.
-    """
+    """OLS line fit with residual-based standard errors."""
 
     slope: float
     intercept: float
     slope_se: float
     intercept_se: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -78,14 +73,6 @@ def snr(rho: float) -> float:
     return rho / (1.0 - rho)
 
 
-def snr_inverse(value: float) -> float:
-    """Reliability having a given signal-to-noise ratio: ``s / (1 + s)``."""
-    value = float(value)
-    if value < 0.0:
-        raise ParameterError(f"snr is nonnegative, got {value}")
-    return value / (1.0 + value)
-
-
 def classical_sb(rho1: float, m: int) -> float:
     """Reliability of an average of m replicates, from single-shot reliability.
 
@@ -104,15 +91,14 @@ def fit_loglog(points) -> LineFit:
     """Ordinary least squares line through (x, y) points.
 
     Standard errors use the residual variance with n - 2 degrees of
-    freedom.  Two points give an exact interpolation, reported with zero
-    standard errors and ``degenerate=True``.
+    freedom, so 3 or more points are needed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError(f"expected (x, y) pairs, got array of shape {pts.shape}")
     n = pts.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"need at least 2 points to fit a line, got {n}")
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 points to fit a line, got {n}")
     x, y = pts[:, 0], pts[:, 1]
     if np.ptp(x) == 0.0:
         raise DegenerateInputError("all x values identical; slope undefined")
@@ -121,8 +107,6 @@ def fit_loglog(points) -> LineFit:
     sxx = float(np.sum((x - x_mean) ** 2))
     slope = float(np.sum((x - x_mean) * (y - y_mean)) / sxx)
     intercept = float(y_mean - slope * x_mean)
-    if n == 2:
-        return LineFit(slope, intercept, 0.0, 0.0, degenerate=True)
     resid = y - (intercept + slope * x)
     s2 = float(np.sum(resid * resid) / (n - 2))
     slope_se = float(np.sqrt(s2 / sxx))

@@ -8,6 +8,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import re
 import shutil
 import signal
 import subprocess
@@ -550,6 +551,8 @@ class TestExitCodes:
         assert not (tmp_path / "out.json").exists()
 
 
+    LOOP = "Too many levels of symbolic links"
+
     @pytest.mark.parametrize(
         "argv, flag, path, error",
         [
@@ -564,13 +567,22 @@ class TestExitCodes:
               "--threads", "2", "--seed", "1"], "--out", "{d}", "is a directory"),
             (["simulate", "--experiment", "point", "--runs", "3", "--seed", "1",
               "--out", "{d}/f"], "--csv", "{d}/./f", "same file as --out"),
+            (["estimate", "{missing}"], "--out", "{d}/loop", LOOP),
+            (["simulate", "--experiment", "sb", "--runs", "2", "--seed", "1"], "--out",
+             "{d}/loop", LOOP),
+            (["simulate", "--experiment", "point", "--runs", "2", "--seed", "1"], "--csv",
+             "{d}/loop", LOOP),
         ],
         ids=["estimate", "bootstrap", "sweep-threshold", "simulate csv", "simulate out",
-             "simulate out and csv one file"],
+             "simulate out and csv one file", "estimate out in a symlink loop",
+             "simulate out in a symlink loop", "simulate csv in a symlink loop"],
     )
     def test_output_path_fails_before_any_work(
         self, tmp_path, no_pool, capsys, argv, flag, path, error
     ):
+        # a path whose lookup fails, so that writing it would fail after the work
+        (tmp_path / "loop").symlink_to(tmp_path / "loop2")
+        (tmp_path / "loop2").symlink_to(tmp_path / "loop")
         path = path.format(d=tmp_path)
         argv = [a.format(missing=tmp_path / "missing.csv", d=tmp_path) for a in argv]
         assert main([*argv, flag, path]) == 4
@@ -2290,12 +2302,11 @@ _EXPORTS = {
     "errors": "DbiccError DegenerateDistancesError DegenerateInputError FactorizationError "
               "InputShapeError InsufficientDataError InsufficientGroupsError "
               "InsufficientReplicatesError MetricMismatchError NonFiniteError ParameterError",
-    "estimator": "DbiccEstimate dbicc_point msd_between msd_within population_dbicc_gaussian",
-    "simulation": "ConnectivityPopulation TrueScorePopulation cov_error_spread default_m_grid "
-                  "gen_gaussian_sample gen_mvn_timeseries gen_spd_population "
-                  "run_coverage_experiment run_point_experiment run_sb_experiment",
-    "spearman_brown": "LineFit SbCurve SbPoint build_sb_curve classical_sb fit_loglog snr "
-                      "snr_inverse",
+    "estimator": "DbiccEstimate dbicc_point msd_between msd_within",
+    "simulation": "TrueScorePopulation cov_error_spread gen_gaussian_sample "
+                  "gen_mvn_timeseries gen_spd_population run_coverage_experiment "
+                  "run_point_experiment run_sb_experiment",
+    "spearman_brown": "LineFit SbCurve SbPoint build_sb_curve classical_sb fit_loglog snr",
 }
 
 
@@ -2332,6 +2343,14 @@ class TestLeanImport:
         assert set(dbicc.__all__) <= set(dir(dbicc))
         for name, module in exported.items():
             assert getattr(dbicc, name) is getattr(importlib.import_module(f"dbicc.{module}"), name)
+
+    def test_readme_lists_the_public_names_and_lazy_ones_are_their_modules_all(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+        assert sorted(re.findall(r"^- `(\w+)`:", section, flags=re.M)) == sorted(dbicc.__all__)
+        for module, names in dbicc._LAZY.items():
+            declared = importlib.import_module(f"dbicc.{module}").__all__
+            assert sorted(declared) == sorted(names)
 
     def test_errors_all_lists_every_error_class_it_defines(self):
         # the package exports dbicc.errors.__all__, so a class left out of it

@@ -3,7 +3,6 @@ import pytest
 
 from dbicc import (
     BlockStats,
-    ConnectivityPopulation,
     DegenerateDistancesError,
     DegenerateInputError,
     DistanceMatrix,
@@ -29,9 +28,9 @@ from dbicc import (
     msd_between,
     msd_within,
     percentile_ci,
-    population_dbicc_gaussian,
     run_coverage_experiment,
     run_point_experiment,
+    run_sb_experiment,
     soft_threshold,
 )
 from conftest import vector_sample
@@ -184,30 +183,6 @@ class TestDbiccPoint:
         assert abs(np.mean(estimates) - 0.5) <= 0.02
 
 
-class TestPopulationDbicc:
-    def test_paper_design_values(self):
-        # identity score covariance in R^2, noise scaled by c
-        for c, rho in ((4.0, 0.2), (1.0, 0.5), (0.25, 0.8)):
-            assert population_dbicc_gaussian(2.0, 2.0 * c) == pytest.approx(rho)
-
-    def test_noiseless(self):
-        assert population_dbicc_gaussian(3.0, 0.0) == 1.0
-
-    def test_balanced(self):
-        assert population_dbicc_gaussian(1.0, 1.0) == 0.5
-
-    def test_no_score_spread(self):
-        assert population_dbicc_gaussian(0.0, 2.0) == 0.0
-
-    def test_both_zero(self):
-        with pytest.raises(ParameterError):
-            population_dbicc_gaussian(0.0, 0.0)
-
-    def test_negative_trace(self):
-        with pytest.raises(ParameterError):
-            population_dbicc_gaussian(-1.0, 2.0)
-
-
 def _stats(sizes, within, cross):
     return BlockStats(np.array(sizes), np.array(within, float), np.array(cross, float))
 
@@ -226,6 +201,8 @@ _TWO_BY_TWO = _matrix_sample([np.eye(2)] * 4)
 _EQUICORRELATED = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
 _VARIED = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.1], [0.4, 0.1, 1.0]])
 _CONSTANT_TRIANGLE = _matrix_sample([_EQUICORRELATED, _VARIED, _VARIED, _VARIED])
+_ONE_BY_ONE = _matrix_sample(np.ones((4, 1, 1)))
+_THRESHOLD = DistanceSpec(Metric.L2_VEC, threshold=0.5)
 
 # For each precondition, every public entry that reaches it.
 PRECONDITIONS = {
@@ -284,17 +261,27 @@ PRECONDITIONS = {
         lambda: compute_distance_matrix(_CONSTANT_TRIANGLE, Metric.CORR_OF_CORR),
         lambda: block_stats(_CONSTANT_TRIANGLE, Metric.CORR_OF_CORR),
     ]),
+    "off-diagonal entries to threshold": (DegenerateInputError, [
+        lambda: soft_threshold(np.eye(1), 0.5),
+        lambda: compute_distance_matrix(_ONE_BY_ONE, _THRESHOLD),
+        lambda: block_stats(_ONE_BY_ONE, _THRESHOLD),
+    ]),
     "soft-threshold level in [0, 1]": (ParameterError, [
         lambda: DistanceSpec(Metric.L2_VEC, threshold=1.5),
         lambda: soft_threshold(np.eye(3), 1.5),
     ]),
     "stationary AR(1) coefficient": (ParameterError, [
-        lambda: ConnectivityPopulation((np.eye(2),), 10, ar_coeff=1.0),
+        lambda: run_sb_experiment(m_grid=[10, 20, 40], ar_coeff=1.0, n_runs=1, seed=1),
         lambda: gen_mvn_timeseries(np.eye(2), 10, 1.0, 1),
     ]),
     "series of 2+ time points": (ParameterError, [
-        lambda: ConnectivityPopulation((np.eye(2),), 1),
+        lambda: run_sb_experiment(m_grid=[1, 5, 9], offset=0, n_runs=1, seed=1),
         lambda: gen_mvn_timeseries(np.eye(2), 1, 0.0, 1),
+    ]),
+    "a run or more": (ParameterError, [
+        lambda: run_point_experiment(4, 2, 0.5, n_runs=0, seed=1),
+        lambda: run_coverage_experiment(4, 2, 0.5, n_boot=100, n_runs=0, seed=1),
+        lambda: run_sb_experiment(m_grid=[10, 20, 40], n_runs=0, seed=1),
     ]),
     "population dbICC in (0, 1)": (ParameterError, [
         lambda: run_point_experiment(4, 2, 1.5, n_runs=2, seed=1),

@@ -11,7 +11,6 @@ import dbicc.core
 import dbicc.simulation
 
 from dbicc import (
-    ConnectivityPopulation,
     FactorizationError,
     InsufficientDataError,
     Metric,
@@ -21,7 +20,6 @@ from dbicc import (
     block_stats,
     cov_error_spread,
     dbicc_point,
-    default_m_grid,
     gen_gaussian_sample,
     gen_mvn_timeseries,
     gen_spd_population,
@@ -36,10 +34,11 @@ def _sample_cov(x):
     return dbicc.simulation._sample_cov_batch(np.array(x, dtype=float)[None])[0]
 
 
-def _sample_covs(pop, n_replicates, seed):
-    """The sample covariances that ``_sb_worker`` draws, at the population's length."""
+def _sample_covs(sigmas, n_timepoints, ar_coeff, n_replicates, seed):
+    """The sample covariances that ``_sb_worker`` draws around ``sigmas``."""
+    chols = np.linalg.cholesky(np.stack(sigmas))
     return dbicc.simulation._sample_covs(
-        pop, pop.n_timepoints, n_replicates, np.random.default_rng(seed)
+        chols, ar_coeff, n_timepoints, n_replicates, np.random.default_rng(seed)
     )
 
 
@@ -59,9 +58,13 @@ class TestTrueScorePopulation:
         with pytest.raises(ParameterError, match="need at least 1 replicate per individual"):
             TrueScorePopulation(np.eye(2), np.eye(2), 10, 0)
 
-    def test_population_icc(self):
-        pop = TrueScorePopulation(np.eye(2), 4.0 * np.eye(2), 10, 4)
-        assert pop.icc == pytest.approx(0.2)
+    @pytest.mark.parametrize("icc, noise", [(0.2, 4.0), (0.5, 1.0), (0.8, 0.25)])
+    def test_the_runners_population_has_the_dbicc_it_is_given(self, icc, noise):
+        pop = dbicc.simulation._gaussian_population(10, 4, icc, 2)
+        assert np.array_equal(pop.score_cov, np.eye(2))
+        assert pop.noise_cov == pytest.approx(noise * np.eye(2), rel=1e-15)
+        score, error = np.trace(pop.score_cov), np.trace(pop.noise_cov)
+        assert score / (score + error) == pytest.approx(icc, rel=1e-15)
 
 
 class TestGenGaussianSample:
@@ -194,22 +197,15 @@ class TestCovErrorSpread:
 
 
 class TestConnectivitySample:
-    def test_population_validation(self):
-        with pytest.raises(ParameterError):
-            ConnectivityPopulation(
-                sigmas=(np.eye(3), np.eye(3)), n_timepoints=50, ar_coeff=1.0
-            )
-        with pytest.raises(FactorizationError):
-            ConnectivityPopulation(
-                sigmas=(np.zeros((3, 3)),), n_timepoints=50, ar_coeff=0.0
-            )
+    def test_a_stack_with_a_non_spd_covariance_does_not_factor(self):
+        stack = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(FactorizationError, match="^individual covariance is not"):
+            dbicc.simulation._factor(stack, "individual covariance")
 
     def test_correlations_have_a_unit_diagonal_and_lie_in_the_unit_interval(self):
         rng = np.random.default_rng(4)
-        pop = ConnectivityPopulation(
-            sigmas=tuple(gen_spd_population(4, 5, rng)), n_timepoints=60
-        )
-        corrs = dbicc.simulation._corr_scale_batch(_sample_covs(pop, 2, rng))
+        sigmas = gen_spd_population(4, 5, rng)
+        corrs = dbicc.simulation._corr_scale_batch(_sample_covs(sigmas, 60, 0.0, 2, rng))
         assert corrs.shape == (8, 5, 5)
         for mat in corrs:
             assert np.all(np.diag(mat) == 1.0)
@@ -230,8 +226,7 @@ class TestBatchedGenerator:
     @pytest.mark.parametrize("phi", [0.0, 0.6])
     def test_bitwise_equal_to_the_one_series_generator(self, phi):
         sigmas = gen_spd_population(5, 6, np.random.default_rng(2))
-        pop = ConnectivityPopulation(sigmas, 40, phi)
-        got = _sample_covs(pop, 3, 11)
+        got = _sample_covs(sigmas, 40, phi, 3, 11)
         ref_rng = np.random.default_rng(11)
         ref = [
             _sample_cov(gen_mvn_timeseries(sigma, 40, phi, ref_rng))
@@ -242,9 +237,7 @@ class TestBatchedGenerator:
         assert np.array_equal(got, got.transpose(0, 2, 1))
 
     def test_chunk_budget_does_not_change_bits(self, monkeypatch):
-        pop = ConnectivityPopulation(
-            gen_spd_population(7, 5, np.random.default_rng(3)), 30, 0.6
-        )
+        sigmas = gen_spd_population(7, 5, np.random.default_rng(3))
         sb_kwargs = dict(
             n_individuals=6, dim=4, m_grid=[10, 20, 40], ar_coeff=0.6, n_runs=2, seed=5
         )
@@ -252,7 +245,9 @@ class TestBatchedGenerator:
         # one individual per chunk, chunks of 3 with a short last one, all at once
         for budget in (8, 3 * 2 * 30 * 5 * 8, 1 << 40):
             monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", budget)
-            results.append((_sample_covs(pop, 2, 8), run_sb_experiment(**sb_kwargs)))
+            results.append(
+                (_sample_covs(sigmas, 30, 0.6, 2, 8), run_sb_experiment(**sb_kwargs))
+            )
         for values, report in results[1:]:
             assert np.array_equal(values, results[0][0])
             assert report == results[0][1]
@@ -289,8 +284,7 @@ class TestBatchedGenerator:
         # two individuals per chunk, so the last chunk holds one
         monkeypatch.setattr(dbicc.simulation, "_SERIES_CHUNK_BYTES", 2 * 8 * k * m * p)
         sigmas = gen_spd_population(n, p, np.random.default_rng(12))
-        pop = ConnectivityPopulation(sigmas, m, phi)
-        got = _sample_covs(pop, k, 13)
+        got = _sample_covs(sigmas, m, phi, k, 13)
         ref_rng = np.random.default_rng(13)
         ref = []
         for sigma in sigmas:
@@ -298,24 +292,11 @@ class TestBatchedGenerator:
             ref.extend(_sample_cov(x) for x in _var1_reference(innov, phi))
         assert np.array_equal(got, np.array(ref))
 
-    def test_population_check_order(self):
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(FactorizationError, match="must be square"):
-            ConnectivityPopulation((indefinite, np.ones((2, 3))), 10)
-        with pytest.raises(ParameterError, match="mixed shapes"):
-            ConnectivityPopulation((indefinite, np.eye(3)), 10)
-        with pytest.raises(FactorizationError, match="positive definite"):
-            ConnectivityPopulation((np.eye(2), indefinite), 10, ar_coeff=1.0)
-        with pytest.raises(ParameterError, match="AR"):
-            ConnectivityPopulation((np.eye(2), np.eye(2)), 1, ar_coeff=1.0)
-
 
 class TestExperimentRunners:
-    def test_default_m_grid(self):
-        grid = default_m_grid()
-        assert len(grid) == 8
-        assert grid[0] == 25 and grid[-1] == 197
-        assert np.all(np.diff(grid) > 0)
+    def test_the_default_grid_is_8_lengths_log_spaced_from_25_to_197(self):
+        grid = np.unique(np.rint(np.geomspace(25, 197, 8)).astype(int))
+        assert dbicc.simulation._M_GRID == tuple(grid.tolist())
 
     def test_point_experiment_fields_and_determinism(self):
         kwargs = dict(
@@ -427,6 +408,18 @@ class TestExperimentRunners:
                 n_individuals=4, dim=3, m_grid=[10, 20, 40], ar_coeff=phi,
                 n_runs=1, seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "runner", [run_point_experiment, run_coverage_experiment, run_sb_experiment]
+    )
+    def test_no_runs_are_refused_before_any_draw(self, monkeypatch, runner):
+        def no_draws(*args):
+            raise AssertionError("a seed or a run was drawn")
+
+        monkeypatch.setattr(dbicc.simulation, "_resolve_seed", no_draws)
+        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_draws)
+        with pytest.raises(ParameterError, match=r"^need at least 1 run, got 0$"):
+            runner(n_runs=0)
 
     def test_coverage_experiment_checks_level_before_any_run(self, monkeypatch):
         def no_runs(worker, tasks, workers):
