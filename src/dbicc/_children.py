@@ -57,15 +57,16 @@ def _serve(fn, items, conn):
         conn.send(("error", exc))
 
 
-def run_in_children(fn, items, workers, start_method):
+def run_in_children(fn, items, workers):
     """Yield ``fn(item)`` of each of ``items``, in order, until one raises.
 
-    Child ``k`` of ``n = min(workers, len(items))``, started by
-    ``start_method``, computes items ``k``, ``k + n``, ...; this thread
-    reads the pipes in item order, each array into one it allocates.  With
-    ``n`` below 2 this process computes them, and ``start_method`` is not
-    read.  Every child is killed and reaped before this generator ends,
-    however it ends.
+    Child ``k`` of ``n = min(workers, len(items))``, forked where
+    :func:`can_fork` allows and spawned otherwise, computes items ``k``,
+    ``k + n``, ...; this thread reads the pipes in item order, each array
+    into one it allocates.  With ``n`` below 2 this process computes them,
+    and neither ``multiprocessing`` nor the start method is weighed.
+    Every child is killed and reaped before this generator ends, however
+    it ends.
     """
     workers = min(workers, len(items))
     if workers < 2:
@@ -73,7 +74,7 @@ def run_in_children(fn, items, workers, start_method):
         return
     import multiprocessing
 
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context("fork" if can_fork() else "spawn")
     pipes, children = [], []
     try:
         for k in range(workers):

@@ -212,7 +212,7 @@ class _ReplicateTerms:
     The terms of the block sums alone are computed once, here; the methods
     take a block of resampled index rows, one row per replicate, and
     return arrays over those replicates.  ``n_boot`` is the number of
-    rows the blocks hold in all, which picks how the means project
+    rows the blocks hold in all, which decides how the means project
     (:func:`~dbicc.core._resampled_sums`).  The block's counts are computed
     in ``workspace`` (a fresh :class:`_Workspace` if None); the returned
     arrays are new, and ``indices`` is only read.
@@ -250,7 +250,7 @@ class _ReplicateTerms:
         # arrays of its size at once (the draw, the buffer and it), not four
         squares = np.multiply(counts, counts, out=tally.view(float).reshape(indices.shape))
         total = counts @ self.sizes
-        quad = self.resampled_sums(counts, total, indices[:, 0])
+        quad = self.resampled_sums(counts, total)
         return {
             "within_num": counts @ self.within,
             "within_den": counts @ self.pairs_within,

@@ -51,17 +51,22 @@ coverage run under five kernels moved them by at most 1.0e-15 relative
 and changed no verdict.  Series correlations are BLAS products whose bits
 also depend on the number of BLAS threads.
 
+An output file is written beside its target and then moved over it, so
+a failed write keeps the target's old bytes (:func:`_write_outputs`).
+
 Exit codes: 0 success, 2 input parse error, 3 computation error
 (message names the error class; any unexpected error exits 3 the same
-way, without a traceback), 4 configuration error.
+way, without a traceback), 4 configuration error, 5 output error.
 """
 
 import argparse
 import copyreg
 import csv
+import errno
 import io
 import json
 import math
+import os
 import stat
 import sys
 import warnings
@@ -77,7 +82,6 @@ from .core import (
     PayloadKind,
     _group_order,
     _MatrixColumns,
-    _require_matrix_payloads,
     block_stats,
     build_grouped_sample,
 )
@@ -192,19 +196,85 @@ def _check_outputs(args):
         _check_out_is_not(args.out, args.groups_csv, "--groups")
 
 
-def _write_output(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text, encoding="utf-8")
+class _OutputFailure(Exception):
+    """An output file could not be written."""
 
 
-def _write_csv(header, rows, out_path):
+def _write_beside(text, target):
+    """Write ``text`` for the resolved path ``target``.
+
+    A regular file, or a path that names nothing yet, gets a new file in
+    its directory, created exclusively with the existing file's mode (or
+    0o666 under the umask), whose name is returned for the caller to move
+    over ``target``; an existing file that a plain ``open`` could not
+    write is refused.  Any other file, ``/dev/null`` or a FIFO say, is
+    written in place and None is returned.
+    """
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return None
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    folder, name = os.path.split(target)
+    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666 if mode is None else 0o600)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            fh.write(text)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return temp
+
+
+def _write_outputs(*outputs):
+    """Write each ``(text, path)`` of ``outputs``, to stdout where ``path`` is None.
+
+    Every file is written (:func:`_write_beside`) before the first new
+    file replaces its target, so a failed write keeps every existing
+    output as it was and leaves no new file behind.  A target is the
+    path resolved, so a symlink's file is updated.  Raises
+    :class:`_OutputFailure`, naming the path, on any failure to write.
+    """
+    staged = []  # (new file, target, path) of the files not yet moved
+    path = None
+    try:
+        for text, path in outputs:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            target = os.path.realpath(path)
+            temp = _write_beside(text, target)
+            if temp is not None:
+                staged.append((temp, target, path))
+        while staged:
+            temp, target, path = staged[0]
+            os.replace(temp, target)
+            staged.pop(0)
+    except OSError as exc:
+        where = "stdout" if path is None else repr(path)
+        raise _OutputFailure(f"cannot write {where} ({exc.strerror})") from None
+    finally:
+        for temp, _, _ in staged:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+
+
+def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_output(buf.getvalue(), out_path)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +600,7 @@ def _load_timeseries_manifest(path, out=None) -> GroupedSample:
         _check_out_is_not(out, series_path, f"the series listed at {path}:{lineno}")
     series = []
     try:
-        series.extend(run_in_children(_read_table, paths, fork_workers(paths), "fork"))
+        series.extend(run_in_children(_read_table, paths, fork_workers(paths)))
     except _ParseFailure as exc:
         exc.args = (f"{exc} (listed at {path}:{listed[len(series)][0]})",)
         raise
@@ -546,9 +616,11 @@ def _load_input(args):
     """The input's data, after every input flag is checked against its format.
 
     The flags are checked before any cell is parsed, ``--threshold`` before
-    the input is opened, except that vector payloads are refused
-    soft-thresholding after the parse, so that a malformed file reports
-    its parse error first.  Sets ``args.distance`` to the output's label.
+    the input is opened.  Vector payloads are refused soft-thresholding
+    where it would be applied (:class:`~dbicc.core._MatrixColumns` and
+    :func:`~dbicc.core.block_stats`), after the parse, so that a malformed
+    file reports its parse error first.  Sets ``args.distance`` to the
+    output's label.
     """
     if args.threshold is not None:
         _threshold_level(args.threshold)
@@ -570,12 +642,8 @@ def _load_input(args):
         raise _ConfigFailure("--groups applies only to a distance-matrix input")
     args.distance = args.distance or "l2"
     if fmt == "vectors":
-        data = _load_vector_csv(args.input)
-    else:
-        data = _load_timeseries_manifest(args.input, args.out)
-    if thresholded:
-        _require_matrix_payloads(data)
-    return data
+        return _load_vector_csv(args.input)
+    return _load_timeseries_manifest(args.input, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +670,7 @@ def _estimate_doc(args, data):
 
 def _cmd_estimate(args) -> int:
     _, doc = _estimate_doc(args, _load_input(args))
-    _write_output(dumps_json(doc), args.out)
+    _write_outputs((dumps_json(doc), args.out))
     return 0
 
 
@@ -626,7 +694,7 @@ def _cmd_bootstrap(args) -> int:
     )
     if args.emit_replicates:
         doc["replicate_estimates"] = [float(v) for v in result.replicate_estimates]
-    _write_output(dumps_json(doc), args.out)
+    _write_outputs((dumps_json(doc), args.out))
     return 0
 
 
@@ -684,7 +752,8 @@ def _cmd_sweep_threshold(args) -> int:
             )
             rho = None
         rows.append((args.distance, level, float(np.mean(fractions)), rho))
-    _write_csv(["distance", "threshold", "avg_fraction_zeroed", "rho_hat"], rows, args.out)
+    header = ["distance", "threshold", "avg_fraction_zeroed", "rho_hat"]
+    _write_outputs((_csv_text(header, rows), args.out))
     return 0
 
 
@@ -769,9 +838,10 @@ def _cmd_simulate(args) -> int:
     # looked up on this module when the command runs, so that a replaced
     # attribute is called
     report = getattr(sys.modules[__name__], _RUNNERS[args.experiment])(**kwargs)
+    outputs = [(dumps_json(report), args.out)]
     if args.csv:
-        _write_csv(*_simulation_csv(args.experiment, report), args.csv)
-    _write_output(dumps_json(report), args.out)
+        outputs.insert(0, (_csv_text(*_simulation_csv(args.experiment, report)), args.csv))
+    _write_outputs(*outputs)
     return 0
 
 
@@ -894,6 +964,9 @@ def main(argv=None) -> int:
     except _ConfigFailure as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
+    except _OutputFailure as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
     except Exception as exc:  # a defect: name it, as for computation errors
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -576,68 +576,27 @@ def _rows_block_sums(rows, sizes, scale) -> BlockStats:
     return BlockStats(sizes, scale * sizes * spread, None, means)
 
 
-def _two_pass_spread(means, weights, picks):
+def _two_pass_spread(means, weights):
     """Weighted spread of the means in two passes, one per row of ``weights``.
 
     Computes ``sum_g w_g ||means[g] - mu_w||^2`` for each row ``w``.  Each
-    row's means are taken relative to ``means[picks[r]]``, an
-    individual the row weights, and so is its weighted mean ``mu_w``: a
-    row whose weighted means are bitwise equal gets exactly 0.  Rows are
-    taken a chunk at a time (:func:`~dbicc.distances._chunks`), each
-    holding two temporaries of the means' size per row; each row is
-    computed on its own, so the chunking does not change the bits.
+    row's means are taken relative to the means of the first individual
+    the row weights, and so is its weighted mean ``mu_w``: a row depends
+    on its weights alone, and a row whose weighted means are bitwise equal
+    gets exactly 0.  Rows are taken a chunk at a time
+    (:func:`~dbicc.distances._chunks`), each holding two temporaries of
+    the means' size per row; each row is computed on its own, so the
+    chunking does not change the bits.
     """
     out = np.empty(weights.shape[0])
     for c in _chunks(weights.shape[0], 16 * means.size):
         w = weights[c]
-        diff = means[None, :, :] - means[picks[c], None, :]
+        diff = means[None, :, :] - means[np.argmax(w > 0, axis=1), None, :]
         centre = (diff * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
         diff -= centre[:, None, :]
         diff *= diff
         out[c] = (diff.sum(axis=2) * w).sum(axis=1)
     return out
-
-
-def _spread_of_means(sizes, means, n_rows=1):
-    """Weighted spread of the individual means, as a function of count rows.
-
-    Returns ``spread(counts, total, picks)``, one value per row ``c`` of
-    ``counts``: for the weights ``w = c * sizes``, whose sum is
-    ``total``, the spread ``S(w) = sum_g w_g ||means[g] - mu_w||^2`` with
-    ``mu_w`` the ``w``-weighted mean.  One pass, ``w.q - ||M^T w||^2 /
-    sum(w)``, on the I-by-p means ``M`` centred at their ``sizes``-weighted
-    mean, with ``q`` their squared norms.  The centred means and their
-    norms are computed here, once for every call.  ``n_rows`` is the
-    number of count rows the calls take in all.  A row's ``||M^T w||^2``
-    is taken from ``M^T w`` in O(I*p), unless p > I and ``n_rows`` is at
-    least I: then every call takes it as ``w^T G w`` in O(I^2), with
-    ``G = M M^T`` the I-by-I Gram of the weighted means, built here by
-    :func:`_gram` in O(I^2*p).  Rows where the subtraction cancels more
-    than half of ``w.q`` are redone by :func:`_two_pass_spread` about
-    ``picks``: the two-pass algorithm, which Chan, Golub and LeVeque (Am.
-    Stat. 37(3), 1983) recommend where the one-pass formula cancels.
-    """
-    centred = means - (sizes @ means) / sizes.sum()
-    norms = np.einsum("ij,ij->i", centred, centred)
-    centred *= sizes[:, None]
-    weighted_norms = sizes * norms
-    wide = means.shape[1] > sizes.size and n_rows >= sizes.size
-    gram = _gram(centred) if wide else None
-
-    def spread(counts, total, picks):
-        if gram is None:
-            proj = counts @ centred
-            projected = np.einsum("ij,ij->i", proj, proj)
-        else:
-            projected = np.einsum("ij,ij->i", counts @ gram, counts)
-        weighted = counts @ weighted_norms
-        out = weighted - projected / total
-        redo = np.flatnonzero(out < 0.5 * weighted)
-        if redo.size:
-            out[redo] = _two_pass_spread(means, counts[redo] * sizes, picks[redo])
-        return out
-
-    return spread
 
 
 def _gram(rows):
@@ -659,27 +618,47 @@ def _gram(rows):
 def _resampled_sums(stats: BlockStats, n_rows=1):
     """``c^T cross c`` for resamples, as a function of count rows.
 
-    Returns ``sums(counts, total, picks)``, one value per row ``c`` of
+    Returns ``sums(counts, total)``, one value per row ``c`` of
     ``counts``, for calls that take ``n_rows`` rows in all.  A row says
     how often a resample draws each individual, ``total[r]`` is
-    ``counts[r] @ sizes`` and ``picks[r]`` is an individual that row
-    ``r`` draws.  ``c^T cross c`` sums the squared
-    distances over all ordered pairs of the resample's payloads.  From
-    ``cross`` it is the O(I^2) product.  From the means, for
-    ``w = c * sizes`` it is ``2 sum(w) (S(w) + c . (within / sizes))``,
-    where ``S(w)`` is the ``w``-weighted spread of the means
-    (:func:`_spread_of_means`): O(I*p) per row, or, when p > I and
-    ``n_rows`` is at least I, O(I^2) per row after an O(I^2*p) Gram.
-    Terms of the block sums alone are computed here, once for every call.
+    ``counts[r] @ sizes``, and ``c^T cross c`` sums the squared distances
+    over all ordered pairs of the resample's payloads.  From ``cross`` it
+    is the O(I^2) product.  From the means, for ``w = c * sizes`` it is
+    ``2 sum(w) (S(w) + c . (within / sizes))``, with ``S(w)`` the
+    spread ``sum_g w_g ||means[g] - mu_w||^2`` about the ``w``-weighted
+    mean ``mu_w``, in one pass: ``w.q - ||M^T w||^2 / sum(w)`` on the
+    I-by-p means ``M`` centred at their ``sizes``-weighted mean, with
+    ``q`` their squared norms.  ``||M^T w||^2`` takes O(I*p) per row, or,
+    when p > I and ``n_rows`` is at least I, ``w^T G w`` in O(I^2) with
+    ``G = M M^T`` built by :func:`_gram` in O(I^2*p).  Rows where the
+    subtraction cancels more than half of ``w.q`` are redone by
+    :func:`_two_pass_spread`, the two-pass algorithm that Chan, Golub and
+    LeVeque (Am. Stat. 37(3), 1983) recommend where the one-pass formula
+    cancels; so every row is a function of its counts alone.  Terms of
+    the block sums alone are computed here, once for every call.
     """
     sizes, within, cross, means = stats[:4]
     if means is None:
-        return lambda counts, total, picks: ((counts @ cross) * counts).sum(axis=1)
-    spread_of = _spread_of_means(sizes, means, n_rows)
+        return lambda counts, total: ((counts @ cross) * counts).sum(axis=1)
+    centred = means - (sizes @ means) / sizes.sum()
+    norms = np.einsum("ij,ij->i", centred, centred)
+    centred *= sizes[:, None]
+    weighted_norms = sizes * norms
     per_payload = within / sizes
+    wide = means.shape[1] > sizes.size and n_rows >= sizes.size
+    gram = _gram(centred) if wide else None
 
-    def sums(counts, total, picks):
-        spread = spread_of(counts, total, picks)
+    def sums(counts, total):
+        if gram is None:
+            proj = counts @ centred
+            projected = np.einsum("ij,ij->i", proj, proj)
+        else:
+            projected = np.einsum("ij,ij->i", counts @ gram, counts)
+        weighted = counts @ weighted_norms
+        spread = weighted - projected / total
+        redo = np.flatnonzero(spread < 0.5 * weighted)
+        if redo.size:
+            spread[redo] = _two_pass_spread(means, counts[redo] * sizes)
         spread += counts @ per_payload
         return 2.0 * total * spread
 
@@ -704,8 +683,7 @@ def _between_sum(stats: BlockStats):
         off_diagonal = ~np.eye(sizes.size, dtype=bool)
         return np.sum(cross, where=off_diagonal) / 2.0
     ones = np.ones((1, sizes.size))
-    every = np.zeros(1, dtype=np.intp)  # individual 0 is drawn
-    quad = _resampled_sums(stats)(ones, ones @ sizes, every)
+    quad = _resampled_sums(stats)(ones, ones @ sizes)
     return (quad[0] - ones[0] @ (2.0 * within)) / 2.0
 
 
@@ -748,7 +726,8 @@ class _MatrixColumns:
     """The column pipeline: a matrix stack's columns, thresholded level by level.
 
     Built once per stack from a sample of matrix or time-series payloads
-    (series become their correlation matrices), for ``metric``.  A column
+    (series become their correlation matrices; vector payloads raise
+    :class:`MetricMismatchError`), for ``metric``.  A column
     holds one entry of every payload.  When every matrix is exactly
     symmetric and all share one diagonal, the column set is the strict
     lower triangle, each column standing for itself and its mirror image
@@ -768,6 +747,7 @@ class _MatrixColumns:
     """
 
     def __init__(self, sample: GroupedSample, metric: Metric):
+        _require_matrix_payloads(sample)
         n, p = sample.n_total, sample.feature_dim
         lower = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
         if sample.payload_kind is PayloadKind.TIMESERIES:

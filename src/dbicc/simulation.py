@@ -16,7 +16,8 @@ intensity.  Every run draws from a generator seeded by (seed, run
 index), so results are reproducible and independent of the worker
 count used to fan the runs out: ``min(workers, n_runs)`` child
 processes, forked on Linux while no other Python thread runs and
-spawned otherwise (``dbicc._children``).
+spawned otherwise (``dbicc._children``).  No run calls a scipy kernel
+(their block sums are numpy's), so no child imports a scipy module.
 """
 
 import functools
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._children import can_fork, run_in_children
+from ._children import run_in_children
 from .bootstrap import (
     _check_level,
     _check_n_boot,
@@ -287,20 +288,6 @@ def _check_n_runs(n_runs):
         raise ParameterError(f"need at least 1 run, got {n_runs}")
 
 
-def _run_tasks(worker, tasks, workers):
-    """``worker`` of each task, in order, in up to ``workers`` child processes.
-
-    No run calls a scipy kernel (their block sums are numpy's), so a
-    forked or spawned child imports no scipy module.  Fork or spawn is
-    weighed only when children will start: runs in this process load no
-    ``multiprocessing``.
-    """
-    method = None
-    if min(workers, len(tasks)) > 1:
-        method = "fork" if can_fork() else "spawn"
-    return list(run_in_children(worker, tasks, workers, method))
-
-
 def _gaussian_population(n_individuals, n_replicates, icc, dim):
     """The point and coverage experiments' population, checked for their runs.
 
@@ -350,7 +337,7 @@ def run_point_experiment(
     pop = _gaussian_population(n_individuals, n_replicates, icc, dim)
     seed = _resolve_seed(seed)
     tasks = [(pop, seed, run) for run in range(n_runs)]
-    estimates = _run_tasks(_point_worker, tasks, workers)
+    estimates = list(run_in_children(_point_worker, tasks, workers))
     arr = np.asarray(estimates)
     return {
         "experiment": "point",
@@ -417,7 +404,7 @@ def run_coverage_experiment(
     tasks = [(pop, seed, run, n_boot, level) for run in range(n_runs)]
     # one workspace for every run of a process; each child process gets its own copy
     worker = functools.partial(_coverage_worker, _Workspace())
-    rows = _run_tasks(worker, tasks, workers)
+    rows = list(run_in_children(worker, tasks, workers))
     covered_naive = sum(r["naive"][0] <= icc <= r["naive"][1] for r in rows)
     covered_corr = sum(r["corrected"][0] <= icc <= r["corrected"][1] for r in rows)
     return {
@@ -499,7 +486,7 @@ def run_sb_experiment(
         (seed, run, n_individuals, n_replicates, dim, tuple(m_grid), ar_coeff, wishart_df)
         for run in range(n_runs)
     ]
-    per_run = _run_tasks(_sb_worker, tasks, workers)
+    per_run = list(run_in_children(_sb_worker, tasks, workers))
 
     report = {
         "experiment": "sb",

@@ -497,9 +497,9 @@ class TestFactoredReplicates:
         two_pass = dbicc.core._two_pass_spread
         rows = []
 
-        def counting(means, weights, picks):
+        def counting(means, weights):
             rows.append(len(weights))
-            return two_pass(means, weights, picks)
+            return two_pass(means, weights)
 
         monkeypatch.setattr(dbicc.core, "_two_pass_spread", counting)
         whole = replicate_terms(stats, picks).components(picks)
@@ -509,6 +509,29 @@ class TestFactoredReplicates:
             chunked = replicate_terms(stats, picks).components(picks)
             for key in whole:
                 assert np.array_equal(chunked[key], whole[key])
+
+    @pytest.mark.parametrize(
+        "regime", [(0.0, 1.0, 0.5), (1e4, 1e-6, 1e-9), (1e8, 1e-3, 1e-12)]
+    )
+    def test_a_replicate_is_a_function_of_its_counts(self, monkeypatch, regime):
+        rng = np.random.default_rng(3)
+        sample = draw_clustered(rng, [2, 3, 1, 2, 2, 3], 4, *regime, 2)
+        stats = block_stats(sample, Metric.L2_VEC)
+        picks = bootstrap_draw(6, 200, 3)
+        shuffled = rng.permuted(picks, axis=1)  # each row's slots reordered
+        two_pass = dbicc.core._two_pass_spread
+        rows = []
+
+        def counting(means, weights):
+            rows.append(len(weights))
+            return two_pass(means, weights)
+
+        monkeypatch.setattr(dbicc.core, "_two_pass_spread", counting)
+        drawn = replicate_terms(stats, picks).components(picks)
+        assert sum(rows) > 0  # some rows are redone in two passes
+        reordered = replicate_terms(stats, shuffled).components(shuffled)
+        for key in drawn:
+            assert np.array_equal(reordered[key], drawn[key])
 
 
 class TestGramProjection:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import dbicc._children
 from dbicc._children import run_in_children
 
 needs_fork = pytest.mark.skipif(
@@ -29,7 +30,7 @@ def _result(k):
 @needs_fork
 def test_results_come_back_in_item_order_from_the_children():
     items = [1, 3, 5, 0, 2, 6, 7]  # each child computes a dict
-    got = list(run_in_children(_result, items, 3, "fork"))
+    got = list(run_in_children(_result, items, 3))
     assert len(got) == len(items)
     for k, value in zip(items, got):
         if k % 2:
@@ -49,7 +50,7 @@ def test_the_first_error_in_item_order_is_raised():
     # child 0 computes items 1 and 4, child 1 items 3 and 9; 4 is listed first
     got = []
     with pytest.raises(ValueError, match="^item 4$"):
-        for value in run_in_children(_result, [1, 3, 4, 9], 2, "fork"):
+        for value in run_in_children(_result, [1, 3, 4, 9], 2):
             got.append(value["item"])
     assert got == [1, 3]
     assert multiprocessing.active_children() == []
@@ -57,13 +58,14 @@ def test_the_first_error_in_item_order_is_raised():
 
 @pytest.mark.parametrize("workers, items", [(1, [1, 3]), (4, [3]), (3, [])])
 def test_below_two_children_this_process_computes(workers, items):
-    got = list(run_in_children(_result, items, workers, "fork"))
+    got = list(run_in_children(_result, items, workers))
     assert [v["pid"] for v in got] == [os.getpid()] * len(items)
 
 
-def test_spawned_children_give_the_same_results():
+def test_spawned_children_give_the_same_results(monkeypatch):
+    monkeypatch.setattr(dbicc._children, "can_fork", lambda: False)
     items = [1, 2, 3, 6]
-    spawned = list(run_in_children(_result, items, 2, "spawn"))
+    spawned = list(run_in_children(_result, items, 2))
     assert [v["item"] for v in spawned[::2]] == [1, 3]
     np.testing.assert_array_equal(spawned[1], _result(2))
     np.testing.assert_array_equal(spawned[3], _result(6))

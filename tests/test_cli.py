@@ -11,6 +11,7 @@ import pickle
 import re
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -641,6 +642,107 @@ class TestExitCodes:
             f"configuration error: --out {out!r}: same file as {what.format(d=tmp_path)}\n"
         )
         assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+
+# main() on argv in a fresh interpreter whose files may not grow past the
+# byte limit: a write beyond it fails with EFBIG (CPython ignores SIGXFSZ)
+_LIMITED_MAIN = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+from dbicc.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _limited_main(argv, limit):
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, str(limit), *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+class TestOutputWrites:
+    """An output is written beside its target and moved over it, so a failed
+    write keeps what the target held and leaves no file behind."""
+
+    def test_a_failed_write_keeps_the_existing_output(self, tmp_path, rng):
+        _write_vectors(tmp_path / "v.csv", rng)
+        out = tmp_path / "keep.json"
+        out.write_text("previous\n")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        code, err = _limited_main(["estimate", str(tmp_path / "v.csv"), "--out", str(out)], 0)
+        assert (code, err) == (5, f"output error: cannot write {str(out)!r} (File too large)\n")
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    def test_simulate_writes_both_files_before_it_moves_either(self, tmp_path):
+        argv = ["simulate", "--experiment", "point", "--runs", "3", "--seed", "1"]
+        fresh_json, fresh_csv = tmp_path / "fresh.json", tmp_path / "fresh.csv"
+        assert main([*argv, "--out", str(fresh_json), "--csv", str(fresh_csv)]) == 0
+        csv_size = fresh_csv.stat().st_size
+        assert fresh_json.stat().st_size > csv_size
+        out, csv_path = tmp_path / "keep.json", tmp_path / "keep.csv"
+        out.write_text("old json\n")
+        csv_path.write_text("old csv\n")
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        # the CSV fits the limit, the JSON does not
+        code, err = _limited_main([*argv, "--out", str(out), "--csv", str(csv_path)], csv_size)
+        assert (code, err) == (5, f"output error: cannot write {str(out)!r} (File too large)\n")
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+    def test_dev_full_is_an_output_error(self, tmp_path, capsys):
+        write_hand_csv(tmp_path / "v.csv")
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", "/dev/full"]) == 5
+        assert capsys.readouterr().err == (
+            "output error: cannot write '/dev/full' (No space left on device)\n"
+        )
+
+    def test_dev_null_is_written_in_place(self, tmp_path, capsys):
+        write_hand_csv(tmp_path / "v.csv")
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+        assert Path(os.devnull).is_char_device()
+        assert [f.name for f in tmp_path.iterdir()] == ["v.csv"]
+
+    def test_a_symlink_updates_the_file_it_names_with_its_mode(self, tmp_path):
+        write_hand_csv(tmp_path / "v.csv")
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("previous\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", str(link)]) == 0
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", str(tmp_path / "new.json")]) == 0
+        assert link.is_symlink() and real.read_bytes() == (tmp_path / "new.json").read_bytes()
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o666 & ~umask
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "link.json", "new.json", "real.json", "v.csv"]
+
+    def test_a_hard_link_to_the_output_keeps_the_old_bytes(self, tmp_path):
+        write_hand_csv(tmp_path / "v.csv")
+        out, other = tmp_path / "out.json", tmp_path / "other.json"
+        out.write_text("previous\n")
+        os.link(out, other)
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", str(out)]) == 0
+        assert other.read_text() == "previous\n"
+        assert out.read_text().startswith("{")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root opens a read-only file for writing")
+    def test_a_read_only_output_is_refused_and_kept(self, tmp_path, capsys):
+        write_hand_csv(tmp_path / "v.csv")
+        out = tmp_path / "ro.json"
+        out.write_text("previous\n")
+        out.chmod(0o444)
+        assert main(["estimate", str(tmp_path / "v.csv"), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"output error: cannot write {str(out)!r} (Permission denied)\n"
+        )
+        assert out.read_text() == "previous\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ro.json", "v.csv"]
 
 
 _GROUPS = "row,individual,replicate\n0,a,1\n1,a,2\n2,b,1\n3,b,2\n"
@@ -1704,12 +1806,12 @@ class TestSimulateCommand:
         # spawned workers inherit no warning filters from the command
         methods = []
 
-        def spawned(fn, items, workers, start_method):
-            methods.append(start_method)
-            return run_in_children(fn, items, workers, start_method)
+        def spawned(fn, items, workers):
+            methods.append("fork" if dbicc._children.can_fork() else "spawn")
+            return run_in_children(fn, items, workers)
 
         run_in_children = dbicc.simulation.run_in_children
-        monkeypatch.setattr(dbicc.simulation, "can_fork", lambda: False)
+        monkeypatch.setattr(dbicc._children, "can_fork", lambda: False)
         monkeypatch.setattr(dbicc.simulation, "run_in_children", spawned)
         argv = [
             "simulate", "--experiment", "coverage", "--individuals", "6",
@@ -2275,11 +2377,11 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 seen = []
 run_in_children = dbicc.simulation.run_in_children
-def spy(fn, items, workers, start_method):
-    seen.append((workers, start_method))
+def spy(fn, items, workers):
+    seen.append((workers, "fork" if dbicc._children.can_fork() else "spawn"))
     def run(item):  # in the child: the run, then the scipy modules it has
         return fn(item), scipy_modules()
-    for result, loaded in run_in_children(run, items, workers, start_method):
+    for result, loaded in run_in_children(run, items, workers):
         seen.append(loaded)
         yield result
 dbicc.simulation.run_in_children = spy

@@ -347,13 +347,14 @@ class TestExperimentRunners:
 
     def test_coverage_runs_take_each_between_sum_once(self, monkeypatch):
         calls = []
-        spread_of_means = dbicc.core._spread_of_means
+        resampled_sums = dbicc.core._resampled_sums
 
-        def counted(sizes, means, n_rows=1):
-            calls.append(sizes)
-            return spread_of_means(sizes, means, n_rows)
+        def counted(stats, n_rows=1):
+            calls.append(stats.sizes)
+            return resampled_sums(stats, n_rows)
 
-        monkeypatch.setattr(dbicc.core, "_spread_of_means", counted)
+        monkeypatch.setattr(dbicc.core, "_resampled_sums", counted)
+        monkeypatch.setattr(dbicc.bootstrap, "_resampled_sums", counted)
         run_coverage_experiment(7, 3, n_boot=100, n_runs=4, seed=3, workers=1)
         # per run: block_stats' between sum, kept for the point estimate, and
         # the replicates' terms
@@ -397,7 +398,7 @@ class TestExperimentRunners:
         def no_runs(worker, tasks, workers):
             raise AssertionError("a Monte Carlo run started")
 
-        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", no_runs)
         with pytest.raises(ParameterError, match=match):
             run_sb_experiment(m_grid=m_grid, offset=offset, n_runs=20, seed=1)
 
@@ -417,7 +418,7 @@ class TestExperimentRunners:
             raise AssertionError("a seed or a run was drawn")
 
         monkeypatch.setattr(dbicc.simulation, "_resolve_seed", no_draws)
-        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_draws)
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", no_draws)
         with pytest.raises(ParameterError, match=r"^need at least 1 run, got 0$"):
             runner(n_runs=0)
 
@@ -425,7 +426,7 @@ class TestExperimentRunners:
         def no_runs(worker, tasks, workers):
             raise AssertionError("a Monte Carlo run started")
 
-        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", no_runs)
         with pytest.raises(ParameterError, match=r"level must lie in \(0, 1\)"):
             run_coverage_experiment(4, 2, 0.5, n_boot=100, n_runs=2, level=1.5, seed=1)
 
@@ -434,7 +435,7 @@ class TestExperimentRunners:
         def no_runs(*args):
             raise AssertionError("a Monte Carlo run started")
 
-        monkeypatch.setattr(dbicc.simulation, "_run_tasks", no_runs)
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", no_runs)
         with pytest.raises(InsufficientDataError) as err:
             run_coverage_experiment(4, 2, 0.5, n_boot=1, n_runs=2, seed=1, workers=2)
         assert str(err.value) == "need at least 2 estimates for an interval, got 1"
