@@ -32,9 +32,9 @@ spans several, the matrix products round per block, so replicates can
 move in their last bits.
 
 A block's flat indices and then its float counts are computed in the
-one buffer of a :class:`_Workspace`, reused by every block of one call,
-and by every run of one coverage experiment (each worker process its
-own), which passes one workspace to all its calls.  ``np.bincount``'s
+one buffer of a :class:`~dbicc.distances._Workspace`, reused by every
+block of one call, and by every run of one coverage experiment (each
+worker process its own), which passes one workspace to all its calls.  ``np.bincount``'s
 own array takes the squared counts, so a block holds three arrays of
 its size at once, the draw, the workspace buffer and bincount's, not
 four; each spent block is released before the next is drawn.  The
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockStats, DistanceMatrix, _distance_block_sums, _resampled_sums
-from .distances import _chunks
+from .distances import _chunks, _Workspace
 from .errors import InsufficientDataError, ParameterError
 from .estimator import dbicc_point
 
@@ -186,26 +186,6 @@ def _block_sums(dm: DistanceMatrix) -> BlockStats:
     return _distance_block_sums(dm.group_sizes, lambda a, b: dm.values[a:b])
 
 
-class _Workspace:
-    """The buffer that replicate blocks are computed in, reused from block to block.
-
-    One workspace serves one bootstrap call, or every call of one coverage
-    experiment, and holds only one float64 buffer.  It is allocated anew
-    when a block first needs more than it holds, and blocks take
-    C-contiguous views of its front.
-    """
-
-    def __init__(self):
-        self._buffer = np.empty(0)
-
-    def array(self, shape):
-        """A float64 ``shape`` view of the buffer, grown first if it is too small."""
-        size = math.prod(shape)
-        if self._buffer.size < size:
-            self._buffer = np.empty(size)
-        return self._buffer[:size].reshape(shape)
-
-
 class _ReplicateTerms:
     """Per-replicate MSD components and estimates from one set of block sums.
 
@@ -214,8 +194,8 @@ class _ReplicateTerms:
     return arrays over those replicates.  ``n_boot`` is the number of
     rows the blocks hold in all, which decides how the means project
     (:func:`~dbicc.core._resampled_sums`).  The block's counts are computed
-    in ``workspace`` (a fresh :class:`_Workspace` if None); the returned
-    arrays are new, and ``indices`` is only read.
+    in ``workspace`` (a fresh :class:`~dbicc.distances._Workspace` if
+    None); the returned arrays are new, and ``indices`` is only read.
     """
 
     def __init__(self, stats: BlockStats, workspace=None, n_boot=1):
@@ -352,8 +332,8 @@ def _replicates(source, n_boot, level, seed, workspace=None):
     checks its own preconditions, which are the bootstrap's too.
     Replicates are estimated one block of the draw at a time
     (:func:`_draw_indices`), every block in ``workspace`` (a fresh
-    :class:`_Workspace` if None); only the ``n_boot``-long estimates and
-    validity flags outlive a block.  Returns the seed, ρ̂ and, keyed by
+    :class:`~dbicc.distances._Workspace` if None); only the
+    ``n_boot``-long estimates and validity flags outlive a block.  Returns the seed, ρ̂ and, keyed by
     ``corrected`` (``False`` or ``True``), each method's
     ``(estimates, valid)`` arrays.
     """
@@ -426,7 +406,7 @@ def bootstrap_dbicc_pair(
     seed, at half the cost.  Returns ``(naive, corrected)``, which carry
     the same ``rho_hat``.  The private ``_workspace`` lets a caller that
     bootstraps many samples in turn (the coverage experiment) reuse one
-    :class:`_Workspace`'s buffers across its calls.
+    :class:`~dbicc.distances._Workspace`'s buffer across its calls.
     """
     seed, rho_hat, replicates = _replicates(source, n_boot, level, seed, _workspace)
     return (

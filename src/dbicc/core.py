@@ -49,6 +49,7 @@ from .distances import (
     _metric_rows,
     _shrink,
     _standardized,
+    _Workspace,
     cdist,
     correlation_from_timeseries,
     pdist,
@@ -502,39 +503,27 @@ def _distance_block_sums(sizes, distance_rows) -> BlockStats:
     return BlockStats(sizes, within, cross)
 
 
-# Row positions _later_row_sums adds across all groups at once; the rows
-# of taller groups beyond them are added group by group.
-_ROW_PASSES = 64
-
-
 def _later_row_sums(rows, sizes, starts):
     """Each group's rows after its first, added in row order to a zero row.
 
     Groups are ``sizes`` rows long and start at rows ``starts``; a group
     of one row sums to zero.  Pass ``j`` adds the ``j``-th row of every
     group that has one, through a strided view when all groups are the
-    same size.  After ``_ROW_PASSES`` passes, each taller group adds its
-    remaining rows in turn with ``np.add.accumulate``, in row chunks, so
-    a few tall groups cost no pass per row.  Every sum is that of the
-    sparse 0/1 indicator product over the later rows, bit for bit, the
-    sign of zero included.
+    same size, else gathered from the groups taller than ``j``.  Every
+    sum is that of the sparse 0/1 indicator product over the later rows,
+    bit for bit, the sign of zero included.
     """
     sums = np.zeros((sizes.size, rows.shape[1]))
-    passes = min(int(sizes.max()), _ROW_PASSES)
     if (sizes == sizes[0]).all():
         by_group = rows.reshape(sizes.size, int(sizes[0]), rows.shape[1])
-        for j in range(1, passes):
+        for j in range(1, int(sizes[0])):
             sums += by_group[:, j]
     else:
         tallest_first = np.argsort(-sizes, kind="stable")
         taller = sizes.size - np.cumsum(np.bincount(sizes))  # groups of more than j rows
-        for j in range(1, passes):
+        for j in range(1, int(sizes.max())):
             g = tallest_first[: taller[j]]
             sums[g] += rows[starts[g] + j]
-    for g in np.flatnonzero(sizes > passes):
-        rest = rows[starts[g] + passes : starts[g] + sizes[g]]
-        for c in _chunks(len(rest), 8 * rows.shape[1]):
-            sums[g] = np.add.accumulate(np.vstack((sums[g], rest[c])))[-1]
     return sums
 
 
@@ -727,18 +716,20 @@ class _MatrixColumns:
 
     Built once per stack from a sample of matrix or time-series payloads
     (series become their correlation matrices; vector payloads raise
-    :class:`MetricMismatchError`), for ``metric``.  A column
-    holds one entry of every payload.  When every matrix is exactly
-    symmetric and all share one diagonal, the column set is the strict
-    lower triangle, each column standing for itself and its mirror image
-    (``weight`` 2).  Any other stack keeps every entry (``weight`` 1),
-    and its diagonal entries are never thresholded.
+    :class:`MetricMismatchError`, and 2x2 matrices under correlation of
+    correlations :class:`DegenerateInputError`), for ``metric``.  A
+    column holds one entry of every payload.  When every matrix is
+    exactly symmetric and all share one diagonal, the column set is the
+    strict lower triangle, each column standing for itself and its mirror
+    image (``weight`` 2).  Any other stack keeps every entry (``weight``
+    1), and its diagonal entries are never thresholded.
 
-    :meth:`rows` soft-thresholds the set at one level into one buffer,
-    reused across levels, and :meth:`block_stats` takes the block sums
-    of its result.  ``l1`` and ``l2`` compare only the live columns: those
-    that vary across payloads and, off the diagonal, whose largest
-    magnitude exceeds the level, in their original order.  The columns
+    :meth:`rows` soft-thresholds the set at one level into the buffer of
+    one :class:`~dbicc.distances._Workspace`, reused across levels, and
+    :meth:`block_stats` takes the block sums of its result.  ``l1`` and
+    ``l2`` compare only the live columns: those that vary across payloads
+    and, off the diagonal, whose largest magnitude exceeds the level, in
+    their original order.  The columns
     left out are equal in every payload, so the distances are those of
     the whole matrices up to rounding.  Correlation of correlations
     compares every column of the lower triangle, so its rows are those
@@ -764,6 +755,13 @@ class _MatrixColumns:
             )
             flat = mats.reshape(n, p * p)
             self.values = np.take(flat, lower, axis=1) if mirrored else flat
+        # once, before any level, and after the correlations as on the
+        # matrix path, where soft_threshold refuses a 1x1 stack first (here
+        # rows() does)
+        if metric is Metric.CORR_OF_CORR and p == 2:
+            raise DegenerateInputError(
+                "correlation-of-correlations needs matrices of size 3x3 or larger"
+            )
         if mirrored:
             self.off_diagonal = np.ones(lower.size, dtype=bool)
             self.lower = None  # every column
@@ -775,7 +773,7 @@ class _MatrixColumns:
         self.peak = np.maximum(high, -low)
         self.varies = high != low
         self.metric, self.p, self.sizes = metric, p, sample.group_sizes
-        self.buffer = np.empty(0)
+        self.workspace = _Workspace()
 
     def rows(self, level=None):
         """The stack's rows at soft-threshold ``level``, and their zero fractions.
@@ -799,10 +797,7 @@ class _MatrixColumns:
             keep = self.lower  # no zeros to count beyond the triangle
         else:
             keep = np.arange(width)
-        size = n * keep.size
-        if self.buffer.size < size:
-            self.buffer = np.empty(size)
-        rows = self.buffer[:size].reshape(n, keep.size)
+        rows = self.workspace.array((n, keep.size))
         diagonal = np.flatnonzero(~self.off_diagonal[keep])
         # every index is in range; mode "clip" lets take write straight to out
         if t == 0.0:  # the shrink would change no bit but the sign of zero
@@ -826,14 +821,10 @@ class _MatrixColumns:
     def block_stats(self, rows) -> BlockStats:
         """Block sums of the distances between the payloads that ``rows`` hold.
 
-        ``rows`` comes from :meth:`rows` and is overwritten.  Rows of no
-        columns give zero sums, without a pass over them.
+        ``rows`` comes from :meth:`rows` and is overwritten.
         """
         if self.metric is Metric.CORR_OF_CORR:
             return _payload_block_stats(_standardized(rows), self.metric, self.sizes)
-        if rows.shape[1] == 0:  # every payload is equal: all distances are zero
-            zero = np.zeros(self.sizes.size)
-            return BlockStats(self.sizes, zero, None, np.zeros((zero.size, 0)))
         return _payload_block_stats(rows, self.metric, self.sizes, self.weight)
 
 

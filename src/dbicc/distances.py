@@ -26,6 +26,7 @@ no scipy kernel never pays for them.  The ``l2`` and
 correlation-of-correlations block sums call none of them.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,6 +96,27 @@ def _chunks(n_rows, row_bytes, budget=None):
     """Slices of ``range(n_rows)`` in order, :func:`_chunk_rows` rows each but the last."""
     step = _chunk_rows(row_bytes, budget)
     return (slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step))
+
+
+class _Workspace:
+    """One float64 buffer, reused by every array its owner computes in it.
+
+    One workspace serves the replicate blocks of one bootstrap call, or
+    of every call of one coverage experiment, or the levels of one column
+    pipeline (:class:`dbicc.core._MatrixColumns`).  The buffer is
+    allocated anew when an array first needs more than it holds; arrays
+    are C-contiguous views of its front, which the next one overwrites.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+
+    def array(self, shape):
+        """A float64 ``shape`` view of the buffer, grown first if it is too small."""
+        size = math.prod(shape)
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        return self._buffer[:size].reshape(shape)
 
 
 class Metric(str, Enum):

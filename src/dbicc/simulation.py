@@ -32,12 +32,11 @@ from .bootstrap import (
     _check_n_boot,
     _median,
     _resolve_seed,
-    _Workspace,
     bootstrap_dbicc_pair,
 )
 from .core import GroupedSample, PayloadKind, block_stats
 from .core import _between_pair_count, _within_pair_count
-from .distances import Metric, _chunk_rows, _chunks
+from .distances import Metric, _chunk_rows, _chunks, _Workspace
 from .errors import FactorizationError, ParameterError
 from .estimator import dbicc_point
 from .spearman_brown import _check_lengths, build_sb_curve, fit_loglog
@@ -466,15 +465,17 @@ def run_sb_experiment(
     ``[log(m - offset), log snr]``.  Reports per-run slopes plus the
     across-run mean curve, for both matrix kinds.  ``m_grid``, by default
     8 lengths from 25 to 197, needs 3 or more distinct lengths above
-    ``offset``, which is 0 or 1, and ``ar_coeff`` must lie in [0, 1).
-    These and the population's arguments are checked before any run,
-    with the errors the runs would raise.
+    ``offset``, which is 0 or 1, ``ar_coeff`` must lie in [0, 1), and
+    ``dim`` must be at least 2.  These and the population's arguments are
+    checked before any run, with the errors the runs would raise.
     """
     _check_n_runs(n_runs)
     m_grid = [int(m) for m in (_M_GRID if m_grid is None else m_grid)]
     if len(m_grid) < 3:
         raise ParameterError("m_grid needs at least 3 lengths to fit a curve")
     _check_lengths(m_grid, offset)
+    if dim < 2:  # one channel's correlation matrices are all [[1]]
+        raise ParameterError(f"dim must be at least 2, got {dim}")
     # what gen_spd_population, the series generator and each sample check
     _wishart_df(dim, wishart_df)
     _check_ar1(ar_coeff, min(m_grid))

@@ -59,6 +59,12 @@ COMMANDS = [
     ("bootstrap_matrix", ["bootstrap", "matrix.csv", "--groups", "groups.csv", "--boot",
                           "200", "--seed", "4", "--emit-replicates"], False),
     ("sweep_threshold", ["sweep-threshold", "manifest.csv"], False),
+    # level 1 leaves no column: every distance is zero
+    ("sweep_threshold_quarters", ["sweep-threshold", "manifest.csv",
+                                  "--threshold-grid", "0:1:0.25"], False),
+    # unequal groups, one of more than 64 replicates
+    ("estimate_tall", ["estimate", "tall.csv"], False),
+    ("bootstrap_tall", ["bootstrap", "tall.csv", "--boot", "200", "--seed", "5"], False),
     ("corr_of_vectors", ["estimate", "vectors.csv", "--distance", "corr"], False),
     # a series with a malformed cell: exit 2, located in the series and the manifest
     ("bad_series", ["estimate", "manifest_bad.csv", "--distance", "corr"], False),
@@ -72,7 +78,7 @@ COMMANDS = [
 
 
 def write_inputs():
-    """The vector CSV, the 12 x 12 matrix with its groups, and the two manifests."""
+    """The two vector CSVs, the 12 x 12 matrix with its groups, and the two manifests."""
     rng = random.Random(20261020)
 
     def noise(scale):
@@ -126,6 +132,14 @@ def write_inputs():
     (INPUTS / "series_bad.csv").write_text("\n".join(rows) + "\n")
     manifest[-1] = "v1,1,series_bad.csv"
     (INPUTS / "manifest_bad.csv").write_text("\n".join(manifest) + "\n")
+
+    # 4 individuals of 2, 5, 70 and 3 replicates of 2 features
+    lines = ["individual,replicate,f1,f2"]
+    for ind, size in enumerate([2, 5, 70, 3]):
+        centre = [noise(4.0) for _ in range(2)]
+        for rep in range(size):
+            lines.append(f"t{ind},{rep}," + ",".join(f"{c + noise(1.5):.4f}" for c in centre))
+    (INPUTS / "tall.csv").write_text("\n".join(lines) + "\n")
 
 
 def output_name(name, argv):

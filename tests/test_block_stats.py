@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -771,6 +770,16 @@ class TestColumnPipeline:
         labels = tuple(f"x{i}" for i in range(len(sizes)))
         sample = GroupedSample(mats, sizes, labels, PayloadKind.MATRIX)
         n = len(mats)
+        spec = DistanceSpec(metric, threshold=level)
+        if metric is Metric.CORR_OF_CORR and p == 2:  # refused once, before any level
+            message = "^correlation-of-correlations needs matrices of size 3x3 or larger$"
+            with pytest.raises(DegenerateInputError, match=message):
+                _MatrixColumns(sample, metric)
+            with pytest.raises(DegenerateInputError, match=message):
+                block_stats(sample, spec)
+            with pytest.raises(DegenerateInputError, match=message):
+                compute_distance_matrix(sample, spec)
+            return
 
         columns = _MatrixColumns(sample, metric)
         rows, fractions = columns.rows(level)
@@ -784,10 +793,9 @@ class TestColumnPipeline:
         else:
             assert fractions.tolist() == want_fractions.tolist()
 
-        spec = DistanceSpec(metric, threshold=level)
         try:
             exact = _block_sums(compute_distance_matrix(sample, spec))
-        except DegenerateInputError as exc:  # corr of 2x2 or constant triangles
+        except DegenerateInputError as exc:  # corr of constant triangles
             message = f"^{re.escape(str(exc))}$"
             with pytest.raises(DegenerateInputError, match=message):
                 columns.block_stats(rows)
@@ -809,20 +817,30 @@ class TestColumnPipeline:
         assert_same_analysis(fast, exact, metric)
 
     @pytest.mark.parametrize("metric", [Metric.L2_VEC, Metric.L1_VEC])
-    def test_a_level_that_leaves_no_column_runs_no_pass(self, rng, monkeypatch, metric):
+    def test_a_level_that_leaves_no_column_gives_zero_sums(self, rng, metric):
         mats = np.array([rand_symmetric(rng, 4, 0.2) for _ in range(6)])
         sample = GroupedSample(mats, [2, 2, 2], ("a", "b", "c"), PayloadKind.MATRIX)
-
-        def no_pass(*args):
-            raise AssertionError("a pass over no columns")
-
-        monkeypatch.setattr(dbicc.core, "_rows_block_sums", no_pass)
-        monkeypatch.setattr(dbicc.core, "_distance_block_sums", no_pass)
+        columns = _MatrixColumns(sample, metric)
+        rows, fractions = columns.rows(0.5)
+        assert rows.shape == (6, 0) and fractions.tolist() == [1.0] * 6
         stats = block_stats(sample, DistanceSpec(metric, threshold=0.5))
-        assert not np.any(stats.within) and stats.means.shape == (3, 0)
+        assert not np.any(stats.within) and _between_sum(stats) == 0.0
         with pytest.raises(DegenerateDistancesError,
                            match="^all between-individual distances are zero"):
             dbicc_point(stats)
+
+    def test_levels_reuse_one_buffer(self, rng):
+        mats = np.array([rand_symmetric(rng, 5, 0.6) for _ in range(6)])
+        sample = GroupedSample(mats, [2, 2, 2], ("a", "b", "c"), PayloadKind.MATRIX)
+        columns = _MatrixColumns(sample, Metric.L2_VEC)
+        first = columns.rows()[0]
+        buffer = columns.workspace._buffer
+        # no level leaves more columns than no level: none grows the buffer
+        for level in (0.1, 0.2, 0.0):
+            rows = columns.rows(level)[0]
+            assert 0 < rows.shape[1] <= first.shape[1]
+            assert np.shares_memory(rows, first)
+            assert columns.workspace._buffer is buffer
 
     def test_one_asymmetric_entry_keeps_every_entry(self, rng):
         mats = np.array([rand_symmetric(rng, 4, 0.5) for _ in range(6)])
@@ -870,17 +888,16 @@ def _indicator_product(rows, sizes):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    # short groups, and groups taller than 64 rows
+    sizes=st.lists(st.integers(1, 12) | st.integers(65, 80), min_size=1, max_size=8),
     equal=st.booleans(),
     width=st.integers(1, 4),
     offset=st.floats(-1e4, 1e4),
     zero_columns=st.integers(0, 2),
-    passes=st.sampled_from([2, 3, 5, dbicc.core._ROW_PASSES]),
-    chunk_bytes=st.sampled_from([8, 80, dbicc.distances._CHUNK_BYTES]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_later_row_sums_are_the_indicator_product_bit_for_bit(
-    sizes, equal, width, offset, zero_columns, passes, chunk_bytes, seed
+    sizes, equal, width, offset, zero_columns, seed
 ):
     sizes = np.array(sizes[:1] * len(sizes) if equal else sizes)
     rng = np.random.default_rng(seed)
@@ -888,8 +905,5 @@ def test_later_row_sums_are_the_indicator_product_bit_for_bit(
     # columns of +0.0 and -0.0 only: a sum that starts from a zero row is +0.0
     rows[:, width:] = rng.choice([0.0, -0.0], (rows.shape[0], zero_columns))
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    # few passes and small chunks send the taller groups' rows through accumulate
-    with mock.patch.object(dbicc.core, "_ROW_PASSES", passes), \
-            mock.patch.object(dbicc.distances, "_CHUNK_BYTES", chunk_bytes):
-        got = dbicc.core._later_row_sums(rows, sizes, starts)
+    got = dbicc.core._later_row_sums(rows, sizes, starts)
     assert got.tobytes() == _indicator_product(rows, sizes).tobytes()

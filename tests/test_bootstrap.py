@@ -38,8 +38,8 @@ from dbicc.bootstrap import (
     _median,
     _replicates,
     _ReplicateTerms,
-    _Workspace,
 )
+from dbicc.distances import _Workspace
 from conftest import bootstrap_draw, vector_sample
 
 

@@ -1678,6 +1678,29 @@ class TestSweepCommand:
             "DegenerateInputError: a 1x1 matrix has no off-diagonal entries\n"
         )
 
+    def test_two_channel_series_refuse_corr_once(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        lines = ["individual,replicate,path"]
+        for i in range(4):
+            for j in range(2):
+                np.savetxt(tmp_path / f"c{i}{j}.csv", rng.standard_normal((20, 2)),
+                           delimiter=",")
+                lines.append(f"q{i},{j},c{i}{j}.csv")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        message = (
+            "DegenerateInputError: correlation-of-correlations needs matrices "
+            "of size 3x3 or larger\n"
+        )
+        assert main(["estimate", str(manifest), "--distance", "corr"]) == 3
+        assert capsys.readouterr().err == message
+        # refused before any level, as estimate refuses it, and nothing written
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-threshold", str(manifest), "--distance", "corr", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
     def test_sweep_rejects_vector_input(self, tmp_path, capsys):
         src = tmp_path / "hand.csv"
         write_hand_csv(src)

@@ -402,6 +402,16 @@ class TestExperimentRunners:
         with pytest.raises(ParameterError, match=match):
             run_sb_experiment(m_grid=m_grid, offset=offset, n_runs=20, seed=1)
 
+    @pytest.mark.parametrize("dim", [1, 0])
+    def test_sb_experiment_refuses_one_channel_before_any_run(self, monkeypatch, dim):
+        # one channel's correlation matrices are all [[1]]: no run could succeed
+        def no_runs(worker, tasks, workers):
+            raise AssertionError("a Monte Carlo run started")
+
+        monkeypatch.setattr(dbicc.simulation, "run_in_children", no_runs)
+        with pytest.raises(ParameterError, match=rf"^dim must be at least 2, got {dim}$"):
+            run_sb_experiment(dim=dim, n_runs=20, seed=1)
+
     @pytest.mark.parametrize("phi", [-0.1, 1.0, 2.0])
     def test_sb_experiment_ar_coeff_domain(self, phi):
         with pytest.raises(ParameterError, match=r"\[0, 1\)"):
